@@ -4,13 +4,20 @@
 //! viewport-class delivery system actually reuses across viewers. A hit
 //! costs the edge nothing upstream; a miss pulls the layer over the
 //! origin backhaul exactly once, however many clients are waiting on it.
-//! Eviction is least-recently-used on a monotone logical tick (every
-//! touch stamps a fresh, unique tick), so for a given access sequence
-//! the eviction schedule is fully deterministic — the same property the
-//! geometry [`VisibilityCache`](sperke_geo::VisibilityCache) pins down.
+//!
+//! Eviction is least-recently-used over a [`sperke_sim::Lru`]: entries
+//! sit on a recency list, a lookup hit or an insert moves its entry to
+//! the newest end, and an insert that would overflow the byte budget
+//! evicts from the oldest end until it fits. Lookup, insert and each
+//! eviction cost O(1), whatever the cache holds. The list head is
+//! exactly the entry a scan for the minimum of a unique, monotone
+//! last-used tick would pick, so the eviction schedule is the same pure
+//! function of the access sequence that such a scan gives — the
+//! property the geometry [`VisibilityCache`](sperke_geo::VisibilityCache)
+//! pins down too.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use sperke_sim::Lru;
 
 /// Identity of one cacheable unit: a tile's SVC layer for one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,12 +28,6 @@ pub struct CacheKey {
     pub tile: u16,
     /// SVC layer (0 = base).
     pub layer: u8,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    bytes: u64,
-    last_used: u64,
 }
 
 /// Running cache counters. Byte fields balance exactly against origin
@@ -61,8 +62,8 @@ pub struct TileCacheStats {
 pub struct TileCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    entries: HashMap<CacheKey, Entry>,
-    tick: u64,
+    /// Resident entries and their sizes in bytes, in recency order.
+    entries: Lru<CacheKey, u64>,
     stats: TileCacheStats,
 }
 
@@ -72,8 +73,7 @@ impl TileCache {
         TileCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: HashMap::new(),
-            tick: 0,
+            entries: Lru::new(),
             stats: TileCacheStats::default(),
         }
     }
@@ -103,29 +103,19 @@ impl TileCache {
         self.stats
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
     /// Is `key` resident? Touches (refreshes) the entry on success and
     /// records a hit of `bytes`; records a miss otherwise. The caller
     /// decides what a miss means (origin fetch, coalesced wait, ...).
     pub fn lookup(&mut self, key: CacheKey, bytes: u64) -> bool {
-        let tick = self.next_tick();
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.stats.hits += 1;
-                self.stats.hit_bytes += bytes;
-                true
-            }
-            None => {
-                self.stats.misses += 1;
-                self.stats.miss_bytes += bytes;
-                false
-            }
+        let hit = self.entries.touch(&key).is_some();
+        if hit {
+            self.stats.hits += 1;
+            self.stats.hit_bytes += bytes;
+        } else {
+            self.stats.misses += 1;
+            self.stats.miss_bytes += bytes;
         }
+        hit
     }
 
     /// Record a hit that never consults residency — a lookup coalesced
@@ -143,45 +133,33 @@ impl TileCache {
         self.stats.prefetch_bytes += bytes;
     }
 
-    /// Insert `key` (no-op when disabled, or when the layer alone
-    /// exceeds the whole capacity). Evicts least-recently-used entries
-    /// until the new entry fits; the monotone tick makes the eviction
-    /// order unique, hence deterministic.
+    /// Insert `key` as the most recently used entry (no-op when
+    /// disabled, or when the layer alone exceeds the whole capacity). A
+    /// resident copy of `key` is dropped first, then least-recently-used
+    /// entries are evicted until the new entry fits.
     pub fn insert(&mut self, key: CacheKey, bytes: u64) {
         if self.is_disabled() || bytes > self.capacity_bytes {
             return;
         }
         if let Some(old) = self.entries.remove(&key) {
-            self.used_bytes -= old.bytes;
+            self.used_bytes -= old;
         }
         while self.used_bytes + bytes > self.capacity_bytes {
-            // Ticks are unique, so the minimum is unique and the scan
-            // order over the map cannot influence the choice.
-            let victim = self
+            let (_, gone) = self
                 .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+                .pop_oldest()
                 .expect("over-budget cache is non-empty");
-            let gone = self.entries.remove(&victim).expect("victim resident");
-            self.used_bytes -= gone.bytes;
+            self.used_bytes -= gone;
             self.stats.evictions += 1;
-            self.stats.evicted_bytes += gone.bytes;
+            self.stats.evicted_bytes += gone;
         }
-        let tick = self.next_tick();
-        self.entries.insert(
-            key,
-            Entry {
-                bytes,
-                last_used: tick,
-            },
-        );
+        self.entries.insert(key, bytes);
         self.used_bytes += bytes;
     }
 
     /// Is `key` resident, without touching LRU state or counters?
     pub fn contains(&self, key: CacheKey) -> bool {
-        self.entries.contains_key(&key)
+        self.entries.contains(&key)
     }
 }
 

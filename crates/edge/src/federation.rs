@@ -59,11 +59,10 @@ use sperke_live::CrowdAggregator;
 use sperke_net::{FaultScript, PathFaults, RecoveryPolicy, SerialLink, WrrLink};
 use sperke_sim::trace::{Trace, TraceLevel};
 use sperke_sim::{
-    default_threads, parallel_indexed, MetricsRegistry, ReplayQueue, SimDuration, SimTime,
-    TraceEvent, TraceSink,
+    default_threads, parallel_indexed, FxHashMap, MetricsRegistry, ReplayQueue, SimDuration,
+    SimTime, TraceEvent, TraceSink,
 };
 use sperke_video::{ChunkTime, VideoModel};
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// One edge node's capacity declaration.
@@ -371,7 +370,7 @@ struct RegionalTier {
     /// Bytes answered `Retry` and not yet resolved, per `(node, key)`.
     /// Settled as failed when the node dies or the horizon cuts the
     /// retry off — keeps `ok + failed == miss_bytes` exact always.
-    pending: HashMap<(u32, CacheKey), u64>,
+    pending: FxHashMap<(u32, CacheKey), u64>,
 }
 
 impl RegionalTier {
@@ -451,16 +450,14 @@ impl RegionalTier {
     /// Write off every pending retry for `node` (None = all nodes) as
     /// failed — the matching edge-side fetches were written off too.
     fn fail_pending(&mut self, node: Option<u32>) {
-        let keys: Vec<(u32, CacheKey)> = self
-            .pending
-            .keys()
-            .filter(|(n, _)| node.is_none_or(|dead| *n == dead))
-            .copied()
-            .collect();
-        for k in keys {
-            let bytes = self.pending.remove(&k).expect("key just listed");
-            self.origin_failed_bytes += bytes;
-        }
+        let failed = &mut self.origin_failed_bytes;
+        self.pending.retain(|&(n, _), &mut bytes| {
+            let written_off = node.is_none_or(|dead| n == dead);
+            if written_off {
+                *failed += bytes;
+            }
+            !written_off
+        });
     }
 }
 
@@ -881,7 +878,7 @@ pub fn run_federation(
         origin_bytes: 0,
         origin_failed_bytes: 0,
         origin_retries: 0,
-        pending: HashMap::new(),
+        pending: FxHashMap::default(),
     };
 
     // --- Static schedule, in the exact single-edge order per client so

@@ -44,12 +44,11 @@ use sperke_net::{
 };
 use sperke_player::QoeWeights;
 use sperke_sim::{
-    MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation, TraceEvent,
-    TraceSink, World,
+    FxHashMap, MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation,
+    TraceEvent, TraceSink, World,
 };
 use sperke_video::{CellId, CellSizes, ChunkTime, Layer, Quality, Scheme, VideoModel};
 use sperke_vra::{select_stochastic, AbrPolicyKind, PolicyInput, StochasticChoice};
-use std::collections::HashMap;
 
 /// Edge experiment parameters. Everything that shapes the run is here
 /// (plus the optional [`EdgeHarness`]); the report is a pure function
@@ -329,9 +328,9 @@ pub(crate) struct ClientState {
     /// WRR queue id; only admitted clients hold one.
     pub(crate) link_id: Option<u32>,
     /// Delivered SVC layers per cell, as a bitmask (bit i = layer i).
-    pub(crate) delivered: HashMap<CellId, u32>,
+    pub(crate) delivered: FxHashMap<CellId, u32>,
     /// Planned quality per cell (display-time degradation check).
-    pub(crate) planned: HashMap<CellId, u8>,
+    pub(crate) planned: FxHashMap<CellId, u8>,
 }
 
 impl ClientState {
@@ -347,8 +346,8 @@ impl ClientState {
             head,
             admitted,
             link_id,
-            delivered: HashMap::new(),
-            planned: HashMap::new(),
+            delivered: FxHashMap::default(),
+            planned: FxHashMap::default(),
         }
     }
 }
@@ -495,7 +494,7 @@ pub(crate) struct EdgeWorld<'a> {
     pub(crate) clients: Vec<ClientState>,
     pub(crate) egress: WrrLink,
     cache: TileCache,
-    inflight: HashMap<CacheKey, Inflight>,
+    inflight: FxHashMap<CacheKey, Inflight>,
     origin_busy_until: SimTime,
     /// Measured-capacity estimator for the origin backhaul (None when
     /// the harness leaves probing off).
@@ -510,7 +509,7 @@ pub(crate) struct EdgeWorld<'a> {
     pub(crate) crowds: Vec<(u16, CrowdAggregator)>,
     vis: VisibilityCache,
     trace: TraceSink,
-    pending: HashMap<StreamId, PendingStream>,
+    pending: FxHashMap<StreamId, PendingStream>,
     /// Precomputed per-cell layer sizes, indexed `chunk * tiles + tile`;
     /// the batched engine fills it, the legacy engine computes per call.
     /// Either way the bytes are identical (the model is deterministic).
@@ -559,7 +558,7 @@ impl<'a> EdgeWorld<'a> {
             clients,
             egress,
             cache: TileCache::new(config.cache_bytes),
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             origin_busy_until: SimTime::ZERO,
             origin_bbr: harness.bbr.then(|| BbrState::new(BbrConfig::default())),
             origin_ge: match harness.origin_loss {
@@ -574,7 +573,7 @@ impl<'a> EdgeWorld<'a> {
             crowds,
             vis: harness.vis.clone(),
             trace: harness.trace.clone(),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             sizes: None,
             fscratch: ForecastScratch::new(),
             hist: Vec::new(),
@@ -1184,7 +1183,7 @@ impl EdgeWorld<'_> {
     pub(crate) fn take_client_session(
         &mut self,
         client: u32,
-    ) -> (HashMap<CellId, u32>, HashMap<CellId, u8>) {
+    ) -> (FxHashMap<CellId, u32>, FxHashMap<CellId, u8>) {
         let state = &mut self.clients[client as usize];
         state.admitted = false;
         state.link_id = None;
@@ -1200,8 +1199,8 @@ impl EdgeWorld<'_> {
     pub(crate) fn install_client_session(
         &mut self,
         client: u32,
-        delivered: HashMap<CellId, u32>,
-        planned: HashMap<CellId, u8>,
+        delivered: FxHashMap<CellId, u32>,
+        planned: FxHashMap<CellId, u8>,
     ) {
         let weight = self.clients[client as usize].spec.weight;
         let link_id = self.egress.add_client(weight);

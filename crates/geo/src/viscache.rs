@@ -11,6 +11,16 @@
 //! cache hit is bit-identical to recomputation by construction — the
 //! golden trace digests cannot tell the difference.
 //!
+//! The memo is a bounded least-recently-used store, a
+//! [`sperke_sim::Lru`]: a hit moves its entry to the newest end of a
+//! recency list, and a miss on a full cache evicts the oldest end. A hit
+//! and a miss with eviction each cost O(1) bookkeeping on top of the
+//! key hash. The list head is exactly the entry a scan for the minimum
+//! of a unique, monotone last-used tick would pick, so the eviction
+//! schedule is a pure function of the query sequence — though results
+//! never depend on it, since eviction only forces a recomputation of
+//! the same exact value.
+//!
 //! The handle is an `Arc<Mutex<..>>` (like `TraceSink`), so a world
 //! holding one is `Send` and the parallel federation replay can move
 //! node worlds across worker threads between windows. Determinism does
@@ -21,41 +31,8 @@
 
 use crate::tiling::{TileGrid, TileId};
 use crate::viewport::{Viewport, VisibilityScratch};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use sperke_sim::Lru;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// A fast multiply-rotate hasher for [`VisKey`] lookups (FxHash-style).
-/// The memo map sits on the per-display hot path, where SipHash over
-/// the 46-byte key costs more than the rest of a cache hit combined;
-/// keys are trusted simulation state, so DoS hardening buys nothing.
-/// Purely an internal detail: hit patterns and results are unchanged.
-#[derive(Default)]
-struct VisKeyHasher(u64);
-
-impl Hasher for VisKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.write_u64(n as u64);
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n)
-            .wrapping_mul(0x517c_c1b7_2722_0a95)
-            .rotate_left(5);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type VisKeyMap = HashMap<VisKey, Entry, BuildHasherDefault<VisKeyHasher>>;
 
 /// Exact memoization key: the f64 bit patterns of the viewport's
 /// orientation and FoV extents, the grid shape, and the sample density.
@@ -105,18 +82,9 @@ pub struct VisCacheStats {
 }
 
 #[derive(Debug)]
-struct Entry {
-    tiles: Arc<[(TileId, f64)]>,
-    /// Monotone use tick; strictly increasing over touches, so LRU
-    /// eviction has a unique, deterministic victim.
-    last_used: u64,
-}
-
-#[derive(Debug)]
 struct CacheInner {
     capacity: usize,
-    tick: u64,
-    entries: VisKeyMap,
+    entries: Lru<VisKey, Arc<[(TileId, f64)]>>,
     scratch: VisibilityScratch,
     hits: u64,
     misses: u64,
@@ -147,13 +115,17 @@ pub struct VisibilityCache {
 
 /// Lock the cache state, surviving a poisoned mutex (a panicking
 /// worker must not mask the original failure with a second one).
+///
+/// Recovering the guard is sound because no update can be cut off
+/// half-done: the visibility computation runs before a miss touches
+/// the LRU, no [`Lru`] method can panic in the middle of a relink, and
+/// a counter bumped before a panic is still a valid count.
 fn lock(inner: &Mutex<CacheInner>) -> MutexGuard<'_, CacheInner> {
     inner.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Default LRU bound: generously covers a session's working set of
-/// distinct (gaze, grid, density) queries while keeping the worst-case
-/// eviction scan trivial.
+/// distinct (gaze, grid, density) queries.
 pub const DEFAULT_VIS_CACHE_CAPACITY: usize = 256;
 
 impl Default for VisibilityCache {
@@ -172,11 +144,7 @@ impl VisibilityCache {
         VisibilityCache {
             inner: Some(Arc::new(Mutex::new(CacheInner {
                 capacity,
-                tick: 0,
-                entries: VisKeyMap::with_capacity_and_hasher(
-                    capacity.min(1024),
-                    BuildHasherDefault::default(),
-                ),
+                entries: Lru::new(),
                 scratch: VisibilityScratch::new(),
                 hits: 0,
                 misses: 0,
@@ -210,41 +178,23 @@ impl VisibilityCache {
             Some(inner) => inner,
         };
         let key = VisKey::new(viewport, grid, samples);
-        let mut inner = lock(inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            entry.last_used = tick;
-            let tiles = Arc::clone(&entry.tiles);
+        let mut guard = lock(inner);
+        let inner = &mut *guard;
+        if let Some(tiles) = inner.entries.touch(&key) {
+            let tiles = Arc::clone(tiles);
             inner.hits += 1;
             return tiles;
         }
         inner.misses += 1;
+        // Compute before touching the LRU: a panic in here must leave
+        // the recency list as it was (see `lock`).
         let mut out = Vec::new();
         viewport.visible_tiles_into(grid, samples, &mut inner.scratch, &mut out);
         let tiles: Arc<[(TileId, f64)]> = Arc::from(out);
-        if inner.entries.len() >= inner.capacity {
-            // Evict the least-recently-used entry. Ticks are unique, so
-            // the victim is deterministic regardless of map iteration
-            // order (results would be identical either way — eviction
-            // only ever forces recomputation of the same exact value).
-            if let Some(&victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                inner.entries.remove(&victim);
-                inner.evictions += 1;
-            }
+        if inner.entries.len() >= inner.capacity && inner.entries.pop_oldest().is_some() {
+            inner.evictions += 1;
         }
-        inner.entries.insert(
-            key,
-            Entry {
-                tiles: Arc::clone(&tiles),
-                last_used: tick,
-            },
-        );
+        inner.entries.insert(key, Arc::clone(&tiles));
         tiles
     }
 

@@ -3,8 +3,9 @@
 //! The substrate under every Sperke experiment: a virtual clock
 //! ([`SimTime`], [`SimDuration`]), a deterministic time-ordered
 //! [`EventQueue`], a drive loop ([`Simulation`] / [`World`]), a seeded
-//! splittable PRNG ([`SimRng`]) and metric recorders
-//! ([`Counter`], [`TimeSeries`], [`Histogram`]).
+//! splittable PRNG ([`SimRng`]), metric recorders
+//! ([`Counter`], [`TimeSeries`], [`Histogram`]), and the O(1)
+//! deterministic [`Lru`] and fast [`FxHashMap`] that the caches share.
 //!
 //! Design rules, shared by all downstream crates:
 //!
@@ -37,6 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
+pub mod fxhash;
+pub mod lru;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
@@ -48,6 +51,8 @@ pub mod time;
 pub mod trace;
 
 pub use experiment::{replicate, Replicates, SEED_PANEL};
+pub use fxhash::{FxHashMap, FxHasher};
+pub use lru::Lru;
 pub use metrics::{Counter, Histogram, TimeSeries};
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;

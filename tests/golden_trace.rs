@@ -2,8 +2,10 @@
 //! and one fleet parameter sweep are pinned down to their exact digests
 //! and QoE numbers. Any change to the simulation's event ordering, RNG
 //! consumption, trace encoding, or sweep merge shows up here first.
+//! Two churn goldens run a tile cache far below its working set, so the
+//! LRU eviction schedule (which entry goes, and when) is pinned too.
 //!
-//! Regenerating ALL goldens in this file (session + sweep) after an
+//! Regenerating ALL goldens in this file after an
 //! *intentional* behaviour change is one command:
 //!
 //! ```text
@@ -13,9 +15,10 @@
 //! then paste the printed constants over the `GOLDEN_*` values below.
 
 use sperke_core::{
-    run_federation, run_fleet_sweep, run_fleet_sweep_batched, run_shootout, FederationConfig,
-    FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint, RunReport, SchedulerChoice,
-    ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
+    run_federation, run_fleet_sweep, run_fleet_sweep_batched, run_shootout, zipf_catalog_clients,
+    EdgeConfig, EdgeRunReport, FederationConfig, FederationHarness, FleetConfig, FleetGrid,
+    FleetSweepPoint, RunReport, SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport,
+    TraceLevel,
 };
 use sperke_edge::{flash_crowd_clients, FederationRunReport};
 use sperke_hmp::Behavior;
@@ -176,6 +179,101 @@ fn seed_77_federation_matches_golden_digest() {
     assert_eq!(run.report.failed_nodes, 0);
 }
 
+/// The exact edge run the edge-churn golden was captured from: 32
+/// seed-77 clients over a Zipf(0.9) catalog of 8 titles, streaming 6 s
+/// into an 8 MiB tile cache, about an eighth of the 68 MB the run
+/// fetches with an unbounded cache. The cache evicts thousands of times,
+/// and every later hit or miss in the trace depends on which entries
+/// the LRU kept.
+fn golden_edge_churn() -> EdgeRunReport {
+    let config = EdgeConfig {
+        clients: 32,
+        max_clients: 32,
+        cache_bytes: 8 << 20,
+        seed: 77,
+        ..Default::default()
+    };
+    let clients = zipf_catalog_clients(&config, 32, 8, 0.9);
+    Sperke::edge_builder(77)
+        .config(config)
+        .client_specs(clients)
+        .duration(SimDuration::from_secs(6))
+        .with_trace(TraceLevel::Verbose)
+        .run_batched(2)
+}
+
+const GOLDEN_EDGE_CHURN_DIGEST: u64 = 0xcc5a17bdaccf9ebd;
+const GOLDEN_EDGE_CHURN_EVENTS: usize = 6547;
+const GOLDEN_EDGE_CHURN_EVICTIONS: u64 = 3893;
+const GOLDEN_EDGE_CHURN_HITS: u64 = 2324;
+
+#[test]
+fn edge_churn_matches_golden_digest() {
+    let run = golden_edge_churn();
+    assert!(run.report.cache.evictions > 0, "the cache must churn");
+    assert_eq!(
+        run.trace_digest(),
+        GOLDEN_EDGE_CHURN_DIGEST,
+        "edge churn trace digest drifted — if the behaviour change is \
+         intentional, regenerate with \
+         `cargo test --test golden_trace -- --ignored --nocapture`"
+    );
+    assert_eq!(run.trace.len(), GOLDEN_EDGE_CHURN_EVENTS);
+    assert_eq!(run.report.cache.evictions, GOLDEN_EDGE_CHURN_EVICTIONS);
+    assert_eq!(run.report.cache.hits, GOLDEN_EDGE_CHURN_HITS);
+}
+
+/// The exact federation the regional-churn golden was captured from:
+/// 24 seed-77 clients over a Zipf(0.9) catalog of 6 titles on 3 nodes,
+/// streaming 6 s behind an 8 MiB regional tier, about a sixth of the
+/// 51 MB the tier fetches when unbounded. The edge caches keep their
+/// (large) default, so the churn is the regional tier's.
+fn golden_regional_churn() -> FederationRunReport {
+    let video = VideoModelBuilder::new(77)
+        .duration(SimDuration::from_secs(6))
+        .build();
+    let mut config = FederationConfig {
+        nodes: 3,
+        seed: 77,
+        regional_bytes: 8 << 20,
+        ..Default::default()
+    };
+    config.node.seed = 77;
+    let clients = zipf_catalog_clients(&config.node, 24, 6, 0.9);
+    let harness = FederationHarness {
+        trace: TraceLevel::Verbose,
+        ..Default::default()
+    };
+    run_federation(&video, &config, &clients, &harness, None, 2)
+}
+
+const GOLDEN_REGIONAL_CHURN_DIGEST: u64 = 0xf2b3c15d83eb4a73;
+const GOLDEN_REGIONAL_CHURN_EVICTIONS: u64 = 1850;
+const GOLDEN_REGIONAL_CHURN_HITS: u64 = 557;
+const GOLDEN_REGIONAL_CHURN_ORIGIN_BYTES: u64 = 65612000;
+
+#[test]
+fn regional_churn_matches_golden_digest() {
+    let run = golden_regional_churn();
+    assert!(
+        run.report.regional.evictions > 0,
+        "the regional tier must churn"
+    );
+    assert_eq!(
+        run.combined_digest(),
+        GOLDEN_REGIONAL_CHURN_DIGEST,
+        "regional churn trace digest drifted — if the behaviour change \
+         is intentional, regenerate with \
+         `cargo test --test golden_trace -- --ignored --nocapture`"
+    );
+    assert_eq!(
+        run.report.regional.evictions,
+        GOLDEN_REGIONAL_CHURN_EVICTIONS
+    );
+    assert_eq!(run.report.regional.hits, GOLDEN_REGIONAL_CHURN_HITS);
+    assert_eq!(run.report.origin_bytes, GOLDEN_REGIONAL_CHURN_ORIGIN_BYTES);
+}
+
 /// The exact shootout the shootout golden was captured from: the
 /// reduced CI smoke grid (all five policies × 2 bandwidths ×
 /// 1 behaviour × 1 seed), run on 3 workers so the merge's
@@ -208,7 +306,7 @@ fn smoke_shootout_matches_golden_digest() {
 }
 
 /// Prints fresh golden constants for ALL goldens (session, sweep,
-/// federation, and shootout).
+/// federation, edge and regional churn, and shootout).
 /// Run with `cargo test --test golden_trace -- --ignored --nocapture`
 /// and paste the output over the `GOLDEN_*` constants above.
 #[test]
@@ -253,6 +351,40 @@ fn regenerate_golden_constants() {
     println!(
         "const GOLDEN_FED_REGIONAL_HIT_BYTES: u64 = {};",
         fed.report.regional.hit_bytes
+    );
+    let edge = golden_edge_churn();
+    println!(
+        "const GOLDEN_EDGE_CHURN_DIGEST: u64 = {:#018x};",
+        edge.trace_digest()
+    );
+    println!(
+        "const GOLDEN_EDGE_CHURN_EVENTS: usize = {};",
+        edge.trace.len()
+    );
+    println!(
+        "const GOLDEN_EDGE_CHURN_EVICTIONS: u64 = {};",
+        edge.report.cache.evictions
+    );
+    println!(
+        "const GOLDEN_EDGE_CHURN_HITS: u64 = {};",
+        edge.report.cache.hits
+    );
+    let regional = golden_regional_churn();
+    println!(
+        "const GOLDEN_REGIONAL_CHURN_DIGEST: u64 = {:#018x};",
+        regional.combined_digest()
+    );
+    println!(
+        "const GOLDEN_REGIONAL_CHURN_EVICTIONS: u64 = {};",
+        regional.report.regional.evictions
+    );
+    println!(
+        "const GOLDEN_REGIONAL_CHURN_HITS: u64 = {};",
+        regional.report.regional.hits
+    );
+    println!(
+        "const GOLDEN_REGIONAL_CHURN_ORIGIN_BYTES: u64 = {};",
+        regional.report.origin_bytes
     );
     let shootout = golden_shootout();
     println!(
