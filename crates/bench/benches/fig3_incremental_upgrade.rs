@@ -19,7 +19,7 @@ fn main() {
     header("E3 / Figure 3", "incremental chunk upgrading: AVC vs SVC");
 
     // --- Part 1: the byte accounting of one cell.
-    let sizes = CellSizes::new(vec![125_000, 250_000, 500_000, 1_000_000], 0.10);
+    let sizes = CellSizes::new(&[125_000, 250_000, 500_000, 1_000_000], 0.10);
     cols(
         "upgrade (have -> want)",
         &["avcCost", "svcCost", "avcWaste", "svcWaste"],

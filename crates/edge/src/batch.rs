@@ -307,7 +307,6 @@ pub fn run_edge_prepared(
     let last_arrival = specs.last().expect("non-empty").arrival;
 
     let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
-    world.precompute_sizes();
 
     // --- Prefetch plans: the crowds are fully ingested and event times
     // are static, so the predicted tiles per chunk (per content group)

@@ -827,8 +827,7 @@ pub fn run_federation(
             vis: harness.vis.clone(),
             ..Default::default()
         };
-        let mut world = EdgeWorld::new(video, node_config, states, egress, crowds, &node_harness);
-        world.precompute_sizes();
+        let world = EdgeWorld::new(video, node_config, states, egress, crowds, &node_harness);
         worlds.push(world);
     }
 

@@ -47,7 +47,7 @@ use sperke_sim::{
     FxHashMap, MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation,
     TraceEvent, TraceSink, World,
 };
-use sperke_video::{CellId, CellSizes, ChunkTime, Layer, Quality, Scheme, VideoModel};
+use sperke_video::{CellId, ChunkTime, Layer, Quality, Scheme, VideoModel};
 use sperke_vra::{select_stochastic, AbrPolicyKind, PolicyInput, StochasticChoice};
 
 /// Edge experiment parameters. Everything that shapes the run is here
@@ -510,10 +510,6 @@ pub(crate) struct EdgeWorld<'a> {
     vis: VisibilityCache,
     trace: TraceSink,
     pending: FxHashMap<StreamId, PendingStream>,
-    /// Precomputed per-cell layer sizes, indexed `chunk * tiles + tile`;
-    /// the batched engine fills it, the legacy engine computes per call.
-    /// Either way the bytes are identical (the model is deterministic).
-    sizes: Option<Vec<CellSizes>>,
     /// Reusable forecast/history buffers for inline decides.
     fscratch: ForecastScratch,
     hist: Vec<(SimTime, Orientation)>,
@@ -574,7 +570,6 @@ impl<'a> EdgeWorld<'a> {
             vis: harness.vis.clone(),
             trace: harness.trace.clone(),
             pending: FxHashMap::default(),
-            sizes: None,
             fscratch: ForecastScratch::new(),
             hist: Vec::new(),
             policy: harness.policy,
@@ -592,21 +587,6 @@ impl<'a> EdgeWorld<'a> {
             degraded_displays: 0,
         }
     }
-
-    /// Tabulate every cell's SVC layer sizes up front so the hot loops
-    /// index instead of re-deriving them. `cell_sizes` is a pure
-    /// function of (tile, chunk), so lookups return the identical u64s.
-    pub(crate) fn precompute_sizes(&mut self) {
-        let tiles = self.video.grid().tile_count();
-        let chunks = self.video.chunk_count();
-        let mut table = Vec::with_capacity(tiles * chunks as usize);
-        for c in 0..chunks {
-            for t in 0..tiles {
-                table.push(self.video.cell_sizes(TileId(t as u16), ChunkTime(c)));
-            }
-        }
-        self.sizes = Some(table);
-    }
 }
 
 impl EdgeWorld<'_> {
@@ -619,16 +599,9 @@ impl EdgeWorld<'_> {
     }
 
     fn layer_bytes(&self, cell: CellId, layer: u8) -> u64 {
-        match &self.sizes {
-            Some(table) => {
-                let tiles = self.video.grid().tile_count();
-                table[cell.time.0 as usize * tiles + cell.tile.index()].svc_layer(Layer(layer))
-            }
-            None => self
-                .video
-                .cell_sizes(cell.tile, cell.time)
-                .svc_layer(Layer(layer)),
-        }
+        self.video
+            .cell_sizes(cell.tile, cell.time)
+            .svc_layer(Layer(layer))
     }
 
     pub(crate) fn display_wall(&self, client: u32, chunk: u32) -> SimTime {

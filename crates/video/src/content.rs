@@ -5,16 +5,21 @@
 //! of panorama bits (solid angle × spatial complexity) × deterministic
 //! per-chunk jitter (temporal complexity). All randomness derives from
 //! the video's seed, so a given `VideoModel` is identical across runs.
+//!
+//! `chunk_bytes`, `cell_sizes` and `panorama_bytes` read one flat table
+//! of every cell's AVC bytes, filled on the first size query.
 
 use crate::encoding::{CellSizes, Scheme};
 use crate::ids::{ChunkId, ChunkTime, Quality};
 use crate::ladder::Ladder;
-use serde::{Deserialize, Serialize};
+use serde::{missing_field, Content, DeError, Deserialize, Serialize};
 use sperke_geo::{TileGrid, TileId};
 use sperke_sim::{SimDuration, SimRng, SimTime};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A fully specified panoramic video.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VideoModel {
     grid: TileGrid,
     ladder: Ladder,
@@ -28,6 +33,64 @@ pub struct VideoModel {
     /// Amplitude of per-chunk size jitter (0 = constant bitrate).
     jitter: f64,
     seed: u64,
+    /// Derived from the fields above; never serialized.
+    sizes: SizeTable,
+}
+
+/// The monotone-fixed AVC bytes of every cell and rung, indexed
+/// `(chunk * tiles + tile) * levels + quality`: tiles × chunks × rungs
+/// × 8 B. Filled on the first size query rather than in
+/// [`VideoModelBuilder::build`], so building a video stays cheap and
+/// threads that query at once share one fill.
+#[derive(Clone, Default)]
+struct SizeTable(OnceLock<Box<[u64]>>);
+
+impl fmt::Debug for SizeTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0.get() {
+            Some(table) => write!(f, "SizeTable({} entries)", table.len()),
+            None => f.write_str("SizeTable(unfilled)"),
+        }
+    }
+}
+
+// Hand-written because the vendored derive has no `#[serde(skip)]`: the
+// JSON is exactly what the derive emits for the fields without the size
+// table, and a deserialized model refills the table on first use.
+impl Serialize for VideoModel {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("grid".into(), self.grid.to_content()),
+            ("ladder".into(), self.ladder.to_content()),
+            ("chunk_duration".into(), self.chunk_duration.to_content()),
+            ("duration".into(), self.duration.to_content()),
+            ("fps".into(), self.fps.to_content()),
+            ("svc_overhead".into(), self.svc_overhead.to_content()),
+            ("tile_weights".into(), self.tile_weights.to_content()),
+            ("jitter".into(), self.jitter.to_content()),
+            ("seed".into(), self.seed.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for VideoModel {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        match content {
+            Content::Map(entries) => Ok(VideoModel {
+                grid: missing_field(entries, "grid")?,
+                ladder: missing_field(entries, "ladder")?,
+                chunk_duration: missing_field(entries, "chunk_duration")?,
+                duration: missing_field(entries, "duration")?,
+                fps: missing_field(entries, "fps")?,
+                svc_overhead: missing_field(entries, "svc_overhead")?,
+                tile_weights: missing_field(entries, "tile_weights")?,
+                jitter: missing_field(entries, "jitter")?,
+                seed: missing_field(entries, "seed")?,
+                sizes: SizeTable::default(),
+            }),
+            other => Err(DeError::expected("struct VideoModel", other)),
+        }
+    }
 }
 
 /// Builder for [`VideoModel`].
@@ -144,6 +207,7 @@ impl VideoModelBuilder {
             tile_weights: weights,
             jitter: self.jitter,
             seed: self.seed,
+            sizes: SizeTable::default(),
         }
     }
 }
@@ -223,35 +287,70 @@ impl VideoModel {
         1.0 + self.jitter * (2.0 * rng.uniform() - 1.0)
     }
 
-    /// The AVC byte size of chunk `C(q, l, t)`.
-    pub fn avc_bytes(&self, id: ChunkId) -> u64 {
-        assert!(self.ladder.contains(id.quality), "quality beyond ladder");
-        assert!(id.time.0 < self.chunk_count(), "chunk time beyond video");
-        let panorama_bits = self.ladder.bitrate(id.quality) * self.chunk_duration.as_secs_f64();
-        let bytes =
-            panorama_bits / 8.0 * self.tile_weight(id.tile) * self.cell_jitter(id.tile, id.time);
+    /// One rung's AVC bytes for a cell with jitter multiplier `jitter`,
+    /// before the cell's monotonicity fix.
+    fn rung_bytes(&self, q: Quality, tile: TileId, jitter: f64) -> u64 {
+        let panorama_bits = self.ladder.bitrate(q) * self.chunk_duration.as_secs_f64();
+        let bytes = panorama_bits / 8.0 * self.tile_weight(tile) * jitter;
         (bytes.round() as u64).max(1)
     }
 
-    /// The full size table of one cell across all qualities.
-    pub fn cell_sizes(&self, tile: TileId, t: ChunkTime) -> CellSizes {
-        let mut sizes: Vec<u64> = self
-            .ladder
-            .qualities()
-            .map(|q| self.avc_bytes(ChunkId::new(q, tile, t)))
-            .collect();
-        // Jitter is per-cell (not per-quality) so monotonicity holds by
-        // construction; enforce it anyway against pathological ladders.
-        for i in 1..sizes.len() {
-            if sizes[i] <= sizes[i - 1] {
-                sizes[i] = sizes[i - 1] + 1;
+    /// Fail closed on a cell outside the video: a flat table index would
+    /// otherwise read a neighbouring cell for an out-of-range tile.
+    fn check_cell(&self, tile: TileId, t: ChunkTime) {
+        assert!(tile.index() < self.grid.tile_count(), "tile beyond grid");
+        assert!(t.0 < self.chunk_count(), "chunk time beyond video");
+    }
+
+    /// The size table, filled on first use with one jitter draw per cell.
+    fn size_table(&self) -> &[u64] {
+        self.sizes.0.get_or_init(|| {
+            let levels = self.ladder.levels();
+            let mut table =
+                Vec::with_capacity(self.chunk_count() as usize * self.grid.tile_count() * levels);
+            for t in self.chunk_times() {
+                for tile in self.grid.tiles() {
+                    let jitter = self.cell_jitter(tile, t);
+                    // Jitter is per-cell (not per-quality) so monotonicity
+                    // holds by construction; enforce it anyway against
+                    // pathological ladders whose rungs round alike.
+                    let mut prev = 0;
+                    for q in self.ladder.qualities() {
+                        prev = self.rung_bytes(q, tile, jitter).max(prev + 1);
+                        table.push(prev);
+                    }
+                }
             }
-        }
-        CellSizes::new(sizes, self.svc_overhead)
+            table.into_boxed_slice()
+        })
+    }
+
+    /// The AVC byte size of chunk `C(q, l, t)` as its own rung derives
+    /// it, in O(1) without the size table. This is the size before
+    /// [`cell_sizes`](Self::cell_sizes)' monotonicity fix, so it differs
+    /// from `chunk_bytes(id, Scheme::Avc)` only on a ladder whose
+    /// adjacent rungs round to the same byte count.
+    pub fn avc_bytes(&self, id: ChunkId) -> u64 {
+        assert!(self.ladder.contains(id.quality), "quality beyond ladder");
+        self.check_cell(id.tile, id.time);
+        self.rung_bytes(id.quality, id.tile, self.cell_jitter(id.tile, id.time))
+    }
+
+    /// The full size table of one cell across all qualities: a borrowed
+    /// row of the video's size table, strictly increasing in quality.
+    pub fn cell_sizes(&self, tile: TileId, t: ChunkTime) -> CellSizes<'_> {
+        self.check_cell(tile, t);
+        let levels = self.ladder.levels();
+        let start = (t.index() * self.grid.tile_count() + tile.index()) * levels;
+        CellSizes::unchecked(&self.size_table()[start..start + levels], self.svc_overhead)
     }
 
     /// Bytes of a chunk under the given encoding scheme (initial fetch).
+    ///
+    /// SVC sizes use this video's [`svc_overhead`](Self::svc_overhead),
+    /// never the `overhead` of the [`Scheme::Svc`] argument.
     pub fn chunk_bytes(&self, id: ChunkId, scheme: Scheme) -> u64 {
+        assert!(self.ladder.contains(id.quality), "quality beyond ladder");
         self.cell_sizes(id.tile, id.time)
             .initial_cost(scheme, id.quality)
     }
@@ -410,5 +509,250 @@ mod tests {
     fn out_of_range_time_rejected() {
         let v = video();
         v.avc_bytes(ChunkId::new(Quality(0), TileId(0), ChunkTime(999)));
+    }
+
+    // An out-of-range tile at chunk 0 would index the next chunk's first
+    // cell of the flat size table; the id checks must fire first.
+    #[test]
+    #[should_panic(expected = "tile beyond grid")]
+    fn avc_bytes_rejects_out_of_range_tile() {
+        video().avc_bytes(ChunkId::new(Quality(0), TileId(24), ChunkTime(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "tile beyond grid")]
+    fn chunk_bytes_rejects_out_of_range_tile() {
+        video().chunk_bytes(
+            ChunkId::new(Quality(0), TileId(24), ChunkTime(0)),
+            Scheme::Avc,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "quality beyond ladder")]
+    fn chunk_bytes_rejects_out_of_range_quality() {
+        video().chunk_bytes(
+            ChunkId::new(Quality(4), TileId(0), ChunkTime(0)),
+            Scheme::Avc,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk time beyond video")]
+    fn chunk_bytes_rejects_out_of_range_time() {
+        video().chunk_bytes(
+            ChunkId::new(Quality(0), TileId(0), ChunkTime(10)),
+            Scheme::svc_default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tile beyond grid")]
+    fn cell_sizes_rejects_out_of_range_tile() {
+        video().cell_sizes(TileId(24), ChunkTime(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk time beyond video")]
+    fn cell_sizes_rejects_out_of_range_time() {
+        video().cell_sizes(TileId(0), ChunkTime(10));
+    }
+}
+
+/// The size table against the per-call derivation it replaced.
+#[cfg(test)]
+mod table_oracle {
+    use super::*;
+    use crate::ids::Layer;
+    use crate::ladder::Rung;
+    use proptest::prelude::*;
+    use sperke_sim::parallel_indexed;
+    use std::sync::Barrier;
+
+    /// One cell as the per-call derivation computed it: each rung's
+    /// own size, the monotone-fixed sizes, and the SVC cumulative sizes
+    /// (computed here, independently of `CellSizes`).
+    struct OracleCell {
+        rung: Vec<u64>,
+        avc: Vec<u64>,
+        svc: Vec<u64>,
+    }
+
+    fn oracle_avc(v: &VideoModel, id: ChunkId) -> u64 {
+        let jitter = if v.jitter == 0.0 {
+            1.0
+        } else {
+            let label = (id.tile.0 as u64) << 32 | id.time.0 as u64;
+            let mut rng = SimRng::new(v.seed).split(label ^ 0x7153_C0DE);
+            1.0 + v.jitter * (2.0 * rng.uniform() - 1.0)
+        };
+        let panorama_bits = v.ladder.bitrate(id.quality) * v.chunk_duration.as_secs_f64();
+        let bytes = panorama_bits / 8.0 * v.tile_weights[id.tile.index()] * jitter;
+        (bytes.round() as u64).max(1)
+    }
+
+    fn oracle_cell(v: &VideoModel, tile: TileId, t: ChunkTime) -> OracleCell {
+        let rung: Vec<u64> = v
+            .ladder
+            .qualities()
+            .map(|q| oracle_avc(v, ChunkId::new(q, tile, t)))
+            .collect();
+        let mut avc = rung.clone();
+        for i in 1..avc.len() {
+            if avc[i] <= avc[i - 1] {
+                avc[i] = avc[i - 1] + 1;
+            }
+        }
+        let svc = avc
+            .iter()
+            .map(|&b| (b as f64 * (1.0 + v.svc_overhead)).round() as u64)
+            .collect();
+        OracleCell { rung, avc, svc }
+    }
+
+    /// Rungs so small that `max(1)` floors several of them to one byte,
+    /// so the monotonicity fix has to bump them.
+    fn tiny_ladder() -> Ladder {
+        let rung = |bitrate_bps: f64, height: u32| Rung {
+            name: format!("{height}p"),
+            bitrate_bps,
+            height,
+        };
+        Ladder::new(vec![
+            rung(1.0, 1),
+            rung(2.0, 2),
+            rung(50.0, 3),
+            rung(400.0, 4),
+        ])
+    }
+
+    /// Every size accessor of `v` against the oracle, for every cell.
+    fn check_against_oracle(v: &VideoModel) -> Result<(), TestCaseError> {
+        // The argument's overhead is ignored: SVC sizes use the video's.
+        let svc = Scheme::Svc { overhead: 0.37 };
+        let levels = v.ladder.levels();
+        for t in v.chunk_times() {
+            let mut panorama = vec![(0u64, 0u64); levels];
+            for tile in v.grid.tiles() {
+                let o = oracle_cell(v, tile, t);
+                let sizes = v.cell_sizes(tile, t);
+                prop_assert_eq!(sizes.levels(), levels);
+                prop_assert_eq!(sizes.overhead(), v.svc_overhead);
+                for q in v.ladder.qualities() {
+                    let i = q.index();
+                    let id = ChunkId::new(q, tile, t);
+                    prop_assert_eq!(v.avc_bytes(id), o.rung[i]);
+                    prop_assert_eq!(sizes.avc(q), o.avc[i]);
+                    prop_assert_eq!(sizes.svc_cumulative(q), o.svc[i]);
+                    let layer = if i == 0 {
+                        o.svc[0]
+                    } else {
+                        o.svc[i] - o.svc[i - 1]
+                    };
+                    prop_assert_eq!(sizes.svc_layer(Layer(q.0)), layer);
+                    prop_assert_eq!(sizes.initial_cost(Scheme::Avc, q), o.avc[i]);
+                    prop_assert_eq!(sizes.initial_cost(svc, q), o.svc[i]);
+                    prop_assert_eq!(v.chunk_bytes(id, Scheme::Avc), o.avc[i]);
+                    prop_assert_eq!(v.chunk_bytes(id, svc), o.svc[i]);
+                    for have in 0..i {
+                        let h = Quality(have as u8);
+                        prop_assert_eq!(sizes.upgrade_cost(Scheme::Avc, h, q), o.avc[i]);
+                        prop_assert_eq!(sizes.upgrade_cost(svc, h, q), o.svc[i] - o.svc[have]);
+                        prop_assert_eq!(sizes.wasted_on_upgrade(Scheme::Avc, h, q), o.avc[have]);
+                        prop_assert_eq!(sizes.wasted_on_upgrade(svc, h, q), 0);
+                    }
+                    panorama[i].0 += o.avc[i];
+                    panorama[i].1 += o.svc[i];
+                }
+            }
+            for q in v.ladder.qualities() {
+                let (avc, svc_total) = panorama[q.index()];
+                prop_assert_eq!(v.panorama_bytes(q, t, Scheme::Avc), avc);
+                prop_assert_eq!(v.panorama_bytes(q, t, svc), svc_total);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn table_matches_per_call_derivation(
+            seed: u64,
+            rows in 1u16..5,
+            cols in 1u16..8,
+            ladder in 0u8..4,
+            jitter_on: bool,
+            jitter in 0.0f64..0.99,
+            overhead_on: bool,
+            overhead in 0.0f64..0.5,
+            variance in 0.0f64..0.9,
+            duration_ms in 1u64..6_000,
+            chunk_ms in 100u64..2_500,
+        ) {
+            let ladder = match ladder {
+                0 => Ladder::vod_default(),
+                1 => Ladder::youtube_live(),
+                2 => Ladder::facebook_live(),
+                _ => tiny_ladder(),
+            };
+            let v = VideoModelBuilder::new(seed)
+                .grid(TileGrid::new(rows, cols))
+                .ladder(ladder)
+                .duration(SimDuration::from_millis(duration_ms))
+                .chunk_duration(SimDuration::from_millis(chunk_ms))
+                .jitter(if jitter_on { jitter } else { 0.0 })
+                .svc_overhead(if overhead_on { overhead } else { 0.0 })
+                .complexity_variance(variance)
+                .build();
+            check_against_oracle(&v)?;
+        }
+    }
+
+    #[test]
+    fn tiny_ladder_fires_the_monotone_fix() {
+        let v = VideoModelBuilder::new(4)
+            .ladder(tiny_ladder())
+            .duration(SimDuration::from_millis(2_500))
+            .build();
+        let o = oracle_cell(&v, TileId(0), ChunkTime(2));
+        assert_eq!(o.rung[..2], [1, 1], "both lowest rungs floor to one byte");
+        assert_eq!(v.cell_sizes(TileId(0), ChunkTime(2)).avc(Quality(1)), 2);
+        check_against_oracle(&v).unwrap();
+    }
+
+    #[test]
+    fn racing_first_queries_share_one_identical_fill() {
+        let v = VideoModelBuilder::new(21)
+            .ladder(Ladder::youtube_live())
+            .duration(SimDuration::from_secs(30))
+            .build();
+        let cells: Vec<(TileId, ChunkTime)> = v
+            .chunk_times()
+            .flat_map(|t| v.grid().tiles().map(move |tile| (tile, t)))
+            .collect();
+        // All eight workers issue their first query together, each
+        // starting at a different cell, then read every row.
+        let start = Barrier::new(8);
+        let tables = parallel_indexed(8, 8, |w| {
+            start.wait();
+            let first = w * cells.len() / 8;
+            let mut table = vec![0u64; cells.len() * v.ladder().levels()];
+            for i in (first..cells.len()).chain(0..first) {
+                let (tile, t) = cells[i];
+                let row = v.cell_sizes(tile, t);
+                for q in v.ladder().qualities() {
+                    table[i * v.ladder().levels() + q.index()] = row.avc(q);
+                }
+            }
+            table
+        });
+        let expect: Vec<u64> = cells
+            .iter()
+            .flat_map(|&(tile, t)| oracle_cell(&v, tile, t).avc)
+            .collect();
+        for table in &tables {
+            assert_eq!(table, &expect);
+        }
+        assert_eq!(v.size_table(), &expect[..]);
     }
 }

@@ -32,27 +32,34 @@ impl Scheme {
     }
 }
 
-/// Size calculator for one cell (tile × chunk-time), given the AVC byte
-/// sizes of each quality level for that cell.
+/// Size calculator for one cell (tile × chunk-time), a borrowed view of
+/// the AVC byte sizes of each quality level for that cell.
 ///
 /// Invariants: AVC sizes are strictly increasing in quality; SVC layer
 /// sizes are positive; the sum of SVC layers `0..=q` equals the AVC size
 /// at `q` scaled by `1 + overhead`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellSizes {
-    avc_bytes: Vec<u64>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellSizes<'a> {
+    avc_bytes: &'a [u64],
     overhead: f64,
 }
 
-impl CellSizes {
+impl<'a> CellSizes<'a> {
     /// Build from per-quality AVC sizes (lowest first) and the SVC
     /// overhead factor. Panics if sizes are not strictly increasing.
-    pub fn new(avc_bytes: Vec<u64>, overhead: f64) -> CellSizes {
+    pub fn new(avc_bytes: &'a [u64], overhead: f64) -> CellSizes<'a> {
         assert!(!avc_bytes.is_empty(), "need at least one quality");
         assert!(overhead >= 0.0, "negative SVC overhead");
         for w in avc_bytes.windows(2) {
             assert!(w[1] > w[0], "AVC sizes must be strictly increasing");
         }
+        CellSizes::unchecked(avc_bytes, overhead)
+    }
+
+    /// A view of a row the caller built to [`new`](Self::new)'s
+    /// invariants (the video's size table), without re-checking them.
+    pub(crate) fn unchecked(avc_bytes: &'a [u64], overhead: f64) -> CellSizes<'a> {
+        debug_assert!(!avc_bytes.is_empty() && avc_bytes.windows(2).all(|w| w[1] > w[0]));
         CellSizes {
             avc_bytes,
             overhead,
@@ -86,6 +93,11 @@ impl CellSizes {
     }
 
     /// Bytes needed to first display this cell at quality `q` under `scheme`.
+    ///
+    /// SVC sizes always use this cell's own overhead (for a cell from
+    /// [`VideoModel::cell_sizes`](crate::VideoModel::cell_sizes), the
+    /// video's `svc_overhead`); the `overhead` carried by a
+    /// [`Scheme::Svc`] argument only selects the scheme and is ignored.
     pub fn initial_cost(&self, scheme: Scheme, q: Quality) -> u64 {
         match scheme {
             Scheme::Avc => self.avc(q),
@@ -128,8 +140,8 @@ impl CellSizes {
 mod tests {
     use super::*;
 
-    fn cell() -> CellSizes {
-        CellSizes::new(vec![100, 250, 600, 1400], 0.10)
+    fn cell() -> CellSizes<'static> {
+        CellSizes::new(&[100, 250, 600, 1400], 0.10)
     }
 
     #[test]
@@ -190,7 +202,7 @@ mod tests {
         // This is the trade-off motivating the hybrid SVC/AVC scheme
         // (§3.1.2 last paragraph): SVC pays overhead even when no
         // upgrade ever happens.
-        let c = CellSizes::new(vec![100, 300], 0.30);
+        let c = CellSizes::new(&[100, 300], 0.30);
         assert!(c.initial_cost(Scheme::Svc { overhead: 0.30 }, Quality(1)) > c.avc(Quality(1)));
     }
 
@@ -203,6 +215,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_non_monotone_sizes() {
-        CellSizes::new(vec![100, 90], 0.1);
+        CellSizes::new(&[100, 90], 0.1);
     }
 }

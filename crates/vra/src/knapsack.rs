@@ -92,6 +92,12 @@ pub fn select_stochastic(
     let grid = video.grid();
     let bytes_at =
         |tile: TileId, q: Quality| video.chunk_bytes(ChunkId::new(q, tile, time), scheme);
+    // Per-rung utility, once per call rather than per heap increment.
+    let utility: Vec<f64> = video
+        .ladder()
+        .qualities()
+        .map(|q| tile_utility(video, q))
+        .collect();
 
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
     for tile in grid.tiles() {
@@ -100,7 +106,7 @@ pub fn select_stochastic(
             continue;
         }
         let cost = bytes_at(tile, Quality(0));
-        let gain = p * tile_utility(video, Quality(0));
+        let gain = p * utility[0];
         heap.push(Candidate {
             ratio: gain / cost.max(1) as f64,
             tile,
@@ -126,7 +132,7 @@ pub fn select_stochastic(
             let p = forecast.prob(c.tile);
             let next = c.quality.up();
             let cost = bytes_at(c.tile, next) - bytes_at(c.tile, c.quality);
-            let gain = p * (tile_utility(video, next) - tile_utility(video, c.quality));
+            let gain = p * (utility[next.index()] - utility[c.quality.index()]);
             heap.push(Candidate {
                 ratio: gain / cost.max(1) as f64,
                 tile: c.tile,

@@ -156,7 +156,7 @@ mod proptests {
         ) {
             prop_assume!(want > have);
             let sizes = sperke_video::CellSizes::new(
-                vec![100_000, 250_000, 600_000, 1_400_000], 0.1);
+                &[100_000, 250_000, 600_000, 1_400_000], 0.1);
             let cand = UpgradeCandidate {
                 cell: sperke_video::CellId::new(sperke_geo::TileId(0), ChunkTime(0)),
                 have: Quality(have),

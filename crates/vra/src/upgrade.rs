@@ -78,7 +78,7 @@ pub struct UpgradeCandidate {
 /// mismatch the paper pinpoints).
 pub fn decide_upgrade(
     candidate: &UpgradeCandidate,
-    sizes: &CellSizes,
+    sizes: &CellSizes<'_>,
     scheme: Scheme,
     now: SimTime,
     bandwidth_bps: f64,
@@ -127,8 +127,8 @@ mod tests {
     use sperke_geo::TileId;
     use sperke_video::ChunkTime;
 
-    fn sizes() -> CellSizes {
-        CellSizes::new(vec![100_000, 250_000, 600_000, 1_400_000], 0.10)
+    fn sizes() -> CellSizes<'static> {
+        CellSizes::new(&[100_000, 250_000, 600_000, 1_400_000], 0.10)
     }
 
     fn candidate(prob: f64, deadline_s: f64) -> UpgradeCandidate {

@@ -1,9 +1,12 @@
 //! Cross-crate serialization tests: the on-disk formats the §3.2 study
 //! depends on (head traces, manifests, reports) survive round trips.
 
+use sperke_geo::{TileGrid, TileId};
 use sperke_hmp::{AttentionModel, Behavior, HeadTrace, TraceGenerator, ViewingContext};
 use sperke_sim::SimDuration;
-use sperke_video::{Mpd, Scheme, VideoModelBuilder};
+use sperke_video::{
+    ChunkId, ChunkTime, Ladder, Mpd, Quality, Scheme, VideoModel, VideoModelBuilder,
+};
 
 #[test]
 fn head_trace_json_roundtrip_preserves_playback() {
@@ -34,6 +37,37 @@ fn mpd_roundtrips_for_both_schemes() {
         let back = Mpd::from_json(&mpd.to_json()).expect("parses");
         assert_eq!(mpd, back);
     }
+}
+
+/// The model's JSON from before sizes were tabulated: the size table is
+/// derived data and must never reach it.
+const VIDEO_JSON: &str = concat!(
+    r#"{"grid":{"rows":1,"cols":2},"ladder":{"rungs":[{"name":"720p","bitrate_bps":8000000.0,"#,
+    r#""height":720},{"name":"1080p","bitrate_bps":16000000.0,"height":1080}]},"#,
+    r#""chunk_duration":1000000000,"duration":2500000000,"fps":30.0,"svc_overhead":0.1,"#,
+    r#""tile_weights":[0.470399881991465,0.5296001180085349],"jitter":0.15,"seed":5}"#,
+);
+
+#[test]
+fn video_model_json_skips_the_size_table_and_refills_it() {
+    let video = VideoModelBuilder::new(5)
+        .grid(TileGrid::new(1, 2))
+        .ladder(Ladder::facebook_live())
+        .duration(SimDuration::from_millis(2500))
+        .build();
+    assert_eq!(serde_json::to_string(&video).unwrap(), VIDEO_JSON);
+    // Filling the table on a size query leaves the JSON unchanged.
+    let id = ChunkId::new(Quality(1), TileId(1), ChunkTime(2));
+    assert!(video.chunk_bytes(id, Scheme::Avc) > 0);
+    assert_eq!(serde_json::to_string(&video).unwrap(), VIDEO_JSON);
+    // A deserialized model refills its own table to the same sizes.
+    let back: VideoModel = serde_json::from_str(VIDEO_JSON).expect("parses");
+    for t in back.chunk_times() {
+        for tile in back.grid().tiles() {
+            assert_eq!(back.cell_sizes(tile, t), video.cell_sizes(tile, t));
+        }
+    }
+    assert_eq!(serde_json::to_string(&back).unwrap(), VIDEO_JSON);
 }
 
 #[test]
