@@ -357,8 +357,8 @@ pub fn run_edge_sweep(
     grid: &EdgeGrid,
     threads: usize,
 ) -> SweepReport<EdgeSweepPoint> {
-    // Per-worker visibility memo, as in `run_fleet_sweep`: the handle is
-    // !Send by design, and per-worker caches change only speed.
+    // Per-worker visibility memo, as in `run_fleet_sweep`: no lock is
+    // shared across threads, and per-worker caches change only speed.
     thread_local! {
         static WORKER_VIS: VisibilityCache =
             VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);

@@ -274,8 +274,8 @@ pub fn run_federation_sweep(
     grid: &FederationGrid,
     threads: usize,
 ) -> SweepReport<FederationSweepPoint> {
-    // Per-worker visibility memo, as in the fleet and edge sweeps: the
-    // handle is !Send by design, and caches change only speed.
+    // Per-worker visibility memo, as in the fleet and edge sweeps: no
+    // lock is shared across threads, and caches change only speed.
     thread_local! {
         static WORKER_VIS: VisibilityCache =
             VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);

@@ -120,11 +120,11 @@ pub fn run_fleet_sweep(
 ) -> SweepReport<FleetSweepPoint> {
     // One visibility memo per worker thread, shared across that worker's
     // points: grid points differing only in egress/scheme replay the
-    // same gaze traces, so cross-point queries hit. The cache handle is
-    // deliberately !Send (see `sperke_geo::viscache`), hence
-    // thread-local rather than shared; per-worker caches change only the
-    // hit pattern, never a result bit, so the merged report stays
-    // byte-identical for any worker count.
+    // same gaze traces, so cross-point queries hit. The handle is
+    // `Send + Sync` (see `sperke_geo::viscache`), but a thread-local
+    // cache per worker shares no lock across threads; per-worker caches
+    // change only the hit pattern, never a result bit, so the merged
+    // report stays byte-identical for any worker count.
     thread_local! {
         static WORKER_VIS: VisibilityCache =
             VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);

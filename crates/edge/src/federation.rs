@@ -27,24 +27,16 @@
 //!   is deterministically re-homed onto the ring's surviving nodes,
 //!   resuming delivery where it left off.
 //!
-//! The engine is the PR 6 batched design at federation scale: a pure
-//! sense phase sharded over worker threads, then a replay over a
-//! merged `(time, seq)` queue spanning all nodes. Replay itself has
-//! two engines. `workers <= 1` runs the original serial loop — one
-//! global pop at a time — kept verbatim as the differential oracle.
-//! More workers select the *windowed parallel* engine: events are
-//! classified as node-local (arrivals, displays, origin deliveries,
-//! provably-pure cache-hit decides) or barrier (tier fetches,
-//! prefetches, retries, node failures); the maximal local prefix of
-//! the queue is harvested into per-node buckets and applied
-//! concurrently across node shards, then the single barrier event is
-//! applied serially, and the cycle repeats (soundness argument in
-//! `DESIGN.md` §16). The result — every node's trace and the
-//! federation report — is byte-identical for any worker count. A
-//! 1-node federation with a degenerate regional tier
-//! (`regional_bytes = 0`, infinite `regional_bps`, zero
-//! `regional_rtt`) reproduces the plain edge server bit for bit;
-//! `tests/federation.rs` pins all of these claims.
+//! The engine is the batched edge design (`DESIGN.md` §13) at
+//! federation scale: a pure sense phase sharded over worker threads and
+//! merged by client index, then one serial replay that pops a merged
+//! `(time, seq)` queue spanning all nodes, one event at a time. The
+//! worker count reaches only the sense phase, so every node's trace
+//! and the federation report are byte-identical for any worker count
+//! (why replay stays serial: `DESIGN.md` §16). A 1-node federation
+//! with a degenerate regional tier (`regional_bytes = 0`, infinite
+//! `regional_bps`, zero `regional_rtt`) reproduces the plain edge
+//! server bit for bit; `tests/federation.rs` pins all of these claims.
 
 use crate::batch::{sense_client, ClientBatch};
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
@@ -59,11 +51,10 @@ use sperke_live::CrowdAggregator;
 use sperke_net::{FaultScript, PathFaults, RecoveryPolicy, SerialLink, WrrLink};
 use sperke_sim::trace::{Trace, TraceLevel};
 use sperke_sim::{
-    default_threads, parallel_indexed, FxHashMap, MetricsRegistry, ReplayQueue, SimDuration,
-    SimTime, TraceEvent, TraceSink,
+    parallel_indexed, FxHashMap, MetricsRegistry, ReplayQueue, SimDuration, SimTime, TraceEvent,
+    TraceSink,
 };
 use sperke_video::{ChunkTime, VideoModel};
-use std::sync::Mutex;
 
 /// One edge node's capacity declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -513,109 +504,6 @@ impl EdgeSched for FedSched<'_, '_> {
 }
 
 // ---------------------------------------------------------------------
-// Windowed parallel replay.
-// ---------------------------------------------------------------------
-
-/// A purely-local event of one replay window, already routed to its
-/// node. Local events never touch the regional tier, the shared queue,
-/// the federation sink, or `home`/`alive` — so a window's per-node
-/// streams apply concurrently without changing a byte of any trace.
-enum LocalEv {
-    Arrive {
-        client: u32,
-    },
-    Display {
-        client: u32,
-        chunk: u32,
-    },
-    OriginArrived {
-        chunk: u32,
-        tile: u16,
-        layer: u8,
-    },
-    /// A decide the purity probe proved is served entirely by the node
-    /// (see `EdgeWorld::decide_is_pure_hit`).
-    HitDecide {
-        client: u32,
-        chunk: u32,
-    },
-}
-
-/// The scheduler handed to pure-hit decides on worker threads: the
-/// probe proved the apply never fetches upstream or schedules an
-/// event, so both hooks are loud dead ends — a probe bug panics
-/// instead of silently diverging from the serial oracle.
-struct HitSched {
-    now: SimTime,
-}
-
-impl EdgeSched for HitSched {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn at(&mut self, _at: SimTime, _event: EdgeEvent) {
-        unreachable!("pure-hit decide scheduled an event");
-    }
-    fn fetch_upstream(
-        &mut self,
-        _key: CacheKey,
-        _bytes: u64,
-        _attempt: u32,
-        _now: SimTime,
-    ) -> UpstreamDecision {
-        unreachable!("pure-hit decide reached the upstream tier");
-    }
-}
-
-/// Below this many events a window applies inline on the replay
-/// thread: spawning a scoped worker crew costs more than the work.
-const WINDOW_PAR_THRESHOLD: usize = 64;
-
-/// Replay one window bucket against its node world, replicating the
-/// serial loop's per-event cadence exactly: drain egress to the event
-/// time, then apply.
-fn apply_window_bucket(
-    world: &mut EdgeWorld<'_>,
-    bucket: &[(SimTime, LocalEv)],
-    batches: &[ClientBatch],
-) {
-    for &(now, ref ev) in bucket {
-        world.drain_egress(now);
-        match *ev {
-            LocalEv::Arrive { client } => world.apply_arrive(client, now),
-            LocalEv::Display { client, chunk } => world.apply_display(
-                client,
-                chunk,
-                &batches[client as usize].displays[chunk as usize],
-            ),
-            LocalEv::OriginArrived { chunk, tile, layer } => {
-                world.apply_origin_arrived(chunk, tile, layer, now)
-            }
-            LocalEv::HitDecide { client, chunk } => {
-                let mut sched = HitSched { now };
-                world.apply_decide(
-                    client,
-                    chunk,
-                    &batches[client as usize].decides[chunk as usize],
-                    &mut sched,
-                );
-            }
-        }
-    }
-}
-
-/// Poison-surviving `&mut` access to a node world. Worlds are wrapped
-/// in `Mutex` only so windows can apply across worker threads; between
-/// windows the replay thread owns them exclusively and `get_mut` is
-/// lock-free.
-fn wmut<'w, 'a>(worlds: &'w mut [Mutex<EdgeWorld<'a>>], n: usize) -> &'w mut EdgeWorld<'a> {
-    match worlds[n].get_mut() {
-        Ok(w) => w,
-        Err(p) => p.into_inner(),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Population helpers.
 // ---------------------------------------------------------------------
 
@@ -695,8 +583,8 @@ pub fn zipf_catalog_clients(
 
 /// Run a federation: shard `clients` across the config's node layout,
 /// sense every client's pure plan on `workers` threads (0 = machine
-/// default), then replay the merged event order through the per-node
-/// worlds and the shared regional tier.
+/// default), then replay the merged event order serially through the
+/// per-node worlds and the shared regional tier.
 ///
 /// The returned report and every trace byte are a pure function of
 /// `(video, config, clients, harness scripts)` — invariant to worker
@@ -935,320 +823,106 @@ pub fn run_federation(
     }
     queue.seal();
 
-    // --- Replay: one merged (time, seq) order across all nodes.
-    //
-    // Two byte-identical engines share the schedule. `workers <= 1`
-    // runs the plain serial loop — kept verbatim as the differential
-    // oracle the windowed engine is pinned against. More workers run
-    // the windowed engine: pop the maximal prefix of the merged order
-    // whose events are provably local to their node (arrivals,
-    // displays, origin landings, pure-cache-hit decides), apply those
-    // per-node buckets concurrently, then apply the one barrier event
-    // that ended the window (tier fetch, prefetch warm, origin retry,
-    // node failure) serially. Locals never push events and dynamic
-    // pushes land at `now + regional_rtt` or later with higher seqs, so
-    // the harvested prefix is exactly what the serial loop would pop.
+    // --- Replay: pop the merged (time, seq) order one event at a time
+    // and apply it to its node's world. Client-addressed events route by
+    // the client's home at dispatch time, so a re-homed client's
+    // remaining schedule follows it to the survivor.
     let mut alive = vec![true; node_count];
     let mut rehomed = 0u64;
     let mut failed_nodes = 0u64;
     let mut lost_egress_bytes = 0u64;
     let mut lost_streams = 0u64;
-    let replay_workers = if workers == 0 {
-        default_threads()
-    } else {
-        workers
-    };
-    let mut worlds: Vec<Mutex<EdgeWorld<'_>>> = worlds.into_iter().map(Mutex::new).collect();
-    if replay_workers <= 1 {
-        // --- Serial oracle.
-        while let Some(t) = queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (now, fev) = queue.pop().expect("peeked non-empty");
-            let (node, ev) = match fev {
-                FedEvent::NodeDown { node } => {
-                    let n = node as usize;
-                    if !alive[n] {
+    while let Some(t) = queue.peek_time() {
+        if t > horizon {
+            break;
+        }
+        let (now, fev) = queue.pop().expect("peeked non-empty");
+        let (node, ev) = match fev {
+            FedEvent::NodeDown { node } => {
+                let n = node as usize;
+                if !alive[n] {
+                    continue;
+                }
+                alive[n] = false;
+                assert!(
+                    alive.iter().any(|&a| a),
+                    "a federation needs at least one surviving node"
+                );
+                failed_nodes += 1;
+                let wreck = worlds[n].abandon(now);
+                lost_egress_bytes += wreck.lost_egress_bytes;
+                lost_streams += wreck.lost_streams;
+                fed_sink.emit(TraceEvent::NodeFailed { at: now, node });
+                tier.fail_pending(Some(node));
+                for c in 0..specs.len() {
+                    if home[c] != node {
                         continue;
                     }
-                    alive[n] = false;
-                    assert!(
-                        alive.iter().any(|&a| a),
-                        "a federation needs at least one surviving node"
-                    );
-                    failed_nodes += 1;
-                    let wreck = wmut(&mut worlds, n).abandon(now);
-                    lost_egress_bytes += wreck.lost_egress_bytes;
-                    lost_streams += wreck.lost_streams;
-                    fed_sink.emit(TraceEvent::NodeFailed { at: now, node });
-                    tier.fail_pending(Some(node));
-                    for c in 0..specs.len() {
-                        if home[c] != node {
-                            continue;
-                        }
-                        let to = home_for(&points, &alive, client_points[c]);
-                        home[c] = to;
-                        if wmut(&mut worlds, n).clients[c].admitted {
-                            let (delivered, planned) =
-                                wmut(&mut worlds, n).take_client_session(c as u32);
-                            wmut(&mut worlds, to as usize)
-                                .install_client_session(c as u32, delivered, planned);
-                        }
-                        fed_sink.emit(TraceEvent::ClientRehomed {
-                            at: now,
-                            client: c as u32,
-                            from_node: node,
-                            to_node: to,
-                        });
-                        rehomed += 1;
+                    let to = home_for(&points, &alive, client_points[c]);
+                    home[c] = to;
+                    if worlds[n].clients[c].admitted {
+                        let (delivered, planned) = worlds[n].take_client_session(c as u32);
+                        worlds[to as usize].install_client_session(c as u32, delivered, planned);
                     }
-                    continue;
+                    fed_sink.emit(TraceEvent::ClientRehomed {
+                        at: now,
+                        client: c as u32,
+                        from_node: node,
+                        to_node: to,
+                    });
+                    rehomed += 1;
                 }
-                FedEvent::Client(ev) => {
-                    let client = match ev {
-                        EdgeEvent::Arrive { client }
-                        | EdgeEvent::Decide { client, .. }
-                        | EdgeEvent::Display { client, .. } => client,
-                        _ => unreachable!("only client-addressed events carry the Client tag"),
-                    };
-                    (home[client as usize], ev)
-                }
-                FedEvent::Node { node, ev } => (node, ev),
-            };
-            if !alive[node as usize] {
                 continue;
             }
-            let world = wmut(&mut worlds, node as usize);
-            world.drain_egress(now);
-            let mut sched = FedSched {
-                now,
-                node,
-                queue: &mut queue,
-                tier: &mut tier,
-            };
-            match ev {
-                EdgeEvent::Arrive { client } => world.apply_arrive(client, now),
-                EdgeEvent::Decide { client, chunk } => {
-                    let decides = &batches[client as usize].decides;
-                    world.apply_decide(client, chunk, &decides[chunk as usize], &mut sched);
-                }
-                EdgeEvent::Display { client, chunk } => {
-                    let displays = &batches[client as usize].displays;
-                    world.apply_display(client, chunk, &displays[chunk as usize]);
-                }
-                EdgeEvent::OriginArrived { chunk, tile, layer } => {
-                    world.apply_origin_arrived(chunk, tile, layer, now)
-                }
-                EdgeEvent::OriginRetry {
-                    chunk,
-                    tile,
-                    layer,
-                    attempt,
-                } => world.apply_origin_retry(chunk, tile, layer, attempt, &mut sched),
-                EdgeEvent::Prefetch { chunk } => {
-                    if config.node.prefetch {
-                        world.apply_prefetch(
-                            chunk,
-                            &prefetch_groups[node as usize][chunk as usize],
-                            &mut sched,
-                        );
-                    }
-                }
+            FedEvent::Client(ev) => {
+                let client = match ev {
+                    EdgeEvent::Arrive { client }
+                    | EdgeEvent::Decide { client, .. }
+                    | EdgeEvent::Display { client, .. } => client,
+                    _ => unreachable!("only client-addressed events carry the Client tag"),
+                };
+                (home[client as usize], ev)
             }
+            FedEvent::Node { node, ev } => (node, ev),
+        };
+        if !alive[node as usize] {
+            continue;
         }
-    } else {
-        // --- Windowed parallel engine.
-        let mut buckets: Vec<Vec<(SimTime, LocalEv)>> =
-            (0..node_count).map(|_| Vec::new()).collect();
-        // Cache contents mutate within a window only via OriginArrived
-        // (inserts can also evict); once one is buffered for a node,
-        // later decides there can no longer be probed against the
-        // pre-window cache and must barrier instead.
-        let mut cache_dirty = vec![false; node_count];
-        loop {
-            // --- Harvest the window. The queue is static between
-            // barriers, so this prefix is the exact serial pop order;
-            // `home` and `alive` are frozen until the next NodeDown.
-            let mut barrier: Option<(SimTime, FedEvent)> = None;
-            while let Some(t) = queue.peek_time() {
-                if t > horizon {
-                    break;
-                }
-                let (now, fev) = queue.pop().expect("peeked non-empty");
-                match fev {
-                    FedEvent::NodeDown { node } => {
-                        if !alive[node as usize] {
-                            continue;
-                        }
-                        barrier = Some((now, fev));
-                        break;
-                    }
-                    FedEvent::Client(ev) => {
-                        let client = match ev {
-                            EdgeEvent::Arrive { client }
-                            | EdgeEvent::Decide { client, .. }
-                            | EdgeEvent::Display { client, .. } => client,
-                            _ => unreachable!("only client-addressed events carry the Client tag"),
-                        };
-                        let n = home[client as usize] as usize;
-                        if !alive[n] {
-                            continue;
-                        }
-                        match ev {
-                            EdgeEvent::Arrive { client } => {
-                                buckets[n].push((now, LocalEv::Arrive { client }))
-                            }
-                            EdgeEvent::Display { client, chunk } => {
-                                buckets[n].push((now, LocalEv::Display { client, chunk }))
-                            }
-                            EdgeEvent::Decide { client, chunk } => {
-                                let pure = !cache_dirty[n]
-                                    && wmut(&mut worlds, n).decide_is_pure_hit(
-                                        client,
-                                        chunk,
-                                        &batches[client as usize].decides[chunk as usize],
-                                    );
-                                if pure {
-                                    buckets[n].push((now, LocalEv::HitDecide { client, chunk }));
-                                } else {
-                                    barrier = Some((now, FedEvent::Client(ev)));
-                                    break;
-                                }
-                            }
-                            _ => unreachable!("only client-addressed events carry the Client tag"),
-                        }
-                    }
-                    FedEvent::Node { node, ev } => {
-                        let n = node as usize;
-                        if !alive[n] {
-                            continue;
-                        }
-                        match ev {
-                            EdgeEvent::OriginArrived { chunk, tile, layer } => {
-                                cache_dirty[n] = true;
-                                buckets[n]
-                                    .push((now, LocalEv::OriginArrived { chunk, tile, layer }));
-                            }
-                            _ => {
-                                barrier = Some((now, FedEvent::Node { node, ev }));
-                                break;
-                            }
-                        }
-                    }
-                }
+        let world = &mut worlds[node as usize];
+        world.drain_egress(now);
+        let mut sched = FedSched {
+            now,
+            node,
+            queue: &mut queue,
+            tier: &mut tier,
+        };
+        match ev {
+            EdgeEvent::Arrive { client } => world.apply_arrive(client, now),
+            EdgeEvent::Decide { client, chunk } => {
+                let decides = &batches[client as usize].decides;
+                world.apply_decide(client, chunk, &decides[chunk as usize], &mut sched);
             }
-            // --- Apply the window. Per-node streams are mutually
-            // independent, so any node interleaving reproduces the
-            // serial bytes; small windows apply inline because a
-            // scoped thread crew costs more than the work.
-            let total: usize = buckets.iter().map(Vec::len).sum();
-            if total > 0 {
-                let busy = buckets.iter().filter(|b| !b.is_empty()).count();
-                if busy >= 2 && total >= WINDOW_PAR_THRESHOLD {
-                    let worlds_ref = &worlds;
-                    let buckets_ref = &buckets;
-                    let batches_ref: &[ClientBatch] = &batches;
-                    parallel_indexed(node_count, replay_workers, |n| {
-                        let mut w = worlds_ref[n].lock().unwrap_or_else(|p| p.into_inner());
-                        apply_window_bucket(&mut w, &buckets_ref[n], batches_ref);
-                    });
-                } else {
-                    for (world, bucket) in worlds.iter_mut().zip(&buckets) {
-                        if !bucket.is_empty() {
-                            let w = match world.get_mut() {
-                                Ok(w) => w,
-                                Err(p) => p.into_inner(),
-                            };
-                            apply_window_bucket(w, bucket, &batches);
-                        }
-                    }
-                }
-                for b in &mut buckets {
-                    b.clear();
-                }
-                cache_dirty.fill(false);
+            EdgeEvent::Display { client, chunk } => {
+                let displays = &batches[client as usize].displays;
+                world.apply_display(client, chunk, &displays[chunk as usize]);
             }
-            // --- Apply the barrier serially, exactly as the oracle.
-            let Some((now, fev)) = barrier else {
-                break;
-            };
-            let (node, ev) = match fev {
-                FedEvent::NodeDown { node } => {
-                    let n = node as usize;
-                    alive[n] = false;
-                    assert!(
-                        alive.iter().any(|&a| a),
-                        "a federation needs at least one surviving node"
+            EdgeEvent::OriginArrived { chunk, tile, layer } => {
+                world.apply_origin_arrived(chunk, tile, layer, now)
+            }
+            EdgeEvent::OriginRetry {
+                chunk,
+                tile,
+                layer,
+                attempt,
+            } => world.apply_origin_retry(chunk, tile, layer, attempt, &mut sched),
+            EdgeEvent::Prefetch { chunk } => {
+                if config.node.prefetch {
+                    world.apply_prefetch(
+                        chunk,
+                        &prefetch_groups[node as usize][chunk as usize],
+                        &mut sched,
                     );
-                    failed_nodes += 1;
-                    let wreck = wmut(&mut worlds, n).abandon(now);
-                    lost_egress_bytes += wreck.lost_egress_bytes;
-                    lost_streams += wreck.lost_streams;
-                    fed_sink.emit(TraceEvent::NodeFailed { at: now, node });
-                    tier.fail_pending(Some(node));
-                    for c in 0..specs.len() {
-                        if home[c] != node {
-                            continue;
-                        }
-                        let to = home_for(&points, &alive, client_points[c]);
-                        home[c] = to;
-                        if wmut(&mut worlds, n).clients[c].admitted {
-                            let (delivered, planned) =
-                                wmut(&mut worlds, n).take_client_session(c as u32);
-                            wmut(&mut worlds, to as usize)
-                                .install_client_session(c as u32, delivered, planned);
-                        }
-                        fed_sink.emit(TraceEvent::ClientRehomed {
-                            at: now,
-                            client: c as u32,
-                            from_node: node,
-                            to_node: to,
-                        });
-                        rehomed += 1;
-                    }
-                    continue;
                 }
-                FedEvent::Client(ev) => {
-                    let client = match ev {
-                        EdgeEvent::Arrive { client }
-                        | EdgeEvent::Decide { client, .. }
-                        | EdgeEvent::Display { client, .. } => client,
-                        _ => unreachable!("only client-addressed events carry the Client tag"),
-                    };
-                    (home[client as usize], ev)
-                }
-                FedEvent::Node { node, ev } => (node, ev),
-            };
-            let world = wmut(&mut worlds, node as usize);
-            world.drain_egress(now);
-            let mut sched = FedSched {
-                now,
-                node,
-                queue: &mut queue,
-                tier: &mut tier,
-            };
-            match ev {
-                EdgeEvent::Decide { client, chunk } => {
-                    let decides = &batches[client as usize].decides;
-                    world.apply_decide(client, chunk, &decides[chunk as usize], &mut sched);
-                }
-                EdgeEvent::OriginRetry {
-                    chunk,
-                    tile,
-                    layer,
-                    attempt,
-                } => world.apply_origin_retry(chunk, tile, layer, attempt, &mut sched),
-                EdgeEvent::Prefetch { chunk } => {
-                    if config.node.prefetch {
-                        world.apply_prefetch(
-                            chunk,
-                            &prefetch_groups[node as usize][chunk as usize],
-                            &mut sched,
-                        );
-                    }
-                }
-                _ => unreachable!("local-class events never end a window"),
             }
         }
     }
@@ -1259,10 +933,7 @@ pub fn run_federation(
 
     let mut node_reports = Vec::with_capacity(node_count);
     let mut admitted_total = 0usize;
-    let worlds = worlds
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()));
-    for (n, world) in worlds.enumerate() {
+    for (n, world) in worlds.into_iter().enumerate() {
         let clients_n = home.iter().filter(|&&h| h as usize == n).count();
         let admitted_n = world.clients.iter().filter(|c| c.admitted).count();
         let rejected_n = clients_n - admitted_n;

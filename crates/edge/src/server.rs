@@ -207,7 +207,12 @@ pub struct EdgeHarness {
 pub struct EdgeReport {
     /// Clients that tried to attach.
     pub clients: usize,
-    /// Clients admitted (≤ `max_clients`, always).
+    /// Clients admitted at the end of the run. A standalone edge never
+    /// exceeds its `max_clients` cap. A federation survivor can: it
+    /// takes over a crashed node's admitted clients without an
+    /// admission check, so re-homing conserves the federation's
+    /// admitted total ([`crate::FederationReport::admitted`] equals the
+    /// fault-free run's), not each node's cap.
     pub admitted: usize,
     /// Clients rejected by admission control.
     pub rejected: usize,
@@ -937,35 +942,6 @@ impl EdgeWorld<'_> {
         }
     }
 
-    /// Conservative purity probe for the windowed federation replay:
-    /// `true` only when this decide is guaranteed to be served entirely
-    /// by the node — every layer of every chosen tile either resident
-    /// in cache or coalescable onto a fetch already in flight — so
-    /// applying it cannot contact the upstream tier or schedule events.
-    ///
-    /// Probes the full (un-shed) quality: egress-pressure shedding only
-    /// removes layers, so a hit on the superset covers whatever subset
-    /// the apply actually requests. Read-only — no stats, no LRU touch.
-    pub(crate) fn decide_is_pure_hit(
-        &self,
-        client: u32,
-        chunk: u32,
-        choices: &[StochasticChoice],
-    ) -> bool {
-        let content = self.clients[client as usize].spec.content;
-        let t = ChunkTime(chunk);
-        for choice in choices {
-            let cell = CellId::new(choice.tile, t);
-            for layer in 0..=choice.quality.0 {
-                let key = Self::key_of(cell, layer, content);
-                if !self.inflight.contains_key(&key) && !self.cache.contains(key) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     fn handle_display(&mut self, client: u32, chunk: u32) {
         if !self.clients[client as usize].admitted {
             return;
@@ -1169,6 +1145,8 @@ impl EdgeWorld<'_> {
     /// Install a re-homed client's session: admit it, give it a fresh
     /// egress queue at its spec weight, and restore what it had already
     /// received and planned so delivery continues where it left off.
+    /// There is no admission check, so a survivor can end the run above
+    /// its own `max_clients`.
     pub(crate) fn install_client_session(
         &mut self,
         client: u32,

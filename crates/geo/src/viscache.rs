@@ -21,13 +21,12 @@
 //! never depend on it, since eviction only forces a recomputation of
 //! the same exact value.
 //!
-//! The handle is an `Arc<Mutex<..>>` (like `TraceSink`), so a world
-//! holding one is `Send` and the parallel federation replay can move
-//! node worlds across worker threads between windows. Determinism does
-//! not depend on the hit pattern: the key is the exact bit pattern and
-//! the stored value the exact computed result, so a hit and a
-//! recomputation are indistinguishable. Parallel sweeps still build one
-//! cache per worker world, keeping lock contention at zero.
+//! The handle is an `Arc<Mutex<..>>` (like `TraceSink`), so it and
+//! anything holding it are `Send + Sync`. Parallel sweeps keep one
+//! cache per worker thread, so no lock is shared across threads.
+//! Determinism does not depend on the hit pattern: the key is the exact
+//! bit pattern and the stored value the exact computed result, so a
+//! hit and a recomputation are indistinguishable.
 
 use crate::tiling::{TileGrid, TileId};
 use crate::viewport::{Viewport, VisibilityScratch};

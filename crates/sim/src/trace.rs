@@ -733,10 +733,9 @@ struct SinkInner {
 /// through hot paths and emitting into it costs a single branch.
 ///
 /// The buffer sits behind an `Arc<Mutex<..>>`, so a sink (and anything
-/// holding one, like an edge world) is `Send`: the parallel federation
-/// replay moves node worlds across worker threads between windows.
-/// Within a window each sink is only touched from one thread, so the
-/// lock is never contended and event order stays deterministic.
+/// holding one, like an edge world) is `Send + Sync`. Every engine
+/// emits only from the one thread that replays its events, so within a
+/// run no lock is contended and event order stays deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     inner: Option<Arc<Mutex<SinkInner>>>,

@@ -435,14 +435,14 @@ fn main() {
     println!("  regional hits  : {fed_hit_pct:>8.1} %");
 
     // ---------------- PR9: parallel replay + streaming digests ----------------
-    // Same 4-node flash-crowd scenario as PR8, re-measured on both
-    // replay engines. `workers = 1` is the serial oracle (the
-    // production path on single-core hosts); the hard gate pins it at
-    // >= 1.5x the PR8 committed anchor — the guard-banded tile
-    // classifier alone clears that on one core. `workers = 8` runs the
-    // windowed parallel engine; its number is recorded for multi-core
-    // hosts but not gated (on a single-core container it measures pure
-    // windowing overhead, not speedup).
+    // The federation scenario above, timed at 1 and 8 sense workers.
+    // Replay is serial at every worker count, so the two differ only in
+    // how the sense phase is sharded. The hard gate pins `workers = 1`
+    // at >= 1.5x the committed federation anchor below — the
+    // guard-banded tile classifier alone clears that on one core. The
+    // `workers = 8` number is recorded but not gated: it times 8 sense
+    // workers over the same serial replay, so it tracks the host's
+    // core count more than the code.
     const PR8_FED_STEPS_ANCHOR: f64 = 11_135.0;
     let time_fed = |workers: usize| -> f64 {
         let mut secs: Vec<f64> = (0..3)
@@ -492,11 +492,11 @@ fn main() {
         .collect();
     digest_secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let digest_mb_per_s = digest_bytes as f64 / 1e6 / digest_secs[2];
-    println!("parallel replay + streaming digest");
+    println!("federation replay + streaming digest");
     println!(
         "  serial replay  : {pr9_serial_steps_per_s:>8.0} steps/s ({pr9_speedup:.1}x PR8 anchor {PR8_FED_STEPS_ANCHOR:.0})"
     );
-    println!("  windowed x8    : {pr9_parallel_steps_per_s:>8.0} steps/s (record-only)");
+    println!("  sense x8       : {pr9_parallel_steps_per_s:>8.0} steps/s (record-only)");
     println!(
         "  trace digest   : {digest_mb_per_s:>8.1} MB/s over {:.1} MB of JSONL",
         digest_bytes as f64 / 1e6

@@ -100,7 +100,9 @@ fn one_node_federation_is_bit_exact_vs_plain_edge() {
 /// Contract 4: a scripted crash-stop re-homes every resident of the
 /// dead node onto survivors — deterministically at every worker count —
 /// with admission events balancing exactly and the survivors still
-/// serving traffic after the crash.
+/// serving traffic after the crash. Re-homing skips admission, so a
+/// survivor can end above its own cap while the federation's admitted
+/// total stays what the fault-free run admits.
 #[test]
 fn node_failure_rehomes_every_client_deterministically() {
     let v = video(10);
@@ -195,6 +197,41 @@ fn node_failure_rehomes_every_client_deterministically() {
             "survivor {n} must keep serving after the crash"
         );
     }
+
+    // Two nodes capped at 6 share 12 clients; node 0 crashes at 3 s and
+    // its admitted residents move onto node 1 past node 1's cap.
+    let capped = FederationConfig {
+        node: EdgeConfig {
+            max_clients: 6,
+            ..node
+        },
+        nodes: 2,
+        ..Default::default()
+    };
+    let twelve = default_clients(&EdgeConfig {
+        clients: 12,
+        ..node
+    });
+    let crash = FederationHarness {
+        node_faults: FaultScript::none().link_down(
+            0,
+            SimTime::from_secs(3),
+            SimTime::from_secs(60),
+        ),
+        ..Default::default()
+    };
+    let crashed = run_federation(&v, &capped, &twelve, &crash, None, 1).report;
+    let fault_free = run_federation(&v, &capped, &twelve, &Default::default(), None, 1).report;
+    assert_eq!(crashed.failed_nodes, 1);
+    assert!(
+        crashed.nodes[1].admitted > capped.node.max_clients,
+        "the survivor takes re-homed clients past its cap: {} admitted",
+        crashed.nodes[1].admitted
+    );
+    assert_eq!(
+        crashed.admitted, fault_free.admitted,
+        "re-homing conserves the federation's admitted total"
+    );
 }
 
 /// Contract 5: the cooperative tier pays. A flash crowd watching one
@@ -334,7 +371,7 @@ proptest! {
         cfg.share_heatmaps = share;
         let harness = traced(TraceLevel::Verbose);
         let base = run_federation(&v, &cfg, &specs, &harness, None, 1);
-        for workers in [2usize, 8] {
+        for workers in [0usize, 2, 8] {
             let r = run_federation(&v, &cfg, &specs, &harness, None, workers);
             prop_assert_eq!(r.combined_jsonl(), base.combined_jsonl());
             prop_assert_eq!(r.combined_digest(), base.combined_digest());
@@ -348,9 +385,10 @@ proptest! {
     }
 
     /// Contract 1, resilience half: with randomized node-crash scripts
-    /// and origin backhaul outages (which spin up retry barriers inside
-    /// the windowed engine), the parallel replay stays byte-identical
-    /// to the `workers = 1` serial oracle at every worker count.
+    /// and origin backhaul outages (which schedule origin retries),
+    /// sense sharding and re-homing are worker-count blind — every
+    /// worker count (0 = machine default) reproduces the `workers = 1`
+    /// run byte for byte.
     #[test]
     fn windowed_replay_matches_serial_oracle_under_failures(
         raw in proptest::collection::vec((0u64..3000, 0u64..500, 1u32..3, 4u64..10, 0u16..3), 2..7),
@@ -382,7 +420,7 @@ proptest! {
             );
         }
         let base = run_federation(&v, &cfg, &specs, &harness, None, 1);
-        for workers in [2usize, 8] {
+        for workers in [0usize, 2, 8] {
             let r = run_federation(&v, &cfg, &specs, &harness, None, workers);
             prop_assert_eq!(r.combined_jsonl(), base.combined_jsonl());
             prop_assert_eq!(r.combined_digest(), base.combined_digest());
