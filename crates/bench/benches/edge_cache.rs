@@ -1,11 +1,12 @@
 //! Edge delivery at the rack: origin egress with and without the
 //! shared tile cache, how the saving grows with audience size — the
-//! crowd-amortisation claim of §3.4, measured — and the batched
-//! data-oriented engine against the legacy per-event oracle.
+//! crowd-amortisation claim of §3.4, measured — and the edge engine
+//! against the per-event oracle.
 
 use sperke_bench::{cols, header, note, row};
-use sperke_core::{run_edge_fleet, EdgeConfig};
-use sperke_edge::{default_clients, run_edge_batched, run_edge_full, EdgeHarness};
+use sperke_core::EdgeConfig;
+use sperke_edge::oracle::run_edge_full;
+use sperke_edge::{default_clients, run_edge, EdgeHarness};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
 use std::time::Instant;
@@ -23,15 +24,20 @@ fn main() {
     for &n in &[8usize, 16, 32] {
         for (label, cache_bytes, prefetch) in [("off", 0u64, false), ("256MiB", 256u64 << 20, true)]
         {
-            let r = run_edge_fleet(
+            let cfg = EdgeConfig {
+                clients: n,
+                max_clients: 64,
+                cache_bytes,
+                prefetch,
+                ..Default::default()
+            };
+            let r = run_edge(
                 &video,
-                &EdgeConfig {
-                    clients: n,
-                    max_clients: 64,
-                    cache_bytes,
-                    prefetch,
-                    ..Default::default()
-                },
+                &cfg,
+                &default_clients(&cfg),
+                &EdgeHarness::default(),
+                None,
+                1,
             );
             row(
                 &format!("{n} / {label}"),
@@ -64,7 +70,7 @@ fn main() {
 
     header(
         "edge",
-        "batched engine vs legacy oracle (identical bytes, faster steps)",
+        "edge engine vs per-event oracle (identical bytes, faster steps)",
     );
     cols("clients / engine", &["steps/s", "ms/run", "speedup"]);
     for &n in &[64usize, 256, 1024] {
@@ -90,7 +96,7 @@ fn main() {
         let (legacy, legacy_s) =
             time(&|| run_edge_full(&video, &cfg, &specs, &EdgeHarness::default(), None));
         let (batched, batched_s) =
-            time(&|| run_edge_batched(&video, &cfg, &specs, &EdgeHarness::default(), None, 0));
+            time(&|| run_edge(&video, &cfg, &specs, &EdgeHarness::default(), None, 0));
         assert_eq!(
             legacy, batched,
             "{n} clients: engines must agree bit-for-bit"
@@ -105,6 +111,6 @@ fn main() {
         );
     }
     note("same (config, clients, seed), same report, same trace bytes;");
-    note("the batched engine only moves the pure sense work onto worker");
-    note("threads and replays the identical event order from arrays.");
+    note("the engine only moves the pure sense work onto worker threads");
+    note("and replays the identical event order from arrays.");
 }

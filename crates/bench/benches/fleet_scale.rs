@@ -6,6 +6,7 @@ use sperke_bench::{cols, header, note, row};
 use sperke_core::{run_fleet, FleetConfig};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
+use sperke_vra::AbrPolicyKind;
 
 fn main() {
     header(
@@ -34,6 +35,8 @@ fn main() {
                     fov_guided: guided,
                     ..Default::default()
                 },
+                AbrPolicyKind::default(),
+                1,
             );
             row(
                 &format!("{n} / {label}"),
@@ -73,6 +76,8 @@ fn main() {
                 fov_guided: guided,
                 ..Default::default()
             },
+            AbrPolicyKind::default(),
+            1,
         );
         row(
             label,

@@ -10,6 +10,7 @@ use sperke_bench::{cols, header, note, row};
 use sperke_core::{run_fleet_sweep, FleetConfig, FleetGrid};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
+use sperke_vra::AbrPolicyKind;
 use std::time::Instant;
 
 fn main() {
@@ -30,13 +31,13 @@ fn main() {
     assert_eq!(grid.points().len(), 16, "the 16-point acceptance grid");
 
     // Warm-up run (page in code and video tables) before timing.
-    let reference = run_fleet_sweep(&video, &grid, 1);
+    let reference = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 1);
 
     cols("threads", &["seconds", "speedup", "pts/s"]);
     let mut serial_secs = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let report = run_fleet_sweep(&video, &grid, threads);
+        let report = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), threads);
         let secs = start.elapsed().as_secs_f64();
         if threads == 1 {
             serial_secs = secs;
@@ -52,7 +53,7 @@ fn main() {
         );
     }
     let start = Instant::now();
-    let report4 = run_fleet_sweep(&video, &grid, 4);
+    let report4 = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 4);
     let quad_secs = start.elapsed().as_secs_f64();
     let speedup = serial_secs / quad_secs;
     assert_eq!(report4.digest(), reference.digest());

@@ -2,31 +2,22 @@
 //! the [`sperke_edge`] multi-client edge-server model.
 //!
 //! [`Sperke::edge_builder`] is the five-line way to run an edge
-//! experiment; [`run_edge_fleet`] is the direct function form; and
-//! [`EdgeGrid`] → [`run_edge_sweep`] fans a clients × cache × seeds
-//! grid across CPU cores with the same byte-determinism guarantee as
-//! the fleet sweep: the merged report is identical for any worker
-//! count.
+//! experiment, and [`EdgeGrid`] → [`run_edge_sweep`] fans a clients ×
+//! cache × seeds grid across CPU cores with the same byte-determinism
+//! guarantee as the fleet sweep: the merged report is identical for any
+//! worker count. Both run [`sperke_edge::run_edge`], the one edge
+//! engine.
 
 use crate::builder::Sperke;
 use serde::{Deserialize, Serialize};
-use sperke_edge::{
-    run_edge_batched, run_edge_full, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
-};
-use sperke_geo::{VisibilityCache, DEFAULT_VIS_CACHE_CAPACITY};
+use sperke_edge::{run_edge, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport};
+use sperke_geo::VisibilityCache;
 use sperke_net::{FaultScript, LossChannel, RecoveryPolicy};
 use sperke_sim::sweep::{run_sweep, SweepPlan, SweepReport};
 use sperke_sim::trace::{Trace, TraceLevel, TraceSink};
 use sperke_sim::{MetricsRegistry, SimDuration};
 use sperke_video::VideoModel;
 use sperke_vra::AbrPolicyKind;
-
-/// Run the edge experiment: defaults everywhere but `(config, video)`.
-/// Equivalent to [`sperke_edge::run_edge`]; re-exported here so the
-/// facade crate is the one-stop entry point.
-pub fn run_edge_fleet(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
-    sperke_edge::run_edge(video, config)
-}
 
 /// The outcome of a traced edge run: report plus captured trace.
 #[derive(Debug, Clone)]
@@ -56,7 +47,7 @@ pub struct EdgeBuilder {
     vis: VisibilityCache,
     bbr: bool,
     origin_loss: LossChannel,
-    policy: Option<AbrPolicyKind>,
+    policy: AbrPolicyKind,
 }
 
 impl Sperke {
@@ -85,7 +76,7 @@ impl Sperke {
             vis: VisibilityCache::default(),
             bbr: false,
             origin_loss: LossChannel::Declared,
-            policy: None,
+            policy: AbrPolicyKind::default(),
         }
     }
 }
@@ -165,7 +156,9 @@ impl EdgeBuilder {
         self
     }
 
-    /// Share a visibility-cache handle (speed only, never outcomes).
+    /// Pass a visibility-cache handle through to the run. No production
+    /// run reads it: the engine computes display visibility in its
+    /// sense phase, so the handle changes neither speed nor outcomes.
     pub fn vis_cache(mut self, vis: VisibilityCache) -> Self {
         self.vis = vis;
         self
@@ -185,11 +178,11 @@ impl EdgeBuilder {
         self
     }
 
-    /// Plan every client decide with a rival viewport-adaptation
-    /// policy. [`AbrPolicyKind::Knapsack`] and [`AbrPolicyKind::Sperke`]
-    /// reproduce the default hardwired selector byte-for-byte.
+    /// Plan every client decide with this viewport-adaptation policy
+    /// (default [`AbrPolicyKind::Knapsack`], the §3.2 stochastic
+    /// selector; [`AbrPolicyKind::Sperke`] plans the same bytes).
     pub fn abr_policy(mut self, kind: AbrPolicyKind) -> Self {
-        self.policy = Some(kind);
+        self.policy = kind;
         self
     }
 
@@ -218,31 +211,17 @@ impl EdgeBuilder {
 
     /// Run, additionally accumulating counters into `metrics`.
     pub fn run_metered(&self, metrics: Option<&mut MetricsRegistry>) -> EdgeRunReport {
-        let video = self.build_video();
-        let sink = TraceSink::with_level(self.trace);
-        let harness = EdgeHarness {
-            trace: sink.clone(),
-            faults: self.faults.clone(),
-            recovery: self.recovery,
-            vis: self.vis.clone(),
-            bbr: self.bbr,
-            origin_loss: self.origin_loss,
-            policy: self.policy,
-        };
-        let report = run_edge_full(&video, &self.config, &self.client_set(), &harness, metrics);
-        drop(harness);
-        EdgeRunReport {
-            report,
-            trace: sink.into_trace(),
-        }
+        self.run_on(metrics, 1)
     }
 
-    /// Run the experiment through the batched engine on `workers` sense
-    /// threads (`0` = machine default). Report and trace are
-    /// byte-identical to [`EdgeBuilder::run_report`] for any worker
-    /// count — the differential harness in `tests/engine_equivalence.rs`
-    /// pins this.
+    /// Run the experiment on `workers` sense threads (`0` = machine
+    /// default). Report and trace are byte-identical to
+    /// [`EdgeBuilder::run_report`] for any worker count.
     pub fn run_batched(&self, workers: usize) -> EdgeRunReport {
+        self.run_on(None, workers)
+    }
+
+    fn run_on(&self, metrics: Option<&mut MetricsRegistry>, workers: usize) -> EdgeRunReport {
         let video = self.build_video();
         let sink = TraceSink::with_level(self.trace);
         let harness = EdgeHarness {
@@ -254,12 +233,12 @@ impl EdgeBuilder {
             origin_loss: self.origin_loss,
             policy: self.policy,
         };
-        let report = run_edge_batched(
+        let report = run_edge(
             &video,
             &self.config,
             &self.client_set(),
             &harness,
-            None,
+            metrics,
             workers,
         );
         drop(harness);
@@ -349,105 +328,88 @@ pub struct EdgeSweepPoint {
     pub report: EdgeReport,
 }
 
-/// Run every point of `grid` against `video` on `threads` workers
-/// (`0` = available parallelism), merging deterministically by grid
-/// index: byte-identical for any worker count.
+/// Run every point of `grid` against `video` with `policy` planning
+/// every client decide, on `threads` workers (`0` = available
+/// parallelism), merging deterministically by grid index: byte-identical
+/// for any worker count. Each point runs the edge engine on one sense
+/// worker (the sweep already owns the thread pool).
 pub fn run_edge_sweep(
-    video: &VideoModel,
-    grid: &EdgeGrid,
-    threads: usize,
-) -> SweepReport<EdgeSweepPoint> {
-    // Per-worker visibility memo, as in `run_fleet_sweep`: no lock is
-    // shared across threads, and per-worker caches change only speed.
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| {
-        let harness = WORKER_VIS.with(|vis| EdgeHarness {
-            vis: vis.clone(),
-            ..Default::default()
-        });
-        EdgeSweepPoint {
-            config: *config,
-            report: run_edge_full(
-                video,
-                config,
-                &sperke_edge::default_clients(config),
-                &harness,
-                None,
-            ),
-        }
-    })
-}
-
-/// [`run_edge_sweep`] with every client decide planned by a rival
-/// viewport-adaptation policy. [`AbrPolicyKind::Knapsack`] and
-/// [`AbrPolicyKind::Sperke`] reproduce [`run_edge_sweep`]
-/// byte-for-byte; the merged report is byte-identical for any worker
-/// count.
-pub fn run_edge_sweep_policy(
     video: &VideoModel,
     grid: &EdgeGrid,
     policy: AbrPolicyKind,
     threads: usize,
 ) -> SweepReport<EdgeSweepPoint> {
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
     let plan = grid.plan();
     run_sweep(&plan, threads, |_index, config| {
-        let harness = WORKER_VIS.with(|vis| EdgeHarness {
-            vis: vis.clone(),
-            policy: Some(policy),
+        let harness = EdgeHarness {
+            policy,
             ..Default::default()
-        });
+        };
         EdgeSweepPoint {
             config: *config,
-            report: run_edge_full(
+            report: run_edge(
                 video,
                 config,
                 &sperke_edge::default_clients(config),
                 &harness,
                 None,
+                1,
             ),
         }
-    })
-}
-
-/// [`run_edge_sweep`] with every point executed by the batched engine
-/// (one sense worker per point — the sweep owns the thread pool).
-/// Byte-identical to the legacy sweep for any grid and thread count.
-pub fn run_edge_sweep_batched(
-    video: &VideoModel,
-    grid: &EdgeGrid,
-    threads: usize,
-) -> SweepReport<EdgeSweepPoint> {
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| EdgeSweepPoint {
-        config: *config,
-        report: run_edge_batched(
-            video,
-            config,
-            &sperke_edge::default_clients(config),
-            &EdgeHarness::default(),
-            None,
-            1,
-        ),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sperke_edge::oracle::run_edge_full;
     use sperke_video::VideoModelBuilder;
 
     fn video() -> VideoModel {
         VideoModelBuilder::new(3)
             .duration(SimDuration::from_secs(10))
             .build()
+    }
+
+    /// The builder's exact run, replayed by the per-event oracle.
+    fn oracle_run(b: &EdgeBuilder) -> EdgeRunReport {
+        let sink = TraceSink::with_level(b.trace);
+        let harness = EdgeHarness {
+            trace: sink.clone(),
+            policy: b.policy,
+            ..Default::default()
+        };
+        let report = run_edge_full(&b.build_video(), &b.config, &b.client_set(), &harness, None);
+        drop(harness);
+        EdgeRunReport {
+            report,
+            trace: sink.into_trace(),
+        }
+    }
+
+    /// [`run_edge_sweep`]'s grid, one oracle run per point.
+    fn oracle_sweep(
+        video: &VideoModel,
+        grid: &EdgeGrid,
+        policy: AbrPolicyKind,
+        threads: usize,
+    ) -> SweepReport<EdgeSweepPoint> {
+        run_sweep(&grid.plan(), threads, |_index, config| {
+            let harness = EdgeHarness {
+                policy,
+                ..Default::default()
+            };
+            EdgeSweepPoint {
+                config: *config,
+                report: run_edge_full(
+                    video,
+                    config,
+                    &sperke_edge::default_clients(config),
+                    &harness,
+                    None,
+                ),
+            }
+        })
     }
 
     #[test]
@@ -502,8 +464,8 @@ mod tests {
         })
         .cache_axis(vec![0, 128 << 20])
         .seed_axis(vec![7, 11]);
-        let serial = run_edge_sweep(&v, &grid, 1);
-        let parallel = run_edge_sweep(&v, &grid, 4);
+        let serial = run_edge_sweep(&v, &grid, AbrPolicyKind::default(), 1);
+        let parallel = run_edge_sweep(&v, &grid, AbrPolicyKind::default(), 4);
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert_eq!(serial.digest(), parallel.digest());
@@ -516,7 +478,7 @@ mod tests {
             .clients(6)
             .duration(SimDuration::from_secs(8))
             .with_trace(TraceLevel::Events);
-        let legacy = b.run_report();
+        let legacy = oracle_run(&b);
         for workers in [1usize, 4] {
             let batched = b.run_batched(workers);
             assert_eq!(legacy.report, batched.report);
@@ -530,8 +492,8 @@ mod tests {
         })
         .cache_axis(vec![0, 128 << 20])
         .seed_axis(vec![7]);
-        let legacy_sweep = run_edge_sweep(&v, &grid, 2);
-        let batched_sweep = run_edge_sweep_batched(&v, &grid, 2);
+        let legacy_sweep = oracle_sweep(&v, &grid, AbrPolicyKind::default(), 2);
+        let batched_sweep = run_edge_sweep(&v, &grid, AbrPolicyKind::default(), 2);
         assert_eq!(legacy_sweep.to_jsonl(), batched_sweep.to_jsonl());
         assert_eq!(legacy_sweep.digest(), batched_sweep.digest());
     }
@@ -545,10 +507,15 @@ mod tests {
         assert_eq!(
             legacy,
             base.clone().abr_policy(AbrPolicyKind::Knapsack).run(),
-            "knapsack builder diverged from legacy"
+            "knapsack builder diverged from the default"
+        );
+        assert_eq!(
+            legacy,
+            base.clone().abr_policy(AbrPolicyKind::Sperke).run(),
+            "sperke builder diverged from the default"
         );
         let qer = base.clone().abr_policy(AbrPolicyKind::qer_default());
-        let qer_legacy = qer.run();
+        let qer_legacy = oracle_run(&qer).report;
         assert_eq!(
             qer_legacy,
             qer.run_batched(4).report,
@@ -562,11 +529,11 @@ mod tests {
         })
         .cache_axis(vec![0, 128 << 20])
         .seed_axis(vec![7]);
-        let legacy_sweep = run_edge_sweep(&v, &grid, 2);
-        let knap_sweep = run_edge_sweep_policy(&v, &grid, AbrPolicyKind::Knapsack, 2);
+        let legacy_sweep = oracle_sweep(&v, &grid, AbrPolicyKind::default(), 2);
+        let knap_sweep = run_edge_sweep(&v, &grid, AbrPolicyKind::Knapsack, 2);
         assert_eq!(legacy_sweep.to_jsonl(), knap_sweep.to_jsonl());
-        let serial = run_edge_sweep_policy(&v, &grid, AbrPolicyKind::transition_default(), 1);
-        let parallel = run_edge_sweep_policy(&v, &grid, AbrPolicyKind::transition_default(), 4);
+        let serial = run_edge_sweep(&v, &grid, AbrPolicyKind::transition_default(), 1);
+        let parallel = run_edge_sweep(&v, &grid, AbrPolicyKind::transition_default(), 4);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert_eq!(serial.digest(), parallel.digest());
     }
@@ -579,7 +546,7 @@ mod tests {
             ..Default::default()
         })
         .cache_axis(vec![0, 256 << 20]);
-        let report = run_edge_sweep(&v, &grid, 0);
+        let report = run_edge_sweep(&v, &grid, AbrPolicyKind::default(), 0);
         let points: Vec<&EdgeSweepPoint> = report.ok_results().collect();
         assert_eq!(points.len(), 2);
         let (uncached, cached) = (&points[0].report, &points[1].report);

@@ -14,7 +14,7 @@ use sperke_edge::{
     run_federation, EdgeClientSpec, FederationConfig, FederationHarness, FederationReport,
     FederationRunReport,
 };
-use sperke_geo::{VisibilityCache, DEFAULT_VIS_CACHE_CAPACITY};
+use sperke_geo::VisibilityCache;
 use sperke_net::{FaultScript, RecoveryPolicy};
 use sperke_sim::sweep::{run_sweep, SweepPlan, SweepReport};
 use sperke_sim::trace::TraceLevel;
@@ -134,7 +134,9 @@ impl FederationBuilder {
         self
     }
 
-    /// Share a visibility-cache handle (speed only, never outcomes).
+    /// Pass a visibility-cache handle through to the run. No production
+    /// run reads it: node worlds score displays from the sense phase's
+    /// coverage lists, so the handle changes neither speed nor outcomes.
     pub fn vis_cache(mut self, vis: VisibilityCache) -> Self {
         self.vis = vis;
         self
@@ -274,30 +276,18 @@ pub fn run_federation_sweep(
     grid: &FederationGrid,
     threads: usize,
 ) -> SweepReport<FederationSweepPoint> {
-    // Per-worker visibility memo, as in the fleet and edge sweeps: no
-    // lock is shared across threads, and caches change only speed.
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
     let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| {
-        let harness = WORKER_VIS.with(|vis| FederationHarness {
-            vis: vis.clone(),
-            ..Default::default()
-        });
-        FederationSweepPoint {
-            config: config.clone(),
-            report: run_federation(
-                video,
-                config,
-                &sperke_edge::default_clients(&config.node),
-                &harness,
-                None,
-                1,
-            )
-            .report,
-        }
+    run_sweep(&plan, threads, |_index, config| FederationSweepPoint {
+        config: config.clone(),
+        report: run_federation(
+            video,
+            config,
+            &sperke_edge::default_clients(&config.node),
+            &FederationHarness::default(),
+            None,
+            1,
+        )
+        .report,
     })
 }
 

@@ -4,25 +4,25 @@
 //! §2's bandwidth-saving numbers are per-viewer; what a CDN operator
 //! cares about is aggregate egress when *hundreds* of viewers share an
 //! origin. This module runs N viewers concurrently against one server
-//! whose egress is a shared, priority-multiplexed link
-//! (`MuxLink`), using the discrete-event kernel
-//! ([`Simulation`]/[`World`]) to interleave every viewer's decide and
-//! display points in exact time order.
+//! whose egress is a shared, priority-multiplexed link (`MuxLink`),
+//! interleaving every viewer's decide and display points in exact time
+//! order.
+//!
+//! [`run_fleet`] is the one engine: a pure per-viewer sense phase
+//! sharded across worker threads, then one serial replay of the shared
+//! egress. The per-event engine in [`oracle`](crate::oracle) runs the
+//! same world handlers one event at a time and must land on the same
+//! bytes.
 
 use serde::{Deserialize, Serialize};
-use sperke_geo::{
-    visible_tiles_batch, Orientation, TileId, Viewport, VisibilityCache, VisibilityScratch,
-};
+use sperke_geo::{visible_tiles_batch, Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{
-    generate_ensemble, generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster,
-    HeadTrace,
+    generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster, HeadTrace,
 };
 use sperke_net::{ChunkPriority, MuxLink, SpatialPriority, StreamId, TemporalPriority};
-use sperke_sim::{
-    parallel_indexed, ReplayQueue, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, World,
-};
+use sperke_sim::{parallel_indexed, ReplayQueue, SimDuration, SimTime};
 use sperke_video::{CellId, ChunkId, ChunkTime, Quality, Scheme, VideoModel};
-use sperke_vra::{select_stochastic, AbrPolicyKind, PolicyInput};
+use sperke_vra::{AbrPolicyKind, PolicyInput};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -75,7 +75,7 @@ pub struct FleetReport {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum FleetEvent {
+pub(crate) enum FleetEvent {
     /// Viewer `v` plans and submits chunk `c`'s fetches.
     Decide { viewer: usize, chunk: u32 },
     /// Viewer `v` displays chunk `c`.
@@ -86,19 +86,22 @@ enum FleetEvent {
 /// probability driving its egress priority, and its AVC byte size.
 /// Everything here is a pure function of `(config, trace, chunk)`.
 #[derive(Debug, Clone, Copy)]
-struct FleetSelection {
+pub(crate) struct FleetSelection {
     tile: TileId,
     quality: Quality,
     prob: f64,
     bytes: u64,
 }
 
-/// The world-independent slice of a decide: forecast (or the
-/// FoV-agnostic budget fit) plus stream sizing. The legacy engine calls
-/// it inline at the decide event; the batched engine precomputes it per
-/// (viewer, chunk) on worker threads. `now` is the decide's wall time.
+/// The world-independent slice of a decide: a plan from `policy` (or
+/// the FoV-agnostic budget fit) plus stream sizing. The engine
+/// precomputes it per (viewer, chunk) on sense workers; the oracle calls
+/// it inline at the decide event. `now` is the decide's wall time.
+/// `prev` is the viewer's previous-window level vector, updated in
+/// place: decides run in chunk order per viewer in both engines, so
+/// temporal policies see identical state either way.
 #[allow(clippy::too_many_arguments)]
-fn fleet_selections(
+pub(crate) fn fleet_selections(
     video: &VideoModel,
     config: &FleetConfig,
     trace: &HeadTrace,
@@ -107,13 +110,15 @@ fn fleet_selections(
     now: SimTime,
     scratch: &mut ForecastScratch,
     history: &mut Vec<(SimTime, Orientation)>,
+    policy: AbrPolicyKind,
+    prev: &mut Vec<i8>,
 ) -> Vec<FleetSelection> {
     let t = ChunkTime(chunk);
-    let video_time = SimTime::ZERO + video.chunk_duration() * chunk as u64;
-    // The viewer's own playback position at decide time.
-    let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(start_offset.as_nanos()));
     let budget = (config.per_viewer_budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
     let picks: Vec<(TileId, Quality, f64)> = if config.fov_guided {
+        let video_time = SimTime::ZERO + video.chunk_duration() * chunk as u64;
+        // The viewer's own playback position at decide time.
+        let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(start_offset.as_nanos()));
         trace.history_into(own_now, 50, history);
         let forecast = FusedForecaster::motion_only().forecast_with(
             video.grid(),
@@ -123,13 +128,27 @@ fn fleet_selections(
             t,
             scratch,
         );
-        select_stochastic(video, &forecast, t, budget, Scheme::Avc, 0.05)
+        let tile_count = video.grid().tile_count();
+        let plan = policy.decide(&PolicyInput {
+            video,
+            forecast: &forecast,
+            confidence: forecast.confidence(),
+            time: t,
+            buffer: config.fetch_lead,
+            budget_bytes: budget,
+            capacity_bps: Some(config.per_viewer_budget_bps),
+            scheme: Scheme::Avc,
+            min_probability: 0.05,
+            prev: (prev.len() == tile_count).then_some(prev.as_slice()),
+        });
+        *prev = plan.levels(tile_count);
+        plan.assignments
             .into_iter()
-            .map(|c| (c.tile, c.quality, forecast.prob(c.tile)))
+            .map(|a| (a.tile, a.quality, a.probability))
             .collect()
     } else {
         // FoV-agnostic: the whole panorama at the best quality the
-        // budget affords.
+        // budget affords. Nothing here for a tile policy to decide.
         let mut q = Quality::LOWEST;
         for cand in video.ladder().qualities() {
             if video.panorama_bytes(cand, t, Scheme::Avc) <= budget {
@@ -149,106 +168,23 @@ fn fleet_selections(
         .collect()
 }
 
-/// Like [`fleet_selections`], but planned by a tile-aware policy from
-/// the viewport-adaptation suite instead of the hardwired knapsack.
-/// `prev` is the viewer's previous-window level vector, updated in
-/// place (decides run in chunk order per viewer in both engines, so
-/// temporal policies see identical state either way). With
-/// [`AbrPolicyKind::Knapsack`] — or any kind whose distinguishing knob
-/// is off — the output is byte-identical to [`fleet_selections`].
-#[allow(clippy::too_many_arguments)]
-fn fleet_selections_policy(
-    video: &VideoModel,
-    config: &FleetConfig,
-    trace: &HeadTrace,
-    start_offset: SimDuration,
-    chunk: u32,
-    now: SimTime,
-    scratch: &mut ForecastScratch,
-    history: &mut Vec<(SimTime, Orientation)>,
-    policy: AbrPolicyKind,
-    prev: &mut Vec<i8>,
-) -> Vec<FleetSelection> {
-    if !config.fov_guided {
-        // Full-panorama delivery has nothing for a tile policy to
-        // decide; keep the agnostic path identical.
-        return fleet_selections(
-            video,
-            config,
-            trace,
-            start_offset,
-            chunk,
-            now,
-            scratch,
-            history,
-        );
-    }
-    let t = ChunkTime(chunk);
-    let video_time = SimTime::ZERO + video.chunk_duration() * chunk as u64;
-    let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(start_offset.as_nanos()));
-    let budget = (config.per_viewer_budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
-    trace.history_into(own_now, 50, history);
-    let forecast = FusedForecaster::motion_only().forecast_with(
-        video.grid(),
-        history,
-        own_now,
-        video_time,
-        t,
-        scratch,
-    );
-    let tile_count = video.grid().tile_count();
-    let plan = policy.decide(&PolicyInput {
-        video,
-        forecast: &forecast,
-        confidence: forecast.confidence(),
-        time: t,
-        buffer: config.fetch_lead,
-        budget_bytes: budget,
-        capacity_bps: Some(config.per_viewer_budget_bps),
-        scheme: Scheme::Avc,
-        min_probability: 0.05,
-        prev: (prev.len() == tile_count).then_some(prev.as_slice()),
-    });
-    *prev = plan.levels(tile_count);
-    plan.assignments
-        .into_iter()
-        .map(|a| FleetSelection {
-            tile: a.tile,
-            quality: a.quality,
-            prob: a.probability,
-            bytes: video.avc_bytes(ChunkId::new(a.quality, a.tile, t)),
-        })
-        .collect()
-}
-
 /// The gaze a fleet display samples: mid-chunk orientation.
-fn fleet_gaze(video: &VideoModel, trace: &HeadTrace, chunk: u32) -> Orientation {
+pub(crate) fn fleet_gaze(video: &VideoModel, trace: &HeadTrace, chunk: u32) -> Orientation {
     let video_time =
         SimTime::ZERO + video.chunk_duration() * chunk as u64 + video.chunk_duration() / 2;
     trace.at(video_time)
 }
 
-struct FleetWorld<'a> {
-    video: &'a VideoModel,
-    traces: &'a [HeadTrace],
-    config: FleetConfig,
+pub(crate) struct FleetWorld<'a> {
+    pub(crate) video: &'a VideoModel,
+    pub(crate) config: FleetConfig,
     egress: MuxLink,
     /// In-flight streams → (viewer, cell, quality).
     pending: HashMap<StreamId, (usize, CellId, Quality)>,
     /// Delivered cells per viewer.
     buffers: Vec<HashMap<CellId, Quality>>,
     /// Viewer playback offsets (staggered joins).
-    start_offset: Vec<SimDuration>,
-    /// Memoized exact visibility (display-point evaluation hot path).
-    vis: VisibilityCache,
-    /// Reusable forecast/history buffers for inline decides.
-    fscratch: ForecastScratch,
-    hist: Vec<(SimTime, Orientation)>,
-    /// When set, inline decides plan through this policy instead of the
-    /// hardwired knapsack ([`None`] keeps the legacy path untouched).
-    policy: Option<AbrPolicyKind>,
-    /// Per-viewer previous-window levels for temporal policies.
-    prev_levels: Vec<Vec<i8>>,
+    pub(crate) start_offset: Vec<SimDuration>,
     // Accounting.
     egress_bytes: u64,
     utility_acc: f64,
@@ -260,7 +196,7 @@ struct FleetWorld<'a> {
 
 impl FleetWorld<'_> {
     /// Pull completed streams out of the egress link into buffers.
-    fn drain_egress(&mut self, now: SimTime) {
+    pub(crate) fn drain_egress(&mut self, now: SimTime) {
         for done in self.egress.run_until(now) {
             if let Some((viewer, cell, q)) = self.pending.remove(&done.id) {
                 self.buffers[viewer].insert(cell, q);
@@ -273,16 +209,29 @@ impl FleetWorld<'_> {
         SimTime::ZERO + self.start_offset[viewer] + self.video.chunk_duration() * (chunk + 1) as u64
     }
 
-    /// A fresh world over shared traces: staggered joins, empty buffers.
-    fn new<'a>(
-        video: &'a VideoModel,
-        config: FleetConfig,
-        traces: &'a [HeadTrace],
-        vis: VisibilityCache,
-    ) -> FleetWorld<'a> {
+    /// Feed the static schedule to `push` in push order: per viewer and
+    /// chunk, its decide then its display. Push order fixes
+    /// same-instant tie-breaks, so the engine and the oracle both
+    /// schedule through this one method.
+    pub(crate) fn schedule(&self, mut push: impl FnMut(SimTime, FleetEvent)) {
+        for viewer in 0..self.config.viewers {
+            for chunk in 0..self.video.chunk_count() {
+                let display = self.display_wall(viewer, chunk);
+                let decide = SimTime::from_nanos(
+                    display
+                        .as_nanos()
+                        .saturating_sub(self.config.fetch_lead.as_nanos()),
+                );
+                push(decide, FleetEvent::Decide { viewer, chunk });
+                push(display, FleetEvent::Display { viewer, chunk });
+            }
+        }
+    }
+
+    /// A fresh world: staggered joins, empty buffers.
+    pub(crate) fn new(video: &VideoModel, config: FleetConfig) -> FleetWorld<'_> {
         FleetWorld {
             video,
-            traces,
             config,
             egress: MuxLink::new(config.egress_bps),
             pending: HashMap::new(),
@@ -290,11 +239,6 @@ impl FleetWorld<'_> {
             start_offset: (0..config.viewers)
                 .map(|v| SimDuration::from_millis(137 * v as u64))
                 .collect(),
-            vis,
-            fscratch: ForecastScratch::new(),
-            hist: Vec::new(),
-            policy: None,
-            prev_levels: vec![Vec::new(); config.viewers],
             egress_bytes: 0,
             utility_acc: 0.0,
             blank_acc: 0.0,
@@ -306,7 +250,7 @@ impl FleetWorld<'_> {
 
     /// The stateful half of a decide: submit the planned streams over
     /// the shared egress. Shared verbatim between engines.
-    fn apply_decide(
+    pub(crate) fn apply_decide(
         &mut self,
         viewer: usize,
         chunk: u32,
@@ -332,7 +276,7 @@ impl FleetWorld<'_> {
 
     /// The stateful half of a display: count late streams and score the
     /// visible tiles against the delivery buffer.
-    fn apply_display(&mut self, viewer: usize, chunk: u32, visible: &[(TileId, f64)]) {
+    pub(crate) fn apply_display(&mut self, viewer: usize, chunk: u32, visible: &[(TileId, f64)]) {
         let t = ChunkTime(chunk);
         // Streams for this chunk still pending are late.
         let late = self
@@ -356,137 +300,8 @@ impl FleetWorld<'_> {
     }
 }
 
-impl World<FleetEvent> for FleetWorld<'_> {
-    fn handle(&mut self, event: FleetEvent, sched: &mut Scheduler<'_, FleetEvent>) {
-        let now = sched.now();
-        self.drain_egress(now);
-        match event {
-            FleetEvent::Decide { viewer, chunk } => {
-                let selections = match self.policy {
-                    None => fleet_selections(
-                        self.video,
-                        &self.config,
-                        &self.traces[viewer],
-                        self.start_offset[viewer],
-                        chunk,
-                        now,
-                        &mut self.fscratch,
-                        &mut self.hist,
-                    ),
-                    Some(kind) => {
-                        let mut prev = std::mem::take(&mut self.prev_levels[viewer]);
-                        let s = fleet_selections_policy(
-                            self.video,
-                            &self.config,
-                            &self.traces[viewer],
-                            self.start_offset[viewer],
-                            chunk,
-                            now,
-                            &mut self.fscratch,
-                            &mut self.hist,
-                            kind,
-                            &mut prev,
-                        );
-                        self.prev_levels[viewer] = prev;
-                        s
-                    }
-                };
-                self.apply_decide(viewer, chunk, &selections, now);
-            }
-            FleetEvent::Display { viewer, chunk } => {
-                let gaze = fleet_gaze(self.video, &self.traces[viewer], chunk);
-                let visible =
-                    self.vis
-                        .visible_tiles(&Viewport::headset(gaze), self.video.grid(), 12);
-                self.apply_display(viewer, chunk, &visible);
-            }
-        }
-    }
-}
-
-/// Run the fleet experiment with a default per-run visibility cache.
-pub fn run_fleet(video: &VideoModel, config: &FleetConfig) -> FleetReport {
-    run_fleet_with_cache(video, config, VisibilityCache::default())
-}
-
-/// Run the fleet experiment sharing the given visibility cache.
-///
-/// The cache only memoizes exact `visible_tiles` results, so the report
-/// is bit-identical whichever cache handle is passed — including
-/// [`VisibilityCache::disabled`], which recomputes every query and
-/// serves as the uncached baseline in `perf_baseline`.
-pub fn run_fleet_with_cache(
-    video: &VideoModel,
-    config: &FleetConfig,
-    cache: VisibilityCache,
-) -> FleetReport {
-    run_fleet_inner(video, config, cache, None)
-}
-
-/// Run the fleet experiment with a rival viewport-adaptation policy
-/// planning every decide. [`AbrPolicyKind::Knapsack`] (and
-/// [`AbrPolicyKind::Sperke`], whose fleet-side planner is the same
-/// stochastic selector) reproduces [`run_fleet`] byte-for-byte.
-pub fn run_fleet_policy(
-    video: &VideoModel,
-    config: &FleetConfig,
-    policy: AbrPolicyKind,
-) -> FleetReport {
-    run_fleet_inner(video, config, VisibilityCache::default(), Some(policy))
-}
-
-pub(crate) fn run_fleet_inner(
-    video: &VideoModel,
-    config: &FleetConfig,
-    cache: VisibilityCache,
-    policy: Option<AbrPolicyKind>,
-) -> FleetReport {
-    assert!(config.viewers > 0);
-    let attention = AttentionModel::generic(config.seed);
-    let traces = generate_ensemble(
-        &attention,
-        config.viewers,
-        video.duration() + SimDuration::from_secs(5),
-        config.seed,
-    );
-
-    let mut world = FleetWorld::new(video, *config, &traces, cache);
-    world.policy = policy;
-
-    let mut sim = Simulation::new();
-    let chunks = video.chunk_count();
-    for v in 0..config.viewers {
-        for c in 0..chunks {
-            let display = world.display_wall(v, c);
-            let decide = SimTime::from_nanos(
-                display
-                    .as_nanos()
-                    .saturating_sub(config.fetch_lead.as_nanos()),
-            );
-            sim.schedule(
-                decide,
-                FleetEvent::Decide {
-                    viewer: v,
-                    chunk: c,
-                },
-            );
-            sim.schedule(
-                display,
-                FleetEvent::Display {
-                    viewer: v,
-                    chunk: c,
-                },
-            );
-        }
-    }
-    let outcome = sim.run(&mut world, fleet_horizon(video, config));
-    debug_assert_ne!(outcome, RunOutcome::BudgetExhausted);
-
-    finish_fleet_report(&world, video, config)
-}
-
 /// The run horizon both engines stop at: session end plus drain slack.
-fn fleet_horizon(video: &VideoModel, config: &FleetConfig) -> SimTime {
+pub(crate) fn fleet_horizon(video: &VideoModel, config: &FleetConfig) -> SimTime {
     SimTime::ZERO
         + video.duration()
         + SimDuration::from_secs(30)
@@ -494,7 +309,7 @@ fn fleet_horizon(video: &VideoModel, config: &FleetConfig) -> SimTime {
 }
 
 /// Fold the world's counters into the report — shared engine tail.
-fn finish_fleet_report(
+pub(crate) fn finish_fleet_report(
     world: &FleetWorld<'_>,
     video: &VideoModel,
     config: &FleetConfig,
@@ -519,7 +334,6 @@ fn finish_fleet_report(
 /// Everything the sense phase computes for one viewer, independent of
 /// the shared egress state.
 struct ViewerBatch {
-    trace: HeadTrace,
     /// Per-chunk planned fetches, evaluated at each chunk's decide time.
     selections: Vec<Vec<FleetSelection>>,
     /// Per-chunk display coverage lists.
@@ -541,39 +355,21 @@ thread_local! {
         RefCell::new((ForecastScratch::new(), VisibilityScratch::new(), Vec::new()));
 }
 
-/// Run the fleet experiment through the data-oriented batched engine.
+/// Run the fleet experiment with `policy` planning every FoV-guided
+/// decide on `workers` sense threads (0 = machine default).
 ///
-/// Produces a report bit-identical to [`run_fleet`] for any `(video,
-/// config)` and any `workers` (0 = machine default): the per-viewer
-/// sense phase (head trace, forecasts, selections, display visibility)
-/// is a pure function of the config and shards across worker threads by
-/// viewer index; the stateful remainder replays the legacy event order
-/// through a [`ReplayQueue`] running the same `apply_*` code. The fleet
-/// world schedules no dynamic events, so the replay is a pure cursor
-/// walk over the pre-sorted schedule.
-pub fn run_fleet_batched(video: &VideoModel, config: &FleetConfig, workers: usize) -> FleetReport {
-    run_fleet_batched_inner(video, config, workers, None)
-}
-
-/// The batched engine with a rival viewport-adaptation policy planning
-/// every sense-phase decide. Bit-identical to [`run_fleet_policy`] for
-/// any worker count: the per-viewer sense loop walks chunks in order,
-/// so temporal policies see the same previous-window state as the
-/// legacy engine's time-ordered decides.
-pub fn run_fleet_batched_policy(
+/// The per-viewer sense phase (head trace, forecasts, selections,
+/// display visibility) is a pure function of the config and shards
+/// across worker threads by viewer index; the stateful remainder
+/// replays the event order through a [`ReplayQueue`] running the shared
+/// `apply_*` code. The fleet world schedules no dynamic events, so the
+/// replay is a pure cursor walk over the pre-sorted schedule. The
+/// report is byte-identical for any worker count.
+pub fn run_fleet(
     video: &VideoModel,
     config: &FleetConfig,
     policy: AbrPolicyKind,
     workers: usize,
-) -> FleetReport {
-    run_fleet_batched_inner(video, config, workers, Some(policy))
-}
-
-fn run_fleet_batched_inner(
-    video: &VideoModel,
-    config: &FleetConfig,
-    workers: usize,
-    policy: Option<AbrPolicyKind>,
 ) -> FleetReport {
     assert!(config.viewers > 0);
     let cfg = *config;
@@ -595,14 +391,9 @@ fn run_fleet_batched_inner(
                 let decide = SimTime::from_nanos(
                     display.as_nanos().saturating_sub(cfg.fetch_lead.as_nanos()),
                 );
-                selections.push(match policy {
-                    None => {
-                        fleet_selections(video, &cfg, &trace, offset, c, decide, fscratch, hist)
-                    }
-                    Some(kind) => fleet_selections_policy(
-                        video, &cfg, &trace, offset, c, decide, fscratch, hist, kind, &mut prev,
-                    ),
-                });
+                selections.push(fleet_selections(
+                    video, &cfg, &trace, offset, c, decide, fscratch, hist, policy, &mut prev,
+                ));
             }
             let gazes: Vec<Orientation> =
                 (0..chunks).map(|c| fleet_gaze(video, &trace, c)).collect();
@@ -620,47 +411,18 @@ fn run_fleet_batched_inner(
                 );
             }
             ViewerBatch {
-                trace,
                 selections,
                 displays,
             }
         })
     });
 
-    let mut traces = Vec::with_capacity(batches.len());
-    let mut plans = Vec::with_capacity(batches.len());
-    for b in batches {
-        traces.push(b.trace);
-        plans.push((b.selections, b.displays));
-    }
-    // The batched path never queries exact visibility at replay time, so
-    // the cache handle is inert; disabled keeps it allocation-free.
-    let mut world = FleetWorld::new(video, cfg, &traces, VisibilityCache::disabled());
+    let mut world = FleetWorld::new(video, cfg);
 
-    // --- Static schedule, pushed in the legacy `sim.schedule` order so
-    // same-instant ties resolve by identical sequence numbers.
+    // --- Static schedule, pushed in the oracle's order so same-instant
+    // ties resolve by identical sequence numbers.
     let mut queue: ReplayQueue<FleetEvent> = ReplayQueue::new();
-    for v in 0..cfg.viewers {
-        for c in 0..chunks {
-            let display = world.display_wall(v, c);
-            let decide =
-                SimTime::from_nanos(display.as_nanos().saturating_sub(cfg.fetch_lead.as_nanos()));
-            queue.push_static(
-                decide,
-                FleetEvent::Decide {
-                    viewer: v,
-                    chunk: c,
-                },
-            );
-            queue.push_static(
-                display,
-                FleetEvent::Display {
-                    viewer: v,
-                    chunk: c,
-                },
-            );
-        }
-    }
+    world.schedule(|at, event| queue.push_static(at, event));
     queue.seal();
 
     // --- Replay: the same pop-until-horizon loop as `Simulation::run`,
@@ -674,10 +436,15 @@ fn run_fleet_batched_inner(
         world.drain_egress(now);
         match event {
             FleetEvent::Decide { viewer, chunk } => {
-                world.apply_decide(viewer, chunk, &plans[viewer].0[chunk as usize], now);
+                world.apply_decide(
+                    viewer,
+                    chunk,
+                    &batches[viewer].selections[chunk as usize],
+                    now,
+                );
             }
             FleetEvent::Display { viewer, chunk } => {
-                world.apply_display(viewer, chunk, &plans[viewer].1[chunk as usize]);
+                world.apply_display(viewer, chunk, &batches[viewer].displays[chunk as usize]);
             }
         }
     }
@@ -688,6 +455,7 @@ fn run_fleet_batched_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::run_fleet_inner;
     use sperke_video::VideoModelBuilder;
 
     fn video() -> VideoModel {
@@ -696,13 +464,18 @@ mod tests {
             .build()
     }
 
+    /// The default policy on one sense worker.
+    fn run(video: &VideoModel, config: &FleetConfig) -> FleetReport {
+        run_fleet(video, config, AbrPolicyKind::default(), 1)
+    }
+
     #[test]
     fn fov_guided_fleet_cuts_egress_at_matched_quality() {
         let v = video();
         // The agnostic fleet gets a budget that affords the full
         // panorama at Q2 (16 Mbps); the guided fleet delivers at least
         // that viewport quality from a 10 Mbps budget.
-        let guided = run_fleet(
+        let guided = run(
             &v,
             &FleetConfig {
                 viewers: 10,
@@ -712,7 +485,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let agnostic = run_fleet(
+        let agnostic = run(
             &v,
             &FleetConfig {
                 viewers: 10,
@@ -739,7 +512,7 @@ mod tests {
     #[test]
     fn constrained_egress_makes_streams_late() {
         let v = video();
-        let ample = run_fleet(
+        let ample = run(
             &v,
             &FleetConfig {
                 viewers: 12,
@@ -747,7 +520,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let tight = run_fleet(
+        let tight = run(
             &v,
             &FleetConfig {
                 viewers: 12,
@@ -769,14 +542,14 @@ mod tests {
             egress_bps: 60e6,
             ..Default::default()
         };
-        let guided = run_fleet(
+        let guided = run(
             &v,
             &FleetConfig {
                 fov_guided: true,
                 ..cfg
             },
         );
-        let agnostic = run_fleet(
+        let agnostic = run(
             &v,
             &FleetConfig {
                 fov_guided: false,
@@ -799,19 +572,7 @@ mod tests {
             viewers: 6,
             ..Default::default()
         };
-        assert_eq!(run_fleet(&v, &cfg), run_fleet(&v, &cfg));
-    }
-
-    #[test]
-    fn cache_choice_never_changes_the_report() {
-        let v = video();
-        let cfg = FleetConfig {
-            viewers: 5,
-            ..Default::default()
-        };
-        let cached = run_fleet_with_cache(&v, &cfg, VisibilityCache::new(128));
-        let uncached = run_fleet_with_cache(&v, &cfg, VisibilityCache::disabled());
-        assert_eq!(cached, uncached);
+        assert_eq!(run(&v, &cfg), run(&v, &cfg));
     }
 
     #[test]
@@ -835,11 +596,11 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let legacy = run_fleet(&v, &cfg);
+            let legacy = run_fleet_inner(&v, &cfg, AbrPolicyKind::default());
             for workers in [1usize, 2, 8] {
                 assert_eq!(
                     legacy,
-                    run_fleet_batched(&v, &cfg, workers),
+                    run_fleet(&v, &cfg, AbrPolicyKind::default(), workers),
                     "diverged at {workers} workers: {cfg:?}"
                 );
             }
@@ -854,13 +615,13 @@ mod tests {
             egress_bps: 80e6,
             ..Default::default()
         };
-        let legacy = run_fleet(&v, &cfg);
+        let legacy = run_fleet_inner(&v, &cfg, AbrPolicyKind::default());
         // The fleet planner has always been Sperke's stochastic
         // selector, so both degenerate kinds must reproduce it exactly.
         for kind in [AbrPolicyKind::Knapsack, AbrPolicyKind::Sperke] {
             assert_eq!(
                 legacy,
-                run_fleet_policy(&v, &cfg, kind),
+                run_fleet(&v, &cfg, kind, 1),
                 "{} diverged from legacy",
                 kind.name()
             );
@@ -876,11 +637,11 @@ mod tests {
             ..Default::default()
         };
         for kind in AbrPolicyKind::all() {
-            let legacy = run_fleet_policy(&v, &cfg, kind);
+            let legacy = run_fleet_inner(&v, &cfg, kind);
             for workers in [1usize, 2, 8] {
                 assert_eq!(
                     legacy,
-                    run_fleet_batched_policy(&v, &cfg, kind, workers),
+                    run_fleet(&v, &cfg, kind, workers),
                     "{} diverged at {workers} workers",
                     kind.name()
                 );
@@ -896,9 +657,9 @@ mod tests {
             egress_bps: 80e6,
             ..Default::default()
         };
-        let knapsack = run_fleet_policy(&v, &cfg, AbrPolicyKind::Knapsack);
-        let qer = run_fleet_policy(&v, &cfg, AbrPolicyKind::qer_default());
-        let transition = run_fleet_policy(&v, &cfg, AbrPolicyKind::transition_default());
+        let knapsack = run_fleet(&v, &cfg, AbrPolicyKind::Knapsack, 1);
+        let qer = run_fleet(&v, &cfg, AbrPolicyKind::qer_default(), 1);
+        let transition = run_fleet(&v, &cfg, AbrPolicyKind::transition_default(), 1);
         // Active rivals genuinely plan differently from the knapsack.
         assert_ne!(qer, knapsack, "QER indistinguishable from knapsack");
         assert_ne!(
@@ -910,14 +671,14 @@ mod tests {
     #[test]
     fn scales_with_viewer_count() {
         let v = video();
-        let small = run_fleet(
+        let small = run(
             &v,
             &FleetConfig {
                 viewers: 4,
                 ..Default::default()
             },
         );
-        let large = run_fleet(
+        let large = run(
             &v,
             &FleetConfig {
                 viewers: 16,

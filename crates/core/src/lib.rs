@@ -36,26 +36,22 @@ pub mod builder;
 pub mod edge;
 pub mod federation;
 pub mod fleet;
+#[doc(hidden)]
+pub mod oracle;
 pub mod shootout;
 pub mod sweep;
 
 pub use builder::{AbrChoice, RunReport, SchedulerChoice, Sperke};
-pub use edge::{
-    run_edge_fleet, run_edge_sweep, run_edge_sweep_batched, run_edge_sweep_policy, EdgeBuilder,
-    EdgeGrid, EdgeRunReport, EdgeSweepPoint,
-};
+pub use edge::{run_edge_sweep, EdgeBuilder, EdgeGrid, EdgeRunReport, EdgeSweepPoint};
 pub use federation::{
     run_federation_sweep, FederationBuilder, FederationGrid, FederationSweepPoint,
 };
-pub use fleet::{
-    run_fleet, run_fleet_batched, run_fleet_batched_policy, run_fleet_policy, run_fleet_with_cache,
-    FleetConfig, FleetReport,
-};
+pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use shootout::{
     run_shootout, PolicyRank, ShootoutCell, ShootoutGrid, ShootoutPoint, ShootoutReport,
 };
 pub use sperke_edge::{
-    flash_crowd_clients, run_edge_batched, run_federation, zipf_catalog_clients, EdgeClientSpec,
+    flash_crowd_clients, run_edge, run_federation, zipf_catalog_clients, EdgeClientSpec,
     EdgeConfig, EdgeHarness, EdgeReport, FederationConfig, FederationHarness, FederationReport,
     FederationRunReport, NodeSpec, TileCache,
 };
@@ -64,10 +60,7 @@ pub use sperke_net::{
 };
 pub use sperke_sim::sweep::{SweepPlan, SweepReport, SweepSummary};
 pub use sperke_sim::trace::{Trace, TraceEvent, TraceLevel};
-pub use sweep::{
-    run_fleet_sweep, run_fleet_sweep_batched, run_fleet_sweep_batched_policy,
-    run_fleet_sweep_policy, FleetGrid, FleetSweepPoint, SperkeSweep, SperkeSweepPoint,
-};
+pub use sweep::{run_fleet_sweep, FleetGrid, FleetSweepPoint, SperkeSweep, SperkeSweepPoint};
 
 // Re-export the subsystem crates under stable names so downstream users
 // depend on one crate.

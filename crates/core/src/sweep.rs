@@ -6,8 +6,8 @@
 //! * [`FleetGrid`] → [`run_fleet_sweep`]: a Table-2-style grid over the
 //!   fleet experiment — server egress (bandwidth axis) × delivery
 //!   scheme (FoV-guided vs full panorama) × seeds — each point one
-//!   deterministic [`run_fleet`](crate::fleet::run_fleet) run (through
-//!   a per-worker visibility memo).
+//!   deterministic [`run_fleet`] run on one sense worker (the sweep
+//!   already owns the thread pool).
 //! * [`Sperke::sweep`]: replicate a single-session experiment across a
 //!   seed panel, capturing each run's QoE and trace digest.
 //!
@@ -16,12 +16,8 @@
 //! changes wall-clock time, never a byte of the report.
 
 use crate::builder::Sperke;
-use crate::fleet::{
-    run_fleet_batched, run_fleet_batched_policy, run_fleet_inner, run_fleet_with_cache,
-    FleetConfig, FleetReport,
-};
+use crate::fleet::{run_fleet, FleetConfig, FleetReport};
 use serde::{Deserialize, Serialize};
-use sperke_geo::{VisibilityCache, DEFAULT_VIS_CACHE_CAPACITY};
 use sperke_player::QoeReport;
 use sperke_sim::sweep::{run_sweep, SweepPlan, SweepReport};
 use sperke_sim::SEED_PANEL;
@@ -110,83 +106,20 @@ pub struct FleetSweepPoint {
     pub report: FleetReport,
 }
 
-/// Run every point of `grid` against `video` on `threads` workers
-/// (`0` = available parallelism) and merge deterministically by grid
-/// index: the returned report is byte-identical for any worker count.
+/// Run every point of `grid` against `video` with `policy` planning
+/// every FoV-guided decide, on `threads` workers (`0` = available
+/// parallelism), and merge deterministically by grid index: the
+/// returned report is byte-identical for any worker count.
 pub fn run_fleet_sweep(
     video: &VideoModel,
     grid: &FleetGrid,
-    threads: usize,
-) -> SweepReport<FleetSweepPoint> {
-    // One visibility memo per worker thread, shared across that worker's
-    // points: grid points differing only in egress/scheme replay the
-    // same gaze traces, so cross-point queries hit. The handle is
-    // `Send + Sync` (see `sperke_geo::viscache`), but a thread-local
-    // cache per worker shares no lock across threads; per-worker caches
-    // change only the hit pattern, never a result bit, so the merged
-    // report stays byte-identical for any worker count.
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| FleetSweepPoint {
-        config: *config,
-        report: WORKER_VIS.with(|vis| run_fleet_with_cache(video, config, vis.clone())),
-    })
-}
-
-/// [`run_fleet_sweep`] with every FoV-guided point planned by a rival
-/// viewport-adaptation policy instead of the hardwired stochastic
-/// selector. [`AbrPolicyKind::Knapsack`] and [`AbrPolicyKind::Sperke`]
-/// reproduce [`run_fleet_sweep`] byte-for-byte; the merged report is
-/// byte-identical for any worker count.
-pub fn run_fleet_sweep_policy(
-    video: &VideoModel,
-    grid: &FleetGrid,
-    policy: AbrPolicyKind,
-    threads: usize,
-) -> SweepReport<FleetSweepPoint> {
-    thread_local! {
-        static WORKER_VIS: VisibilityCache =
-            VisibilityCache::new(4 * DEFAULT_VIS_CACHE_CAPACITY);
-    }
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| FleetSweepPoint {
-        config: *config,
-        report: WORKER_VIS.with(|vis| run_fleet_inner(video, config, vis.clone(), Some(policy))),
-    })
-}
-
-/// [`run_fleet_sweep_policy`] with every point executed by the batched
-/// engine. Byte-identical to the legacy policy sweep for any grid,
-/// policy and thread count.
-pub fn run_fleet_sweep_batched_policy(
-    video: &VideoModel,
-    grid: &FleetGrid,
     policy: AbrPolicyKind,
     threads: usize,
 ) -> SweepReport<FleetSweepPoint> {
     let plan = grid.plan();
     run_sweep(&plan, threads, |_index, config| FleetSweepPoint {
         config: *config,
-        report: run_fleet_batched_policy(video, config, policy, 1),
-    })
-}
-
-/// [`run_fleet_sweep`] with every point executed by the batched engine
-/// ([`run_fleet_batched`], one worker per point — the sweep already owns
-/// the thread pool). Byte-identical to the legacy sweep for any grid
-/// and any thread count, pinned by the golden sweep digest.
-pub fn run_fleet_sweep_batched(
-    video: &VideoModel,
-    grid: &FleetGrid,
-    threads: usize,
-) -> SweepReport<FleetSweepPoint> {
-    let plan = grid.plan();
-    run_sweep(&plan, threads, |_index, config| FleetSweepPoint {
-        config: *config,
-        report: run_fleet_batched(video, config, 1),
+        report: run_fleet(video, config, policy, 1),
     })
 }
 
@@ -278,8 +211,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::run_fleet_inner;
     use sperke_sim::SimDuration;
     use sperke_video::VideoModelBuilder;
+
+    /// The per-event oracle over the same grid, one run per point.
+    fn oracle_sweep(
+        video: &VideoModel,
+        grid: &FleetGrid,
+        policy: AbrPolicyKind,
+        threads: usize,
+    ) -> SweepReport<FleetSweepPoint> {
+        run_sweep(&grid.plan(), threads, |_index, config| FleetSweepPoint {
+            config: *config,
+            report: run_fleet_inner(video, config, policy),
+        })
+    }
 
     fn video() -> VideoModel {
         VideoModelBuilder::new(3)
@@ -319,7 +266,7 @@ mod tests {
         let empty = single.clone().egress_axis(vec![]);
         assert!(empty.points().is_empty());
         let v = video();
-        let report = run_fleet_sweep(&v, &empty, 4);
+        let report = run_fleet_sweep(&v, &empty, AbrPolicyKind::default(), 4);
         assert!(report.is_empty());
         let s = report.summary(|p| p.report.egress_bps);
         assert_eq!((s.mean, s.min, s.max), (0.0, 0.0, 0.0));
@@ -329,8 +276,8 @@ mod tests {
     fn fleet_sweep_is_thread_count_invariant() {
         let v = video();
         let grid = small_grid();
-        let serial = run_fleet_sweep(&v, &grid, 1);
-        let parallel = run_fleet_sweep(&v, &grid, 4);
+        let serial = run_fleet_sweep(&v, &grid, AbrPolicyKind::default(), 1);
+        let parallel = run_fleet_sweep(&v, &grid, AbrPolicyKind::default(), 4);
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert_eq!(serial.digest(), parallel.digest());
@@ -341,8 +288,8 @@ mod tests {
     fn batched_sweep_matches_legacy_sweep_bytes() {
         let v = video();
         let grid = small_grid();
-        let legacy = run_fleet_sweep(&v, &grid, 2);
-        let batched = run_fleet_sweep_batched(&v, &grid, 2);
+        let legacy = oracle_sweep(&v, &grid, AbrPolicyKind::default(), 2);
+        let batched = run_fleet_sweep(&v, &grid, AbrPolicyKind::default(), 2);
         assert_eq!(legacy.to_jsonl(), batched.to_jsonl());
         assert_eq!(legacy.digest(), batched.digest());
     }
@@ -351,9 +298,9 @@ mod tests {
     fn policy_sweeps_collapse_and_stay_thread_invariant() {
         let v = video();
         let grid = small_grid();
-        let legacy = run_fleet_sweep(&v, &grid, 2);
+        let legacy = oracle_sweep(&v, &grid, AbrPolicyKind::default(), 2);
         for kind in [AbrPolicyKind::Knapsack, AbrPolicyKind::Sperke] {
-            let policy = run_fleet_sweep_policy(&v, &grid, kind, 2);
+            let policy = run_fleet_sweep(&v, &grid, kind, 2);
             assert_eq!(
                 legacy.to_jsonl(),
                 policy.to_jsonl(),
@@ -362,11 +309,11 @@ mod tests {
             );
         }
         let qer = AbrPolicyKind::qer_default();
-        let serial = run_fleet_sweep_policy(&v, &grid, qer, 1);
-        let parallel = run_fleet_sweep_policy(&v, &grid, qer, 4);
+        let serial = run_fleet_sweep(&v, &grid, qer, 1);
+        let parallel = run_fleet_sweep(&v, &grid, qer, 4);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert_eq!(serial.digest(), parallel.digest());
-        let batched = run_fleet_sweep_batched_policy(&v, &grid, qer, 2);
+        let batched = oracle_sweep(&v, &grid, qer, 2);
         assert_eq!(serial.to_jsonl(), batched.to_jsonl());
     }
 

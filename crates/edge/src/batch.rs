@@ -1,31 +1,30 @@
-//! The data-oriented batched edge engine.
+//! The edge engine: a pure sense phase, then one serial replay.
 //!
-//! [`run_edge_batched`] produces the same report and the same trace
-//! bytes as [`run_edge_full`](crate::server::run_edge_full) for any
-//! `(config, clients, harness)` and any worker count, but restructures
-//! the run into lockstep phases over contiguous per-client arrays:
+//! [`run_edge`] restructures an edge run into lockstep phases over
+//! contiguous per-client arrays:
 //!
 //! 1. **sense** — every client's head trace, gaze reports, per-chunk
-//!    decide selections and display visibility lists are *pure*
-//!    functions of `(config, spec, video)`, so they are computed up
-//!    front, sharded across worker threads by client index (the same
+//!    decide plans and display visibility lists are *pure* functions of
+//!    `(config, spec, video, policy)`, so they are computed up front,
+//!    sharded across worker threads by client index (the same
 //!    deterministic-merge discipline as the sweep harness: results are
 //!    merged by index, making the output worker-count blind);
 //! 2. **decide / fetch / render** — the stateful remainder (egress
-//!    queues, cache, origin backhaul, degradation) replays the exact
-//!    legacy event sequence through a [`ReplayQueue`] — static schedule
-//!    in a sorted array, dynamic origin completions in a heap, popping
-//!    by `(time, seq)` exactly like the legacy `EventQueue` — and
-//!    executes the *same* `apply_*` methods the legacy engine runs.
+//!    queues, cache, origin backhaul, degradation) replays the event
+//!    sequence through a [`ReplayQueue`] — static schedule in a sorted
+//!    array, dynamic origin completions in a heap, popping by `(time,
+//!    seq)` exactly like a heap-backed `EventQueue` — and executes the
+//!    world's shared `apply_*` methods.
 //!
-//! Bit-exactness is therefore by construction: the pure kernels are
-//! individually proven bit-identical to their inline forms (see the
-//! `forecast_with` / `visible_tiles_batch` / `viewer_reports` tests),
-//! and everything stateful is shared code. The differential harness in
-//! `tests/engine_equivalence.rs` pins the end-to-end claim.
+//! The per-event engine in [`oracle`](crate::oracle) plans every decide
+//! inline at its event and runs the same `apply_*` code. The pure
+//! kernels are individually proven bit-identical to their inline forms
+//! (see the `forecast_with` / `visible_tiles_batch` / `viewer_reports`
+//! tests), and `tests/engine_equivalence.rs` pins the end-to-end claim:
+//! the same report and trace bytes, for every policy and worker count.
 
 use crate::server::{
-    client_head, crowd_slot, decide_choices, decide_choices_policy, display_gaze, edge_horizon,
+    client_head, crowd_slot, decide_choices, display_gaze, edge_horizon, edge_schedule,
     finish_edge_run, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport,
     EdgeSched, EdgeWorld,
 };
@@ -44,7 +43,7 @@ pub(crate) struct ClientBatch {
     pub(crate) head: sperke_hmp::HeadTrace,
     /// Crowd gaze reports (admitted clients, prefetch runs only).
     pub(crate) reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
-    /// Per-chunk stochastic selections (admitted clients only).
+    /// Per-chunk decide plans (admitted clients only).
     pub(crate) decides: Vec<Vec<StochasticChoice>>,
     /// Per-chunk display coverage lists (admitted clients only).
     pub(crate) displays: Vec<Vec<(TileId, f64)>>,
@@ -68,7 +67,8 @@ thread_local! {
 
 /// The replay cursor's scheduler: `now` is the popped event's time,
 /// dynamic pushes go into the replay heap with continuing sequence
-/// numbers — exactly how the legacy `Scheduler` feeds its `EventQueue`.
+/// numbers — exactly how the oracle's `Scheduler` feeds its
+/// `EventQueue`.
 struct ReplaySched<'q> {
     now: SimTime,
     queue: &'q mut ReplayQueue<EdgeEvent>,
@@ -95,40 +95,26 @@ pub struct EdgePlan {
     batches: Vec<ClientBatch>,
 }
 
-/// Run the sense phase: sort the population into canonical order and
-/// compute every client's pure plan (head trace, gaze reports, decide
-/// selections, display visibility) on `workers` threads (0 = machine
-/// default). The result is worker-count blind.
+/// Run the sense phase under the default policy
+/// ([`AbrPolicyKind::Knapsack`]): sort the population into canonical
+/// order and compute every client's pure plan (head trace, gaze reports,
+/// decide selections, display visibility) on `workers` threads (0 =
+/// machine default). The result is worker-count blind.
 pub fn prepare_edge_batch(
     video: &VideoModel,
     config: &EdgeConfig,
     clients: &[EdgeClientSpec],
     workers: usize,
 ) -> EdgePlan {
-    prepare_edge_batch_inner(video, config, clients, workers, None)
+    prepare_plan(video, config, clients, workers, AbrPolicyKind::default())
 }
 
-/// [`prepare_edge_batch`] with a rival viewport-adaptation policy
-/// planning every sense-phase decide. Pair with a matching
-/// [`EdgeHarness::policy`] when replaying (the replay itself never
-/// re-plans, but the inline legacy engine does — keeping both set makes
-/// the two engines interchangeable).
-pub fn prepare_edge_batch_policy(
+fn prepare_plan(
     video: &VideoModel,
     config: &EdgeConfig,
     clients: &[EdgeClientSpec],
     workers: usize,
     policy: AbrPolicyKind,
-) -> EdgePlan {
-    prepare_edge_batch_inner(video, config, clients, workers, Some(policy))
-}
-
-fn prepare_edge_batch_inner(
-    video: &VideoModel,
-    config: &EdgeConfig,
-    clients: &[EdgeClientSpec],
-    workers: usize,
-    policy: Option<AbrPolicyKind>,
 ) -> EdgePlan {
     assert!(!clients.is_empty(), "at least one client required");
     let mut specs = clients.to_vec();
@@ -140,7 +126,7 @@ fn prepare_edge_batch_inner(
 
     let specs_ref = &specs;
     let batches = parallel_indexed(specs.len(), workers, |i| {
-        sense_client_policy(
+        sense_client(
             video,
             config,
             &attention,
@@ -155,11 +141,14 @@ fn prepare_edge_batch_inner(
 }
 
 /// The pure per-client sense kernel: head trace, per-chunk decide
-/// selections, display coverage lists and crowd gaze reports, all as a
-/// function of `(video, config, spec)` alone. Shared by the batched
+/// plans, display coverage lists and crowd gaze reports, all as a
+/// function of `(video, config, spec, policy)` alone. Shared by the
 /// edge engine and the federation engine — both shard it across worker
 /// threads and merge by index, which is what makes their outputs
-/// worker-count blind.
+/// worker-count blind. The per-client chunk loop runs in order, so
+/// temporal policies see the same previous-window state as the
+/// oracle's time-ordered inline decides.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sense_client(
     video: &VideoModel,
     config: &EdgeConfig,
@@ -168,33 +157,7 @@ pub(crate) fn sense_client(
     admitted: bool,
     session: SimDuration,
     report_delay: SimDuration,
-) -> ClientBatch {
-    sense_client_policy(
-        video,
-        config,
-        attention,
-        spec,
-        admitted,
-        session,
-        report_delay,
-        None,
-    )
-}
-
-/// [`sense_client`] with an optional rival policy planning the decide
-/// selections. The per-client chunk loop runs in order, so temporal
-/// policies see the same previous-window state as the legacy engine's
-/// time-ordered inline decides.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sense_client_policy(
-    video: &VideoModel,
-    config: &EdgeConfig,
-    attention: &AttentionModel,
-    spec: &EdgeClientSpec,
-    admitted: bool,
-    session: SimDuration,
-    report_delay: SimDuration,
-    policy: Option<AbrPolicyKind>,
+    policy: AbrPolicyKind,
 ) -> ClientBatch {
     let chunks = video.chunk_count();
     let head = client_head(attention, spec, session);
@@ -217,12 +180,9 @@ pub(crate) fn sense_client_policy(
                     .as_nanos()
                     .saturating_sub(config.fetch_lead.as_nanos()),
             );
-            decides.push(match policy {
-                None => decide_choices(video, spec, &head, c, decide_at, fscratch, hist),
-                Some(kind) => decide_choices_policy(
-                    video, spec, &head, c, decide_at, fscratch, hist, kind, &mut prev,
-                ),
-            });
+            decides.push(decide_choices(
+                video, spec, &head, c, decide_at, fscratch, hist, policy, &mut prev,
+            ));
         }
         let gazes: Vec<Orientation> = (0..chunks).map(|c| display_gaze(video, &head, c)).collect();
         let mut displays: Vec<Vec<(TileId, f64)>> = vec![Vec::new(); chunks as usize];
@@ -265,9 +225,10 @@ pub(crate) fn sense_client_policy(
 }
 
 /// Run the stateful engine over a prepared plan: assemble the world,
-/// replay the legacy event order, and settle the books. This is the
-/// decide → fetch → render stepping loop the perf baseline gates —
-/// everything pure was already materialized by [`prepare_edge_batch`].
+/// replay the event order, and settle the books. This is the decide →
+/// fetch → render stepping loop the perf baseline gates — everything
+/// pure, every decide plan included, was already materialized by
+/// [`prepare_edge_batch`], so `harness.policy` is not read here.
 pub fn run_edge_prepared(
     video: &VideoModel,
     config: &EdgeConfig,
@@ -279,7 +240,7 @@ pub fn run_edge_prepared(
     let specs = &plan.specs;
 
     // --- Assemble world state in canonical index order (sequential, so
-    // WRR registration and crowd report order match legacy exactly).
+    // WRR registration and crowd report order match the oracle exactly).
     let mut egress = WrrLink::new(config.egress_bps);
     let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
     let states: Vec<ClientState> = plan
@@ -332,34 +293,12 @@ pub fn run_edge_prepared(
         Vec::new()
     };
 
-    // --- Static schedule, pushed in the legacy `sim.schedule` order so
-    // sequence numbers (and thus same-instant tie-breaks) coincide.
+    // --- Static schedule, pushed in the oracle's order so sequence
+    // numbers (and thus same-instant tie-breaks) coincide.
     let mut queue: ReplayQueue<EdgeEvent> = ReplayQueue::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let client = i as u32;
-        queue.push_static(SimTime::ZERO + spec.arrival, EdgeEvent::Arrive { client });
-        if i >= config.max_clients {
-            continue;
-        }
-        for c in 0..chunks {
-            let display = world.display_wall(client, c);
-            let decide = SimTime::from_nanos(
-                display
-                    .as_nanos()
-                    .saturating_sub(config.fetch_lead.as_nanos()),
-            );
-            queue.push_static(decide, EdgeEvent::Decide { client, chunk: c });
-            queue.push_static(display, EdgeEvent::Display { client, chunk: c });
-        }
-    }
-    if config.prefetch {
-        for c in 0..chunks {
-            queue.push_static(
-                video.chunk_start(ChunkTime(c)) + report_lag,
-                EdgeEvent::Prefetch { chunk: c },
-            );
-        }
-    }
+    edge_schedule(video, config, specs, |at, event| {
+        queue.push_static(at, event)
+    });
     queue.seal();
 
     // --- Replay: pop by (time, seq) and run the shared apply code.
@@ -404,12 +343,17 @@ pub fn run_edge_prepared(
     finish_edge_run(world, specs.len(), admitted, rejected, metrics)
 }
 
-/// Run the edge world through the batched engine.
+/// Run the edge world: explicit client set, harness (trace, faults,
+/// recovery, origin probing, viewport policy) and optional metrics
+/// registry.
 ///
+/// Clients are canonicalised (sorted by arrival, then seed/weight/
+/// budget/content) before anything else, so the returned report and
+/// every emitted trace byte are invariant to the order of `clients`.
 /// `workers = 0` picks the machine default; any value (including 1)
 /// yields byte-identical traces and reports — worker count only shards
 /// the pure sense phase, never the replay.
-pub fn run_edge_batched(
+pub fn run_edge(
     video: &VideoModel,
     config: &EdgeConfig,
     clients: &[EdgeClientSpec],
@@ -417,16 +361,15 @@ pub fn run_edge_batched(
     metrics: Option<&mut MetricsRegistry>,
     workers: usize,
 ) -> EdgeReport {
-    // The harness's policy knob drives the sense phase, so the batched
-    // engine stays interchangeable with the inline legacy one.
-    let plan = prepare_edge_batch_inner(video, config, clients, workers, harness.policy);
+    let plan = prepare_plan(video, config, clients, workers, harness.policy);
     run_edge_prepared(video, config, &plan, harness, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{default_clients, run_edge_full};
+    use crate::oracle::run_edge_full;
+    use crate::server::default_clients;
     use sperke_net::FaultScript;
     use sperke_sim::{TraceConfig, TraceLevel, TraceSink};
     use sperke_video::VideoModelBuilder;
@@ -459,7 +402,7 @@ mod tests {
                 },
                 None,
             );
-            let batched = run_edge_batched(
+            let batched = run_edge(
                 &v,
                 &cfg,
                 &clients,
@@ -490,7 +433,7 @@ mod tests {
         let legacy = run_edge_full(&v, &cfg, &clients, &EdgeHarness::default(), None);
         for kind in [AbrPolicyKind::Knapsack, AbrPolicyKind::Sperke] {
             let harness = EdgeHarness {
-                policy: Some(kind),
+                policy: kind,
                 ..Default::default()
             };
             assert_eq!(
@@ -501,7 +444,7 @@ mod tests {
             );
             assert_eq!(
                 legacy,
-                run_edge_batched(&v, &cfg, &clients, &harness, None, 4),
+                run_edge(&v, &cfg, &clients, &harness, None, 4),
                 "{} batched diverged from legacy",
                 kind.name()
             );
@@ -518,14 +461,14 @@ mod tests {
         let clients = default_clients(&cfg);
         for kind in AbrPolicyKind::all() {
             let harness = EdgeHarness {
-                policy: Some(kind),
+                policy: kind,
                 ..Default::default()
             };
             let legacy = run_edge_full(&v, &cfg, &clients, &harness, None);
             for workers in [1usize, 2, 8] {
                 assert_eq!(
                     legacy,
-                    run_edge_batched(&v, &cfg, &clients, &harness, None, workers),
+                    run_edge(&v, &cfg, &clients, &harness, None, workers),
                     "{} diverged at {workers} workers",
                     kind.name()
                 );
@@ -547,7 +490,7 @@ mod tests {
         };
         let clients = default_clients(&cfg);
         let legacy = run_edge_full(&v, &cfg, &clients, &harness, None);
-        let batched = run_edge_batched(&v, &cfg, &clients, &harness, None, 4);
+        let batched = run_edge(&v, &cfg, &clients, &harness, None, 4);
         assert_eq!(legacy, batched);
     }
 }

@@ -55,6 +55,7 @@ use sperke_sim::{
     TraceSink,
 };
 use sperke_video::{ChunkTime, VideoModel};
+use sperke_vra::AbrPolicyKind;
 
 /// One edge node's capacity declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -169,7 +170,8 @@ pub struct FederationHarness {
     pub origin_faults: FaultScript,
     /// Retry policy for origin fetches forwarded by the regional tier.
     pub recovery: RecoveryPolicy,
-    /// Visibility cache handle (memoization only; never changes bytes).
+    /// Visibility cache handle. No production run reads it: node
+    /// worlds score displays from the sense phase's coverage lists.
     pub vis: VisibilityCache,
 }
 
@@ -643,6 +645,7 @@ pub fn run_federation(
             admitted_ref[i],
             session,
             report_delay,
+            AbrPolicyKind::default(),
         )
     });
 
@@ -712,7 +715,6 @@ pub fn run_federation(
             .collect();
         let node_harness = EdgeHarness {
             trace: node_sinks[n].clone(),
-            vis: harness.vis.clone(),
             ..Default::default()
         };
         let world = EdgeWorld::new(video, node_config, states, egress, crowds, &node_harness);

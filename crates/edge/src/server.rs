@@ -27,28 +27,30 @@
 //!   the crowd is about to watch.
 //!
 //! The whole run is a pure function of `(config, clients, faults,
-//! seed)`: reports compare bit-for-bit and traces digest identically
-//! whatever order clients were supplied in (they are canonicalised
-//! first) and whatever visibility-cache handle is passed.
+//! seed, policy)`: reports compare bit-for-bit and traces digest
+//! identically whatever order clients were supplied in (they are
+//! canonicalised first).
+//!
+//! This module holds the world's state and its stateful `apply_*`
+//! handlers. The engine that drives them is [`run_edge`](crate::run_edge)
+//! in [`batch`](crate::batch); the per-event differential oracle in
+//! [`oracle`](crate::oracle) drives the very same handlers.
 
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use serde::{Deserialize, Serialize};
-use sperke_geo::{Orientation, TileGrid, TileId, Viewport, VisibilityCache};
+use sperke_geo::{Orientation, TileGrid, TileId, VisibilityCache};
 use sperke_hmp::{
     generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster, HeadTrace,
 };
-use sperke_live::{CrowdAggregator, LiveViewer};
+use sperke_live::CrowdAggregator;
 use sperke_net::{
     BbrConfig, BbrState, FaultScript, GeChain, LossChannel, PathFaults, RecoveryPolicy, StreamId,
     WrrLink,
 };
 use sperke_player::QoeWeights;
-use sperke_sim::{
-    FxHashMap, MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation,
-    TraceEvent, TraceSink, World,
-};
+use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimRng, SimTime, TraceEvent, TraceSink};
 use sperke_video::{CellId, ChunkTime, Layer, Quality, Scheme, VideoModel};
-use sperke_vra::{select_stochastic, AbrPolicyKind, PolicyInput, StochasticChoice};
+use sperke_vra::{AbrPolicyKind, PolicyInput, StochasticChoice};
 
 /// Edge experiment parameters. Everything that shapes the run is here
 /// (plus the optional [`EdgeHarness`]); the report is a pure function
@@ -173,7 +175,7 @@ pub(crate) fn chunk_of(salted: u32) -> u32 {
 }
 
 /// Non-serializable run dependencies: trace sink, fault script,
-/// recovery policy and the shared visibility cache. Kept out of
+/// recovery policy, origin probing and the viewport policy. Kept out of
 /// [`EdgeConfig`] so configs stay plain data for sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeHarness {
@@ -183,7 +185,10 @@ pub struct EdgeHarness {
     pub faults: FaultScript,
     /// Retry policy for failed origin fetches.
     pub recovery: RecoveryPolicy,
-    /// Visibility cache handle (memoization only; never changes bytes).
+    /// Visibility cache handle. No production run reads it: the engine
+    /// computes display visibility in its sense phase. Only the
+    /// per-event [`oracle`](crate::oracle) memoizes through it, and the
+    /// cache stores exact results, so it never changes a byte.
     pub vis: VisibilityCache,
     /// Probe the origin backhaul with a BBR-style estimator and pace
     /// fetches at the measured rate (clamped to the declared capacity).
@@ -194,12 +199,10 @@ pub struct EdgeHarness {
     /// behaviour; a Gilbert–Elliott channel adds seeded bursty failures
     /// on its own split RNG stream.
     pub origin_loss: LossChannel,
-    /// Viewport-adaptation policy planning client decides. `None` (the
-    /// default) keeps the legacy hardwired stochastic-knapsack path
-    /// byte-for-byte; [`AbrPolicyKind::Knapsack`] and
-    /// [`AbrPolicyKind::Sperke`] reproduce it exactly through the
-    /// policy machinery.
-    pub policy: Option<AbrPolicyKind>,
+    /// Viewport-adaptation policy planning every client decide. The
+    /// default, [`AbrPolicyKind::Knapsack`], is the §3.2 stochastic
+    /// selector; [`AbrPolicyKind::Sperke`] plans the same bytes.
+    pub policy: AbrPolicyKind,
 }
 
 /// Aggregate outcome of an edge run.
@@ -271,12 +274,12 @@ pub(crate) enum UpstreamDecision {
 }
 
 /// The scheduling surface the edge world's handlers need: current time
-/// plus the ability to post future events. Implemented by the legacy
-/// [`Scheduler`] (heap-backed [`Simulation`]) and by the batched
-/// engine's replay cursor, so both engines execute the *same* stateful
-/// apply code — bit-exact equivalence by construction. A federation
-/// scheduler additionally overrides [`EdgeSched::fetch_upstream`] to
-/// route origin fetches through the shared regional tier.
+/// plus the ability to post future events. Implemented by the engine's
+/// replay cursor and by the oracle's heap-backed `Scheduler`, so both
+/// execute the *same* stateful apply code — bit-exact equivalence by
+/// construction. A federation scheduler additionally overrides
+/// [`EdgeSched::fetch_upstream`] to route origin fetches through the
+/// shared regional tier.
 pub(crate) trait EdgeSched {
     /// The current simulation time.
     fn now(&self) -> SimTime;
@@ -293,15 +296,6 @@ pub(crate) trait EdgeSched {
         _now: SimTime,
     ) -> UpstreamDecision {
         UpstreamDecision::Local
-    }
-}
-
-impl EdgeSched for Scheduler<'_, EdgeEvent> {
-    fn now(&self) -> SimTime {
-        Scheduler::now(self)
-    }
-    fn at(&mut self, at: SimTime, event: EdgeEvent) {
-        Scheduler::at(self, at, event);
     }
 }
 
@@ -387,42 +381,14 @@ pub(crate) fn client_head(
 }
 
 /// The world-independent slice of a decide: gaze history → motion-only
-/// forecast → stochastic SVC selection. Pure in its arguments, so the
-/// batched engine precomputes it per (client, chunk) on worker threads;
-/// the legacy engine calls it inline at the decide event. `now` is the
-/// decide's wall-clock instant.
-pub(crate) fn decide_choices(
-    video: &VideoModel,
-    spec: &EdgeClientSpec,
-    head: &HeadTrace,
-    chunk: u32,
-    now: SimTime,
-    scratch: &mut ForecastScratch,
-    history: &mut Vec<(SimTime, Orientation)>,
-) -> Vec<StochasticChoice> {
-    let t = ChunkTime(chunk);
-    let video_time = video.chunk_start(t);
-    let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(spec.arrival.as_nanos()));
-    let budget = (spec.budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
-    head.history_into(own_now, 50, history);
-    let forecast = FusedForecaster::motion_only().forecast_with(
-        video.grid(),
-        history,
-        own_now,
-        video_time,
-        t,
-        scratch,
-    );
-    select_stochastic(video, &forecast, t, budget, Scheme::svc_default(), 0.05)
-}
-
-/// Like [`decide_choices`], but planned by a tile-aware policy from the
-/// viewport-adaptation suite. `prev` is the client's previous-window
-/// level vector, updated in place — decides run in chunk order per
-/// client in both engines, so temporal policies see identical state
-/// either way. Degenerate kinds reproduce [`decide_choices`] exactly.
+/// forecast → a plan from `policy`. Pure in its arguments, so the engine
+/// precomputes it per (client, chunk) on sense workers; the oracle calls
+/// it inline at the decide event. `now` is the decide's wall-clock
+/// instant. `prev` is the client's previous-window level vector,
+/// updated in place: decides run in chunk order per client in both
+/// engines, so temporal policies see identical state either way.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn decide_choices_policy(
+pub(crate) fn decide_choices(
     video: &VideoModel,
     spec: &EdgeClientSpec,
     head: &HeadTrace,
@@ -512,17 +478,8 @@ pub(crate) struct EdgeWorld<'a> {
     /// Crowd aggregators per catalog title, sorted by content id. A
     /// single-title run holds exactly one entry under content 0.
     pub(crate) crowds: Vec<(u16, CrowdAggregator)>,
-    vis: VisibilityCache,
     trace: TraceSink,
     pending: FxHashMap<StreamId, PendingStream>,
-    /// Reusable forecast/history buffers for inline decides.
-    fscratch: ForecastScratch,
-    hist: Vec<(SimTime, Orientation)>,
-    /// Inline-decide policy override ([`EdgeHarness::policy`]); `None`
-    /// keeps the legacy knapsack path untouched.
-    policy: Option<AbrPolicyKind>,
-    /// Per-client previous-window levels for temporal policies.
-    prev_levels: Vec<Vec<i8>>,
     // Accounting.
     origin_bytes: u64,
     origin_failed_bytes: u64,
@@ -552,7 +509,6 @@ impl<'a> EdgeWorld<'a> {
             video.chunk_count() <= 1 << CONTENT_SHIFT,
             "chunk indices must fit under the content salt"
         );
-        let prev_levels = vec![Vec::new(); clients.len()];
         EdgeWorld {
             video,
             config,
@@ -572,13 +528,8 @@ impl<'a> EdgeWorld<'a> {
             faults: harness.faults.compile_for(0),
             recovery: harness.recovery,
             crowds,
-            vis: harness.vis.clone(),
             trace: harness.trace.clone(),
             pending: FxHashMap::default(),
-            fscratch: ForecastScratch::new(),
-            hist: Vec::new(),
-            policy: harness.policy,
-            prev_levels,
             origin_bytes: 0,
             origin_failed_bytes: 0,
             origin_retries: 0,
@@ -870,44 +821,9 @@ impl EdgeWorld<'_> {
         }
     }
 
-    fn handle_decide(&mut self, client: u32, chunk: u32, sched: &mut impl EdgeSched) {
-        if !self.clients[client as usize].admitted {
-            return;
-        }
-        let now = sched.now();
-        let choices = match self.policy {
-            None => decide_choices(
-                self.video,
-                &self.clients[client as usize].spec,
-                &self.clients[client as usize].head,
-                chunk,
-                now,
-                &mut self.fscratch,
-                &mut self.hist,
-            ),
-            Some(kind) => {
-                let mut prev = std::mem::take(&mut self.prev_levels[client as usize]);
-                let choices = decide_choices_policy(
-                    self.video,
-                    &self.clients[client as usize].spec,
-                    &self.clients[client as usize].head,
-                    chunk,
-                    now,
-                    &mut self.fscratch,
-                    &mut self.hist,
-                    kind,
-                    &mut prev,
-                );
-                self.prev_levels[client as usize] = prev;
-                choices
-            }
-        };
-        self.apply_decide(client, chunk, &choices, sched);
-    }
-
     /// The stateful half of a decide: degrade under egress pressure,
     /// record the plan and request the surviving layers. Shared verbatim
-    /// between the legacy event loop and the batched replay.
+    /// between the engine's replay and the oracle's event loop.
     pub(crate) fn apply_decide(
         &mut self,
         client: u32,
@@ -942,20 +858,9 @@ impl EdgeWorld<'_> {
         }
     }
 
-    fn handle_display(&mut self, client: u32, chunk: u32) {
-        if !self.clients[client as usize].admitted {
-            return;
-        }
-        let gaze = display_gaze(self.video, &self.clients[client as usize].head, chunk);
-        let visible = self
-            .vis
-            .visible_tiles(&Viewport::headset(gaze), self.video.grid(), 12);
-        self.apply_display(client, chunk, &visible);
-    }
-
     /// The stateful half of a display: score the visible tiles against
     /// what actually arrived. `visible` is the pose's coverage list
-    /// (precomputed by the batched engine, computed inline by legacy).
+    /// (precomputed by the engine's sense phase, inline by the oracle).
     pub(crate) fn apply_display(&mut self, client: u32, chunk: u32, visible: &[(TileId, f64)]) {
         let t = ChunkTime(chunk);
         let mut util = 0.0;
@@ -985,17 +890,6 @@ impl EdgeWorld<'_> {
         if degraded {
             self.degraded_displays += 1;
         }
-    }
-
-    fn handle_prefetch(&mut self, chunk: u32, sched: &mut impl EdgeSched) {
-        let now = sched.now();
-        let k = self.config.prefetch_k;
-        let groups: Vec<(u16, Vec<TileId>)> = self
-            .crowds
-            .iter()
-            .map(|(content, agg)| (*content, agg.predicted_tiles(now, ChunkTime(chunk), k)))
-            .collect();
-        self.apply_prefetch(chunk, &groups, sched);
     }
 
     /// The stateful half of a prefetch: per catalog title (sorted by
@@ -1163,147 +1057,46 @@ impl EdgeWorld<'_> {
     }
 }
 
-impl World<EdgeEvent> for EdgeWorld<'_> {
-    fn handle(&mut self, event: EdgeEvent, sched: &mut Scheduler<'_, EdgeEvent>) {
-        let now = Scheduler::now(sched);
-        self.drain_egress(now);
-        match event {
-            EdgeEvent::Arrive { client } => self.apply_arrive(client, now),
-            EdgeEvent::Decide { client, chunk } => self.handle_decide(client, chunk, sched),
-            EdgeEvent::Display { client, chunk } => self.handle_display(client, chunk),
-            EdgeEvent::OriginArrived { chunk, tile, layer } => {
-                self.apply_origin_arrived(chunk, tile, layer, now)
-            }
-            EdgeEvent::OriginRetry {
-                chunk,
-                tile,
-                layer,
-                attempt,
-            } => self.apply_origin_retry(chunk, tile, layer, attempt, sched),
-            EdgeEvent::Prefetch { chunk } => {
-                if self.config.prefetch {
-                    self.handle_prefetch(chunk, sched);
-                }
-            }
-        }
-    }
-}
-
-/// Run the edge world: default client population, no faults, no trace.
-pub fn run_edge(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
-    run_edge_full(
-        video,
-        config,
-        &default_clients(config),
-        &EdgeHarness::default(),
-        None,
-    )
-}
-
-/// Run with the default population, recording events into `sink`.
-pub fn run_edge_traced(video: &VideoModel, config: &EdgeConfig, sink: TraceSink) -> EdgeReport {
-    let harness = EdgeHarness {
-        trace: sink,
-        ..Default::default()
-    };
-    run_edge_full(video, config, &default_clients(config), &harness, None)
-}
-
-/// The fully general entry point: explicit client set, harness (trace,
-/// faults, recovery, visibility cache) and optional metrics registry.
-///
-/// Clients are canonicalised (sorted by arrival, then seed/weight/
-/// budget) before anything else, so the returned report and every
-/// emitted trace byte are invariant to the order of `clients`.
-pub fn run_edge_full(
+/// Feed a single-edge run's static schedule over canonically ordered
+/// `specs` to `push`, in push order: each client's arrival and, for an
+/// admitted client, its per-chunk decide and display, then one crowd
+/// prefetch per chunk. Push order fixes same-instant tie-breaks, so
+/// the engine and the oracle both schedule through this one function.
+pub(crate) fn edge_schedule(
     video: &VideoModel,
     config: &EdgeConfig,
-    clients: &[EdgeClientSpec],
-    harness: &EdgeHarness,
-    metrics: Option<&mut MetricsRegistry>,
-) -> EdgeReport {
-    assert!(!clients.is_empty(), "at least one client required");
-    let mut specs = clients.to_vec();
-    specs.sort_by_key(EdgeClientSpec::canonical_key);
-
+    specs: &[EdgeClientSpec],
+    mut push: impl FnMut(SimTime, EdgeEvent),
+) {
     let chunks = video.chunk_count();
-    let session = video.duration() + SimDuration::from_secs(5);
-    let mut egress = WrrLink::new(config.egress_bps);
-    let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
-    let attention = AttentionModel::generic(config.seed);
-    let states: Vec<ClientState> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let admitted = i < config.max_clients;
-            // One deterministic head trace per spec seed; the ensemble
-            // generator's behaviour mix keys off the seed.
-            let head = client_head(&attention, spec, session);
-            let link_id = admitted.then(|| egress.add_client(spec.weight));
-            if admitted {
-                // Attached clients report their gaze to their title's
-                // crowd model; their latency is their arrival offset, so
-                // reports only become visible once they actually watched.
-                crowd_slot(
-                    &mut crowds,
-                    video.grid(),
-                    video.chunk_duration(),
-                    spec.content,
-                )
-                .ingest(
-                    &LiveViewer {
-                        trace: head.clone(),
-                        latency: spec.arrival,
-                    },
-                    chunks,
-                );
-            }
-            ClientState::new(*spec, head, admitted, link_id)
-        })
-        .collect();
-
-    let admitted = states.iter().filter(|c| c.admitted).count();
-    let rejected = states.len() - admitted;
-    let first_arrival = specs.first().expect("non-empty").arrival;
-    let last_arrival = specs.last().expect("non-empty").arrival;
-
-    let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
-
-    let mut sim = Simulation::new();
     for (i, spec) in specs.iter().enumerate() {
         let client = i as u32;
-        sim.schedule(SimTime::ZERO + spec.arrival, EdgeEvent::Arrive { client });
+        push(SimTime::ZERO + spec.arrival, EdgeEvent::Arrive { client });
         if i >= config.max_clients {
             continue;
         }
         for c in 0..chunks {
-            let display = world.display_wall(client, c);
+            let display = SimTime::ZERO + spec.arrival + video.chunk_duration() * (c + 1) as u64;
             let decide = SimTime::from_nanos(
                 display
                     .as_nanos()
                     .saturating_sub(config.fetch_lead.as_nanos()),
             );
-            sim.schedule(decide, EdgeEvent::Decide { client, chunk: c });
-            sim.schedule(display, EdgeEvent::Display { client, chunk: c });
+            push(decide, EdgeEvent::Decide { client, chunk: c });
+            push(display, EdgeEvent::Display { client, chunk: c });
         }
     }
     if config.prefetch {
         // Chunk c's first crowd report lands once the earliest-attached
         // client has watched it and the report has propagated.
-        let report_lag = first_arrival + SimDuration::from_millis(250) + video.chunk_duration();
+        let report_lag = specs[0].arrival + SimDuration::from_millis(250) + video.chunk_duration();
         for c in 0..chunks {
-            sim.schedule(
+            push(
                 video.chunk_start(ChunkTime(c)) + report_lag,
                 EdgeEvent::Prefetch { chunk: c },
             );
         }
     }
-
-    let horizon = edge_horizon(video, last_arrival);
-    let outcome = sim.run(&mut world, horizon);
-    debug_assert_ne!(outcome, RunOutcome::BudgetExhausted);
-
-    finish_edge_run(world, specs.len(), admitted, rejected, metrics)
 }
 
 /// When an edge run stops draining its queue.
@@ -1312,7 +1105,7 @@ pub(crate) fn edge_horizon(video: &VideoModel, last_arrival: SimDuration) -> Sim
 }
 
 /// Settle a finished world and assemble its report — shared by the
-/// legacy and batched engines so the accounting is identical code.
+/// engine and the oracle so the accounting is identical code.
 pub(crate) fn finish_edge_run(
     mut world: EdgeWorld<'_>,
     clients: usize,
@@ -1404,6 +1197,7 @@ pub(crate) fn finish_edge_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_edge;
     use sperke_sim::{TraceConfig, TraceLevel};
     use sperke_video::VideoModelBuilder;
 
@@ -1420,17 +1214,26 @@ mod tests {
         }
     }
 
+    /// The default population through the engine, no faults, no trace.
+    fn run(video: &VideoModel, config: &EdgeConfig) -> EdgeReport {
+        run_with(video, config, &EdgeHarness::default())
+    }
+
+    fn run_with(video: &VideoModel, config: &EdgeConfig, harness: &EdgeHarness) -> EdgeReport {
+        run_edge(video, config, &default_clients(config), harness, None, 1)
+    }
+
     #[test]
     fn deterministic_report() {
         let v = video();
         let cfg = small(8);
-        assert_eq!(run_edge(&v, &cfg), run_edge(&v, &cfg));
+        assert_eq!(run(&v, &cfg), run(&v, &cfg));
     }
 
     #[test]
     fn byte_balance_holds() {
         let v = video();
-        let r = run_edge(&v, &small(10));
+        let r = run(&v, &small(10));
         assert_eq!(
             r.origin_demand_bytes(),
             r.cache.miss_bytes + r.cache.prefetch_bytes,
@@ -1448,7 +1251,11 @@ mod tests {
             ..Default::default()
         };
         let sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
-        let r = run_edge_traced(&v, &cfg, sink.clone());
+        let harness = EdgeHarness {
+            trace: sink.clone(),
+            ..Default::default()
+        };
+        let r = run_with(&v, &cfg, &harness);
         assert_eq!(r.admitted, 5);
         assert_eq!(r.rejected, 7);
         let trace = sink.snapshot();
@@ -1477,8 +1284,8 @@ mod tests {
     #[test]
     fn shared_cache_slashes_origin_traffic() {
         let v = video();
-        let cached = run_edge(&v, &small(12));
-        let uncached = run_edge(
+        let cached = run(&v, &small(12));
+        let uncached = run(
             &v,
             &EdgeConfig {
                 cache_bytes: 0,
@@ -1499,23 +1306,23 @@ mod tests {
         let v = video();
         let cfg = small(9);
         let mut clients = default_clients(&cfg);
-        let forward = run_edge_full(&v, &cfg, &clients, &EdgeHarness::default(), None);
+        let forward = run_edge(&v, &cfg, &clients, &EdgeHarness::default(), None, 1);
         clients.reverse();
-        let reversed = run_edge_full(&v, &cfg, &clients, &EdgeHarness::default(), None);
+        let reversed = run_edge(&v, &cfg, &clients, &EdgeHarness::default(), None, 1);
         assert_eq!(forward, reversed);
     }
 
     #[test]
     fn tight_egress_degrades_instead_of_collapsing() {
         let v = video();
-        let ample = run_edge(
+        let ample = run(
             &v,
             &EdgeConfig {
                 egress_bps: 400e6,
                 ..small(12)
             },
         );
-        let tight = run_edge(
+        let tight = run(
             &v,
             &EdgeConfig {
                 egress_bps: 18e6,
@@ -1535,7 +1342,7 @@ mod tests {
             ..Default::default()
         };
         let cfg = small(8);
-        let r = run_edge_full(&v, &cfg, &default_clients(&cfg), &harness, None);
+        let r = run_with(&v, &cfg, &harness);
         assert!(r.origin_retries > 0, "outage must schedule retries");
         assert_eq!(
             r.origin_demand_bytes(),
@@ -1549,12 +1356,13 @@ mod tests {
         let v = video();
         let cfg = small(6);
         let mut reg = MetricsRegistry::new();
-        let r = run_edge_full(
+        let r = run_edge(
             &v,
             &cfg,
             &default_clients(&cfg),
             &EdgeHarness::default(),
             Some(&mut reg),
+            1,
         );
         assert_eq!(reg.counter_value("edge.cache.hits"), Some(r.cache.hits));
         assert_eq!(reg.counter_value("edge.origin.bytes"), Some(r.origin_bytes));
@@ -1567,14 +1375,14 @@ mod tests {
     #[test]
     fn prefetch_prewarms_the_cache() {
         let v = video();
-        let on = run_edge(
+        let on = run(
             &v,
             &EdgeConfig {
                 prefetch: true,
                 ..small(14)
             },
         );
-        let off = run_edge(
+        let off = run(
             &v,
             &EdgeConfig {
                 prefetch: false,

@@ -473,7 +473,7 @@ mod tests {
         let chunk = 250_000u64; // bytes
         while b.epoch() < 10 {
             let interval = SimDuration::from_secs_f64(chunk as f64 * 8.0 / truth);
-            now = now + interval;
+            now += interval;
             b.on_ack(chunk, interval, now);
             b.on_rtt_sample(SimDuration::from_millis(15), now);
             let err = (b.btl_bw().unwrap() - truth).abs() / truth;

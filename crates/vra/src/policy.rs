@@ -526,10 +526,15 @@ impl AbrPolicy for SperkeSelector {
 
 /// Serializable policy selector: which [`AbrPolicy`] an engine runs.
 /// Plain data (like [`SperkeConfig`]) so it threads through builders,
-/// sweeps and worker shards by copy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// sweeps and worker shards by copy. The default, [`Knapsack`], is the
+/// §3.2 stochastic selector every fleet and edge engine plans with
+/// unless told otherwise.
+///
+/// [`Knapsack`]: AbrPolicyKind::Knapsack
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum AbrPolicyKind {
     /// (a) knapsack QoE maximization.
+    #[default]
     Knapsack,
     /// (b) confidence-driven mechanism transitioning.
     Transition {

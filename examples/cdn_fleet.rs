@@ -9,6 +9,7 @@
 use sperke_core::{run_fleet, FleetConfig};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
+use sperke_vra::AbrPolicyKind;
 
 fn main() {
     let video = VideoModelBuilder::new(61)
@@ -30,6 +31,8 @@ fn main() {
                 fov_guided: true,
                 ..Default::default()
             },
+            AbrPolicyKind::default(),
+            0,
         );
         let agnostic = run_fleet(
             &video,
@@ -40,6 +43,8 @@ fn main() {
                 fov_guided: false,
                 ..Default::default()
             },
+            AbrPolicyKind::default(),
+            0,
         );
         println!(
             "{:>8} {:>12.0} {:>12.0} {:>9.0}% {:>10.2}",
@@ -63,6 +68,8 @@ fn main() {
                 fov_guided: guided,
                 ..Default::default()
             },
+            AbrPolicyKind::default(),
+            0,
         );
         println!(
             "  {:<9} viewport utility {:.2}, blank {:>5.1} %, late streams {:>5.1} %",

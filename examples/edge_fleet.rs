@@ -9,6 +9,7 @@
 use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, Sperke};
 use sperke_sim::sweep::default_threads;
 use sperke_sim::SimDuration;
+use sperke_vra::AbrPolicyKind;
 
 fn main() {
     // One traced run first: the builder surface, with the trace digest
@@ -49,7 +50,7 @@ fn main() {
     })
     .clients_axis(vec![8, 16, 32])
     .cache_axis(vec![0, 256 << 20]);
-    let sweep = run_edge_sweep(&video, &grid, default_threads());
+    let sweep = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), default_threads());
 
     println!(
         "\n{:>8} {:>10} {:>12} {:>12} {:>8}",

@@ -1,9 +1,10 @@
 //! Nightly edge scale harness: a large client population swept over
-//! several seeds on the batched data-oriented engine, re-run on 1, 2
-//! and 8 workers, asserting the merged sweep reports are byte-identical
-//! — the determinism contract the edge model makes at scale — and
-//! cross-checked against the legacy per-event engine (the oracle),
-//! which must land on the very same bytes.
+//! several seeds on the edge engine, re-run on 1, 2 and 8 workers,
+//! asserting the merged sweep reports are byte-identical — the
+//! determinism contract the edge model makes at scale — and
+//! cross-checked against the per-event oracle, run once per grid point
+//! through the same sweep harness, which must land on the very same
+//! bytes.
 //!
 //! The client count is env-tunable so CI can run the full load while
 //! local smoke runs stay quick:
@@ -12,8 +13,12 @@
 //! EDGE_SCALE_CLIENTS=1000 cargo run --release --example edge_scale
 //! ```
 
-use sperke_core::{run_edge_sweep, run_edge_sweep_batched, EdgeConfig, EdgeGrid, Sperke};
+use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, EdgeHarness, EdgeSweepPoint, Sperke};
+use sperke_edge::default_clients;
+use sperke_edge::oracle::run_edge_full;
+use sperke_sim::sweep::run_sweep;
 use sperke_sim::SimDuration;
+use sperke_vra::AbrPolicyKind;
 
 fn main() {
     let clients: usize = std::env::var("EDGE_SCALE_CLIENTS")
@@ -36,7 +41,7 @@ fn main() {
     let grid = EdgeGrid::new(base).seed_axis(vec![7, 41, 1013]);
 
     println!(
-        "edge scale: {} clients x {} seeds on a {} s video (batched engine)",
+        "edge scale: {} clients x {} seeds on a {} s video",
         clients,
         grid.seeds.len(),
         secs
@@ -44,7 +49,7 @@ fn main() {
 
     let mut digests = Vec::new();
     for workers in [1usize, 2, 8] {
-        let report = run_edge_sweep_batched(&video, &grid, workers);
+        let report = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), workers);
         println!(
             "  workers={} -> {} points, digest {:#018x}",
             workers,
@@ -60,17 +65,26 @@ fn main() {
         assert_eq!(jsonl, jsonl0, "sweep bytes must not depend on worker count");
     }
 
-    // The legacy engine is the oracle: same grid, same bytes.
-    let oracle = run_edge_sweep(&video, &grid, 2);
+    // The per-event engine is the oracle: same grid, same bytes.
+    let oracle = run_sweep(&grid.plan(), 2, |_index, config| EdgeSweepPoint {
+        config: *config,
+        report: run_edge_full(
+            &video,
+            config,
+            &default_clients(config),
+            &EdgeHarness::default(),
+            None,
+        ),
+    });
     assert_eq!(
         &oracle.digest(),
         d0,
-        "batched engine must match the legacy oracle's digest at scale"
+        "the engine must match the oracle's digest at scale"
     );
     assert_eq!(
         &oracle.to_jsonl(),
         jsonl0,
-        "batched engine must match the legacy oracle's bytes at scale"
+        "the engine must match the oracle's bytes at scale"
     );
 
     for point in oracle.ok_results() {
@@ -90,5 +104,5 @@ fn main() {
         );
     }
 
-    println!("ok: byte-identical across 1/2/8 workers and vs the legacy oracle");
+    println!("ok: byte-identical across 1/2/8 workers and vs the oracle");
 }

@@ -11,6 +11,7 @@ use sperke_core::{run_fleet_sweep, FleetConfig, FleetGrid};
 use sperke_sim::sweep::default_threads;
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
+use sperke_vra::AbrPolicyKind;
 
 fn main() {
     let video = VideoModelBuilder::new(61)
@@ -26,7 +27,7 @@ fn main() {
     .scheme_axis(vec![true, false]);
 
     let threads = default_threads();
-    let report = run_fleet_sweep(&video, &grid, threads);
+    let report = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), threads);
     println!(
         "{}-point fleet sweep on {} worker thread(s)\n",
         report.len(),
@@ -65,7 +66,7 @@ fn main() {
 
     // The headline guarantee, demonstrated: the merged report carries no
     // fingerprint of the worker count.
-    let serial = run_fleet_sweep(&video, &grid, 1);
+    let serial = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 1);
     assert_eq!(serial.to_jsonl(), report.to_jsonl());
     println!(
         "\nserial re-run digest {:#018x} == parallel digest {:#018x}: merges are",

@@ -13,12 +13,15 @@
 //!    were supplied in;
 //! 3. **admission safety** — admitted clients never exceed the cap,
 //!    whatever the population size.
+//!
+//! Invariants 1 and 3 are checked twice: once on the per-event oracle
+//! (`sperke_edge::oracle::run_edge_full`) and once on the production
+//! engine (`run_edge`) at any worker count.
 
 use proptest::prelude::*;
 use sperke_core::{EdgeConfig, Sperke};
-use sperke_edge::{
-    default_clients, run_edge, run_edge_batched, run_edge_full, EdgeClientSpec, EdgeHarness,
-};
+use sperke_edge::oracle::run_edge_full;
+use sperke_edge::{default_clients, run_edge, EdgeClientSpec, EdgeHarness, EdgeReport};
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
 use sperke_sim::SimDuration;
 use sperke_video::{VideoModel, VideoModelBuilder};
@@ -27,6 +30,18 @@ fn video(secs: u64) -> VideoModel {
     VideoModelBuilder::new(3)
         .duration(SimDuration::from_secs(secs))
         .build()
+}
+
+/// The default population with no faults and no trace.
+fn run_default(video: &VideoModel, config: &EdgeConfig, workers: usize) -> EdgeReport {
+    run_edge(
+        video,
+        config,
+        &default_clients(config),
+        &EdgeHarness::default(),
+        None,
+        workers,
+    )
 }
 
 /// §2-at-the-edge: with ≥32 clients sharing one cache, each hot tile
@@ -41,14 +56,15 @@ fn shared_cache_halves_origin_egress_for_32_clients() {
         max_clients: 64,
         ..Default::default()
     };
-    let cached = run_edge(&v, &base);
-    let uncached = run_edge(
+    let cached = run_default(&v, &base, 1);
+    let uncached = run_default(
         &v,
         &EdgeConfig {
             cache_bytes: 0,
             prefetch: false,
             ..base
         },
+        1,
     );
     assert_eq!(cached.admitted, 32);
     assert!(
@@ -65,7 +81,7 @@ fn shared_cache_halves_origin_egress_for_32_clients() {
 /// The builder surface reaches the same numbers.
 #[test]
 fn edge_builder_matches_direct_run() {
-    let direct = run_edge(
+    let direct = run_default(
         &VideoModelBuilder::new(7)
             .duration(SimDuration::from_secs(8))
             .build(),
@@ -74,6 +90,7 @@ fn edge_builder_matches_direct_run() {
             seed: 7,
             ..Default::default()
         },
+        1,
     );
     let built = Sperke::edge_builder(7)
         .clients(6)
@@ -116,13 +133,42 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let r = run_edge(&v, &cfg);
+        let r = run_edge_full(&v, &cfg, &default_clients(&cfg), &EdgeHarness::default(), None);
         prop_assert_eq!(
             r.origin_demand_bytes(),
             r.cache.miss_bytes + r.cache.prefetch_bytes,
             "origin traffic must equal miss + prefetch bytes"
         );
         // Fault-free: every request (hit or miss) is delivered once.
+        prop_assert_eq!(r.egress_bytes, r.cache.hit_bytes + r.cache.miss_bytes);
+        prop_assert_eq!(r.origin_failed_bytes, 0u64);
+    }
+
+    /// Invariant 1 under the production (batched) engine: advancing
+    /// sessions in lockstep phases must not bend the books — exact byte
+    /// balance holds for any population, cache size and worker count.
+    #[test]
+    fn batched_engine_balances_bytes_exactly(
+        clients in 1usize..10,
+        cache_pick in 0usize..4,
+        prefetch: bool,
+        seed in 0u64..100,
+        workers in 1usize..9,
+    ) {
+        let v = video(6);
+        let cfg = EdgeConfig {
+            clients,
+            cache_bytes: [0u64, 8, 64, 256][cache_pick] << 20,
+            prefetch,
+            seed,
+            ..Default::default()
+        };
+        let r = run_default(&v, &cfg, workers);
+        prop_assert_eq!(
+            r.origin_demand_bytes(),
+            r.cache.miss_bytes + r.cache.prefetch_bytes,
+            "origin traffic must equal miss + prefetch bytes"
+        );
         prop_assert_eq!(r.egress_bytes, r.cache.hit_bytes + r.cache.miss_bytes);
         prop_assert_eq!(r.origin_failed_bytes, 0u64);
     }
@@ -141,7 +187,7 @@ proptest! {
         let run = |order: &[EdgeClientSpec]| {
             let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
             let harness = EdgeHarness { trace: sink.clone(), ..Default::default() };
-            let report = run_edge_full(&v, &cfg, order, &harness, None);
+            let report = run_edge(&v, &cfg, order, &harness, None, 1);
             let trace = sink.snapshot();
             (report, trace.to_jsonl(), trace.digest())
         };
@@ -154,40 +200,9 @@ proptest! {
         prop_assert_eq!(d1, d2);
     }
 
-    /// Invariant 1 under the batched engine: advancing sessions in
-    /// lockstep phases must not bend the books — exact byte balance
-    /// holds for any population, cache size and worker count.
-    #[test]
-    fn batched_engine_balances_bytes_exactly(
-        clients in 1usize..10,
-        cache_pick in 0usize..4,
-        prefetch: bool,
-        seed in 0u64..100,
-        workers in 1usize..9,
-    ) {
-        let v = video(6);
-        let cfg = EdgeConfig {
-            clients,
-            cache_bytes: [0u64, 8, 64, 256][cache_pick] << 20,
-            prefetch,
-            seed,
-            ..Default::default()
-        };
-        let r = run_edge_batched(
-            &v, &cfg, &default_clients(&cfg), &EdgeHarness::default(), None, workers,
-        );
-        prop_assert_eq!(
-            r.origin_demand_bytes(),
-            r.cache.miss_bytes + r.cache.prefetch_bytes,
-            "origin traffic must equal miss + prefetch bytes"
-        );
-        prop_assert_eq!(r.egress_bytes, r.cache.hit_bytes + r.cache.miss_bytes);
-        prop_assert_eq!(r.origin_failed_bytes, 0u64);
-    }
-
-    /// Invariant 3 under the batched engine: the admission cap holds for
-    /// any population size and worker count (rejected clients are sensed
-    /// but never planned, fetched for, or rendered).
+    /// Invariant 3 under the production (batched) engine: the admission
+    /// cap holds for any population size and worker count (rejected
+    /// clients are sensed but never planned, fetched for, or rendered).
     #[test]
     fn batched_admission_never_exceeds_the_cap(
         clients in 1usize..24,
@@ -199,7 +214,7 @@ proptest! {
         let cfg = EdgeConfig { clients, max_clients: cap, seed, ..Default::default() };
         let sink = TraceSink::new(TraceConfig::new(TraceLevel::Events));
         let harness = EdgeHarness { trace: sink.clone(), ..Default::default() };
-        let r = run_edge_batched(&v, &cfg, &default_clients(&cfg), &harness, None, workers);
+        let r = run_edge(&v, &cfg, &default_clients(&cfg), &harness, None, workers);
         prop_assert!(r.admitted <= cap);
         prop_assert_eq!(r.admitted, clients.min(cap));
         prop_assert_eq!(r.admitted + r.rejected, clients);

@@ -20,10 +20,10 @@
 //!    the same deployment with isolated edges.
 
 use proptest::prelude::*;
-use sperke_core::run_edge_fleet;
+use sperke_edge::oracle::run_edge_full;
 use sperke_edge::{
-    default_clients, flash_crowd_clients, run_edge_traced, run_federation, zipf_catalog_clients,
-    EdgeClientSpec, EdgeConfig, FederationConfig, FederationHarness, NodeSpec,
+    default_clients, flash_crowd_clients, run_edge, run_federation, zipf_catalog_clients,
+    EdgeClientSpec, EdgeConfig, EdgeHarness, FederationConfig, FederationHarness, NodeSpec,
 };
 use sperke_net::FaultScript;
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
@@ -56,12 +56,17 @@ fn one_node_federation_is_bit_exact_vs_plain_edge() {
         ..Default::default()
     };
     let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-    let legacy = run_edge_traced(&v, &edge_cfg, sink.clone());
+    let clients = default_clients(&edge_cfg);
+    let harness = EdgeHarness {
+        trace: sink.clone(),
+        ..Default::default()
+    };
+    let legacy = run_edge(&v, &edge_cfg, &clients, &harness, None, 1);
     let legacy_trace = sink.snapshot();
     assert_eq!(
         legacy,
-        run_edge_fleet(&v, &edge_cfg),
-        "fleet facade is the same oracle"
+        run_edge_full(&v, &edge_cfg, &clients, &EdgeHarness::default(), None),
+        "the per-event oracle is the same engine"
     );
 
     let fed_cfg = FederationConfig {

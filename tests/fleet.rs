@@ -5,11 +5,17 @@
 use sperke_core::{run_fleet, FleetConfig, FleetReport};
 use sperke_sim::SimDuration;
 use sperke_video::{VideoModel, VideoModelBuilder};
+use sperke_vra::AbrPolicyKind;
 
 fn video() -> VideoModel {
     VideoModelBuilder::new(17)
         .duration(SimDuration::from_secs(10))
         .build()
+}
+
+/// The default policy on one sense worker.
+fn run_default(video: &VideoModel, config: &FleetConfig) -> FleetReport {
+    run_fleet(video, config, AbrPolicyKind::default(), 1)
 }
 
 /// The shared egress link is a hard capacity: whatever the demand, the
@@ -18,7 +24,7 @@ fn video() -> VideoModel {
 fn aggregate_egress_never_exceeds_capacity() {
     let v = video();
     for (viewers, egress_bps) in [(6usize, 30e6), (12, 60e6), (20, 25e6)] {
-        let report = run_fleet(
+        let report = run_default(
             &v,
             &FleetConfig {
                 viewers,
@@ -47,7 +53,7 @@ fn fov_guided_strictly_beats_full_panorama_on_egress() {
         egress_bps: 1e9,
         ..Default::default()
     };
-    let guided = run_fleet(
+    let guided = run_default(
         &v,
         &FleetConfig {
             fov_guided: true,
@@ -55,7 +61,7 @@ fn fov_guided_strictly_beats_full_panorama_on_egress() {
             ..base
         },
     );
-    let agnostic = run_fleet(
+    let agnostic = run_default(
         &v,
         &FleetConfig {
             fov_guided: false,
@@ -83,7 +89,7 @@ fn fov_guided_strictly_beats_full_panorama_on_egress() {
 fn default_config_outcomes_are_seed_deterministic() {
     let v = video();
     let run = |seed: u64| -> FleetReport {
-        run_fleet(
+        run_default(
             &v,
             &FleetConfig {
                 seed,
@@ -107,7 +113,7 @@ fn default_config_outcomes_are_seed_deterministic() {
 #[test]
 fn late_fraction_stays_a_fraction_and_grows_under_pressure() {
     let v = video();
-    let ample = run_fleet(
+    let ample = run_default(
         &v,
         &FleetConfig {
             viewers: 8,
@@ -115,7 +121,7 @@ fn late_fraction_stays_a_fraction_and_grows_under_pressure() {
             ..Default::default()
         },
     );
-    let tight = run_fleet(
+    let tight = run_default(
         &v,
         &FleetConfig {
             viewers: 8,

@@ -14,16 +14,18 @@
 //!
 //! then paste the printed constants over the `GOLDEN_*` values below.
 
+use sperke_core::oracle::run_fleet_inner;
 use sperke_core::{
-    run_federation, run_fleet_sweep, run_fleet_sweep_batched, run_shootout, zipf_catalog_clients,
-    EdgeConfig, EdgeRunReport, FederationConfig, FederationHarness, FleetConfig, FleetGrid,
-    FleetSweepPoint, RunReport, SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport,
-    TraceLevel,
+    run_federation, run_fleet_sweep, run_shootout, zipf_catalog_clients, EdgeConfig, EdgeRunReport,
+    FederationConfig, FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint, RunReport,
+    SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
 };
 use sperke_edge::{flash_crowd_clients, FederationRunReport};
 use sperke_hmp::Behavior;
+use sperke_sim::sweep::run_sweep;
 use sperke_sim::SimDuration;
-use sperke_video::VideoModelBuilder;
+use sperke_video::{VideoModel, VideoModelBuilder};
+use sperke_vra::AbrPolicyKind;
 
 /// The exact configuration the goldens were captured from. Must stay in
 /// lockstep with `whole_stack_is_seed_deterministic` in end_to_end.rs.
@@ -65,10 +67,9 @@ fn seed_77_matches_golden_trace() {
     assert_eq!(report.session.qoe.stall_count, GOLDEN_STALL_COUNT);
 }
 
-/// The exact sweep the sweep goldens were captured from: a 2×2×1 fleet
-/// grid (egress × scheme × seed), merged from three worker threads to
-/// keep the worker-blindness of the merge under golden coverage too.
-fn golden_sweep() -> SweepReport<FleetSweepPoint> {
+/// The video and grid the sweep goldens were captured from: a 2×2×1
+/// fleet grid (egress × scheme × seed).
+fn golden_sweep_inputs() -> (VideoModel, FleetGrid) {
     let video = VideoModelBuilder::new(29)
         .duration(SimDuration::from_secs(6))
         .build();
@@ -79,7 +80,15 @@ fn golden_sweep() -> SweepReport<FleetSweepPoint> {
     .egress_axis(vec![60e6, 200e6])
     .scheme_axis(vec![true, false])
     .seed_axis(vec![7]);
-    run_fleet_sweep(&video, &grid, 3)
+    (video, grid)
+}
+
+/// The exact sweep the sweep goldens were captured from, merged from
+/// three worker threads to keep the worker-blindness of the merge under
+/// golden coverage too.
+fn golden_sweep() -> SweepReport<FleetSweepPoint> {
+    let (video, grid) = golden_sweep_inputs();
+    run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 3)
 }
 
 const GOLDEN_SWEEP_DIGEST: u64 = 0x5a2aa78d9b54173d;
@@ -104,31 +113,32 @@ fn fleet_sweep_matches_golden_digest() {
     assert!(report.panicked().is_empty(), "golden grid never panics");
 }
 
-/// The batched data-oriented engine must land on the *same* pinned
-/// digest as the legacy engine — no regenerated constants allowed. This
-/// is the golden half of the engine-equivalence contract: worker-count
-/// blindness is covered in `engine_equivalence.rs`; here the batched
-/// path reproduces history bit-for-bit.
+/// Two engines stand under the sweep golden: the per-event oracle, run
+/// once per grid point through the sweep harness, must land on the
+/// *same* pinned digest as the batched production sweep and on its
+/// exact JSONL — no regenerated constants allowed. This is the golden
+/// half of the engine-equivalence contract: worker-count blindness is
+/// covered in `engine_equivalence.rs`; here the batched engine is held
+/// to history and to the oracle bit-for-bit.
 #[test]
 fn batched_engine_reproduces_golden_sweep_digest() {
-    let video = VideoModelBuilder::new(29)
-        .duration(SimDuration::from_secs(6))
-        .build();
-    let grid = FleetGrid::new(FleetConfig {
-        viewers: 3,
-        ..Default::default()
-    })
-    .egress_axis(vec![60e6, 200e6])
-    .scheme_axis(vec![true, false])
-    .seed_axis(vec![7]);
-    let report = run_fleet_sweep_batched(&video, &grid, 3);
+    let (video, grid) = golden_sweep_inputs();
+    let report = run_sweep(&grid.plan(), 3, |_index, config| FleetSweepPoint {
+        config: *config,
+        report: run_fleet_inner(&video, config, AbrPolicyKind::default()),
+    });
     assert_eq!(report.len(), GOLDEN_SWEEP_POINTS);
     assert_eq!(
         report.digest(),
         GOLDEN_SWEEP_DIGEST,
-        "batched engine drifted from the pinned legacy sweep digest"
+        "the oracle drifted from the pinned sweep digest"
     );
     assert_eq!(report.points()[0].trace_digest, GOLDEN_SWEEP_POINT0_DIGEST);
+    assert_eq!(
+        report.to_jsonl(),
+        golden_sweep().to_jsonl(),
+        "the batched sweep drifted from the oracle's bytes"
+    );
 }
 
 /// The exact federation the federation goldens were captured from: a

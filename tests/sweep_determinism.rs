@@ -13,6 +13,7 @@ use sperke_core::{run_fleet_sweep, FleetConfig, FleetGrid, Sperke};
 use sperke_sim::sweep::{run_sweep, PointOutcome, SweepPlan, SweepReport};
 use sperke_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use sperke_video::VideoModelBuilder;
+use sperke_vra::AbrPolicyKind;
 
 /// A cheap but honest workload: a tiny discrete-event simulation whose
 /// outcome depends on every knob of the point, driven entirely by the
@@ -145,10 +146,10 @@ fn fleet_sweep_report_is_byte_identical_across_thread_counts() {
     .egress_axis(vec![60e6, 200e6])
     .scheme_axis(vec![true, false])
     .seed_axis(vec![7, 11]);
-    let serial = run_fleet_sweep(&video, &grid, 1);
+    let serial = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 1);
     assert_eq!(serial.len(), 8);
     for threads in [2usize, 8] {
-        let parallel = run_fleet_sweep(&video, &grid, threads);
+        let parallel = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), threads);
         assert_eq!(parallel, serial);
         assert_eq!(parallel.to_jsonl(), serial.to_jsonl(), "threads={threads}");
         assert_eq!(parallel.digest(), serial.digest());
