@@ -7,17 +7,17 @@ use sperke_core::Sperke;
 use sperke_hmp::Behavior;
 use sperke_player::{PlannerKind, PlayerConfig};
 use sperke_sim::SimDuration;
-use sperke_vra::{SelectionPolicy, SperkeConfig};
+use sperke_vra::{AbrPolicyKind, SperkeConfig};
 
 fn run(
-    selection: SelectionPolicy,
+    policy: AbrPolicyKind,
     behavior: Behavior,
     bw: f64,
     crowd: usize,
 ) -> sperke_player::QoeReport {
     let player = PlayerConfig {
         planner: PlannerKind::Sperke(SperkeConfig {
-            selection,
+            policy,
             ..Default::default()
         }),
         ..Default::default()
@@ -43,13 +43,8 @@ fn main() {
         &["vpUtil", "blank%", "wasteFrac", "score"],
     );
     let policies = [
-        ("banded", SelectionPolicy::Banded),
-        (
-            "knapsack",
-            SelectionPolicy::Stochastic {
-                min_probability: 0.05,
-            },
-        ),
+        ("banded", AbrPolicyKind::Sperke),
+        ("knapsack", AbrPolicyKind::Knapsack),
     ];
     let mut pairs = Vec::new();
     for behavior in [Behavior::Focused, Behavior::Explorer] {

@@ -283,22 +283,28 @@ impl Sperke {
         self
     }
 
-    /// Use the Sperke planner with an explicit configuration.
+    /// Use the Sperke planner with an explicit configuration. This
+    /// replaces the whole tuning, its [`SperkeConfig::policy`] included,
+    /// so call [`abr_policy`](Self::abr_policy) after it to change only
+    /// the policy.
     pub fn sperke_planner(mut self, config: SperkeConfig) -> Self {
         self.player.planner = PlannerKind::Sperke(config);
         self
     }
 
-    /// Select a viewport-adaptation policy from the rival suite
-    /// ([`sperke_vra::policy`]). [`AbrPolicyKind::Sperke`] routes to the
-    /// full three-part Sperke planner (its richest form); every other
-    /// kind runs through the tile-aware [`sperke_vra::PolicyVra`]
-    /// wrapper with default planner tuning.
+    /// Select the Sperke planner's viewport-adaptation policy from the
+    /// rival suite ([`sperke_vra::policy`]), keeping the rest of the
+    /// current planner tuning (the default tuning when the FoV-agnostic
+    /// planner was selected). [`AbrPolicyKind::Sperke`] is the full
+    /// three-part Sperke planner; every other kind plans each chunk with
+    /// its window decide.
     pub fn abr_policy(mut self, kind: AbrPolicyKind) -> Self {
-        self.player.planner = match kind {
-            AbrPolicyKind::Sperke => PlannerKind::Sperke(SperkeConfig::default()),
-            other => PlannerKind::Policy(other, SperkeConfig::default()),
+        let mut config = match &self.player.planner {
+            PlannerKind::Sperke(config) => config.clone(),
+            PlannerKind::FovAgnostic => SperkeConfig::default(),
         };
+        config.policy = kind;
+        self.player.planner = PlannerKind::Sperke(config);
         self
     }
 
@@ -707,6 +713,42 @@ mod tests {
             "an identical rerun replays from the memo"
         );
         assert_eq!(first.session.qoe, second.session.qoe);
+    }
+
+    #[test]
+    fn abr_policy_keeps_the_planner_tuning() {
+        let cfg = SperkeConfig {
+            encoding: sperke_vra::EncodingPolicy::AvcOnly,
+            ..Default::default()
+        };
+        let base = || Sperke::builder(19).duration(SimDuration::from_secs(8));
+        let chained = base()
+            .sperke_planner(cfg.clone())
+            .abr_policy(AbrPolicyKind::Knapsack)
+            .run();
+        let direct = base()
+            .sperke_planner(SperkeConfig {
+                policy: AbrPolicyKind::Knapsack,
+                ..cfg
+            })
+            .run();
+        assert_eq!(chained.qoe, direct.qoe);
+        assert_eq!(chained.qoe.score.to_bits(), direct.qoe.score.to_bits());
+        let default_tuning = base().abr_policy(AbrPolicyKind::Knapsack).run();
+        assert_ne!(
+            chained.qoe.bytes_fetched, default_tuning.qoe.bytes_fetched,
+            "the AVC-only tuning must survive abr_policy"
+        );
+    }
+
+    #[test]
+    fn sperke_policy_is_the_default_planner() {
+        let traced = |b: Sperke| b.with_trace(TraceLevel::Verbose).run_report();
+        let default = traced(Sperke::builder(77));
+        let sperke = traced(Sperke::builder(77).abr_policy(AbrPolicyKind::Sperke));
+        assert_eq!(default.to_jsonl(), sperke.to_jsonl());
+        assert_eq!(default.trace_digest(), sperke.trace_digest());
+        assert_eq!(default.session.qoe, sperke.session.qoe);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use sperke_hmp::{
 use sperke_net::{ChunkPriority, MuxLink, SpatialPriority, StreamId, TemporalPriority};
 use sperke_sim::{parallel_indexed, ReplayQueue, SimDuration, SimTime};
 use sperke_video::{CellId, ChunkId, ChunkTime, Quality, Scheme, VideoModel};
-use sperke_vra::{AbrPolicyKind, PolicyInput};
+use sperke_vra::{AbrPolicyKind, PolicyInput, DEFAULT_MIN_PROBABILITY};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -138,7 +138,7 @@ pub(crate) fn fleet_selections(
             budget_bytes: budget,
             capacity_bps: Some(config.per_viewer_budget_bps),
             scheme: Scheme::Avc,
-            min_probability: 0.05,
+            min_probability: DEFAULT_MIN_PROBABILITY,
             prev: (prev.len() == tile_count).then_some(prev.as_slice()),
         });
         *prev = plan.levels(tile_count);
@@ -163,7 +163,7 @@ pub(crate) fn fleet_selections(
             tile,
             quality,
             prob,
-            bytes: video.avc_bytes(ChunkId::new(quality, tile, t)),
+            bytes: video.chunk_bytes(ChunkId::new(quality, tile, t), Scheme::Avc),
         })
         .collect()
 }

@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn knapsack_and_sperke_rows_agree_on_fleet_side_metrics() {
-        // The full Sperke planner is richer than the knapsack wrapper,
+        // The full Sperke planner is richer than the knapsack policy,
         // so the two rows need not tie — but both must post positive
         // utility on the smoke grid.
         let report = run_shootout(&ShootoutGrid::smoke(), 0);

@@ -50,7 +50,7 @@ use sperke_net::{
 use sperke_player::QoeWeights;
 use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimRng, SimTime, TraceEvent, TraceSink};
 use sperke_video::{CellId, ChunkTime, Layer, Quality, Scheme, VideoModel};
-use sperke_vra::{AbrPolicyKind, PolicyInput, StochasticChoice};
+use sperke_vra::{AbrPolicyKind, PolicyInput, StochasticChoice, DEFAULT_MIN_PROBABILITY};
 
 /// Edge experiment parameters. Everything that shapes the run is here
 /// (plus the optional [`EdgeHarness`]); the report is a pure function
@@ -422,7 +422,7 @@ pub(crate) fn decide_choices(
         budget_bytes: budget,
         capacity_bps: Some(spec.budget_bps),
         scheme: Scheme::svc_default(),
-        min_probability: 0.05,
+        min_probability: DEFAULT_MIN_PROBABILITY,
         prev: (prev.len() == tile_count).then_some(prev.as_slice()),
     });
     *prev = plan.levels(tile_count);

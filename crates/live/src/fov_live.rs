@@ -120,7 +120,7 @@ pub fn run_fov_live(
             std::collections::HashMap::new();
         for ch in &choices {
             let id = ChunkId::new(ch.quality, ch.tile, t);
-            bytes_fetched += video.avc_bytes(id);
+            bytes_fetched += video.chunk_bytes(id, Scheme::Avc);
             buffered.insert(CellId::new(ch.tile, t), ch.quality);
         }
         // Display: viewport at the chunk's midpoint.

@@ -21,21 +21,23 @@ use sperke_sim::trace::{Subsystem, TraceEvent, TraceLevel, TraceSink};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{CellId, ChunkForm, ChunkTime, Quality, Scheme, VideoModel};
 use sperke_vra::{
-    decide_upgrade, plan_fov_agnostic, upgrade_candidates, Abr, AbrPolicyKind, FetchPlan,
-    PlanInput, PolicyVra, SperkeConfig, SperkeVra, UpgradeConfig, UpgradeDecision,
+    decide_upgrade, plan_fov_agnostic, upgrade_candidates, Abr, FetchPlan, PlanInput, SperkeConfig,
+    SperkeVra, UpgradeConfig, UpgradeDecision,
 };
 
-/// Which planner drives fetching.
+/// Which planner drives fetching: FoV-guided or not. The FoV-guided
+/// planner's viewport policy is [`SperkeConfig::policy`], an
+/// [`AbrPolicyKind`](sperke_vra::AbrPolicyKind) like the fleet and edge
+/// engines take.
 #[derive(Debug, Clone)]
 pub enum PlannerKind {
-    /// The full Sperke FoV-guided planner (§3.1).
+    /// The FoV-guided Sperke planner (§3.1), running the viewport
+    /// policy its tuning names: the full three-part planner by default,
+    /// or a rival from the viewport-adaptation suite
+    /// ([`sperke_vra::policy`]).
     Sperke(SperkeConfig),
     /// The §2 baseline: fetch the entire panorama every chunk.
     FovAgnostic,
-    /// A rival tile-aware policy from the viewport-adaptation suite
-    /// ([`sperke_vra::policy`]), run with the Sperke planner's shared
-    /// tuning (encoding policy, FoV threshold, urgency window).
-    Policy(AbrPolicyKind, SperkeConfig),
 }
 
 /// Player configuration.
@@ -125,7 +127,6 @@ pub struct SessionResult {
 enum PlannerState<A: Abr> {
     Sperke(Box<SperkeVra<A>>),
     Agnostic(A),
-    Policy(Box<PolicyVra>),
 }
 
 /// Run a streaming session of `video` for the viewer in `trace`.
@@ -206,11 +207,6 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
             PlannerState::Sperke(vra)
         }
         PlannerKind::FovAgnostic => PlannerState::Agnostic(abr),
-        PlannerKind::Policy(kind, cfg) => {
-            let mut vra = Box::new(PolicyVra::new(*kind, cfg.clone()));
-            vra.set_trace(sink.clone());
-            PlannerState::Policy(vra)
-        }
     };
 
     let mut now = SimTime::ZERO;
@@ -274,12 +270,10 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
             buffer: buffer_level,
             bandwidth_bps: bw,
             measured_bps: measured,
-            bandwidth_forecast: vec![],
             last_quality,
         };
         let plan: FetchPlan = match &mut planner {
             PlannerState::Sperke(vra) => vra.plan(&plan_input),
-            PlannerState::Policy(vra) => vra.plan(&plan_input),
             PlannerState::Agnostic(a) => {
                 let plan = plan_fov_agnostic(a, video, t, buffer_level, bw, measured, last_quality);
                 // The agnostic planner has no sink of its own; log its
@@ -1114,44 +1108,19 @@ mod tests {
     }
 
     #[test]
-    fn policy_knapsack_matches_stochastic_sperke_sessions() {
-        use sperke_vra::SelectionPolicy;
-        let v = video(12);
-        let tr = trace(12, 5);
-        let cfg = SperkeConfig {
-            selection: SelectionPolicy::Stochastic {
-                min_probability: 0.05,
-            },
-            ..Default::default()
-        };
-        let run_kind = |planner: PlannerKind| {
-            run(
-                &v,
-                &tr,
-                25e6,
-                PlayerConfig {
-                    planner,
-                    ..Default::default()
-                },
-            )
-        };
-        let sperke = run_kind(PlannerKind::Sperke(cfg.clone()));
-        let policy = run_kind(PlannerKind::Policy(AbrPolicyKind::Knapsack, cfg));
-        assert_eq!(sperke.qoe, policy.qoe, "knapsack ≠ stochastic Sperke");
-        assert_eq!(sperke.path_bytes, policy.path_bytes);
-    }
-
-    #[test]
     fn every_policy_kind_streams_a_session() {
         let v = video(10);
         let tr = trace(10, 5);
-        for kind in AbrPolicyKind::all() {
+        for kind in sperke_vra::AbrPolicyKind::all() {
             let r = run(
                 &v,
                 &tr,
                 25e6,
                 PlayerConfig {
-                    planner: PlannerKind::Policy(kind, SperkeConfig::default()),
+                    planner: PlannerKind::Sperke(SperkeConfig {
+                        policy: kind,
+                        ..Default::default()
+                    }),
                     ..Default::default()
                 },
             );

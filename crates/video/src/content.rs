@@ -325,17 +325,6 @@ impl VideoModel {
         })
     }
 
-    /// The AVC byte size of chunk `C(q, l, t)` as its own rung derives
-    /// it, in O(1) without the size table. This is the size before
-    /// [`cell_sizes`](Self::cell_sizes)' monotonicity fix, so it differs
-    /// from `chunk_bytes(id, Scheme::Avc)` only on a ladder whose
-    /// adjacent rungs round to the same byte count.
-    pub fn avc_bytes(&self, id: ChunkId) -> u64 {
-        assert!(self.ladder.contains(id.quality), "quality beyond ladder");
-        self.check_cell(id.tile, id.time);
-        self.rung_bytes(id.quality, id.tile, self.cell_jitter(id.tile, id.time))
-    }
-
     /// The full size table of one cell across all qualities: a borrowed
     /// row of the video's size table, strictly increasing in quality.
     pub fn cell_sizes(&self, tile: TileId, t: ChunkTime) -> CellSizes<'_> {
@@ -411,7 +400,10 @@ mod tests {
         let a = video();
         let b = video();
         let id = ChunkId::new(Quality(2), TileId(5), ChunkTime(3));
-        assert_eq!(a.avc_bytes(id), b.avc_bytes(id));
+        assert_eq!(
+            a.chunk_bytes(id, Scheme::Avc),
+            b.chunk_bytes(id, Scheme::Avc)
+        );
         assert_eq!(a.tile_weight(TileId(9)), b.tile_weight(TileId(9)));
     }
 
@@ -475,7 +467,7 @@ mod tests {
         for tile in v.grid().tiles() {
             let sizes: Vec<f64> = v
                 .chunk_times()
-                .map(|t| v.avc_bytes(ChunkId::new(q, tile, t)) as f64)
+                .map(|t| v.chunk_bytes(ChunkId::new(q, tile, t), Scheme::Avc) as f64)
                 .collect();
             let base = v.ladder().bitrate(q) / 8.0 * v.tile_weight(tile);
             for s in sizes {
@@ -501,24 +493,24 @@ mod tests {
     #[should_panic]
     fn out_of_range_quality_rejected() {
         let v = video();
-        v.avc_bytes(ChunkId::new(Quality(42), TileId(0), ChunkTime(0)));
+        v.chunk_bytes(
+            ChunkId::new(Quality(42), TileId(0), ChunkTime(0)),
+            Scheme::Avc,
+        );
     }
 
     #[test]
     #[should_panic]
     fn out_of_range_time_rejected() {
         let v = video();
-        v.avc_bytes(ChunkId::new(Quality(0), TileId(0), ChunkTime(999)));
+        v.chunk_bytes(
+            ChunkId::new(Quality(0), TileId(0), ChunkTime(999)),
+            Scheme::Avc,
+        );
     }
 
     // An out-of-range tile at chunk 0 would index the next chunk's first
     // cell of the flat size table; the id checks must fire first.
-    #[test]
-    #[should_panic(expected = "tile beyond grid")]
-    fn avc_bytes_rejects_out_of_range_tile() {
-        video().avc_bytes(ChunkId::new(Quality(0), TileId(24), ChunkTime(0)));
-    }
-
     #[test]
     #[should_panic(expected = "tile beyond grid")]
     fn chunk_bytes_rejects_out_of_range_tile() {
@@ -641,7 +633,6 @@ mod table_oracle {
                 for q in v.ladder.qualities() {
                     let i = q.index();
                     let id = ChunkId::new(q, tile, t);
-                    prop_assert_eq!(v.avc_bytes(id), o.rung[i]);
                     prop_assert_eq!(sizes.avc(q), o.avc[i]);
                     prop_assert_eq!(sizes.svc_cumulative(q), o.svc[i]);
                     let layer = if i == 0 {

@@ -81,7 +81,7 @@ mod proptests {
             let a = VideoModelBuilder::new(seed).duration(SimDuration::from_secs(6)).build();
             let b = VideoModelBuilder::new(seed).duration(SimDuration::from_secs(6)).build();
             let id = ChunkId::new(Quality(q), TileId(tile), ChunkTime(t));
-            prop_assert_eq!(a.avc_bytes(id), b.avc_bytes(id));
+            prop_assert_eq!(a.chunk_bytes(id, Scheme::Avc), b.chunk_bytes(id, Scheme::Avc));
         }
 
         /// The panorama at any quality weighs more than any single tile.
@@ -90,7 +90,8 @@ mod proptests {
             let v = VideoModelBuilder::new(seed).duration(SimDuration::from_secs(6)).build();
             let pano = v.panorama_bytes(Quality(q), ChunkTime(t), Scheme::Avc);
             for tile in v.grid().tiles() {
-                prop_assert!(v.avc_bytes(ChunkId::new(Quality(q), tile, ChunkTime(t))) < pano);
+                let id = ChunkId::new(Quality(q), tile, ChunkTime(t));
+                prop_assert!(v.chunk_bytes(id, Scheme::Avc) < pano);
             }
         }
     }

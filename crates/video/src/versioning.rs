@@ -12,6 +12,7 @@
 //! bandwidth, and delivered viewport quality.
 
 use crate::content::VideoModel;
+use crate::encoding::Scheme;
 use crate::ids::{ChunkId, ChunkTime, Quality};
 use serde::{Deserialize, Serialize};
 use sperke_geo::sampling::{fibonacci_sphere, nearest};
@@ -115,7 +116,8 @@ impl VersionedStore {
                 } else {
                     self.lq
                 };
-                self.video.avc_bytes(ChunkId::new(q, tile, t))
+                self.video
+                    .chunk_bytes(ChunkId::new(q, tile, t), Scheme::Avc)
             })
             .sum()
     }

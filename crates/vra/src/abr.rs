@@ -64,9 +64,6 @@ impl AbrContext<'_> {
 
 /// An adaptive-bitrate policy.
 pub trait Abr {
-    /// Display name for result tables.
-    fn name(&self) -> &'static str;
-
     /// Choose the quality of the next fetch unit.
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality;
 }
@@ -77,10 +74,6 @@ pub trait Abr {
 pub struct FixedQuality(pub Quality);
 
 impl Abr for FixedQuality {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality {
         if ctx.ladder.contains(self.0) {
             self.0
@@ -114,10 +107,6 @@ impl Default for RateBased {
 }
 
 impl Abr for RateBased {
-    fn name(&self) -> &'static str {
-        "rate-based"
-    }
-
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality {
         let Some(bw) = ctx.bandwidth_bps else {
             return Quality::LOWEST; // cautious start
@@ -161,10 +150,6 @@ impl Default for BufferBased {
 }
 
 impl Abr for BufferBased {
-    fn name(&self) -> &'static str {
-        "buffer-based"
-    }
-
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality {
         let b = ctx.buffer.as_secs_f64();
         let r = self.reservoir.as_secs_f64();
@@ -205,10 +190,6 @@ impl Default for Mpc {
 }
 
 impl Abr for Mpc {
-    fn name(&self) -> &'static str {
-        "mpc"
-    }
-
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality {
         // Plan against the measured BBR estimate when probing is live;
         // the declared estimate alone can be stale or optimistic.
@@ -288,10 +269,6 @@ impl ExactMpc {
 }
 
 impl Abr for ExactMpc {
-    fn name(&self) -> &'static str {
-        "exact-mpc"
-    }
-
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality {
         // Same capacity source as [`Mpc`]: measured-over-declared.
         let Some(bw0) = ctx.planning_bps() else {

@@ -15,6 +15,9 @@
 //!
 //! [`SperkeVra`] composes all three into a per-chunk [`FetchPlan`];
 //! [`plan_fov_agnostic`] is the §2 baseline that fetches everything.
+//! [`SperkeConfig::policy`] picks the planner's viewport policy: the
+//! three-part decomposition ([`AbrPolicyKind::Sperke`]) or one of the
+//! window decides of the [`policy`] suite.
 
 #![warn(missing_docs)]
 
@@ -29,13 +32,10 @@ pub mod upgrade;
 pub use abr::{Abr, AbrContext, BufferBased, ExactMpc, FixedQuality, Mpc, RateBased};
 pub use knapsack::{expected_utility, select_stochastic, selection_cost, StochasticChoice};
 pub use oos::{select_oos, OosChoice, OosConfig};
-pub use policy::{
-    AbrPolicy, AbrPolicyKind, ConsistencyAware, KnapsackQoe, MechanismTransition, PolicyInput,
-    PolicyPlan, PolicyVra, QerPrecoded, SperkeSelector, TileAssignment, DEFAULT_MIN_PROBABILITY,
-};
+pub use policy::{AbrPolicyKind, PolicyInput, PolicyPlan, TileAssignment, DEFAULT_MIN_PROBABILITY};
 pub use sperke::{
     plan_fov_agnostic, upgrade_candidates, EncodingPolicy, FetchPlan, PlanInput, PlannedFetch,
-    SelectionPolicy, SperkeConfig, SperkeVra,
+    SperkeConfig, SperkeVra,
 };
 pub use superchunk::SuperChunk;
 pub use upgrade::{decide_upgrade, UpgradeCandidate, UpgradeConfig, UpgradeDecision};
@@ -77,7 +77,6 @@ mod proptests {
                 buffer: SimDuration::from_secs(2),
                 bandwidth_bps: Some(bw_mbps * 1e6),
                 measured_bps: None,
-                bandwidth_forecast: vec![],
                 last_quality: Quality(last_q.min(3)),
             });
             let plan_bps = plan.total_bytes() as f64 * 8.0
@@ -103,7 +102,9 @@ mod proptests {
                 select_oos(&video, &fc, ChunkTime(0), &[], Quality(2),
                     sperke_video::Scheme::Avc, budget, &OosConfig::default())
                     .iter()
-                    .map(|c| video.avc_bytes(sperke_video::ChunkId::new(c.quality, c.tile, ChunkTime(0))))
+                    .map(|c| video.chunk_bytes(
+                        sperke_video::ChunkId::new(c.quality, c.tile, ChunkTime(0)),
+                        sperke_video::Scheme::Avc))
                     .sum()
             };
             let (lo, hi) = if budget_a <= budget_b { (budget_a, budget_b) } else { (budget_b, budget_a) };
@@ -130,7 +131,9 @@ mod proptests {
             let choices = select_stochastic(
                 &video, &fc, ChunkTime(0), budget, sperke_video::Scheme::Avc, floor);
             let cost: u64 = choices.iter()
-                .map(|c| video.avc_bytes(sperke_video::ChunkId::new(c.quality, c.tile, ChunkTime(0))))
+                .map(|c| video.chunk_bytes(
+                    sperke_video::ChunkId::new(c.quality, c.tile, ChunkTime(0)),
+                    sperke_video::Scheme::Avc))
                 .sum();
             prop_assert!(cost <= budget);
             for c in &choices {
@@ -230,7 +233,7 @@ mod proptests {
                 .duration(SimDuration::from_secs(4))
                 .build();
             let fc = TileForecast::new(probs);
-            let policy = MechanismTransition::default();
+            let policy = AbrPolicyKind::transition_default();
             let (lo, hi) = if conf_a <= conf_b { (conf_a, conf_b) } else { (conf_b, conf_a) };
             let plan_at = |conf: f64| {
                 policy.decide(&policy::PolicyInput {
@@ -270,7 +273,7 @@ mod proptests {
                 .build();
             let steps = budgets.len().min(probs.len());
             let tiles = 24usize;
-            let policy = ConsistencyAware { max_up_step: 1 };
+            let policy = AbrPolicyKind::Consistency { max_up_step: 1 };
             let mut prev_k: Option<Vec<i8>> = None;
             let mut prev_c: Option<Vec<i8>> = None;
             let mut osc_k = 0i64;

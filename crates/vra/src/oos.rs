@@ -214,7 +214,7 @@ mod tests {
         );
         let full_cost: u64 = unlimited
             .iter()
-            .map(|c| video.avc_bytes(ChunkId::new(c.quality, c.tile, ChunkTime(0))))
+            .map(|c| video.chunk_bytes(ChunkId::new(c.quality, c.tile, ChunkTime(0)), Scheme::Avc))
             .sum();
         let budget = full_cost / 3;
         let constrained = select_oos(
@@ -229,7 +229,7 @@ mod tests {
         );
         let cost: u64 = constrained
             .iter()
-            .map(|c| video.avc_bytes(ChunkId::new(c.quality, c.tile, ChunkTime(0))))
+            .map(|c| video.chunk_bytes(ChunkId::new(c.quality, c.tile, ChunkTime(0)), Scheme::Avc))
             .sum();
         assert!(cost <= budget, "cost {cost} exceeds budget {budget}");
     }

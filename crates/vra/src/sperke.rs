@@ -5,17 +5,20 @@
 //! a [`FetchPlan`]: which chunks to fetch, at which qualities, in which
 //! encoding form, with which Table-1 priorities. The player executes
 //! plans and calls back with buffer state for upgrade passes.
+//! [`SperkeConfig::policy`] picks how tiles and qualities are chosen:
+//! the three-part banded planner, or a window decide of the
+//! [`policy`](crate::policy) suite.
 
 use crate::abr::{Abr, AbrContext};
-use crate::knapsack::select_stochastic;
 use crate::oos::{select_oos, OosConfig};
+use crate::policy::{AbrPolicyKind, PolicyInput, DEFAULT_MIN_PROBABILITY};
 use crate::superchunk::SuperChunk;
 use serde::{Deserialize, Serialize};
 use sperke_hmp::TileForecast;
 use sperke_net::{ChunkPriority, SpatialPriority, TemporalPriority};
 use sperke_sim::trace::{CandidateQuality, Subsystem, TraceEvent, TraceLevel, TraceSink};
 use sperke_sim::{SimDuration, SimTime};
-use sperke_video::{CellId, ChunkForm, ChunkId, ChunkTime, Layer, Quality, Scheme, VideoModel};
+use sperke_video::{CellId, ChunkForm, ChunkId, ChunkTime, Quality, Scheme, VideoModel};
 
 /// Which encodings the server offers / the client uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,16 +60,13 @@ impl EncodingPolicy {
     }
 
     /// The wire form corresponding to [`EncodingPolicy::scheme_for`].
-    pub fn form_for(&self, video: &VideoModel, probability: f64, quality: Quality) -> ChunkForm {
+    pub fn form_for(&self, video: &VideoModel, probability: f64) -> ChunkForm {
         match self.scheme_for(video, probability) {
             Scheme::Avc => ChunkForm::Avc,
-            Scheme::Svc { .. } => {
-                // Cumulative fetch of all layers through `quality`; the
-                // transfer engine only needs sizes, so a single request
-                // suffices (individual layers appear during upgrades).
-                let _ = Layer(quality.0);
-                ChunkForm::SvcCumulative
-            }
+            // Cumulative fetch of all layers through the chunk's quality;
+            // the transfer engine only needs sizes, so a single request
+            // suffices (individual layers appear during upgrades).
+            Scheme::Svc { .. } => ChunkForm::SvcCumulative,
         }
     }
 }
@@ -136,33 +136,24 @@ pub struct PlanInput<'a> {
     /// Measured bottleneck bandwidth from the transport's BBR probe,
     /// bits/second; `None` when capacity probing is off. Forwarded to
     /// the inner ABR, where the control-theoretic policies prefer it
-    /// over the declared estimate.
+    /// over the declared estimate; a window policy prices its budget
+    /// from it in the same way.
     pub measured_bps: Option<f64>,
-    /// Optional bandwidth forecast for MPC-style ABRs.
-    pub bandwidth_forecast: Vec<f64>,
     /// Quality of the previous super chunk.
     pub last_quality: Quality,
-}
-
-/// How tiles and qualities are selected per chunk time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SelectionPolicy {
-    /// The paper's three-part decomposition: super chunk at one quality
-    /// (inner ABR), then banded OOS selection (§3.1.2).
-    Banded,
-    /// The §3.2 stochastic optimization: greedy expected-utility
-    /// knapsack over (tile, quality) pairs under the byte budget.
-    Stochastic {
-        /// Tiles below this probability are never fetched.
-        min_probability: f64,
-    },
 }
 
 /// Tuning for the holistic planner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SperkeConfig {
-    /// Selection policy.
-    pub selection: SelectionPolicy,
+    /// The viewport policy that selects tiles and qualities per chunk
+    /// time. [`AbrPolicyKind::Sperke`] (the default) is the paper's
+    /// three-part decomposition: super chunk at one quality (inner
+    /// ABR), then banded OOS selection (§3.1.2). Every other kind plans
+    /// with its [`AbrPolicyKind::decide`] over all (tile, quality)
+    /// pairs; [`AbrPolicyKind::Knapsack`] is the §3.2 stochastic
+    /// optimization.
+    pub policy: AbrPolicyKind,
     /// Probability above which a tile counts as FoV.
     pub fov_threshold: f64,
     /// OOS selection settings.
@@ -183,7 +174,7 @@ pub struct SperkeConfig {
 impl Default for SperkeConfig {
     fn default() -> Self {
         SperkeConfig {
-            selection: SelectionPolicy::Banded,
+            policy: AbrPolicyKind::Sperke,
             fov_threshold: 0.75,
             oos: OosConfig::default(),
             encoding: EncodingPolicy::Hybrid {
@@ -203,6 +194,9 @@ pub struct SperkeVra<A: Abr> {
     /// Tuning.
     pub config: SperkeConfig,
     trace: TraceSink,
+    /// The previous window's per-tile levels, the temporal state of a
+    /// window policy (empty until its first plan).
+    prev: Vec<i8>,
 }
 
 impl<A: Abr> SperkeVra<A> {
@@ -212,6 +206,7 @@ impl<A: Abr> SperkeVra<A> {
             abr,
             config,
             trace: TraceSink::disabled(),
+            prev: Vec::new(),
         }
     }
 
@@ -223,17 +218,35 @@ impl<A: Abr> SperkeVra<A> {
     /// Emit the per-plan [`TraceEvent::AbrDecision`], with the candidate
     /// ladder only when the sink actually records VRA decisions.
     fn emit_decision(&self, input: &PlanInput<'_>, chosen: Quality, unit_bitrate: &[f64]) {
-        emit_abr_decision(&self.trace, input, chosen, unit_bitrate);
+        if !self.trace.enabled(Subsystem::Vra, TraceLevel::Decisions) {
+            return;
+        }
+        let ladder = input.video.ladder();
+        let candidates = ladder
+            .qualities()
+            .zip(unit_bitrate.iter())
+            .map(|(q, &bps)| CandidateQuality {
+                quality: q.0,
+                bitrate_bps: bps,
+                utility: ladder.utility(q),
+            })
+            .collect();
+        self.trace.emit(TraceEvent::AbrDecision {
+            at: input.now,
+            chunk: input.time.0,
+            chosen: chosen.0,
+            buffer_ms: input.buffer.as_nanos() / 1_000_000,
+            bandwidth_bps: input.bandwidth_bps.unwrap_or(0.0),
+            candidates,
+        });
     }
 
     /// Produce the fetch plan for one chunk time.
     pub fn plan(&mut self, input: &PlanInput<'_>) -> FetchPlan {
-        if let SelectionPolicy::Stochastic { min_probability } = self.config.selection {
-            return self.plan_stochastic(input, min_probability);
+        if self.config.policy != AbrPolicyKind::Sperke {
+            return self.plan_policy(input);
         }
         let video = input.video;
-        let grid = video.grid();
-        let _ = grid;
 
         // Part one: the super chunk and its quality via the inner ABR.
         let sc = SuperChunk::from_forecast(input.forecast, input.time, self.config.fov_threshold);
@@ -252,26 +265,20 @@ impl<A: Abr> SperkeVra<A> {
                 .bandwidth_bps
                 .map(|b| b * self.config.fov_budget_share),
             measured_bps: input.measured_bps.map(|b| b * self.config.fov_budget_share),
-            bandwidth_forecast: input
-                .bandwidth_forecast
-                .iter()
-                .map(|b| b * self.config.fov_budget_share)
-                .collect(),
+            bandwidth_forecast: vec![],
             last_quality: input.last_quality,
             chunk_duration: video.chunk_duration(),
         };
         let fov_quality = self.abr.choose(&ctx);
         self.emit_decision(input, fov_quality, &ctx.unit_bitrate);
 
-        // Temporal priority: near-deadline chunks are urgent.
-        let deadline = video.chunk_deadline(input.time);
-        let remaining = input.buffer; // buffer level == time to this deadline
-        let temporal = if remaining <= self.config.urgent_window {
+        // Temporal priority: near-deadline chunks are urgent (the
+        // buffer level is the time to this chunk's deadline).
+        let temporal = if input.buffer <= self.config.urgent_window {
             TemporalPriority::Urgent
         } else {
             TemporalPriority::Regular
         };
-        let _ = deadline;
 
         let mut fetches = Vec::new();
         for &tile in &sc.tiles {
@@ -280,7 +287,7 @@ impl<A: Abr> SperkeVra<A> {
             let id = ChunkId::new(fov_quality, tile, input.time);
             fetches.push(PlannedFetch {
                 chunk: id,
-                form: self.config.encoding.form_for(video, p, fov_quality),
+                form: self.config.encoding.form_for(video, p),
                 bytes: video.chunk_bytes(id, scheme),
                 priority: ChunkPriority {
                     spatial: SpatialPriority::Fov,
@@ -323,10 +330,7 @@ impl<A: Abr> SperkeVra<A> {
             let id = ChunkId::new(choice.quality, choice.tile, input.time);
             fetches.push(PlannedFetch {
                 chunk: id,
-                form: self
-                    .config
-                    .encoding
-                    .form_for(video, p.min(0.3), choice.quality),
+                form: self.config.encoding.form_for(video, p.min(0.3)),
                 bytes: video.chunk_bytes(id, oos_scheme),
                 priority: ChunkPriority {
                     spatial: SpatialPriority::Oos,
@@ -345,37 +349,46 @@ impl<A: Abr> SperkeVra<A> {
 }
 
 impl<A: Abr> SperkeVra<A> {
-    /// The §3.2 stochastic-optimization plan: one greedy knapsack over
-    /// all (tile, quality) pairs instead of the banded FoV/OOS split.
-    fn plan_stochastic(&mut self, input: &PlanInput<'_>, min_probability: f64) -> FetchPlan {
+    /// The window-policy plan (every kind but [`AbrPolicyKind::Sperke`]):
+    /// one [`AbrPolicyKind::decide`] over all (tile, quality) pairs
+    /// instead of the banded FoV/OOS split, with this planner's
+    /// previous levels as the policy's temporal state.
+    fn plan_policy(&mut self, input: &PlanInput<'_>) -> FetchPlan {
         let video = input.video;
-        let budget_bytes = input
-            .bandwidth_bps
+        // Measured capacity (BBR) over the declared estimate, mirroring
+        // the AbrContext preference.
+        let capacity_bps = input.measured_bps.or(input.bandwidth_bps);
+        let budget_bytes = capacity_bps
             .map(|bw| (bw * video.chunk_duration().as_secs_f64() / 8.0) as u64)
             .unwrap_or_else(|| {
                 // No estimate yet: a conservative base-layer FoV budget.
                 SuperChunk::from_forecast(input.forecast, input.time, self.config.fov_threshold)
                     .bytes_at(video, Quality::LOWEST, Scheme::Avc)
             });
-        let pricing = self.config.encoding.scheme_for(video, 0.5);
-        let choices = select_stochastic(
+        let tile_count = video.grid().tile_count();
+        let plan = self.config.policy.decide(&PolicyInput {
             video,
-            input.forecast,
-            input.time,
+            forecast: input.forecast,
+            confidence: input.forecast.confidence(),
+            time: input.time,
+            buffer: input.buffer,
             budget_bytes,
-            pricing,
-            min_probability,
-        );
+            capacity_bps,
+            scheme: self.config.encoding.scheme_for(video, 0.5),
+            min_probability: DEFAULT_MIN_PROBABILITY,
+            prev: (self.prev.len() == tile_count).then_some(self.prev.as_slice()),
+        });
+        self.prev = plan.levels(tile_count);
 
         let deadline_close = input.buffer <= self.config.urgent_window;
-        let mut fetches = Vec::with_capacity(choices.len());
+        let mut fetches = Vec::with_capacity(plan.assignments.len());
         let mut fov_quality = Quality::LOWEST;
         let mut best_p = -1.0;
-        for c in &choices {
-            let p = input.forecast.prob(c.tile);
+        for a in &plan.assignments {
+            let p = a.probability;
             if p > best_p {
                 best_p = p;
-                fov_quality = c.quality;
+                fov_quality = a.quality;
             }
             let spatial = if p >= self.config.fov_threshold {
                 SpatialPriority::Fov
@@ -388,10 +401,10 @@ impl<A: Abr> SperkeVra<A> {
                 TemporalPriority::Regular
             };
             let scheme = self.config.encoding.scheme_for(video, p);
-            let id = ChunkId::new(c.quality, c.tile, input.time);
+            let id = ChunkId::new(a.quality, a.tile, input.time);
             fetches.push(PlannedFetch {
                 chunk: id,
-                form: self.config.encoding.form_for(video, p, c.quality),
+                form: self.config.encoding.form_for(video, p),
                 bytes: video.chunk_bytes(id, scheme),
                 priority: ChunkPriority { spatial, temporal },
                 probability: p,
@@ -404,39 +417,6 @@ impl<A: Abr> SperkeVra<A> {
             fetches,
         }
     }
-}
-
-/// The shared [`TraceEvent::AbrDecision`] emit: candidate ladder only
-/// when the sink actually records VRA decisions. Used by the Sperke
-/// planner and by the policy-suite wrapper so every planner's decisions
-/// land in the trace with identical shape.
-pub(crate) fn emit_abr_decision(
-    trace: &TraceSink,
-    input: &PlanInput<'_>,
-    chosen: Quality,
-    unit_bitrate: &[f64],
-) {
-    if !trace.enabled(Subsystem::Vra, TraceLevel::Decisions) {
-        return;
-    }
-    let ladder = input.video.ladder();
-    let candidates = ladder
-        .qualities()
-        .zip(unit_bitrate.iter())
-        .map(|(q, &bps)| CandidateQuality {
-            quality: q.0,
-            bitrate_bps: bps,
-            utility: ladder.utility(q),
-        })
-        .collect();
-    trace.emit(TraceEvent::AbrDecision {
-        at: input.now,
-        chunk: input.time.0,
-        chosen: chosen.0,
-        buffer_ms: input.buffer.as_nanos() / 1_000_000,
-        bandwidth_bps: input.bandwidth_bps.unwrap_or(0.0),
-        candidates,
-    });
 }
 
 /// A FoV-agnostic plan (the YouTube/Facebook baseline of §2): every tile
@@ -548,7 +528,6 @@ mod tests {
             buffer: SimDuration::from_secs(2),
             bandwidth_bps: bw,
             measured_bps: None,
-            bandwidth_forecast: vec![],
             last_quality: Quality(1),
         }
     }
@@ -699,9 +678,7 @@ mod tests {
         let v = video();
         let fc = forecast(&v);
         let config = SperkeConfig {
-            selection: SelectionPolicy::Stochastic {
-                min_probability: 0.05,
-            },
+            policy: AbrPolicyKind::Knapsack,
             ..Default::default()
         };
         let mut vra = SperkeVra::new(RateBased::default(), config);
@@ -723,9 +700,7 @@ mod tests {
         let v = video();
         let fc = forecast(&v);
         let config = SperkeConfig {
-            selection: SelectionPolicy::Stochastic {
-                min_probability: 0.05,
-            },
+            policy: AbrPolicyKind::Knapsack,
             ..Default::default()
         };
         let mut vra = SperkeVra::new(RateBased::default(), config);
@@ -737,6 +712,69 @@ mod tests {
         // The conservative budget keeps the plan near the base layer
         // (the knapsack may upgrade a tile or two within the budget).
         assert!(plan.fov_quality <= Quality(1));
+    }
+
+    #[test]
+    fn knapsack_policy_plans_exactly_the_stochastic_selection() {
+        let v = video();
+        let fc = forecast(&v);
+        let config = SperkeConfig {
+            policy: AbrPolicyKind::Knapsack,
+            ..Default::default()
+        };
+        let pricing = config.encoding.scheme_for(&v, 0.5);
+        let mut vra = SperkeVra::new(RateBased::default(), config.clone());
+        for bw in [None, Some(8e6), Some(25e6), Some(80e6)] {
+            let budget = match bw {
+                Some(bw) => (bw * v.chunk_duration().as_secs_f64() / 8.0) as u64,
+                None => SuperChunk::from_forecast(&fc, ChunkTime(1), config.fov_threshold)
+                    .bytes_at(&v, Quality::LOWEST, Scheme::Avc),
+            };
+            let plan = vra.plan(&input(&v, &fc, bw));
+            let oracle = crate::knapsack::select_stochastic(
+                &v,
+                &fc,
+                ChunkTime(1),
+                budget,
+                pricing,
+                DEFAULT_MIN_PROBABILITY,
+            );
+            let planned: Vec<_> = plan
+                .fetches
+                .iter()
+                .map(|f| (f.chunk.tile, f.chunk.quality))
+                .collect();
+            let selected: Vec<_> = oracle.iter().map(|c| (c.tile, c.quality)).collect();
+            assert_eq!(planned, selected, "diverged at bw {bw:?}");
+            for f in &plan.fetches {
+                assert_eq!(f.probability, fc.prob(f.chunk.tile));
+                let scheme = config.encoding.scheme_for(&v, f.probability);
+                assert_eq!(f.bytes, v.chunk_bytes(f.chunk, scheme));
+            }
+        }
+    }
+
+    #[test]
+    fn knapsack_policy_prefers_measured_capacity() {
+        let v = video();
+        let fc = forecast(&v);
+        let config = SperkeConfig {
+            policy: AbrPolicyKind::Knapsack,
+            ..Default::default()
+        };
+        let mut vra = SperkeVra::new(RateBased::default(), config);
+        let mk = |measured| PlanInput {
+            measured_bps: measured,
+            ..input(&v, &fc, Some(60e6))
+        };
+        let declared = vra.plan(&mk(None));
+        let probed = vra.plan(&mk(Some(6e6)));
+        assert!(
+            probed.total_bytes() < declared.total_bytes(),
+            "measured 6 Mbps must shrink the plan: {} vs {}",
+            probed.total_bytes(),
+            declared.total_bytes()
+        );
     }
 
     #[test]

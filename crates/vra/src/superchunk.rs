@@ -7,7 +7,7 @@
 //! have different qualities, thus worsening the QoE)".
 
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileGrid, TileId, Viewport, VisibilityCache};
+use sperke_geo::{TileGrid, TileId, Viewport};
 use sperke_hmp::TileForecast;
 use sperke_video::{ChunkTime, Quality, Scheme, VideoModel};
 
@@ -27,21 +27,6 @@ impl SuperChunk {
         SuperChunk {
             time,
             tiles: viewport.visible_tile_set(grid),
-        }
-    }
-
-    /// [`SuperChunk::from_viewport`] through a visibility memo —
-    /// identical result, recomputed only on a cache miss. For callers
-    /// that build super chunks per chunk time from recurring gazes.
-    pub fn from_viewport_cached(
-        grid: &TileGrid,
-        viewport: &Viewport,
-        time: ChunkTime,
-        vis: &VisibilityCache,
-    ) -> SuperChunk {
-        SuperChunk {
-            time,
-            tiles: vis.visible_tile_set(viewport, grid),
         }
     }
 

@@ -143,7 +143,6 @@ fn lying_viewer_context_threads_through() {
         buffer: SimDuration::from_secs(2),
         bandwidth_bps: Some(40e6),
         measured_bps: None,
-        bandwidth_forecast: vec![],
         last_quality: Quality(1),
     });
     assert!(!plan.fetches.is_empty());
