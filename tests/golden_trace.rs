@@ -4,6 +4,8 @@
 //! consumption, trace encoding, or sweep merge shows up here first.
 //! Two churn goldens run a tile cache far below its working set, so the
 //! LRU eviction schedule (which entry goes, and when) is pinned too.
+//! A dispatch-matrix golden runs every inner ABR × scheduler ×
+//! forecaster combination of the session builder once.
 //!
 //! Regenerating ALL goldens in this file after an
 //! *intentional* behaviour change is one command:
@@ -16,14 +18,14 @@
 
 use sperke_core::oracle::run_fleet_inner;
 use sperke_core::{
-    run_federation, run_fleet_sweep, run_shootout, zipf_catalog_clients, EdgeConfig, EdgeRunReport,
-    FederationConfig, FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint, RunReport,
-    SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
+    run_federation, run_fleet_sweep, run_shootout, zipf_catalog_clients, AbrChoice, EdgeConfig,
+    EdgeRunReport, FederationConfig, FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint,
+    RunReport, SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
 };
 use sperke_edge::{flash_crowd_clients, FederationRunReport};
 use sperke_hmp::Behavior;
 use sperke_sim::sweep::run_sweep;
-use sperke_sim::SimDuration;
+use sperke_sim::{fnv1a64, SimDuration};
 use sperke_video::{VideoModel, VideoModelBuilder};
 use sperke_vra::AbrPolicyKind;
 
@@ -315,8 +317,53 @@ fn smoke_shootout_matches_golden_digest() {
     );
 }
 
+/// Every inner ABR × multipath scheduler × forecaster combination the
+/// builder can dispatch, run once each on a short dual-path session, in
+/// this fixed order. The golden session above covers only one of these
+/// 24 cells; this one pins the rest, so a swapped dispatch arm shows up.
+fn golden_dispatch_matrix() -> u64 {
+    let mut bytes = Vec::new();
+    for abr in [AbrChoice::RateBased, AbrChoice::BufferBased, AbrChoice::Mpc] {
+        for scheduler in [
+            SchedulerChoice::SinglePath,
+            SchedulerChoice::MinRtt,
+            SchedulerChoice::EarliestCompletion,
+            SchedulerChoice::ContentAware,
+        ] {
+            for oracle in [false, true] {
+                let mut b = Sperke::builder(77)
+                    .duration(SimDuration::from_secs(8))
+                    .wifi_plus_lte()
+                    .abr(abr)
+                    .scheduler(scheduler)
+                    .with_trace(TraceLevel::Decisions);
+                if oracle {
+                    b = b.with_oracle_hmp();
+                }
+                let report = b.run_report();
+                bytes.extend_from_slice(&report.trace_digest().to_le_bytes());
+                bytes.extend_from_slice(&report.session.qoe.score.to_bits().to_le_bytes());
+            }
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+const GOLDEN_DISPATCH_MATRIX_DIGEST: u64 = 0xeed3026756b518cc;
+
+#[test]
+fn builder_dispatch_matrix_matches_golden_digest() {
+    assert_eq!(
+        golden_dispatch_matrix(),
+        GOLDEN_DISPATCH_MATRIX_DIGEST,
+        "an ABR, scheduler or forecaster dispatch drifted — if the \
+         behaviour change is intentional, regenerate with \
+         `cargo test --test golden_trace -- --ignored --nocapture`"
+    );
+}
+
 /// Prints fresh golden constants for ALL goldens (session, sweep,
-/// federation, edge and regional churn, and shootout).
+/// federation, edge and regional churn, shootout and dispatch matrix).
 /// Run with `cargo test --test golden_trace -- --ignored --nocapture`
 /// and paste the output over the `GOLDEN_*` constants above.
 #[test]
@@ -408,5 +455,9 @@ fn regenerate_golden_constants() {
     println!(
         "const GOLDEN_SHOOTOUT_WINNER: &str = \"{}\";",
         shootout.ranking[0].policy
+    );
+    println!(
+        "const GOLDEN_DISPATCH_MATRIX_DIGEST: u64 = {:#018x};",
+        golden_dispatch_matrix()
     );
 }
