@@ -58,8 +58,8 @@ fn main() {
                 &video,
                 &trace,
                 paths(),
-                SinglePath(0),
-                FixedQuality(Quality(2)),
+                Box::new(SinglePath(0)),
+                Box::new(FixedQuality(Quality(2))),
                 &FusedForecaster::motion_only(),
                 &PlayerConfig {
                     planner,

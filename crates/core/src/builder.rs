@@ -4,18 +4,18 @@
 
 use sperke_geo::VisibilityCache;
 use sperke_hmp::{
-    generate_ensemble, AttentionModel, Behavior, FusedForecaster, HeadTrace, Heatmap,
+    generate_ensemble, AttentionModel, Behavior, Forecaster, FusedForecaster, HeadTrace, Heatmap,
     OracleForecaster, TraceGenerator, ViewingContext,
 };
 use sperke_net::{
     BandwidthTrace, BbrConfig, ContentAware, EarliestCompletion, FaultScript, LossChannel, MinRtt,
-    PathModel, PathQueue, RecoveryPolicy, SinglePath,
+    MultipathScheduler, PathModel, PathQueue, RecoveryPolicy, SinglePath,
 };
 use sperke_player::{run_session, PlannerKind, PlayerConfig, SessionResult};
 use sperke_sim::trace::{Trace, TraceLevel, TraceSink};
 use sperke_sim::{SimDuration, SimRng};
 use sperke_video::{Ladder, VideoModel, VideoModelBuilder};
-use sperke_vra::{AbrPolicyKind, BufferBased, Mpc, RateBased, SperkeConfig};
+use sperke_vra::{Abr, AbrPolicyKind, BufferBased, Mpc, RateBased, SperkeConfig};
 
 /// Which inner ABR drives the super-chunk quality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,18 +185,6 @@ impl Sperke {
     pub fn vis_cache(mut self, cache: VisibilityCache) -> Self {
         self.player.vis_cache = cache;
         self
-    }
-
-    /// Bound the tile-visibility memo to `capacity` entries.
-    pub fn with_vis_cache(self, capacity: usize) -> Self {
-        self.vis_cache(VisibilityCache::new(capacity))
-    }
-
-    /// Disable tile-visibility memoization: every display evaluation
-    /// recomputes from scratch (the uncached baseline the perf harness
-    /// measures against).
-    pub fn without_vis_cache(self) -> Self {
-        self.vis_cache(VisibilityCache::disabled())
     }
 
     /// Video duration.
@@ -424,39 +412,31 @@ impl Sperke {
             })
             .collect();
 
-        macro_rules! go {
-            ($abr:expr, $sched:expr, $forecaster:expr) => {
-                run_session(&video, &trace, paths, $sched, $abr, $forecaster, &player)
-            };
-        }
-        macro_rules! with_abr {
-            ($sched:expr, $forecaster:expr) => {
-                match self.abr {
-                    AbrChoice::RateBased => go!(RateBased::default(), $sched, $forecaster),
-                    AbrChoice::BufferBased => go!(BufferBased::default(), $sched, $forecaster),
-                    AbrChoice::Mpc => go!(Mpc::default(), $sched, $forecaster),
-                }
-            };
-        }
-        macro_rules! with_sched {
-            ($forecaster:expr) => {
-                match self.scheduler {
-                    SchedulerChoice::SinglePath => with_abr!(SinglePath(0), $forecaster),
-                    SchedulerChoice::MinRtt => with_abr!(MinRtt, $forecaster),
-                    SchedulerChoice::EarliestCompletion => {
-                        with_abr!(EarliestCompletion, $forecaster)
-                    }
-                    SchedulerChoice::ContentAware => with_abr!(ContentAware, $forecaster),
-                }
-            };
-        }
-        let session = if self.oracle_hmp {
-            let oracle = OracleForecaster::new(trace.clone());
-            with_sched!(&oracle)
-        } else {
-            let forecaster = self.build_forecaster();
-            with_sched!(&forecaster)
+        let scheduler: Box<dyn MultipathScheduler> = match self.scheduler {
+            SchedulerChoice::SinglePath => Box::new(SinglePath(0)),
+            SchedulerChoice::MinRtt => Box::new(MinRtt),
+            SchedulerChoice::EarliestCompletion => Box::new(EarliestCompletion),
+            SchedulerChoice::ContentAware => Box::new(ContentAware),
         };
+        let abr: Box<dyn Abr> = match self.abr {
+            AbrChoice::RateBased => Box::new(RateBased::default()),
+            AbrChoice::BufferBased => Box::new(BufferBased::default()),
+            AbrChoice::Mpc => Box::new(Mpc::default()),
+        };
+        let forecaster: Box<dyn Forecaster> = if self.oracle_hmp {
+            Box::new(OracleForecaster::new(trace.clone()))
+        } else {
+            Box::new(self.build_forecaster())
+        };
+        let session = run_session(
+            &video,
+            &trace,
+            paths,
+            scheduler,
+            abr,
+            forecaster.as_ref(),
+            &player,
+        );
         // `player` carries the last live clone of the sink; drop it so
         // `into_trace` takes the zero-copy move instead of a snapshot.
         drop(player);
@@ -567,6 +547,66 @@ mod tests {
     }
 
     #[test]
+    fn trace_agrees_with_the_session_report() {
+        use sperke_sim::trace::TraceEvent;
+        let twenty_secs = |b: Sperke| b.duration(SimDuration::from_secs(20));
+        let sessions = [
+            ("default", twenty_secs(Sperke::builder(77))),
+            ("agnostic", twenty_secs(Sperke::builder(77)).fov_agnostic()),
+            (
+                "stalling",
+                twenty_secs(Sperke::builder(5))
+                    .single_link(3e6)
+                    .fov_agnostic(),
+            ),
+            (
+                "upgrading",
+                twenty_secs(Sperke::builder(9))
+                    .wifi_plus_lte()
+                    .scheduler(SchedulerChoice::ContentAware),
+            ),
+            (
+                "skipping",
+                twenty_secs(Sperke::builder(5))
+                    .single_link(1e6)
+                    .player(PlayerConfig {
+                        realtime: true,
+                        ..Default::default()
+                    }),
+            ),
+        ];
+        let mut totals = [0u64; 3];
+        for (name, b) in sessions {
+            let r = b.with_trace(TraceLevel::Decisions).run_report();
+            let count = |keep: fn(&TraceEvent) -> bool| {
+                r.trace.events().iter().filter(|e| keep(e)).count() as u64
+            };
+            let decisions = count(|e| matches!(e, TraceEvent::AbrDecision { .. }));
+            let stalls = count(|e| matches!(e, TraceEvent::StallStarted { .. }));
+            let upgrades = count(|e| matches!(e, TraceEvent::UpgradeGranted { .. }));
+            let full_blanks =
+                count(|e| matches!(e, TraceEvent::BlankFrame { fraction, .. } if *fraction == 1.0));
+            let skips = r.trace.metrics().counter_value("player.skips");
+            let q = &r.session.qoe;
+            assert_eq!(decisions, q.chunks as u64, "{name}: one decision per chunk");
+            assert_eq!(stalls, q.stall_count as u64, "{name}: stalls");
+            assert_eq!(
+                upgrades, r.session.upgrades_applied as u64,
+                "{name}: upgrades"
+            );
+            assert_eq!(full_blanks, skips.unwrap_or(0), "{name}: skips");
+            assert_eq!(r.trace.dropped(), 0, "{name}: the ring dropped events");
+            totals[0] += stalls;
+            totals[1] += upgrades;
+            totals[2] += full_blanks;
+        }
+        assert!(
+            totals.iter().all(|&n| n > 0),
+            "the panel must stall, upgrade and skip: {totals:?}"
+        );
+    }
+
+    #[test]
     fn untraced_run_report_is_empty_and_cheap() {
         let r = Sperke::builder(21)
             .duration(SimDuration::from_secs(4))
@@ -668,8 +708,8 @@ mod tests {
                 .scheduler(SchedulerChoice::ContentAware)
                 .with_trace(TraceLevel::Verbose)
         };
-        let cached = base().with_vis_cache(64).run_report();
-        let uncached = base().without_vis_cache().run_report();
+        let cached = base().vis_cache(VisibilityCache::new(64)).run_report();
+        let uncached = base().vis_cache(VisibilityCache::disabled()).run_report();
         assert_eq!(
             cached.to_jsonl(),
             uncached.to_jsonl(),

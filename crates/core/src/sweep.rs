@@ -138,9 +138,11 @@ pub struct SperkeSweepPoint {
 /// A seed sweep over [`Sperke`] sessions, built by [`Sperke::sweep`].
 ///
 /// The experiment is described by a constructor closure (`seed →
-/// Sperke`) rather than a prototype instance so each worker thread
-/// materializes its own session — the builder's trace sink is
-/// single-threaded by design and never crosses threads.
+/// Sperke`) rather than a prototype instance because the seed shapes
+/// the whole experiment; each worker thread builds the sessions it
+/// runs. A built [`Sperke`] is `Send + Sync` (its trace sink and
+/// visibility cache are `Arc<Mutex<..>>` handles), and every
+/// [`Sperke::run_report`] records into a fresh sink.
 pub struct SperkeSweep<F> {
     build: F,
     seeds: Vec<u64>,

@@ -9,7 +9,6 @@
 //! rebuffering does, while the head keeps moving on the wall clock.
 
 use crate::buffer::CellBuffer;
-use crate::events::{EventLog, PlayerEvent};
 use crate::qoe::{ChunkRecord, QoeReport, QoeWeights};
 use sperke_geo::VisibilityCache;
 use sperke_hmp::{Forecaster, HeadTrace};
@@ -24,6 +23,12 @@ use sperke_vra::{
     decide_upgrade, plan_fov_agnostic, upgrade_candidates, Abr, FetchPlan, PlanInput, SperkeConfig,
     SperkeVra, UpgradeConfig, UpgradeDecision,
 };
+
+/// Samples of gaze history handed to the forecaster.
+const HISTORY_SAMPLES: usize = 50;
+
+/// How close to the deadline the upgrade pass re-checks the HMP.
+const UPGRADE_LEAD: SimDuration = SimDuration::from_millis(600);
 
 /// Which planner drives fetching: FoV-guided or not. The FoV-guided
 /// planner's viewport policy is [`SperkeConfig::policy`], an
@@ -47,16 +52,6 @@ pub struct PlayerConfig {
     pub planner: PlannerKind,
     /// Whether the incremental-upgrade pass runs (§3.1.1).
     pub upgrades_enabled: bool,
-    /// Upgrade tuning.
-    pub upgrade: UpgradeConfig,
-    /// Bandwidth estimator kind.
-    pub estimator: EstimatorKind,
-    /// Samples of gaze history handed to the forecaster.
-    pub history_samples: usize,
-    /// QoE weights.
-    pub weights: QoeWeights,
-    /// How close to the deadline the upgrade pass re-checks the HMP.
-    pub upgrade_lead: SimDuration,
     /// Prefetch depth cap: fetching chunk `t` waits until its deadline
     /// is at most this far away. FoV-guided players must keep this short
     /// — "the HMP prediction window is usually short and may thus limit
@@ -84,8 +79,8 @@ pub struct PlayerConfig {
     /// Memoized tile-visibility queries for the display-evaluation hot
     /// path. Cached results are bit-identical to recomputation, so this
     /// never changes a session's outcome — only its speed. Clones of
-    /// the config share one cache (`Rc` handle); sweeps build their
-    /// configs per worker thread, keeping caches per-thread.
+    /// the config share one cache (an `Arc<Mutex<..>>` handle), across
+    /// threads too.
     pub vis_cache: VisibilityCache,
 }
 
@@ -94,11 +89,6 @@ impl Default for PlayerConfig {
         PlayerConfig {
             planner: PlannerKind::Sperke(SperkeConfig::default()),
             upgrades_enabled: true,
-            upgrade: UpgradeConfig::default(),
-            estimator: EstimatorKind::Harmonic { window: 5 },
-            history_samples: 50,
-            weights: QoeWeights::default(),
-            upgrade_lead: SimDuration::from_millis(600),
             max_buffer: SimDuration::from_secs(2),
             realtime: false,
             resilience: None,
@@ -124,9 +114,9 @@ pub struct SessionResult {
     pub upgrades_applied: u32,
 }
 
-enum PlannerState<A: Abr> {
-    Sperke(Box<SperkeVra<A>>),
-    Agnostic(A),
+enum PlannerState {
+    Sperke(SperkeVra),
+    Agnostic(Box<dyn Abr>),
 }
 
 /// Run a streaming session of `video` for the viewer in `trace`.
@@ -135,66 +125,32 @@ enum PlannerState<A: Abr> {
 ///   [`sperke_net::SinglePath`] for single-path experiments.
 /// * `abr` — the inner rate-adaptation algorithm (§3.1.2).
 /// * `forecaster` — the HMP stack (§3.2).
-pub fn run_session<A: Abr, S: MultipathScheduler, F: Forecaster>(
+///
+/// This is the one session entry point. What happened is recorded in
+/// `config.trace`: each chunk's [`TraceEvent::AbrDecision`], every
+/// transfer, stalls ([`TraceEvent::StallStarted`] /
+/// [`TraceEvent::StallEnded`]), blank and fall-back frames and upgrade
+/// verdicts. [`SessionResult::records`] carries each displayed chunk's
+/// utility, blank and degraded fractions.
+pub fn run_session(
     video: &VideoModel,
     trace: &HeadTrace,
     paths: Vec<PathQueue>,
-    scheduler: S,
-    abr: A,
-    forecaster: &F,
+    scheduler: Box<dyn MultipathScheduler>,
+    abr: Box<dyn Abr>,
+    forecaster: &dyn Forecaster,
     config: &PlayerConfig,
-) -> SessionResult {
-    run_session_impl(
-        video, trace, paths, scheduler, abr, forecaster, config, None,
-    )
-}
-
-/// Like [`run_session`], additionally recording every decision into
-/// `log` as typed [`PlayerEvent`]s.
-#[allow(clippy::too_many_arguments)]
-pub fn run_session_logged<A: Abr, S: MultipathScheduler, F: Forecaster>(
-    video: &VideoModel,
-    trace: &HeadTrace,
-    paths: Vec<PathQueue>,
-    scheduler: S,
-    abr: A,
-    forecaster: &F,
-    config: &PlayerConfig,
-    log: &mut EventLog,
-) -> SessionResult {
-    run_session_impl(
-        video,
-        trace,
-        paths,
-        scheduler,
-        abr,
-        forecaster,
-        config,
-        Some(log),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
-    video: &VideoModel,
-    trace: &HeadTrace,
-    paths: Vec<PathQueue>,
-    scheduler: S,
-    abr: A,
-    forecaster: &F,
-    config: &PlayerConfig,
-    mut log: Option<&mut EventLog>,
 ) -> SessionResult {
     let cd = video.chunk_duration();
     let sink = config.trace.clone();
-    // The cache may be shared across runs (config clones share the Rc
+    // The cache may be shared across runs (config clones share the Arc
     // handle); track a running baseline so each display phase flushes
     // only the traffic it caused, never stale counts carried over from
     // earlier runs or earlier phases.
     let mut vis_flushed = config.vis_cache.stats();
     let mut net = MultipathSession::new(paths, scheduler);
     net.set_trace(sink.clone());
-    let mut estimator = BandwidthEstimator::new(config.estimator);
+    let mut estimator = BandwidthEstimator::new(EstimatorKind::Harmonic { window: 5 });
     estimator.set_trace(sink.clone());
     let mut buffer = CellBuffer::new();
     let mut records = Vec::new();
@@ -202,7 +158,7 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
 
     let mut planner = match &config.planner {
         PlannerKind::Sperke(cfg) => {
-            let mut vra = Box::new(SperkeVra::new(abr, cfg.clone()));
+            let mut vra = SperkeVra::new(abr, cfg.clone());
             vra.set_trace(sink.clone());
             PlannerState::Sperke(vra)
         }
@@ -248,7 +204,7 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
         let trace_target = playback_start
             .map(|ps| est_deadline.saturating_since(ps))
             .unwrap_or(SimDuration::ZERO);
-        let history = trace.history(SimTime::ZERO + trace_now, config.history_samples);
+        let history = trace.history(SimTime::ZERO + trace_now, HISTORY_SAMPLES);
         let forecast = forecaster.forecast(
             video.grid(),
             &history,
@@ -275,7 +231,15 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
         let plan: FetchPlan = match &mut planner {
             PlannerState::Sperke(vra) => vra.plan(&plan_input),
             PlannerState::Agnostic(a) => {
-                let plan = plan_fov_agnostic(a, video, t, buffer_level, bw, measured, last_quality);
+                let plan = plan_fov_agnostic(
+                    a.as_mut(),
+                    video,
+                    t,
+                    buffer_level,
+                    bw,
+                    measured,
+                    last_quality,
+                );
                 // The agnostic planner has no sink of its own; log its
                 // ABR choice here so both planners leave the same shape
                 // of decision record.
@@ -293,16 +257,6 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
             }
         };
 
-        if let Some(l) = log.as_deref_mut() {
-            l.push(PlayerEvent::PlanIssued {
-                at: now,
-                chunk: t,
-                fov_quality: plan.fov_quality,
-                fetches: plan.fetches.len() as u32,
-                bytes: plan.total_bytes(),
-            });
-        }
-
         // --- Fetch. FoV first (plans order them first), track completion.
         let mut chunk_bytes = 0u64;
         let mut batch_delivered = 0u64;
@@ -316,16 +270,6 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
             };
             let (completion, _path) = submit_chunk(&mut net, req, now, config.resilience.as_ref());
             chunk_bytes += fetch.bytes;
-            if let Some(l) = log.as_deref_mut() {
-                l.push(PlayerEvent::FetchCompleted {
-                    at: completion.finished,
-                    tile: fetch.chunk.tile,
-                    chunk: t,
-                    quality: fetch.chunk.quality,
-                    priority: fetch.priority,
-                    dropped: completion.outcome != TransferOutcome::Delivered,
-                });
-            }
             match completion.outcome {
                 TransferOutcome::Delivered => {
                     batch_delivered += fetch.bytes;
@@ -402,22 +346,9 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
                         // Live: the deadline is hard; the chunk is
                         // skipped and the timeline marches on.
                         skipped = true;
-                        if let Some(l) = log.as_deref_mut() {
-                            l.push(PlayerEvent::Skipped {
-                                at: deadline,
-                                chunk: t,
-                            });
-                        }
                     } else {
                         stall = fov_done - deadline;
                         stall_total += stall;
-                        if let Some(l) = log.as_deref_mut() {
-                            l.push(PlayerEvent::Stalled {
-                                at: deadline,
-                                chunk: t,
-                                duration: stall,
-                            });
-                        }
                         if sink.is_enabled() {
                             sink.emit(TraceEvent::StallStarted {
                                 at: deadline,
@@ -453,11 +384,11 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
             let lead_target = SimTime::from_nanos(
                 display_time
                     .as_nanos()
-                    .saturating_sub(config.upgrade_lead.as_nanos()),
+                    .saturating_sub(UPGRADE_LEAD.as_nanos()),
             );
             let check_at = now.max(lead_target);
             let check_trace = check_at.saturating_since(ps);
-            let fresh_history = trace.history(SimTime::ZERO + check_trace, config.history_samples);
+            let fresh_history = trace.history(SimTime::ZERO + check_trace, HISTORY_SAMPLES);
             let fresh = forecaster.forecast(
                 video.grid(),
                 &fresh_history,
@@ -482,7 +413,14 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
                 // upgrade", §3.1.2); follow it for up to a few rounds.
                 let mut at = check_at;
                 for _ in 0..4 {
-                    match decide_upgrade(&cand, &sizes, scheme, at, bw_now, &config.upgrade) {
+                    match decide_upgrade(
+                        &cand,
+                        &sizes,
+                        scheme,
+                        at,
+                        bw_now,
+                        &UpgradeConfig::default(),
+                    ) {
                         UpgradeDecision::UpgradeNow { delta_bytes } => {
                             let req = ChunkRequest {
                                 bytes: delta_bytes,
@@ -517,15 +455,6 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
                                     ),
                                 }
                                 upgrades_applied += 1;
-                                if let Some(l) = log.as_deref_mut() {
-                                    l.push(PlayerEvent::Upgraded {
-                                        at: completion.finished,
-                                        tile: cand.cell.tile,
-                                        chunk: t,
-                                        to: cand.want,
-                                        delta_bytes,
-                                    });
-                                }
                                 sink.emit(TraceEvent::UpgradeGranted {
                                     at: completion.finished,
                                     tile: cand.cell.tile.0,
@@ -625,15 +554,6 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
                 }
             }
         }
-        if let Some(l) = log.as_deref_mut() {
-            l.push(PlayerEvent::Displayed {
-                at: display_time,
-                chunk: t,
-                viewport_utility: utility,
-                blank,
-                degraded,
-            });
-        }
         if sink.is_enabled() {
             if blank > 0.0 {
                 sink.emit(TraceEvent::BlankFrame {
@@ -699,7 +619,7 @@ fn run_session_impl<A: Abr, S: MultipathScheduler, F: Forecaster>(
         });
     }
 
-    let qoe = QoeReport::from_records(&records, startup_delay, &config.weights);
+    let qoe = QoeReport::from_records(&records, startup_delay, &QoeWeights::default());
     let path_bytes = net.paths().iter().map(|p| p.bytes_delivered).collect();
     SessionResult {
         qoe,
@@ -727,8 +647,8 @@ fn measured_capacity(paths: &[PathQueue]) -> Option<f64> {
 
 /// Submit one chunk through the session, resiliently when a
 /// [`RecoveryPolicy`] is configured, naively otherwise.
-fn submit_chunk<S: MultipathScheduler>(
-    net: &mut MultipathSession<S>,
+fn submit_chunk(
+    net: &mut MultipathSession<Box<dyn MultipathScheduler>>,
     req: ChunkRequest,
     now: SimTime,
     resilience: Option<&RecoveryPolicy>,
@@ -783,8 +703,8 @@ mod tests {
             video,
             tr,
             single_path(bps),
-            SinglePath(0),
-            RateBased::default(),
+            Box::new(SinglePath(0)),
+            Box::new(RateBased::default()),
             &FusedForecaster::motion_only(),
             &config,
         )
@@ -832,8 +752,8 @@ mod tests {
                 &v,
                 &tr,
                 single_path(60e6),
-                SinglePath(0),
-                FixedQuality(sperke_video::Quality(2)),
+                Box::new(SinglePath(0)),
+                Box::new(FixedQuality(sperke_video::Quality(2))),
                 &FusedForecaster::motion_only(),
                 &PlayerConfig {
                     planner,
@@ -954,49 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn event_log_captures_the_session() {
-        use crate::events::{EventLog, PlayerEvent};
-        let v = video(8);
-        let tr = trace(8, 6);
-        let mut log = EventLog::new();
-        let r = run_session_logged(
-            &v,
-            &tr,
-            single_path(25e6),
-            SinglePath(0),
-            RateBased::default(),
-            &FusedForecaster::motion_only(),
-            &PlayerConfig::default(),
-            &mut log,
-        );
-        assert_eq!(r.qoe.chunks, 8);
-        // One plan + one display per chunk; fetch completions in between.
-        let plans = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e, PlayerEvent::PlanIssued { .. }))
-            .count();
-        let displays = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e, PlayerEvent::Displayed { .. }))
-            .count();
-        let fetches = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e, PlayerEvent::FetchCompleted { .. }))
-            .count();
-        assert_eq!(plans, 8);
-        assert_eq!(displays, 8);
-        assert!(fetches >= plans, "every plan moves at least one tile");
-        // The logged run matches the plain run byte for byte.
-        let plain = run(&v, &tr, 25e6, PlayerConfig::default());
-        assert_eq!(plain.qoe, r.qoe);
-        // NDJSON export yields one line per event.
-        assert_eq!(log.to_ndjson().lines().count(), log.len());
-    }
-
-    #[test]
     fn spatial_fallback_turns_blank_into_degraded() {
         let v = video(15);
         let tr = trace(15, 3);
@@ -1019,8 +896,8 @@ mod tests {
                 &v,
                 &tr,
                 paths,
-                SinglePath(0),
-                RateBased::default(),
+                Box::new(SinglePath(0)),
+                Box::new(RateBased::default()),
                 &FusedForecaster::motion_only(),
                 &PlayerConfig {
                     fallback_enabled: fallback,
@@ -1080,8 +957,8 @@ mod tests {
                 &v,
                 &tr,
                 paths,
-                ContentAware,
-                RateBased::default(),
+                Box::new(ContentAware),
+                Box::new(RateBased::default()),
                 &FusedForecaster::motion_only(),
                 &PlayerConfig {
                     resilience,

@@ -258,10 +258,11 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// index.
 ///
 /// `run` is called as `run(index, &point)`; each call executes entirely
-/// on one worker thread, so single-threaded experiment code (including
-/// `Rc`-based trace sinks) works unchanged as long as it is constructed
-/// inside the closure. A panic inside `run` is caught and recorded as
-/// [`PointOutcome::Panicked`] for that point alone.
+/// on one worker thread, so state the closure builds (a trace sink, for
+/// instance) belongs to that one point. Trace sinks are `Arc<Mutex<..>>`
+/// handles and could cross threads; building them per point keeps
+/// points from sharing one. A panic inside `run` is caught and recorded
+/// as [`PointOutcome::Panicked`] for that point alone.
 ///
 /// The headline guarantee: for any plan and any `K ≥ 1`,
 /// `run_sweep(plan, K, f)` equals `run_sweep(plan, 1, f)` byte for byte

@@ -68,7 +68,7 @@ mod proptests {
             let fc = FusedForecaster::motion_only().forecast(
                 video.grid(), &history, SimTime::ZERO,
                 SimTime::from_secs(1), ChunkTime(1));
-            let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+            let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
             let plan = vra.plan(&PlanInput {
                 video: &video,
                 forecast: &fc,

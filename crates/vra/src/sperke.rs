@@ -188,9 +188,9 @@ impl Default for SperkeConfig {
 }
 
 /// The holistic Sperke rate-adaptation planner.
-pub struct SperkeVra<A: Abr> {
+pub struct SperkeVra {
     /// The inner ABR driving the super-chunk quality (part one).
-    pub abr: A,
+    pub abr: Box<dyn Abr>,
     /// Tuning.
     pub config: SperkeConfig,
     trace: TraceSink,
@@ -199,9 +199,9 @@ pub struct SperkeVra<A: Abr> {
     prev: Vec<i8>,
 }
 
-impl<A: Abr> SperkeVra<A> {
+impl SperkeVra {
     /// Construct with an inner ABR.
-    pub fn new(abr: A, config: SperkeConfig) -> Self {
+    pub fn new(abr: Box<dyn Abr>, config: SperkeConfig) -> Self {
         SperkeVra {
             abr,
             config,
@@ -348,7 +348,7 @@ impl<A: Abr> SperkeVra<A> {
     }
 }
 
-impl<A: Abr> SperkeVra<A> {
+impl SperkeVra {
     /// The window-policy plan (every kind but [`AbrPolicyKind::Sperke`]):
     /// one [`AbrPolicyKind::decide`] over all (tile, quality) pairs
     /// instead of the banded FoV/OOS split, with this planner's
@@ -423,8 +423,8 @@ impl<A: Abr> SperkeVra<A> {
 /// of the panorama at one quality, chosen by the inner ABR against the
 /// full-panorama bitrate.
 #[allow(clippy::too_many_arguments)]
-pub fn plan_fov_agnostic<A: Abr>(
-    abr: &mut A,
+pub fn plan_fov_agnostic(
+    abr: &mut dyn Abr,
     video: &VideoModel,
     time: ChunkTime,
     buffer: SimDuration,
@@ -536,7 +536,7 @@ mod tests {
     fn plan_contains_fov_and_oos() {
         let v = video();
         let fc = forecast(&v);
-        let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let plan = vra.plan(&input(&v, &fc, Some(30e6)));
         assert!(plan.fov_fetches().count() > 0);
         assert!(plan.oos_fetches().count() > 0);
@@ -554,7 +554,7 @@ mod tests {
     fn plan_respects_bandwidth_budget() {
         let v = video();
         let fc = forecast(&v);
-        let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let bw = 20e6;
         let plan = vra.plan(&input(&v, &fc, Some(bw)));
         let plan_bps = plan.total_bytes() as f64 * 8.0 / v.chunk_duration().as_secs_f64();
@@ -568,7 +568,7 @@ mod tests {
     fn no_estimate_means_conservative_plan() {
         let v = video();
         let fc = forecast(&v);
-        let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let plan = vra.plan(&input(&v, &fc, None));
         assert_eq!(plan.fov_quality, Quality::LOWEST);
         assert_eq!(plan.oos_fetches().count(), 0, "no budget, no OOS");
@@ -578,7 +578,7 @@ mod tests {
     fn thin_buffer_marks_fetches_urgent() {
         let v = video();
         let fc = forecast(&v);
-        let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let mut inp = input(&v, &fc, Some(30e6));
         inp.buffer = SimDuration::from_millis(300);
         let plan = vra.plan(&inp);
@@ -597,7 +597,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut vra = SperkeVra::new(RateBased::default(), config);
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), config);
         let plan = vra.plan(&input(&v, &fc, Some(40e6)));
         let has_avc = plan.fetches.iter().any(|f| f.form == ChunkForm::Avc);
         let has_svc = plan
@@ -620,7 +620,7 @@ mod tests {
         let fc = forecast(&v);
         let mk = |enc| {
             let mut vra = SperkeVra::new(
-                RateBased::default(),
+                Box::new(RateBased::default()),
                 SperkeConfig {
                     encoding: enc,
                     ..Default::default()
@@ -661,7 +661,7 @@ mod tests {
     fn fov_guided_plan_is_cheaper_than_agnostic_at_same_quality() {
         let v = video();
         let fc = forecast(&v);
-        let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let guided = vra.plan(&input(&v, &fc, Some(30e6)));
         // Compare against the whole panorama at the same FoV quality.
         let pano = v.panorama_bytes(guided.fov_quality, ChunkTime(1), Scheme::Avc);
@@ -681,7 +681,7 @@ mod tests {
             policy: AbrPolicyKind::Knapsack,
             ..Default::default()
         };
-        let mut vra = SperkeVra::new(RateBased::default(), config);
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), config);
         let bw = 25e6;
         let plan = vra.plan(&input(&v, &fc, Some(bw)));
         assert!(!plan.fetches.is_empty());
@@ -703,7 +703,7 @@ mod tests {
             policy: AbrPolicyKind::Knapsack,
             ..Default::default()
         };
-        let mut vra = SperkeVra::new(RateBased::default(), config);
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), config);
         let plan = vra.plan(&input(&v, &fc, None));
         assert!(
             !plan.fetches.is_empty(),
@@ -723,7 +723,7 @@ mod tests {
             ..Default::default()
         };
         let pricing = config.encoding.scheme_for(&v, 0.5);
-        let mut vra = SperkeVra::new(RateBased::default(), config.clone());
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), config.clone());
         for bw in [None, Some(8e6), Some(25e6), Some(80e6)] {
             let budget = match bw {
                 Some(bw) => (bw * v.chunk_duration().as_secs_f64() / 8.0) as u64,
@@ -762,7 +762,7 @@ mod tests {
             policy: AbrPolicyKind::Knapsack,
             ..Default::default()
         };
-        let mut vra = SperkeVra::new(RateBased::default(), config);
+        let mut vra = SperkeVra::new(Box::new(RateBased::default()), config);
         let mk = |measured| PlanInput {
             measured_bps: measured,
             ..input(&v, &fc, Some(60e6))

@@ -134,7 +134,7 @@ fn lying_viewer_context_threads_through() {
         SimTime::from_secs(2),
         ChunkTime(1),
     );
-    let mut vra = SperkeVra::new(RateBased::default(), SperkeConfig::default());
+    let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
     let plan = vra.plan(&PlanInput {
         video: &video,
         forecast: &forecast,

@@ -113,8 +113,8 @@ fn tiling_savings_claim() {
             &video,
             &trace,
             mk_paths(),
-            SinglePath(0),
-            FixedQuality(Quality(2)),
+            Box::new(SinglePath(0)),
+            Box::new(FixedQuality(Quality(2))),
             &FusedForecaster::motion_only(),
             &PlayerConfig {
                 planner,
