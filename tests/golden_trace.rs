@@ -191,6 +191,64 @@ fn seed_77_federation_matches_golden_digest() {
     assert_eq!(run.report.failed_nodes, 0);
 }
 
+/// The exact federation the backlogged-federation golden was captured
+/// from: a seed-77 4-node flash crowd shaped like the benchmark's
+/// `fed_flash` (8 Mbps budgets, one title, a surge on a 5 ms cadence)
+/// but small, with every node's egress cut to 40 Mbps. Each node's WRR
+/// egress stays backlogged past `degrade_backlog`, so decides shed SVC
+/// layers: this is the only golden that reaches the egress-pressure
+/// path.
+fn golden_backlogged_federation() -> FederationRunReport {
+    let video = VideoModelBuilder::new(77)
+        .duration(SimDuration::from_secs(8))
+        .build();
+    let mut config = FederationConfig {
+        nodes: 4,
+        seed: 77,
+        ..Default::default()
+    };
+    config.node.seed = 77;
+    config.node.egress_bps = 40e6;
+    let clients = flash_crowd_clients(
+        &config.node,
+        16,
+        48,
+        SimDuration::from_secs(2),
+        SimDuration::from_millis(5),
+    );
+    let harness = FederationHarness {
+        trace: TraceLevel::Verbose,
+        ..Default::default()
+    };
+    run_federation(&video, &config, &clients, &harness, None, 2)
+}
+
+const GOLDEN_BACKLOGGED_FED_DIGEST: u64 = 0xc153634e9e5a11b8;
+const GOLDEN_BACKLOGGED_FED_DEGRADED: [u64; 4] = [165, 130, 21, 135];
+
+#[test]
+fn backlogged_federation_matches_golden_digest() {
+    let run = golden_backlogged_federation();
+    let degraded: Vec<u64> = run
+        .report
+        .nodes
+        .iter()
+        .map(|n| n.degraded_decides)
+        .collect();
+    assert!(
+        degraded.iter().all(|&d| d > 0),
+        "every node's egress must shed layers, got {degraded:?}"
+    );
+    assert_eq!(
+        run.combined_digest(),
+        GOLDEN_BACKLOGGED_FED_DIGEST,
+        "backlogged federation trace digest drifted — if the behaviour \
+         change is intentional, regenerate with \
+         `cargo test --test golden_trace -- --ignored --nocapture`"
+    );
+    assert_eq!(degraded, GOLDEN_BACKLOGGED_FED_DEGRADED);
+}
+
 /// The exact edge run the edge-churn golden was captured from: 32
 /// seed-77 clients over a Zipf(0.9) catalog of 8 titles, streaming 6 s
 /// into an 8 MiB tile cache, about an eighth of the 68 MB the run
@@ -408,6 +466,21 @@ fn regenerate_golden_constants() {
     println!(
         "const GOLDEN_FED_REGIONAL_HIT_BYTES: u64 = {};",
         fed.report.regional.hit_bytes
+    );
+    let backlogged = golden_backlogged_federation();
+    println!(
+        "const GOLDEN_BACKLOGGED_FED_DIGEST: u64 = {:#018x};",
+        backlogged.combined_digest()
+    );
+    println!(
+        "const GOLDEN_BACKLOGGED_FED_DEGRADED: [u64; {}] = {:?};",
+        backlogged.report.nodes.len(),
+        backlogged
+            .report
+            .nodes
+            .iter()
+            .map(|n| n.degraded_decides)
+            .collect::<Vec<_>>()
     );
     let edge = golden_edge_churn();
     println!(
