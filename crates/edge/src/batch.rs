@@ -38,9 +38,9 @@ use sperke_vra::{AbrPolicyKind, StochasticChoice};
 use std::cell::RefCell;
 
 /// Everything the sense phase computes for one client, independent of
-/// every other client and of the world's mutable state.
+/// every other client and of the world's mutable state. The client's
+/// head trace is not part of it: [`sense_client`] is its only user.
 pub(crate) struct ClientBatch {
-    pub(crate) head: sperke_hmp::HeadTrace,
     /// Crowd gaze reports (admitted clients, prefetch runs only).
     pub(crate) reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
     /// Per-chunk decide plans (admitted clients only).
@@ -160,15 +160,14 @@ pub(crate) fn sense_client(
     policy: AbrPolicyKind,
 ) -> ClientBatch {
     let chunks = video.chunk_count();
-    let head = client_head(attention, spec, session);
     if !admitted {
         return ClientBatch {
-            head,
             reports: Vec::new(),
             decides: Vec::new(),
             displays: Vec::new(),
         };
     }
+    let head = client_head(attention, spec, session);
     SCRATCH.with(|s| {
         let (fscratch, vscratch, hist) = &mut *s.borrow_mut();
         let mut decides = Vec::with_capacity(chunks as usize);
@@ -200,14 +199,15 @@ pub(crate) fn sense_client(
         }
         // The crowd only matters when the prefetcher runs; skipping
         // ingest otherwise cannot change any output (the aggregator
-        // is read exclusively by prefetch events).
+        // is read exclusively by prefetch events). The reports are the
+        // head's last use, so the viewer takes it without a copy.
         let reports = if config.prefetch {
             viewer_reports(
                 video.grid(),
                 video.chunk_duration(),
                 report_delay,
                 &LiveViewer {
-                    trace: head.clone(),
+                    trace: head,
                     latency: spec.arrival,
                 },
                 chunks,
@@ -216,7 +216,6 @@ pub(crate) fn sense_client(
             Vec::new()
         };
         ClientBatch {
-            head,
             reports,
             decides,
             displays,
@@ -258,7 +257,7 @@ pub fn run_edge_prepared(
                 spec.content,
             )
             .ingest_reports(batch.reports.clone());
-            ClientState::new(spec, batch.head.clone(), admitted, link_id)
+            ClientState::new(spec, admitted, link_id)
         })
         .collect();
 

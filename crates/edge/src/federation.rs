@@ -710,7 +710,7 @@ pub fn run_federation(
                     )
                     .ingest_reports_delayed(&batches[i].reports, config.sync_delay);
                 }
-                ClientState::new(*cspec, batches[i].head.clone(), admitted, link_id)
+                ClientState::new(*cspec, admitted, link_id)
             })
             .collect();
         let node_harness = EdgeHarness {

@@ -14,7 +14,7 @@ use crate::server::{
     EdgeSched, EdgeWorld,
 };
 use sperke_geo::{Orientation, TileId, Viewport, VisibilityCache};
-use sperke_hmp::{AttentionModel, ForecastScratch};
+use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
 use sperke_live::{CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
 use sperke_sim::{MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, World};
@@ -34,6 +34,8 @@ impl EdgeSched for Scheduler<'_, EdgeEvent> {
 /// which the engine's sense phase holds instead.
 struct OracleWorld<'a> {
     world: EdgeWorld<'a>,
+    /// Per-client head traces, index-aligned with the world's clients.
+    heads: Vec<HeadTrace>,
     policy: AbrPolicyKind,
     /// Per-client previous-window levels for temporal policies.
     prev_levels: Vec<Vec<i8>>,
@@ -53,11 +55,10 @@ impl World<EdgeEvent> for OracleWorld<'_> {
             EdgeEvent::Arrive { client } => world.apply_arrive(client, now),
             // Only admitted clients have decides and displays scheduled.
             EdgeEvent::Decide { client, chunk } => {
-                let state = &world.clients[client as usize];
                 let choices = decide_choices(
                     world.video,
-                    &state.spec,
-                    &state.head,
+                    &world.clients[client as usize].spec,
+                    &self.heads[client as usize],
                     chunk,
                     now,
                     &mut self.fscratch,
@@ -68,8 +69,7 @@ impl World<EdgeEvent> for OracleWorld<'_> {
                 world.apply_decide(client, chunk, &choices, sched);
             }
             EdgeEvent::Display { client, chunk } => {
-                let state = &world.clients[client as usize];
-                let gaze = display_gaze(world.video, &state.head, chunk);
+                let gaze = display_gaze(world.video, &self.heads[client as usize], chunk);
                 let visible =
                     self.vis
                         .visible_tiles(&Viewport::headset(gaze), world.video.grid(), 12);
@@ -124,12 +124,16 @@ pub fn run_edge_full(
     let mut egress = WrrLink::new(config.egress_bps);
     let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
     let attention = AttentionModel::generic(config.seed);
+    let heads: Vec<HeadTrace> = specs
+        .iter()
+        .map(|spec| client_head(&attention, spec, session))
+        .collect();
     let states: Vec<ClientState> = specs
         .iter()
+        .zip(&heads)
         .enumerate()
-        .map(|(i, spec)| {
+        .map(|(i, (spec, head))| {
             let admitted = i < config.max_clients;
-            let head = client_head(&attention, spec, session);
             let link_id = admitted.then(|| egress.add_client(spec.weight));
             if admitted {
                 // Attached clients report their gaze to their title's
@@ -149,7 +153,7 @@ pub fn run_edge_full(
                     chunks,
                 );
             }
-            ClientState::new(*spec, head, admitted, link_id)
+            ClientState::new(*spec, admitted, link_id)
         })
         .collect();
 
@@ -159,6 +163,7 @@ pub fn run_edge_full(
 
     let mut oracle = OracleWorld {
         world: EdgeWorld::new(video, *config, states, egress, crowds, harness),
+        heads,
         policy: harness.policy,
         prev_levels: vec![Vec::new(); specs.len()],
         fscratch: ForecastScratch::new(),

@@ -322,7 +322,6 @@ pub(crate) enum EdgeEvent {
 
 pub(crate) struct ClientState {
     pub(crate) spec: EdgeClientSpec,
-    pub(crate) head: HeadTrace,
     pub(crate) admitted: bool,
     /// WRR queue id; only admitted clients hold one.
     pub(crate) link_id: Option<u32>,
@@ -334,15 +333,9 @@ pub(crate) struct ClientState {
 
 impl ClientState {
     /// A freshly attached client with nothing delivered or planned.
-    pub(crate) fn new(
-        spec: EdgeClientSpec,
-        head: HeadTrace,
-        admitted: bool,
-        link_id: Option<u32>,
-    ) -> ClientState {
+    pub(crate) fn new(spec: EdgeClientSpec, admitted: bool, link_id: Option<u32>) -> ClientState {
         ClientState {
             spec,
-            head,
             admitted,
             link_id,
             delivered: FxHashMap::default(),
@@ -808,16 +801,32 @@ impl EdgeWorld<'_> {
 
     /// How many egress quality levels to shed under the current backlog
     /// (0 = none). One level per multiple of `degrade_backlog` queued.
+    ///
+    /// The shed step never decreases as the backlog grows: the drain
+    /// time keeps the order of the bits, and so do the division by the
+    /// limit and the saturating `as u8`. So when both ends of the link's
+    /// backlog interval give the same step, the exact backlog gives it
+    /// too, and the ordered sum over every queued stream runs only when
+    /// the ends disagree.
     fn pressure_steps(&self) -> u8 {
         let limit = self.config.degrade_backlog.as_secs_f64();
         if limit <= 0.0 {
             return 0;
         }
-        let over = self.egress.backlog().as_secs_f64() / limit;
-        if over < 1.0 {
-            0
+        let steps = |bits: f64| {
+            let over = self.egress.drain_time(bits).as_secs_f64() / limit;
+            if over < 1.0 {
+                0
+            } else {
+                (over as u8).min(8)
+            }
+        };
+        let (lo, hi) = self.egress.backlog_bits_bounds();
+        let shed = steps(lo);
+        if shed == steps(hi) {
+            shed
         } else {
-            (over as u8).min(8)
+            steps(self.egress.backlog_bits())
         }
     }
 

@@ -120,12 +120,37 @@ impl CrowdAggregator {
     /// only from reports causally available at wall time `now` (best
     /// first, ties by tile id). Empty when no report for the chunk has
     /// arrived yet — an edge prefetcher then has nothing to act on.
+    ///
+    /// Counts only `chunk`'s reports, each tile once per report, which
+    /// are the counts [`Heatmap::record`] keeps for that chunk; the
+    /// order is [`Heatmap::top_k`]'s (count descending, then tile id).
     pub fn predicted_tiles(&self, now: SimTime, chunk: ChunkTime, k: usize) -> Vec<TileId> {
-        let map = self.heatmap_at(now, chunk.0 + 1);
-        if map.viewer_count(chunk) == 0 {
+        let tile_count = self.grid.tile_count();
+        let mut counts = vec![0u32; tile_count];
+        // The viewer count stamps each report, so a tile listed twice
+        // in one report counts once without a per-report buffer.
+        let mut last_seen = vec![0u32; tile_count];
+        let mut viewers = 0u32;
+        for (wall, c, tiles) in &self.reports {
+            if *c != chunk || *wall > now {
+                continue;
+            }
+            viewers += 1;
+            for tile in tiles {
+                let i = tile.index();
+                if last_seen[i] != viewers {
+                    last_seen[i] = viewers;
+                    counts[i] += 1;
+                }
+            }
+        }
+        if viewers == 0 {
             return Vec::new();
         }
-        map.top_k(chunk, k)
+        let mut ranked: Vec<TileId> = self.grid.tiles().collect();
+        ranked.sort_by(|a, b| counts[b.index()].cmp(&counts[a.index()]).then(a.cmp(b)));
+        ranked.truncate(k);
+        ranked
     }
 }
 
@@ -360,6 +385,36 @@ mod tests {
             );
         }
         assert_eq!(shifted.reports, slower.reports);
+    }
+
+    #[test]
+    fn predicted_tiles_match_the_causal_heatmap_top_k() {
+        let grid = TileGrid::new(4, 6);
+        let cd = SimDuration::from_secs(1);
+        let (lows, _) = population(23);
+        let mut agg = CrowdAggregator::new(grid, cd);
+        for v in &lows {
+            agg.ingest(v, 12);
+        }
+        // A report listing a tile twice still counts it once.
+        agg.ingest_reports(vec![(
+            SimTime::from_secs(9),
+            ChunkTime(3),
+            vec![TileId(2), TileId(2), TileId(5)],
+        )]);
+        for c in 0..12 {
+            for now_ms in (0..24_000).step_by(700) {
+                let now = SimTime::from_millis(now_ms);
+                let t = ChunkTime(c);
+                let map = agg.heatmap_at(now, c + 1);
+                let expect = if map.viewer_count(t) == 0 {
+                    Vec::new()
+                } else {
+                    map.top_k(t, 5)
+                };
+                assert_eq!(agg.predicted_tiles(now, t, 5), expect, "chunk {c} at {now}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,16 @@
 //! finishes, so the model is deterministic: identical submissions yield
 //! identical completion times, bit for bit.
 //!
+//! The stepper is laid out as a struct of arrays. The backlogged
+//! clients' ids, their heads' remaining bits and their weight classes
+//! are three dense vectors aligned by position, sorted by client id;
+//! queued streams behind a head keep their full size and wait in the
+//! client's FIFO. A fluid step computes `rate · weight / Σ weights` and
+//! its product with the step length once per distinct weight, then
+//! costs one division (time to finish) and one subtraction (bits
+//! drained) per head. The weight sum is a running total, exact in f64
+//! because the weights are small integers.
+//!
 //! ```
 //! use sperke_net::WrrLink;
 //! use sperke_sim::SimTime;
@@ -35,20 +45,38 @@ use serde::{Deserialize, Serialize};
 use sperke_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// A stream queued or in flight on a [`WrrLink`].
+/// A stream queued or in flight on a [`WrrLink`]. Only a queue head
+/// drains, and its remaining bits live in the link's dense head array;
+/// a stream behind the head still has all of its bits to send.
 #[derive(Debug, Clone)]
 struct WrrStream {
     id: StreamId,
     bytes: u64,
-    remaining_bits: f64,
     submitted: SimTime,
 }
 
-/// One client's FIFO queue and scheduling weight.
+impl WrrStream {
+    /// The stream's full size in bits.
+    fn bits(&self) -> f64 {
+        self.bytes as f64 * 8.0
+    }
+}
+
+/// One client's FIFO queue (head first) and its weight class.
 #[derive(Debug, Clone)]
 struct ClientQueue {
-    weight: f64,
+    class: u32,
     queue: VecDeque<WrrStream>,
+}
+
+/// Every client registered at one scheduling weight, with the rate each
+/// of them is served at in the current fluid step and the bits that
+/// step drains from each of their heads.
+#[derive(Debug, Clone)]
+struct WeightClass {
+    weight: f64,
+    rate: f64,
+    drained: f64,
 }
 
 /// A completed client stream.
@@ -73,17 +101,26 @@ pub struct WrrLink {
     rate_bps: f64,
     now: SimTime,
     clients: Vec<ClientQueue>,
-    /// Indices of clients with a non-empty queue, ascending. The fluid
-    /// stepper only ever touches backlogged clients, so every pass
-    /// (weight sum, min-finisher, head decrement) walks this list
-    /// instead of the full registry — at a thousand registered clients
-    /// with a few dozen backlogged, that is the whole inner loop.
-    ///
-    /// Walking `active` ascending visits exactly the clients the
-    /// previous full-scan formulation visited, in the same order, so
-    /// every floating-point operation sequence (and therefore every
-    /// completion bit) is unchanged.
+    /// The distinct registered weights; a client holds an index here.
+    classes: Vec<WeightClass>,
+    /// Ids of the clients with a non-empty queue, ascending. Walking it
+    /// visits the backlogged clients in the order a scan of the whole
+    /// registry would, so the lowest-id tie-break and every f64
+    /// operation sequence match that formulation.
     active: Vec<u32>,
+    /// Remaining bits of each backlogged client's head, aligned with
+    /// `active`.
+    head_bits: Vec<f64>,
+    /// Weight class of each backlogged client, aligned with `active`.
+    head_class: Vec<u32>,
+    /// Σ weights of the backlogged clients. The weights are integers,
+    /// so this running total is exact: it equals a fresh sum in any
+    /// order while it stays below 2⁵³.
+    total_weight: f64,
+    /// Bytes of the queued streams behind the heads.
+    tail_bytes: u64,
+    /// Streams queued, heads included.
+    queued: usize,
     next_id: u64,
     completions: Vec<WrrCompletion>,
     delivered_bytes: u64,
@@ -97,7 +134,13 @@ impl WrrLink {
             rate_bps,
             now: SimTime::ZERO,
             clients: Vec::new(),
+            classes: Vec::new(),
             active: Vec::new(),
+            head_bits: Vec::new(),
+            head_class: Vec::new(),
+            total_weight: 0.0,
+            tail_bytes: 0,
+            queued: 0,
             next_id: 0,
             completions: Vec::new(),
             delivered_bytes: 0,
@@ -109,8 +152,20 @@ impl WrrLink {
     /// submission on their behalf.
     pub fn add_client(&mut self, weight: u32) -> u32 {
         assert!(weight > 0, "weight must be positive");
+        let weight = weight as f64;
+        let class = match self.classes.iter().position(|c| c.weight == weight) {
+            Some(class) => class,
+            None => {
+                self.classes.push(WeightClass {
+                    weight,
+                    rate: 0.0,
+                    drained: 0.0,
+                });
+                self.classes.len() - 1
+            }
+        };
         self.clients.push(ClientQueue {
-            weight: weight as f64,
+            class: class as u32,
             queue: VecDeque::new(),
         });
         (self.clients.len() - 1) as u32
@@ -129,38 +184,76 @@ impl WrrLink {
         self.advance(now);
         let id = StreamId(self.next_id);
         self.next_id += 1;
-        let q = &mut self.clients[client as usize];
-        if q.queue.is_empty() {
-            // Keep `active` sorted ascending so scans preserve the
-            // by-index iteration order of the full registry.
-            let pos = self.active.partition_point(|&i| i < client);
-            self.active.insert(pos, client);
-        }
-        q.queue.push_back(WrrStream {
+        let stream = WrrStream {
             id,
             bytes,
-            remaining_bits: bytes as f64 * 8.0,
             submitted: now,
-        });
+        };
+        let q = &mut self.clients[client as usize];
+        if q.queue.is_empty() {
+            let pos = self.active.partition_point(|&i| i < client);
+            self.active.insert(pos, client);
+            self.head_bits.insert(pos, stream.bits());
+            self.head_class.insert(pos, q.class);
+            self.total_weight += self.classes[q.class as usize].weight;
+        } else {
+            self.tail_bytes += bytes;
+        }
+        q.queue.push_back(stream);
+        self.queued += 1;
         id
     }
 
     /// Bits still queued (all clients, including in-flight heads).
     ///
-    /// Empty queues contribute no terms, so summing over the active
-    /// list (ascending) adds exactly the same f64 sequence as a scan of
-    /// every registered client.
+    /// The ordered sum over every queued stream: clients ascending, each
+    /// client's head then the streams behind it. Empty queues contribute
+    /// no terms, so this adds exactly the f64 sequence a scan of every
+    /// registered client would. [`WrrLink::backlog_bits_bounds`] brackets
+    /// it at the cost of the heads alone.
     pub fn backlog_bits(&self) -> f64 {
         self.active
             .iter()
-            .flat_map(|&i| self.clients[i as usize].queue.iter())
-            .map(|s| s.remaining_bits)
+            .zip(&self.head_bits)
+            .flat_map(|(&i, &head)| {
+                let tails = self.clients[i as usize].queue.iter().skip(1);
+                std::iter::once(head).chain(tails.map(WrrStream::bits))
+            })
             .sum()
     }
 
-    /// The backlog expressed as time-to-drain at full link rate.
-    pub fn backlog(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.backlog_bits() / self.rate_bps)
+    /// An interval `(lo, hi)` sure to contain [`WrrLink::backlog_bits`],
+    /// computed from one pass over the backlogged heads instead of every
+    /// queued stream.
+    ///
+    /// The streams behind the heads hold an exact integer total `T`.
+    /// Summing `n` terms in order errs by at most `γ(n−1)·Σ|x|`, with
+    /// `γ(k) = k·u/(1 − k·u)` and `u = 2⁻⁵³` (Higham, *Accuracy and
+    /// Stability of Numerical Algorithms*, §4.2); that bounds both
+    /// `backlog_bits` over all `n` queued streams and the head sum here
+    /// over `m` heads. The centre `T + Σ heads` is therefore within
+    /// about `(n + m)·u·(T + Σ|heads|)` of `backlog_bits`, and the half
+    /// width `(n + m + 2)·ε·(T + Σ|heads|)`, with `ε = 2u`, is over twice
+    /// that, which also covers the rounding of the centre and the ends.
+    pub fn backlog_bits_bounds(&self) -> (f64, f64) {
+        let (mut heads, mut magnitude) = (0.0f64, 0.0f64);
+        for &bits in &self.head_bits {
+            heads += bits;
+            magnitude += bits.abs();
+        }
+        let tails = self.tail_bytes as f64 * 8.0;
+        let terms = (self.queued + self.head_bits.len() + 2) as f64;
+        let half_width = terms * f64::EPSILON * (tails + magnitude);
+        let centre = tails + heads;
+        (centre - half_width, centre + half_width)
+    }
+
+    /// Time to send `bits` at full link rate; `drain_time(backlog_bits())`
+    /// is the backlog's time to drain. It never decreases as `bits`
+    /// grows: the division by a positive rate and the nanosecond
+    /// rounding both keep the order.
+    pub fn drain_time(&self, bits: f64) -> SimDuration {
+        SimDuration::from_secs_f64(bits / self.rate_bps)
     }
 
     /// Streams queued for one client (head included).
@@ -177,71 +270,74 @@ impl WrrLink {
     /// finish. Tie-break on simultaneous finishes is the lowest client
     /// index (deterministic).
     ///
-    /// Every pass iterates the sorted active list, which visits the
-    /// same clients in the same order as scanning the full registry and
-    /// skipping empty queues — so the f64 operation sequence, and with
-    /// it every completion time bit, is identical to that formulation.
-    /// The weight sum is order-insensitive on top of that: weights are
-    /// small integers, whose f64 sums are exact.
+    /// Every f64 operation that reaches a completion time is the one the
+    /// full-registry formulation performs, in the same order: the rate
+    /// `rate_bps · w / Σw` and the drained bits `rate · dt` are the same
+    /// expressions whether computed per head or once per weight, and the
+    /// heads are visited in ascending client id.
     fn advance(&mut self, to: SimTime) {
-        loop {
-            if self.now >= to {
-                break;
-            }
-            let mut total_w = 0.0f64;
-            for &i in &self.active {
-                total_w += self.clients[i as usize].weight;
-            }
-            if total_w == 0.0 {
-                break;
+        while self.now < to && !self.active.is_empty() {
+            let total_weight = self.total_weight;
+            for class in &mut self.classes {
+                class.rate = self.rate_bps * class.weight / total_weight;
             }
             // The head that finishes first under the current sharing;
             // strict `<` keeps the first of equal minima, matching the
             // lowest-client-index tie-break.
             let mut best_pos = 0usize;
             let mut best_dt = f64::INFINITY;
-            for (pos, &i) in self.active.iter().enumerate() {
-                let c = &self.clients[i as usize];
-                let rate = self.rate_bps * c.weight / total_w;
-                let dt = c.queue[0].remaining_bits / rate;
+            for (pos, (&bits, &class)) in self.head_bits.iter().zip(&self.head_class).enumerate() {
+                let dt = bits / self.classes[class as usize].rate;
                 if dt < best_dt {
                     best_dt = dt;
                     best_pos = pos;
                 }
             }
-            let dt = best_dt;
             let window = (to - self.now).as_secs_f64();
-            if dt <= window {
-                let finish = self.now + SimDuration::from_secs_f64(dt);
-                for &i in &self.active {
-                    let c = &mut self.clients[i as usize];
-                    let rate = self.rate_bps * c.weight / total_w;
-                    c.queue[0].remaining_bits -= rate * dt;
-                }
-                let idx = self.active[best_pos] as usize;
-                let done = self.clients[idx].queue.pop_front().expect("head exists");
-                if self.clients[idx].queue.is_empty() {
-                    self.active.remove(best_pos);
-                }
-                self.delivered_bytes += done.bytes;
-                self.completions.push(WrrCompletion {
-                    client: idx as u32,
-                    id: done.id,
-                    submitted: done.submitted,
-                    finished: finish,
-                    bytes: done.bytes,
-                });
+            let finishes = best_dt <= window;
+            let step = if finishes { best_dt } else { window };
+            for class in &mut self.classes {
+                class.drained = class.rate * step;
+            }
+            for (bits, &class) in self.head_bits.iter_mut().zip(&self.head_class) {
+                *bits -= self.classes[class as usize].drained;
+            }
+            if finishes {
+                let finish = self.now + SimDuration::from_secs_f64(best_dt);
+                self.retire_head(best_pos, finish);
                 self.now = finish;
             } else {
-                for &i in &self.active {
-                    let c = &mut self.clients[i as usize];
-                    let rate = self.rate_bps * c.weight / total_w;
-                    c.queue[0].remaining_bits -= rate * window;
-                }
                 self.now = to;
             }
         }
         self.now = self.now.max(to);
+    }
+
+    /// Complete the head of backlogged client `active[pos]` at `finish`:
+    /// the stream behind it becomes the head with all its bits to send,
+    /// or the client leaves the backlog.
+    fn retire_head(&mut self, pos: usize, finish: SimTime) {
+        let client = self.active[pos];
+        let q = &mut self.clients[client as usize];
+        let done = q.queue.pop_front().expect("a backlogged client has a head");
+        if let Some(next) = q.queue.front() {
+            self.head_bits[pos] = next.bits();
+            self.tail_bytes -= next.bytes;
+        } else {
+            self.active.remove(pos);
+            self.head_bits.remove(pos);
+            self.head_class.remove(pos);
+            self.total_weight -= self.classes[q.class as usize].weight;
+        }
+        self.queued -= 1;
+        self.delivered_bytes += done.bytes;
+        self.completions.push(WrrCompletion {
+            client,
+            id: done.id,
+            submitted: done.submitted,
+            finished: finish,
+            bytes: done.bytes,
+        });
     }
 
     /// Drive the link until `to`, then drain completions so far, ordered
@@ -349,7 +445,8 @@ mod tests {
         link.submit(a, MBIT, SimTime::ZERO);
         link.submit(a, MBIT, SimTime::ZERO);
         assert!((link.backlog_bits() - 2e6).abs() < 1e-6);
-        assert!((link.backlog().as_secs_f64() - 0.25).abs() < 1e-9);
+        let drain = link.drain_time(link.backlog_bits());
+        assert!((drain.as_secs_f64() - 0.25).abs() < 1e-9);
         link.run_until(SimTime::from_millis(125));
         assert!((link.backlog_bits() - 1e6).abs() < 1e-6, "half drained");
         assert_eq!(link.delivered_bytes(), MBIT);
@@ -375,13 +472,52 @@ mod tests {
         link.submit(a, 1000, SimTime::from_secs(1));
     }
 
-    /// The full-scan formulation the active-list stepper replaced,
-    /// kept verbatim as a differential oracle: every pass filters the
-    /// whole registry for non-empty queues.
+    #[test]
+    fn simultaneous_finishes_across_weights_retire_lowest_id_first() {
+        // Weight w gets w/3 of 3 Mbps, so a weight-1 head of 1 Mbit and
+        // a weight-2 head of 2 Mbit both need exactly 1 s. Whichever
+        // client registered first (the lower id) retires at that
+        // instant; the other is left queued with nothing to send.
+        for weights in [[1, 2], [2, 1]] {
+            let mut link = WrrLink::new(3e6);
+            let ids = weights.map(|w| link.add_client(w));
+            for (id, w) in ids.into_iter().zip(weights) {
+                link.submit(id, w as u64 * MBIT, SimTime::ZERO);
+            }
+            let first = link.run_until(SimTime::from_secs(1));
+            assert_eq!(first.len(), 1, "weights {weights:?}");
+            assert_eq!(first[0].client, ids[0], "weights {weights:?}");
+            assert_eq!(first[0].finished, SimTime::from_secs(1));
+            assert_eq!(link.queued(ids[1]), 1);
+            let rest = link.drain();
+            assert_eq!(rest.len(), 1);
+            assert_eq!(rest[0].client, ids[1]);
+            assert_eq!(rest[0].finished, SimTime::from_secs(1));
+        }
+    }
+
+    /// A stream in the full-scan oracle: every queued stream carries its
+    /// own remaining bits.
+    struct OracleStream {
+        id: StreamId,
+        bytes: u64,
+        remaining_bits: f64,
+        submitted: SimTime,
+    }
+
+    /// One client of the full-scan oracle.
+    struct OracleClient {
+        weight: f64,
+        queue: VecDeque<OracleStream>,
+    }
+
+    /// The full-scan formulation the dense stepper replaced, kept as a
+    /// differential oracle: every pass filters the whole registry for
+    /// non-empty queues and reaches each head through its queue.
     struct FullScanWrr {
         rate_bps: f64,
         now: SimTime,
-        clients: Vec<ClientQueue>,
+        clients: Vec<OracleClient>,
         next_id: u64,
         completions: Vec<WrrCompletion>,
     }
@@ -398,7 +534,7 @@ mod tests {
         }
 
         fn add_client(&mut self, weight: u32) -> u32 {
-            self.clients.push(ClientQueue {
+            self.clients.push(OracleClient {
                 weight: weight as f64,
                 queue: VecDeque::new(),
             });
@@ -409,12 +545,20 @@ mod tests {
             self.advance(now);
             let id = StreamId(self.next_id);
             self.next_id += 1;
-            self.clients[client as usize].queue.push_back(WrrStream {
+            self.clients[client as usize].queue.push_back(OracleStream {
                 id,
                 bytes,
                 remaining_bits: bytes as f64 * 8.0,
                 submitted: now,
             });
+        }
+
+        fn backlog_bits(&self) -> f64 {
+            self.clients
+                .iter()
+                .flat_map(|c| c.queue.iter())
+                .map(|s| s.remaining_bits)
+                .sum()
         }
 
         fn advance(&mut self, to: SimTime) {
@@ -481,11 +625,32 @@ mod tests {
         }
     }
 
+    /// The dense link's ordered backlog sum equals the full scan's
+    /// (compared as f64: the oracle's empty sum is -0.0), and the
+    /// backlog interval contains it.
+    fn check_backlog(
+        fast: &WrrLink,
+        slow: &FullScanWrr,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let bits = slow.backlog_bits();
+        proptest::prop_assert_eq!(fast.backlog_bits(), bits);
+        let (lo, hi) = fast.backlog_bits_bounds();
+        proptest::prop_assert!(
+            lo <= bits && bits <= hi,
+            "backlog {} outside [{}, {}]",
+            bits,
+            lo,
+            hi
+        );
+        Ok(())
+    }
+
     proptest::proptest! {
-        /// The active-list stepper is bit-identical to the full-scan
-        /// oracle on arbitrary submission/checkpoint schedules: same
-        /// completions in the same order, with the exact same finish
-        /// time bits.
+        /// The dense stepper is bit-identical to the full-scan oracle on
+        /// arbitrary submission/checkpoint schedules: same completions
+        /// in the same order, with the exact same finish time bits. At
+        /// every checkpoint and after every submission the backlog
+        /// agrees too (see `check_backlog`).
         #[test]
         fn active_list_matches_full_scan_bit_exact(
             weights in proptest::collection::vec(1u32..5, 1..12),
@@ -509,9 +674,11 @@ mod tests {
                     let a = fast.run_until(now);
                     let b = slow.run_until(now);
                     proptest::prop_assert_eq!(&a, &b);
+                    check_backlog(&fast, &slow)?;
                 }
                 fast.submit(client, bytes, now);
                 slow.submit(client, bytes, now);
+                check_backlog(&fast, &slow)?;
             }
             let a = fast.drain();
             let end = fast.now;
