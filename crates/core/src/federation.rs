@@ -294,6 +294,7 @@ pub fn run_federation_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sperke_sim::SimTime;
     use sperke_video::VideoModelBuilder;
 
     fn video() -> VideoModel {
@@ -318,6 +319,50 @@ mod tests {
         assert_eq!(a.combined_digest(), b.combined_digest());
         assert_eq!(a.report.clients, 9);
         assert_eq!(a.report.nodes.len(), 3);
+    }
+
+    #[test]
+    fn builder_fault_scripts_reach_the_run() {
+        let node_faults =
+            FaultScript::none().link_down(1, SimTime::from_secs(3), SimTime::from_secs(60));
+        let origin_faults =
+            FaultScript::none().link_down(0, SimTime::from_secs(2), SimTime::from_millis(2800));
+        let builder = Sperke::federation_builder(5)
+            .nodes(3)
+            .clients(12)
+            .duration(SimDuration::from_secs(10))
+            .with_trace(TraceLevel::Events)
+            .with_node_faults(node_faults.clone())
+            .with_origin_faults(origin_faults.clone());
+        let built = builder.run();
+
+        let mut config = FederationConfig::default();
+        config.node.seed = 5;
+        config.seed = 5;
+        config.nodes = 3;
+        config.node.clients = 12;
+        let harness = FederationHarness {
+            trace: TraceLevel::Events,
+            node_faults,
+            origin_faults,
+            ..Default::default()
+        };
+        let direct = run_federation(
+            &builder.build_video(),
+            &config,
+            &sperke_edge::default_clients(&config.node),
+            &harness,
+            None,
+            1,
+        );
+        assert_eq!(built.report, direct.report);
+        assert_eq!(built.combined_digest(), direct.combined_digest());
+        assert_eq!(built.report.failed_nodes, 1);
+        assert!(built.report.rehomed > 0, "node 1 must have had residents");
+        assert!(
+            built.report.origin_retries > 0,
+            "the origin outage must schedule retries"
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! The edge engine: a pure sense phase, then one serial replay.
+//! The edge engine: a pure sense phase, then one serial replay over
+//! `1..N` node worlds.
 //!
-//! [`run_edge`] restructures an edge run into lockstep phases over
-//! contiguous per-client arrays:
+//! A standalone edge ([`run_edge`]) and a federation
+//! ([`run_federation`](crate::run_federation)) run the same two phases
+//! over contiguous per-client arrays. A standalone edge is the
+//! one-node case with no regional tier:
 //!
 //! 1. **sense** — every client's head trace, gaze reports, per-chunk
 //!    decide plans and display visibility lists are *pure* functions of
@@ -9,12 +12,13 @@
 //!    sharded across worker threads by client index (the same
 //!    deterministic-merge discipline as the sweep harness: results are
 //!    merged by index, making the output worker-count blind);
-//! 2. **decide / fetch / render** — the stateful remainder (egress
-//!    queues, cache, origin backhaul, degradation) replays the event
-//!    sequence through a [`ReplayQueue`] — static schedule in a sorted
-//!    array, dynamic origin completions in a heap, popping by `(time,
-//!    seq)` exactly like a heap-backed `EventQueue` — and executes the
-//!    world's shared `apply_*` methods.
+//! 2. **decide / fetch / render** — one replay assembles a world per
+//!    node and replays every node's events in one merged order through
+//!    a [`ReplayQueue`] — static schedule in a sorted array, dynamic
+//!    origin completions in a heap, popping by `(time, seq)` exactly
+//!    like a heap-backed `EventQueue` — executing the worlds' shared
+//!    `apply_*` methods. The static schedule is pushed through the
+//!    schedule functions the oracle also calls.
 //!
 //! The per-event engine in [`oracle`](crate::oracle) plans every decide
 //! inline at its event and runs the same `apply_*` code. The pure
@@ -23,10 +27,12 @@
 //! tests), and `tests/engine_equivalence.rs` pins the end-to-end claim:
 //! the same report and trace bytes, for every policy and worker count.
 
+use crate::cache::CacheKey;
+use crate::federation::{NodeSpec, RegionalTier};
 use crate::server::{
-    client_head, crowd_slot, decide_choices, display_gaze, edge_horizon, edge_schedule,
-    finish_edge_run, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport,
-    EdgeSched, EdgeWorld,
+    client_head, client_schedule, crowd_slot, decide_and_display, decide_choices, display_gaze,
+    edge_horizon, finish_edge_run, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig,
+    EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
 };
 use sperke_geo::{visible_tiles_batch, Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{AttentionModel, ForecastScratch};
@@ -40,13 +46,13 @@ use std::cell::RefCell;
 /// Everything the sense phase computes for one client, independent of
 /// every other client and of the world's mutable state. The client's
 /// head trace is not part of it: [`sense_client`] is its only user.
-pub(crate) struct ClientBatch {
+struct ClientBatch {
     /// Crowd gaze reports (admitted clients, prefetch runs only).
-    pub(crate) reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
+    reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
     /// Per-chunk decide plans (admitted clients only).
-    pub(crate) decides: Vec<Vec<StochasticChoice>>,
+    decides: Vec<Vec<StochasticChoice>>,
     /// Per-chunk display coverage lists (admitted clients only).
-    pub(crate) displays: Vec<Vec<(TileId, f64)>>,
+    displays: Vec<Vec<(TileId, f64)>>,
 }
 
 /// Per-worker sense-phase scratch: forecast tables, visibility counts,
@@ -63,24 +69,6 @@ thread_local! {
     /// rebuilds what it reads), so reuse cannot change output bits.
     static SCRATCH: RefCell<SenseScratch> =
         RefCell::new((ForecastScratch::new(), VisibilityScratch::new(), Vec::new()));
-}
-
-/// The replay cursor's scheduler: `now` is the popped event's time,
-/// dynamic pushes go into the replay heap with continuing sequence
-/// numbers — exactly how the oracle's `Scheduler` feeds its
-/// `EventQueue`.
-struct ReplaySched<'q> {
-    now: SimTime,
-    queue: &'q mut ReplayQueue<EdgeEvent>,
-}
-
-impl EdgeSched for ReplaySched<'_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn at(&mut self, at: SimTime, event: EdgeEvent) {
-        self.queue.push(at, event);
-    }
 }
 
 /// The sense phase's output: every pure per-client computation,
@@ -119,7 +107,22 @@ fn prepare_plan(
     assert!(!clients.is_empty(), "at least one client required");
     let mut specs = clients.to_vec();
     specs.sort_by_key(EdgeClientSpec::canonical_key);
+    let admitted: Vec<bool> = (0..specs.len()).map(|i| i < config.max_clients).collect();
+    sense_plan(video, config, specs, &admitted, workers, policy)
+}
 
+/// Sense every client of the canonically ordered `specs` on `workers`
+/// threads (0 = machine default), skipping clients that `admitted`
+/// marks as rejected. Results merge by client index, so the plan is
+/// worker-count blind.
+pub(crate) fn sense_plan(
+    video: &VideoModel,
+    config: &EdgeConfig,
+    specs: Vec<EdgeClientSpec>,
+    admitted: &[bool],
+    workers: usize,
+    policy: AbrPolicyKind,
+) -> EdgePlan {
     let session = video.duration() + SimDuration::from_secs(5);
     let attention = AttentionModel::generic(config.seed);
     let report_delay = CrowdAggregator::new(*video.grid(), video.chunk_duration()).report_delay;
@@ -131,7 +134,7 @@ fn prepare_plan(
             config,
             &attention,
             &specs_ref[i],
-            i < config.max_clients,
+            admitted[i],
             session,
             report_delay,
             policy,
@@ -142,14 +145,11 @@ fn prepare_plan(
 
 /// The pure per-client sense kernel: head trace, per-chunk decide
 /// plans, display coverage lists and crowd gaze reports, all as a
-/// function of `(video, config, spec, policy)` alone. Shared by the
-/// edge engine and the federation engine — both shard it across worker
-/// threads and merge by index, which is what makes their outputs
-/// worker-count blind. The per-client chunk loop runs in order, so
-/// temporal policies see the same previous-window state as the
-/// oracle's time-ordered inline decides.
+/// function of `(video, config, spec, policy)` alone. The per-client
+/// chunk loop runs in order, so temporal policies see the same
+/// previous-window state as the oracle's time-ordered inline decides.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sense_client(
+fn sense_client(
     video: &VideoModel,
     config: &EdgeConfig,
     attention: &AttentionModel,
@@ -173,12 +173,7 @@ pub(crate) fn sense_client(
         let mut decides = Vec::with_capacity(chunks as usize);
         let mut prev: Vec<i8> = Vec::new();
         for c in 0..chunks {
-            let display = SimTime::ZERO + spec.arrival + video.chunk_duration() * (c + 1) as u64;
-            let decide_at = SimTime::from_nanos(
-                display
-                    .as_nanos()
-                    .saturating_sub(config.fetch_lead.as_nanos()),
-            );
+            let (decide_at, _) = decide_and_display(video, config, spec, c);
             decides.push(decide_choices(
                 video, spec, &head, c, decide_at, fscratch, hist, policy, &mut prev,
             ));
@@ -223,96 +218,253 @@ pub(crate) fn sense_client(
     })
 }
 
-/// Run the stateful engine over a prepared plan: assemble the world,
-/// replay the event order, and settle the books. This is the decide →
-/// fetch → render stepping loop the perf baseline gates — everything
-/// pure, every decide plan included, was already materialized by
-/// [`prepare_edge_batch`], so `harness.policy` is not read here.
-pub fn run_edge_prepared(
-    video: &VideoModel,
+/// Where a replay's clients live: the nodes that serve them, each
+/// client's home node and admission, and the scripted crash-stops that
+/// re-home them. A standalone edge is one node that holds everyone.
+pub(crate) struct Placement {
+    /// Per node, in node order: its capacity and its harness.
+    nodes: Vec<(NodeSpec, EdgeHarness)>,
+    /// Each client's home node, in canonical client order.
+    home: Vec<u32>,
+    /// Whether each client's home admitted it.
+    pub(crate) admitted: Vec<bool>,
+    /// Scripted crash-stops as `(instant, node)`.
+    crashes: Vec<(SimTime, u32)>,
+}
+
+impl Placement {
+    /// Home client `i` on node `home[i]`; each node admits its residents
+    /// in canonical order up to its `max_clients`.
+    pub(crate) fn new(
+        nodes: Vec<(NodeSpec, EdgeHarness)>,
+        home: Vec<u32>,
+        crashes: Vec<(SimTime, u32)>,
+    ) -> Placement {
+        let mut residents = vec![0usize; nodes.len()];
+        let admitted = home
+            .iter()
+            .map(|&n| {
+                residents[n as usize] += 1;
+                residents[n as usize] <= nodes[n as usize].0.max_clients
+            })
+            .collect();
+        Placement {
+            nodes,
+            home,
+            admitted,
+            crashes,
+        }
+    }
+}
+
+/// One event in the replay's merged `(time, seq)` order.
+#[derive(Debug, Clone, Copy)]
+enum ReplayEvent {
+    /// A client-addressed event (arrive / decide / display): routed to
+    /// the client's *current* home node at dispatch time, so a re-homed
+    /// client's remaining schedule follows it to the survivor.
+    Client(EdgeEvent),
+    /// A node-addressed event (origin completions, retries, prefetch):
+    /// dropped if the node died before it fired.
+    Node { node: u32, ev: EdgeEvent },
+    /// A scripted crash-stop.
+    NodeDown { node: u32 },
+}
+
+/// One node's scheduling surface during the replay: dynamic pushes
+/// carry the node tag, and origin fetches resolve at the regional tier
+/// when there is one.
+struct NodeSched<'q, 't> {
+    now: SimTime,
+    node: u32,
+    queue: &'q mut ReplayQueue<ReplayEvent>,
+    tier: Option<&'t mut RegionalTier>,
+}
+
+impl EdgeSched for NodeSched<'_, '_> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn at(&mut self, at: SimTime, event: EdgeEvent) {
+        self.queue.push(
+            at,
+            ReplayEvent::Node {
+                node: self.node,
+                ev: event,
+            },
+        );
+    }
+    fn fetch_upstream(
+        &mut self,
+        key: CacheKey,
+        bytes: u64,
+        attempt: u32,
+        now: SimTime,
+    ) -> Option<UpstreamDecision> {
+        let node = self.node;
+        let tier = self.tier.as_deref_mut()?;
+        Some(tier.fetch(node, key, bytes, attempt, now))
+    }
+}
+
+/// The one edge replay, over the `1..N` node worlds of `placement`; a
+/// standalone edge is one node with no regional tier.
+///
+/// It assembles a world per node, schedules the static events, then
+/// pops the merged `(time, seq)` order one event at a time and applies
+/// each event to its node's world. `config` holds the knobs every node
+/// shares; a node's capacity comes from its `NodeSpec`. With
+/// `share_delay`, a node's crowds also see the other nodes' viewers of
+/// the titles it serves, that much later. Origin fetches go to `tier`
+/// when there is one. A scripted crash-stop marks its node dead, so its
+/// later events are dropped, and hands the node, the instant, the alive
+/// flags, the worlds and the client homes to `on_crash`, which re-homes
+/// the node's clients. Returns one settled report per node, in node
+/// order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn replay<'v>(
+    video: &'v VideoModel,
     config: &EdgeConfig,
     plan: &EdgePlan,
-    harness: &EdgeHarness,
-    metrics: Option<&mut MetricsRegistry>,
-) -> EdgeReport {
-    let chunks = video.chunk_count();
+    placement: Placement,
+    share_delay: Option<SimDuration>,
+    mut tier: Option<&mut RegionalTier>,
+    mut metrics: Option<&mut MetricsRegistry>,
+    mut on_crash: impl FnMut(u32, SimTime, &[bool], &mut [EdgeWorld<'v>], &mut [u32]),
+) -> Vec<EdgeReport> {
+    let Placement {
+        nodes,
+        mut home,
+        admitted,
+        crashes,
+    } = placement;
     let specs = &plan.specs;
 
-    // --- Assemble world state in canonical index order (sequential, so
-    // WRR registration and crowd report order match the oracle exactly).
-    let mut egress = WrrLink::new(config.egress_bps);
-    let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
-    let states: Vec<ClientState> = plan
-        .batches
-        .iter()
-        .enumerate()
-        .map(|(i, batch)| {
-            let spec = specs[i];
-            let admitted = i < config.max_clients;
-            let link_id = admitted.then(|| egress.add_client(spec.weight));
-            crowd_slot(
-                &mut crowds,
-                video.grid(),
-                video.chunk_duration(),
-                spec.content,
-            )
-            .ingest_reports(batch.reports.clone());
-            ClientState::new(spec, admitted, link_id)
-        })
-        .collect();
-
-    let admitted = states.iter().filter(|c| c.admitted).count();
-    let rejected = states.len() - admitted;
-    let first_arrival = specs.first().expect("non-empty").arrival;
-    let last_arrival = specs.last().expect("non-empty").arrival;
-
-    let mut world = EdgeWorld::new(video, *config, states, egress, crowds, harness);
-
-    // --- Prefetch plans: the crowds are fully ingested and event times
-    // are static, so the predicted tiles per chunk (per content group)
-    // are known up front.
-    let report_lag = first_arrival + SimDuration::from_millis(250) + video.chunk_duration();
-    let prefetch_groups: Vec<Vec<(u16, Vec<TileId>)>> = if config.prefetch {
-        (0..chunks)
-            .map(|c| {
-                let at = video.chunk_start(ChunkTime(c)) + report_lag;
-                world
-                    .crowds
-                    .iter()
-                    .map(|(content, crowd)| {
-                        (
-                            *content,
-                            crowd.predicted_tiles(at, ChunkTime(c), config.prefetch_k),
-                        )
-                    })
-                    .collect()
+    // --- One world per node, assembled in canonical client order, so
+    // WRR registration and crowd report order match the oracle's. Every
+    // world holds the full client vector (indices are global), and only
+    // its own admitted residents get egress queues. A resident's
+    // reports reach its node's crowd with no delay. A node's prefetches
+    // are timed from its earliest client's arrival.
+    let mut prefetch_from: Vec<Option<SimDuration>> = vec![None; nodes.len()];
+    let mut worlds: Vec<EdgeWorld<'v>> = Vec::with_capacity(nodes.len());
+    for (n, (spec, harness)) in nodes.iter().enumerate() {
+        let node = n as u32;
+        let mut served: Vec<u16> = (0..specs.len())
+            .filter(|&i| home[i] == node && admitted[i])
+            .map(|i| specs[i].content)
+            .collect();
+        served.sort_unstable();
+        served.dedup();
+        let mut egress = WrrLink::new(spec.egress_bps);
+        let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
+        let states = specs
+            .iter()
+            .enumerate()
+            .map(|(i, client)| {
+                let resident = home[i] == node && admitted[i];
+                if home[i] == node && config.prefetch {
+                    prefetch_from[n].get_or_insert(client.arrival);
+                }
+                let delay = if resident {
+                    Some(SimDuration::ZERO)
+                } else {
+                    share_delay
+                        .filter(|_| admitted[i] && served.binary_search(&client.content).is_ok())
+                };
+                if let Some(delay) = delay {
+                    crowd_slot(
+                        &mut crowds,
+                        video.grid(),
+                        video.chunk_duration(),
+                        client.content,
+                    )
+                    .ingest_reports_delayed(&plan.batches[i].reports, delay);
+                }
+                let link_id = resident.then(|| egress.add_client(client.weight));
+                ClientState::new(*client, resident, link_id)
             })
-            .collect()
-    } else {
-        Vec::new()
-    };
+            .collect();
+        let node_config = EdgeConfig {
+            egress_bps: spec.egress_bps,
+            cache_bytes: spec.cache_bytes,
+            max_clients: spec.max_clients,
+            ..*config
+        };
+        worlds.push(EdgeWorld::new(
+            video,
+            node_config,
+            states,
+            egress,
+            crowds,
+            harness,
+        ));
+    }
 
     // --- Static schedule, pushed in the oracle's order so sequence
     // numbers (and thus same-instant tie-breaks) coincide.
-    let mut queue: ReplayQueue<EdgeEvent> = ReplayQueue::new();
-    edge_schedule(video, config, specs, |at, event| {
-        queue.push_static(at, event)
-    });
+    let mut queue: ReplayQueue<ReplayEvent> = ReplayQueue::new();
+    client_schedule(
+        video,
+        config,
+        specs,
+        |i| admitted[i],
+        |at, ev| queue.push_static(at, ReplayEvent::Client(ev)),
+    );
+    for (n, from) in prefetch_from.iter().enumerate() {
+        if let Some(first) = *from {
+            prefetch_schedule(video, first, |at, ev| {
+                queue.push_static(at, ReplayEvent::Node { node: n as u32, ev })
+            });
+        }
+    }
+    for &(at, node) in &crashes {
+        queue.push_static(at, ReplayEvent::NodeDown { node });
+    }
     queue.seal();
 
-    // --- Replay: pop by (time, seq) and run the shared apply code.
-    let horizon = edge_horizon(video, last_arrival);
+    // --- Replay: pop by (time, seq) and run the shared apply code on
+    // the event's node.
+    let horizon = edge_horizon(video, specs.last().expect("non-empty").arrival);
+    let mut alive = vec![true; worlds.len()];
     while let Some(t) = queue.peek_time() {
         if t > horizon {
             break;
         }
         let (now, event) = queue.pop().expect("peeked non-empty");
-        world.drain_egress(now);
-        let mut sched = ReplaySched {
-            now,
-            queue: &mut queue,
+        let (node, ev) = match event {
+            ReplayEvent::Client(ev) => {
+                let client = match ev {
+                    EdgeEvent::Arrive { client }
+                    | EdgeEvent::Decide { client, .. }
+                    | EdgeEvent::Display { client, .. } => client,
+                    _ => unreachable!("only client-addressed events carry the Client tag"),
+                };
+                (home[client as usize], ev)
+            }
+            ReplayEvent::Node { node, ev } => (node, ev),
+            ReplayEvent::NodeDown { node } => {
+                alive[node as usize] = false;
+                assert!(
+                    alive.contains(&true),
+                    "a federation needs at least one surviving node"
+                );
+                on_crash(node, now, &alive, &mut worlds, &mut home);
+                continue;
+            }
         };
-        match event {
+        if !alive[node as usize] {
+            continue;
+        }
+        let world = &mut worlds[node as usize];
+        world.drain_egress(now);
+        let mut sched = NodeSched {
+            now,
+            node,
+            queue: &mut queue,
+            tier: tier.as_deref_mut(),
+        };
+        match ev {
             EdgeEvent::Arrive { client } => world.apply_arrive(client, now),
             EdgeEvent::Decide { client, chunk } => {
                 let decides = &plan.batches[client as usize].decides;
@@ -331,15 +483,55 @@ pub fn run_edge_prepared(
                 layer,
                 attempt,
             } => world.apply_origin_retry(chunk, tile, layer, attempt, &mut sched),
-            EdgeEvent::Prefetch { chunk } => {
-                if config.prefetch {
-                    world.apply_prefetch(chunk, &prefetch_groups[chunk as usize], &mut sched);
-                }
-            }
+            EdgeEvent::Prefetch { chunk } => world.apply_prefetch(chunk, &mut sched),
         }
     }
 
-    finish_edge_run(world, specs.len(), admitted, rejected, metrics)
+    // --- Settle every node's books; a node reports the clients homed
+    // on it at the end.
+    worlds
+        .into_iter()
+        .enumerate()
+        .map(|(n, world)| {
+            let clients = home.iter().filter(|&&h| h as usize == n).count();
+            let admitted = world.clients.iter().filter(|c| c.admitted).count();
+            finish_edge_run(
+                world,
+                clients,
+                admitted,
+                clients - admitted,
+                metrics.as_deref_mut(),
+            )
+        })
+        .collect()
+}
+
+/// Run the stateful engine over a prepared plan: the one replay, on one
+/// node holding every client, with `harness` and no regional tier. This
+/// is the decide → fetch → render stepping loop the perf baseline
+/// gates — everything pure, every decide plan included, was already
+/// materialized by [`prepare_edge_batch`], so `harness.policy` is not
+/// read here.
+pub fn run_edge_prepared(
+    video: &VideoModel,
+    config: &EdgeConfig,
+    plan: &EdgePlan,
+    harness: &EdgeHarness,
+    metrics: Option<&mut MetricsRegistry>,
+) -> EdgeReport {
+    let node = (NodeSpec::of(config), harness.clone());
+    let placement = Placement::new(vec![node], vec![0; plan.specs.len()], Vec::new());
+    let mut reports = replay(
+        video,
+        config,
+        plan,
+        placement,
+        None,
+        None,
+        metrics,
+        |_, _, _, _, _| unreachable!("a standalone edge has no crash script"),
+    );
+    reports.pop().expect("one node, one report")
 }
 
 /// Run the edge world: explicit client set, harness (trace, faults,

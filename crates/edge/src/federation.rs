@@ -27,34 +27,34 @@
 //!   is deterministically re-homed onto the ring's surviving nodes,
 //!   resuming delivery where it left off.
 //!
-//! The engine is the batched edge design (`DESIGN.md` §13) at
-//! federation scale: a pure sense phase sharded over worker threads and
-//! merged by client index, then one serial replay that pops a merged
-//! `(time, seq)` queue spanning all nodes, one event at a time. The
-//! worker count reaches only the sense phase, so every node's trace
-//! and the federation report are byte-identical for any worker count
-//! (why replay stays serial: `DESIGN.md` §16). A 1-node federation
-//! with a degenerate regional tier (`regional_bytes = 0`, infinite
-//! `regional_bps`, zero `regional_rtt`) reproduces the plain edge
-//! server bit for bit; `tests/federation.rs` pins all of these claims.
+//! The engine is the standalone edge's (`DESIGN.md` §13): the same
+//! sense phase, sharded over worker threads and merged by client index,
+//! then the same serial replay, here over every node's world at once,
+//! popping one merged `(time, seq)` queue one event at a time. A
+//! standalone edge is that replay on one node with no regional tier.
+//! This module adds only what is a federation's own: the ring
+//! placement, the regional tier, node crashes and the federation
+//! report. The worker count reaches only the sense phase, so every
+//! node's trace and the federation report are byte-identical for any
+//! worker count (why replay stays serial: `DESIGN.md` §16). A 1-node
+//! federation with a degenerate regional tier (`regional_bytes = 0`,
+//! infinite `regional_bps`, zero `regional_rtt`) reproduces the plain
+//! edge server bit for bit, its tier's legs standing in for the
+//! world's own backhaul; `tests/federation.rs` pins all of these
+//! claims.
 
-use crate::batch::{sense_client, ClientBatch};
+use crate::batch::{replay, sense_plan, Placement};
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use crate::server::{
-    crowd_slot, edge_horizon, finish_edge_run, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent,
-    EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
+    edge_horizon, failed_attempt, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
+    UpstreamDecision,
 };
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileId, VisibilityCache};
-use sperke_hmp::AttentionModel;
-use sperke_live::CrowdAggregator;
-use sperke_net::{FaultScript, PathFaults, RecoveryPolicy, SerialLink, WrrLink};
+use sperke_geo::VisibilityCache;
+use sperke_net::{FaultScript, PathFaults, RecoveryPolicy, SerialLink};
 use sperke_sim::trace::{Trace, TraceLevel};
-use sperke_sim::{
-    parallel_indexed, FxHashMap, MetricsRegistry, ReplayQueue, SimDuration, SimTime, TraceEvent,
-    TraceSink,
-};
-use sperke_video::{ChunkTime, VideoModel};
+use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimTime, TraceEvent, TraceSink};
+use sperke_video::VideoModel;
 use sperke_vra::AbrPolicyKind;
 
 /// One edge node's capacity declaration.
@@ -69,6 +69,16 @@ pub struct NodeSpec {
 }
 
 impl NodeSpec {
+    /// The capacity part of an edge config: the node a standalone edge
+    /// runs as, and the template of a uniform federation layout.
+    pub(crate) fn of(config: &EdgeConfig) -> NodeSpec {
+        NodeSpec {
+            egress_bps: config.egress_bps,
+            cache_bytes: config.cache_bytes,
+            max_clients: config.max_clients,
+        }
+    }
+
     /// The canonical total order nodes are indexed in. Sorting the
     /// layout by this key makes node indices — and therefore every
     /// trace byte — invariant to the order nodes were declared in.
@@ -140,14 +150,7 @@ impl FederationConfig {
     /// order so node indices are declaration-order invariant.
     pub fn node_layout(&self) -> Vec<NodeSpec> {
         let mut layout = if self.node_specs.is_empty() {
-            vec![
-                NodeSpec {
-                    egress_bps: self.node.egress_bps,
-                    cache_bytes: self.node.cache_bytes,
-                    max_clients: self.node.max_clients,
-                };
-                self.nodes
-            ]
+            vec![NodeSpec::of(&self.node); self.nodes]
         } else {
             self.node_specs.clone()
         };
@@ -189,7 +192,8 @@ impl Default for FederationHarness {
 
 /// Aggregate outcome of a federation run.
 ///
-/// Byte-accounting identities (exact, pinned by `tests/federation.rs`):
+/// Byte-accounting identities (exact with or without faults, pinned by
+/// `tests/federation.rs`):
 ///
 /// * `origin_bytes + origin_failed_bytes == regional.miss_bytes` —
 ///   every regional miss moves its bytes over the shared origin leg
@@ -346,9 +350,9 @@ fn home_for(points: &[(u64, u32)], alive: &[bool], point: u64) -> u32 {
 // ---------------------------------------------------------------------
 
 /// The shared middle tier: one cache, one serialized leg per node, one
-/// serialized origin leg. Answers every edge origin-fetch attempt via
-/// [`EdgeSched::fetch_upstream`].
-struct RegionalTier {
+/// serialized origin leg. Answers every edge origin-fetch attempt the
+/// replay routes to it.
+pub(crate) struct RegionalTier {
     cache: TileCache,
     node_links: Vec<SerialLink>,
     origin: SerialLink,
@@ -361,13 +365,16 @@ struct RegionalTier {
     origin_failed_bytes: u64,
     origin_retries: u64,
     /// Bytes answered `Retry` and not yet resolved, per `(node, key)`.
-    /// Settled as failed when the node dies or the horizon cuts the
-    /// retry off — keeps `ok + failed == miss_bytes` exact always.
+    /// Settled as failed at the horizon, which cuts off the retries
+    /// still queued and those of dead nodes, which never fire — keeps
+    /// `ok + failed == miss_bytes` exact always.
     pending: FxHashMap<(u32, CacheKey), u64>,
 }
 
 impl RegionalTier {
-    fn fetch(
+    /// Resolve node `node`'s origin-fetch attempt: a regional hit on the
+    /// first attempt, else a forward over the shared origin leg.
+    pub(crate) fn fetch(
         &mut self,
         node: u32,
         key: CacheKey,
@@ -403,31 +410,15 @@ impl RegionalTier {
         // with attempt > 1 and skip the cache (the miss is already
         // recorded once — the balance stays exact).
         if self.faults.is_down(now) {
-            self.trace.emit(TraceEvent::TransferTimedOut {
-                at: now,
-                path: node,
-                bytes,
-                attempt,
-            });
-            if attempt <= self.recovery.max_retries {
-                let delay = self.recovery.delay_after(attempt);
-                self.trace.emit(TraceEvent::RetryScheduled {
-                    at: now,
-                    path: node,
-                    bytes,
-                    attempt: attempt + 1,
-                    delay_ms: delay.as_nanos() / 1_000_000,
-                });
+            let decision = failed_attempt(&self.trace, &self.recovery, node, bytes, attempt, now);
+            if let UpstreamDecision::Retry { .. } = decision {
                 self.origin_retries += 1;
                 self.pending.insert((node, key), bytes);
-                return UpstreamDecision::Retry {
-                    at: now + delay,
-                    attempt: attempt + 1,
-                };
+            } else {
+                self.pending.remove(&(node, key));
+                self.origin_failed_bytes += bytes;
             }
-            self.pending.remove(&(node, key));
-            self.origin_failed_bytes += bytes;
-            return UpstreamDecision::Failed;
+            return decision;
         }
         self.pending.remove(&(node, key));
         // Cut-through: the object reaches the regional tier when the
@@ -440,68 +431,10 @@ impl RegionalTier {
         UpstreamDecision::Deliver(at)
     }
 
-    /// Write off every pending retry for `node` (None = all nodes) as
-    /// failed — the matching edge-side fetches were written off too.
-    fn fail_pending(&mut self, node: Option<u32>) {
-        let failed = &mut self.origin_failed_bytes;
-        self.pending.retain(|&(n, _), &mut bytes| {
-            let written_off = node.is_none_or(|dead| n == dead);
-            if written_off {
-                *failed += bytes;
-            }
-            !written_off
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// The merged replay.
-// ---------------------------------------------------------------------
-
-/// One event in the federation's merged `(time, seq)` order.
-#[derive(Debug, Clone, Copy)]
-enum FedEvent {
-    /// A client-addressed event (arrive / decide / display): routed to
-    /// the client's *current* home node at dispatch time, so re-homed
-    /// clients' remaining schedule follows them to the survivor.
-    Client(EdgeEvent),
-    /// A node-addressed event (origin completions, retries, prefetch):
-    /// dropped if the node died before it fired.
-    Node { node: u32, ev: EdgeEvent },
-    /// A scripted crash-stop.
-    NodeDown { node: u32 },
-}
-
-/// The per-node scheduling surface during replay: dynamic pushes carry
-/// the node tag, and origin fetches resolve at the shared tier.
-struct FedSched<'q, 't> {
-    now: SimTime,
-    node: u32,
-    queue: &'q mut ReplayQueue<FedEvent>,
-    tier: &'t mut RegionalTier,
-}
-
-impl EdgeSched for FedSched<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn at(&mut self, at: SimTime, event: EdgeEvent) {
-        self.queue.push(
-            at,
-            FedEvent::Node {
-                node: self.node,
-                ev: event,
-            },
-        );
-    }
-    fn fetch_upstream(
-        &mut self,
-        key: CacheKey,
-        bytes: u64,
-        attempt: u32,
-        now: SimTime,
-    ) -> UpstreamDecision {
-        self.tier.fetch(self.node, key, bytes, attempt, now)
+    /// Write off every pending retry as failed — the matching edge-side
+    /// fetches were written off too.
+    fn fail_pending(&mut self) {
+        self.origin_failed_bytes += self.pending.drain().map(|(_, bytes)| bytes).sum::<u64>();
     }
 }
 
@@ -601,161 +534,60 @@ pub fn run_federation(
 ) -> FederationRunReport {
     assert!(!clients.is_empty(), "at least one client required");
     let layout = config.node_layout();
-    let node_count = layout.len();
-
     let mut specs = clients.to_vec();
     specs.sort_by_key(EdgeClientSpec::canonical_key);
-    let chunks = video.chunk_count();
-    let last_arrival = specs.last().expect("non-empty").arrival;
-    let horizon = edge_horizon(video, last_arrival);
+    let horizon = edge_horizon(video, specs.last().expect("non-empty").arrival);
 
-    // --- Sharding: home node and admission per client, pure functions
-    // of the config and the canonical orders.
-    let points = ring_points(config.seed, node_count, config.vnodes);
-    let all_alive = vec![true; node_count];
+    // --- Ring placement: each client's home node is a pure function of
+    // the config and the canonical orders. A node's first scripted
+    // outage inside the horizon is its crash-stop.
+    let points = ring_points(config.seed, layout.len(), config.vnodes);
     let client_points: Vec<u64> = specs.iter().map(|s| client_point(config.seed, s)).collect();
-    let mut home: Vec<u32> = client_points
+    let all_alive = vec![true; layout.len()];
+    let home = client_points
         .iter()
         .map(|&p| home_for(&points, &all_alive, p))
         .collect();
-    let mut residents = vec![0usize; node_count];
-    let admitted_at_home: Vec<bool> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let n = home[i] as usize;
-            residents[n] += 1;
-            residents[n] <= layout[n].max_clients
-        })
-        .collect();
-
-    // --- Sense phase: identical kernel to the single-edge batched
-    // engine, sharded by client index — worker-count blind.
-    let session = video.duration() + SimDuration::from_secs(5);
-    let attention = AttentionModel::generic(config.node.seed);
-    let report_delay = CrowdAggregator::new(*video.grid(), video.chunk_duration()).report_delay;
-    let specs_ref = &specs;
-    let admitted_ref = &admitted_at_home;
-    let batches: Vec<ClientBatch> = parallel_indexed(specs.len(), workers, |i| {
-        sense_client(
-            video,
-            &config.node,
-            &attention,
-            &specs_ref[i],
-            admitted_ref[i],
-            session,
-            report_delay,
-            AbrPolicyKind::default(),
-        )
-    });
-
-    // --- Assemble per-node worlds. Every world holds the full global
-    // client vector (indices are federation-wide); only its own
-    // admitted residents get egress queues. Crowds merge local reports
-    // at full fidelity and, when sharing is on, remote reports shifted
-    // by the sync delay — restricted to titles the node itself serves.
     let fed_sink = TraceSink::with_level(harness.trace);
-    let node_sinks: Vec<TraceSink> = (0..node_count)
+    let node_sinks: Vec<TraceSink> = layout
+        .iter()
         .map(|_| TraceSink::with_level(harness.trace))
         .collect();
-    let mut worlds: Vec<EdgeWorld<'_>> = Vec::with_capacity(node_count);
-    let mut node_first_arrival: Vec<Option<SimDuration>> = vec![None; node_count];
-    for (n, spec) in layout.iter().enumerate() {
-        let node_config = EdgeConfig {
-            egress_bps: spec.egress_bps,
-            cache_bytes: spec.cache_bytes,
-            max_clients: spec.max_clients,
-            ..config.node
-        };
-        let mut egress = WrrLink::new(node_config.egress_bps);
-        let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
-        let node_contents: Vec<u16> = {
-            let mut c: Vec<u16> = specs
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| home[i] as usize == n && admitted_at_home[i])
-                .map(|(_, s)| s.content)
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            c
-        };
-        let states: Vec<ClientState> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, cspec)| {
-                let local = home[i] as usize == n;
-                if local && node_first_arrival[n].is_none() {
-                    node_first_arrival[n] = Some(cspec.arrival);
-                }
-                let admitted = local && admitted_at_home[i];
-                let link_id = admitted.then(|| egress.add_client(cspec.weight));
-                if admitted {
-                    crowd_slot(
-                        &mut crowds,
-                        video.grid(),
-                        video.chunk_duration(),
-                        cspec.content,
-                    )
-                    .ingest_reports(batches[i].reports.clone());
-                } else if config.share_heatmaps
-                    && admitted_at_home[i]
-                    && node_contents.binary_search(&cspec.content).is_ok()
-                {
-                    crowd_slot(
-                        &mut crowds,
-                        video.grid(),
-                        video.chunk_duration(),
-                        cspec.content,
-                    )
-                    .ingest_reports_delayed(&batches[i].reports, config.sync_delay);
-                }
-                ClientState::new(*cspec, admitted, link_id)
-            })
-            .collect();
-        let node_harness = EdgeHarness {
-            trace: node_sinks[n].clone(),
-            ..Default::default()
-        };
-        let world = EdgeWorld::new(video, node_config, states, egress, crowds, &node_harness);
-        worlds.push(world);
-    }
-
-    // --- Prefetch plans per node per chunk, from the node's own fully
-    // ingested crowds (event times are static, so this is exact).
-    // [node][chunk] → per-content predicted tile groups.
-    type PrefetchPlan = Vec<Vec<(u16, Vec<TileId>)>>;
-    let prefetch_groups: Vec<PrefetchPlan> = (0..node_count)
-        .map(|n| {
-            let Some(first) = node_first_arrival[n] else {
-                return Vec::new();
-            };
-            if !config.node.prefetch {
-                return Vec::new();
-            }
-            let report_lag = first + SimDuration::from_millis(250) + video.chunk_duration();
-            (0..chunks)
-                .map(|c| {
-                    let at = video.chunk_start(ChunkTime(c)) + report_lag;
-                    worlds[n]
-                        .crowds
-                        .iter()
-                        .map(|(content, crowd)| {
-                            (
-                                *content,
-                                crowd.predicted_tiles(at, ChunkTime(c), config.node.prefetch_k),
-                            )
-                        })
-                        .collect()
-                })
-                .collect()
+    let nodes = layout
+        .iter()
+        .zip(&node_sinks)
+        .map(|(spec, sink)| {
+            let trace = sink.clone();
+            (
+                *spec,
+                EdgeHarness {
+                    trace,
+                    ..Default::default()
+                },
+            )
         })
         .collect();
+    let crashes = (0..layout.len())
+        .filter_map(|n| {
+            let faults = harness.node_faults.compile_for(n);
+            let at = faults.first_outage_start_within(SimTime::ZERO, horizon)?;
+            Some((at, n as u32))
+        })
+        .collect();
+    let placement = Placement::new(nodes, home, crashes);
+    let plan = sense_plan(
+        video,
+        &config.node,
+        specs,
+        &placement.admitted,
+        workers,
+        AbrPolicyKind::default(),
+    );
 
     // --- The shared regional tier.
     let mut tier = RegionalTier {
         cache: TileCache::new(config.regional_bytes),
-        node_links: (0..node_count)
+        node_links: (0..layout.len())
             .map(|_| SerialLink::new(config.regional_bps, config.regional_rtt))
             .collect(),
         origin: SerialLink::new(config.node.origin_bps, config.node.origin_rtt),
@@ -770,184 +602,56 @@ pub fn run_federation(
         pending: FxHashMap::default(),
     };
 
-    // --- Static schedule, in the exact single-edge order per client so
-    // a 1-node federation's sequence numbering (and therefore its
-    // trace) is bit-identical to the plain edge engines.
-    let mut queue: ReplayQueue<FedEvent> = ReplayQueue::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let client = i as u32;
-        queue.push_static(
-            SimTime::ZERO + spec.arrival,
-            FedEvent::Client(EdgeEvent::Arrive { client }),
-        );
-        if !admitted_at_home[i] {
-            continue;
-        }
-        for c in 0..chunks {
-            let display = SimTime::ZERO + spec.arrival + video.chunk_duration() * (c + 1) as u64;
-            let decide = SimTime::from_nanos(
-                display
-                    .as_nanos()
-                    .saturating_sub(config.node.fetch_lead.as_nanos()),
-            );
-            queue.push_static(
-                decide,
-                FedEvent::Client(EdgeEvent::Decide { client, chunk: c }),
-            );
-            queue.push_static(
-                display,
-                FedEvent::Client(EdgeEvent::Display { client, chunk: c }),
-            );
-        }
-    }
-    if config.node.prefetch {
-        for (n, arrival) in node_first_arrival.iter().enumerate() {
-            let Some(first) = *arrival else {
-                continue;
-            };
-            let report_lag = first + SimDuration::from_millis(250) + video.chunk_duration();
-            for c in 0..chunks {
-                queue.push_static(
-                    video.chunk_start(ChunkTime(c)) + report_lag,
-                    FedEvent::Node {
-                        node: n as u32,
-                        ev: EdgeEvent::Prefetch { chunk: c },
-                    },
-                );
-            }
-        }
-    }
-    for n in 0..node_count {
-        let node_faults = harness.node_faults.compile_for(n);
-        if let Some(at) = node_faults.first_outage_start_within(SimTime::ZERO, horizon) {
-            queue.push_static(at, FedEvent::NodeDown { node: n as u32 });
-        }
-    }
-    queue.seal();
-
-    // --- Replay: pop the merged (time, seq) order one event at a time
-    // and apply it to its node's world. Client-addressed events route by
-    // the client's home at dispatch time, so a re-homed client's
-    // remaining schedule follows it to the survivor.
-    let mut alive = vec![true; node_count];
+    // --- The replay, with the tier. A crash-stop writes off the dead
+    // node's in-flight work and moves each of its clients to the first
+    // alive node clockwise on the ring, carrying an admitted client's
+    // session along.
     let mut rehomed = 0u64;
     let mut failed_nodes = 0u64;
     let mut lost_egress_bytes = 0u64;
     let mut lost_streams = 0u64;
-    while let Some(t) = queue.peek_time() {
-        if t > horizon {
-            break;
-        }
-        let (now, fev) = queue.pop().expect("peeked non-empty");
-        let (node, ev) = match fev {
-            FedEvent::NodeDown { node } => {
-                let n = node as usize;
-                if !alive[n] {
+    let share_delay = config.share_heatmaps.then_some(config.sync_delay);
+    let node_reports = replay(
+        video,
+        &config.node,
+        &plan,
+        placement,
+        share_delay,
+        Some(&mut tier),
+        metrics.as_deref_mut(),
+        |node, now, alive, worlds, home| {
+            let dead = node as usize;
+            failed_nodes += 1;
+            let wreck = worlds[dead].abandon(now);
+            lost_egress_bytes += wreck.lost_egress_bytes;
+            lost_streams += wreck.lost_streams;
+            fed_sink.emit(TraceEvent::NodeFailed { at: now, node });
+            for c in 0..home.len() {
+                if home[c] != node {
                     continue;
                 }
-                alive[n] = false;
-                assert!(
-                    alive.iter().any(|&a| a),
-                    "a federation needs at least one surviving node"
-                );
-                failed_nodes += 1;
-                let wreck = worlds[n].abandon(now);
-                lost_egress_bytes += wreck.lost_egress_bytes;
-                lost_streams += wreck.lost_streams;
-                fed_sink.emit(TraceEvent::NodeFailed { at: now, node });
-                tier.fail_pending(Some(node));
-                for c in 0..specs.len() {
-                    if home[c] != node {
-                        continue;
-                    }
-                    let to = home_for(&points, &alive, client_points[c]);
-                    home[c] = to;
-                    if worlds[n].clients[c].admitted {
-                        let (delivered, planned) = worlds[n].take_client_session(c as u32);
-                        worlds[to as usize].install_client_session(c as u32, delivered, planned);
-                    }
-                    fed_sink.emit(TraceEvent::ClientRehomed {
-                        at: now,
-                        client: c as u32,
-                        from_node: node,
-                        to_node: to,
-                    });
-                    rehomed += 1;
+                let to = home_for(&points, alive, client_points[c]);
+                home[c] = to;
+                if worlds[dead].clients[c].admitted {
+                    let (delivered, planned) = worlds[dead].take_client_session(c as u32);
+                    worlds[to as usize].install_client_session(c as u32, delivered, planned);
                 }
-                continue;
+                fed_sink.emit(TraceEvent::ClientRehomed {
+                    at: now,
+                    client: c as u32,
+                    from_node: node,
+                    to_node: to,
+                });
+                rehomed += 1;
             }
-            FedEvent::Client(ev) => {
-                let client = match ev {
-                    EdgeEvent::Arrive { client }
-                    | EdgeEvent::Decide { client, .. }
-                    | EdgeEvent::Display { client, .. } => client,
-                    _ => unreachable!("only client-addressed events carry the Client tag"),
-                };
-                (home[client as usize], ev)
-            }
-            FedEvent::Node { node, ev } => (node, ev),
-        };
-        if !alive[node as usize] {
-            continue;
-        }
-        let world = &mut worlds[node as usize];
-        world.drain_egress(now);
-        let mut sched = FedSched {
-            now,
-            node,
-            queue: &mut queue,
-            tier: &mut tier,
-        };
-        match ev {
-            EdgeEvent::Arrive { client } => world.apply_arrive(client, now),
-            EdgeEvent::Decide { client, chunk } => {
-                let decides = &batches[client as usize].decides;
-                world.apply_decide(client, chunk, &decides[chunk as usize], &mut sched);
-            }
-            EdgeEvent::Display { client, chunk } => {
-                let displays = &batches[client as usize].displays;
-                world.apply_display(client, chunk, &displays[chunk as usize]);
-            }
-            EdgeEvent::OriginArrived { chunk, tile, layer } => {
-                world.apply_origin_arrived(chunk, tile, layer, now)
-            }
-            EdgeEvent::OriginRetry {
-                chunk,
-                tile,
-                layer,
-                attempt,
-            } => world.apply_origin_retry(chunk, tile, layer, attempt, &mut sched),
-            EdgeEvent::Prefetch { chunk } => {
-                if config.node.prefetch {
-                    world.apply_prefetch(
-                        chunk,
-                        &prefetch_groups[node as usize][chunk as usize],
-                        &mut sched,
-                    );
-                }
-            }
-        }
-    }
+        },
+    );
 
-    // --- Settle: retries the horizon cut off fail at the tier exactly
-    // as the matching edge in-flight entries fail in finish_edge_run.
-    tier.fail_pending(None);
-
-    let mut node_reports = Vec::with_capacity(node_count);
-    let mut admitted_total = 0usize;
-    for (n, world) in worlds.into_iter().enumerate() {
-        let clients_n = home.iter().filter(|&&h| h as usize == n).count();
-        let admitted_n = world.clients.iter().filter(|c| c.admitted).count();
-        let rejected_n = clients_n - admitted_n;
-        admitted_total += admitted_n;
-        node_reports.push(finish_edge_run(
-            world,
-            clients_n,
-            admitted_n,
-            rejected_n,
-            metrics.as_deref_mut(),
-        ));
-    }
+    // --- Settle: retries the horizon cut off, and those of dead nodes,
+    // fail at the tier exactly as the matching edge in-flight entries
+    // fail in finish_edge_run and at a node's crash.
+    tier.fail_pending();
+    let admitted: usize = node_reports.iter().map(|r| r.admitted).sum();
 
     let regional = tier.cache.stats();
     if let Some(registry) = metrics {
@@ -992,9 +696,9 @@ pub fn run_federation(
 
     let report = FederationReport {
         nodes: node_reports,
-        clients: specs.len(),
-        admitted: admitted_total,
-        rejected: specs.len() - admitted_total,
+        clients: clients.len(),
+        admitted,
+        rejected: clients.len() - admitted,
         regional,
         regional_ingress_bytes: tier.ingress_bytes,
         regional_egress_bytes: tier.egress_bytes,

@@ -13,7 +13,8 @@
 //!   traces. A pure sense phase shards across worker threads; one
 //!   serial replay runs the stateful rest;
 //! * [`run_federation`] — N such edges sharded over a shared regional
-//!   tier;
+//!   tier, through that same replay: a standalone edge is its one-node
+//!   case with no regional tier;
 //! * [`EdgeReport`] — the aggregate outcome, a pure function of
 //!   `(config, clients, harness)`.
 //!

@@ -9,16 +9,16 @@
 //! `run_*` entry point reaches it.
 
 use crate::server::{
-    client_head, crowd_slot, decide_choices, display_gaze, edge_horizon, edge_schedule,
-    finish_edge_run, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport,
-    EdgeSched, EdgeWorld,
+    client_head, client_schedule, crowd_slot, decide_choices, display_gaze, edge_horizon,
+    finish_edge_run, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent,
+    EdgeHarness, EdgeReport, EdgeSched, EdgeWorld,
 };
-use sperke_geo::{Orientation, TileId, Viewport, VisibilityCache};
+use sperke_geo::{Orientation, Viewport, VisibilityCache};
 use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
 use sperke_live::{CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
 use sperke_sim::{MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, World};
-use sperke_video::{ChunkTime, VideoModel};
+use sperke_video::VideoModel;
 use sperke_vra::AbrPolicyKind;
 
 impl EdgeSched for Scheduler<'_, EdgeEvent> {
@@ -84,19 +84,7 @@ impl World<EdgeEvent> for OracleWorld<'_> {
                 layer,
                 attempt,
             } => world.apply_origin_retry(chunk, tile, layer, attempt, sched),
-            EdgeEvent::Prefetch { chunk } => {
-                if world.config.prefetch {
-                    let k = world.config.prefetch_k;
-                    let groups: Vec<(u16, Vec<TileId>)> = world
-                        .crowds
-                        .iter()
-                        .map(|(content, agg)| {
-                            (*content, agg.predicted_tiles(now, ChunkTime(chunk), k))
-                        })
-                        .collect();
-                    world.apply_prefetch(chunk, &groups, sched);
-                }
-            }
+            EdgeEvent::Prefetch { chunk } => world.apply_prefetch(chunk, sched),
         }
     }
 }
@@ -172,9 +160,20 @@ pub fn run_edge_full(
     };
 
     let mut sim = Simulation::new();
-    edge_schedule(video, config, &specs, |at, event| {
-        sim.schedule(at, event);
-    });
+    client_schedule(
+        video,
+        config,
+        &specs,
+        |i| i < config.max_clients,
+        |at, event| {
+            sim.schedule(at, event);
+        },
+    );
+    if config.prefetch {
+        prefetch_schedule(video, specs[0].arrival, |at, event| {
+            sim.schedule(at, event);
+        });
+    }
 
     let horizon = edge_horizon(video, last_arrival);
     let outcome = sim.run(&mut oracle, horizon);

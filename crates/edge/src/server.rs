@@ -32,9 +32,13 @@
 //! canonicalised first).
 //!
 //! This module holds the world's state and its stateful `apply_*`
-//! handlers. The engine that drives them is [`run_edge`](crate::run_edge)
-//! in [`batch`](crate::batch); the per-event differential oracle in
-//! [`oracle`](crate::oracle) drives the very same handlers.
+//! handlers. One replay in [`batch`](crate::batch) drives them, for a
+//! standalone edge and for every node of a federation alike; the
+//! per-event differential oracle in [`oracle`](crate::oracle) drives
+//! the very same handlers. An origin fetch goes to the federation's
+//! regional tier when there is one and over the world's own backhaul
+//! otherwise. Both answer with one `UpstreamDecision`, and both trace
+//! and back off a failed attempt through one helper.
 
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use serde::{Deserialize, Serialize};
@@ -252,50 +256,78 @@ impl EdgeReport {
     }
 }
 
-/// What the upstream tier decided about one origin-fetch attempt. The
-/// default [`UpstreamDecision::Local`] keeps the fetch on the world's
-/// own origin path (the single-edge model); a federation scheduler
-/// intercepts it and answers from the regional tier instead.
+/// The outcome of one origin-fetch attempt, whoever made it: the
+/// world's own backhaul or the federation's regional tier. The world
+/// handles every outcome in one place, `start_origin_fetch`.
 pub(crate) enum UpstreamDecision {
-    /// No upstream tier: run the world's own origin backhaul logic.
-    Local,
-    /// The tier will deliver the object at `at` (regional hit, or a
-    /// miss forwarded through the shared origin).
+    /// The object arrives at `at` (a backhaul transfer, a regional hit,
+    /// or a regional miss forwarded through the shared origin).
     Deliver(SimTime),
-    /// The tier's origin leg is down; retry as `attempt` at `at`.
+    /// The origin leg is down; retry as `attempt` at `at`.
     Retry {
         /// When the retry fires.
         at: SimTime,
         /// The upcoming attempt number.
         attempt: u32,
     },
-    /// The tier abandoned the fetch (retry budget exhausted).
+    /// The fetch is abandoned (retry budget exhausted).
     Failed,
 }
 
+/// A failed origin attempt on `path`, for the world's backhaul and the
+/// regional tier alike: trace the timeout, then schedule the recovery
+/// policy's backed-off retry, or give up once the budget is spent.
+pub(crate) fn failed_attempt(
+    trace: &TraceSink,
+    recovery: &RecoveryPolicy,
+    path: u32,
+    bytes: u64,
+    attempt: u32,
+    now: SimTime,
+) -> UpstreamDecision {
+    trace.emit(TraceEvent::TransferTimedOut {
+        at: now,
+        path,
+        bytes,
+        attempt,
+    });
+    if attempt > recovery.max_retries {
+        return UpstreamDecision::Failed;
+    }
+    let delay = recovery.delay_after(attempt);
+    trace.emit(TraceEvent::RetryScheduled {
+        at: now,
+        path,
+        bytes,
+        attempt: attempt + 1,
+        delay_ms: delay.as_nanos() / 1_000_000,
+    });
+    UpstreamDecision::Retry {
+        at: now + delay,
+        attempt: attempt + 1,
+    }
+}
+
 /// The scheduling surface the edge world's handlers need: current time
-/// plus the ability to post future events. Implemented by the engine's
-/// replay cursor and by the oracle's heap-backed `Scheduler`, so both
+/// plus the ability to post future events. Implemented by the replay's
+/// per-node cursor and by the oracle's heap-backed `Scheduler`, so both
 /// execute the *same* stateful apply code — bit-exact equivalence by
-/// construction. A federation scheduler additionally overrides
-/// [`EdgeSched::fetch_upstream`] to route origin fetches through the
-/// shared regional tier.
+/// construction.
 pub(crate) trait EdgeSched {
     /// The current simulation time.
     fn now(&self) -> SimTime;
     /// Schedule `event` at absolute time `at`.
     fn at(&mut self, at: SimTime, event: EdgeEvent);
-    /// Ask the upstream tier (if any) to resolve an origin fetch. The
-    /// default says "no tier": the world's own backhaul code runs,
-    /// keeping every single-edge engine byte-identical by construction.
+    /// Resolve an origin fetch at the upstream tier, if there is one. The
+    /// default, `None`, means no tier: the world's own backhaul decides.
     fn fetch_upstream(
         &mut self,
         _key: CacheKey,
         _bytes: u64,
         _attempt: u32,
         _now: SimTime,
-    ) -> UpstreamDecision {
-        UpstreamDecision::Local
+    ) -> Option<UpstreamDecision> {
+        None
     }
 }
 
@@ -454,7 +486,7 @@ const EDGE_GE_STREAM: u64 = 0x4F52_4947_494E;
 
 pub(crate) struct EdgeWorld<'a> {
     pub(crate) video: &'a VideoModel,
-    pub(crate) config: EdgeConfig,
+    config: EdgeConfig,
     pub(crate) clients: Vec<ClientState>,
     pub(crate) egress: WrrLink,
     cache: TileCache,
@@ -470,7 +502,7 @@ pub(crate) struct EdgeWorld<'a> {
     recovery: RecoveryPolicy,
     /// Crowd aggregators per catalog title, sorted by content id. A
     /// single-title run holds exactly one entry under content 0.
-    pub(crate) crowds: Vec<(u16, CrowdAggregator)>,
+    crowds: Vec<(u16, CrowdAggregator)>,
     trace: TraceSink,
     pending: FxHashMap<StreamId, PendingStream>,
     // Accounting.
@@ -646,12 +678,10 @@ impl EdgeWorld<'_> {
         }
     }
 
-    /// Submit one origin fetch attempt. A backhaul outage (scripted or
-    /// rolled by the Gilbert–Elliott chain) at submit time fails the
-    /// attempt; retries follow the recovery policy's backoff until the
-    /// budget runs out, after which the fetch is abandoned. Successful
-    /// attempts are paced at the BBR estimate when probing is on and
-    /// feed the estimator a delivery-rate sample.
+    /// Submit one origin fetch attempt, to the upstream tier if the
+    /// scheduler has one and over the world's own backhaul otherwise,
+    /// and act on the outcome: schedule the arrival or the retry, or
+    /// abandon the fetch.
     fn start_origin_fetch(
         &mut self,
         key: CacheKey,
@@ -660,22 +690,19 @@ impl EdgeWorld<'_> {
         now: SimTime,
         sched: &mut impl EdgeSched,
     ) {
-        // A federation scheduler resolves the fetch at the regional
-        // tier; the default Local answer falls through to the world's
-        // own origin path untouched.
-        match sched.fetch_upstream(key, bytes, attempt, now) {
-            UpstreamDecision::Local => {}
-            UpstreamDecision::Deliver(at) => {
-                sched.at(
-                    at,
-                    EdgeEvent::OriginArrived {
-                        chunk: key.chunk,
-                        tile: key.tile,
-                        layer: key.layer,
-                    },
-                );
-                return;
-            }
+        let decision = match sched.fetch_upstream(key, bytes, attempt, now) {
+            Some(decision) => decision,
+            None => self.backhaul(bytes, attempt, now),
+        };
+        match decision {
+            UpstreamDecision::Deliver(at) => sched.at(
+                at,
+                EdgeEvent::OriginArrived {
+                    chunk: key.chunk,
+                    tile: key.tile,
+                    layer: key.layer,
+                },
+            ),
             UpstreamDecision::Retry { at, attempt } => {
                 self.origin_retries += 1;
                 sched.at(
@@ -687,14 +714,21 @@ impl EdgeWorld<'_> {
                         attempt,
                     },
                 );
-                return;
             }
             UpstreamDecision::Failed => {
+                // Out of retries: the waiters display what they have.
                 self.inflight.remove(&key);
                 self.origin_failed_bytes += bytes;
-                return;
             }
         }
+    }
+
+    /// One attempt over the world's serialized origin backhaul. An
+    /// outage (scripted or rolled by the Gilbert–Elliott chain) at
+    /// submit time fails the attempt. A successful attempt is paced at
+    /// the BBR estimate when probing is on and feeds the estimator a
+    /// delivery-rate sample.
+    fn backhaul(&mut self, bytes: u64, attempt: u32, now: SimTime) -> UpstreamDecision {
         // Tick the burst chain up to `now` first and surface any state
         // flips. Flip stamps lie in (last tick, now], and this world
         // never emits an event stamped later than the current event
@@ -716,37 +750,7 @@ impl EdgeWorld<'_> {
             .as_mut()
             .is_some_and(|chain| chain.roll_failure(now));
         if self.faults.is_down(now) || ge_down {
-            self.trace.emit(TraceEvent::TransferTimedOut {
-                at: now,
-                path: 0,
-                bytes,
-                attempt,
-            });
-            if attempt <= self.recovery.max_retries {
-                let delay = self.recovery.delay_after(attempt);
-                self.trace.emit(TraceEvent::RetryScheduled {
-                    at: now,
-                    path: 0,
-                    bytes,
-                    attempt: attempt + 1,
-                    delay_ms: delay.as_nanos() / 1_000_000,
-                });
-                self.origin_retries += 1;
-                sched.at(
-                    now + delay,
-                    EdgeEvent::OriginRetry {
-                        chunk: key.chunk,
-                        tile: key.tile,
-                        layer: key.layer,
-                        attempt: attempt + 1,
-                    },
-                );
-            } else {
-                // Out of retries: the waiters display what they have.
-                self.inflight.remove(&key);
-                self.origin_failed_bytes += bytes;
-            }
-            return;
+            return failed_attempt(&self.trace, &self.recovery, 0, bytes, attempt, now);
         }
         let start = now.max(self.origin_busy_until);
         // Pace at the measured estimate while probing, clamped to the
@@ -789,14 +793,7 @@ impl EdgeWorld<'_> {
                 });
             }
         }
-        sched.at(
-            start + xfer + self.config.origin_rtt,
-            EdgeEvent::OriginArrived {
-                chunk: key.chunk,
-                tile: key.tile,
-                layer: key.layer,
-            },
-        );
+        UpstreamDecision::Deliver(start + xfer + self.config.origin_rtt)
     }
 
     /// How many egress quality levels to shed under the current backlog
@@ -901,22 +898,25 @@ impl EdgeWorld<'_> {
         }
     }
 
-    /// The stateful half of a prefetch: per catalog title (sorted by
-    /// content id), pull the crowd's tiles that are neither cached nor
-    /// already on the wire.
-    pub(crate) fn apply_prefetch(
-        &mut self,
-        chunk: u32,
-        groups: &[(u16, Vec<TileId>)],
-        sched: &mut impl EdgeSched,
-    ) {
+    /// A crowd prefetch: per catalog title (sorted by content id), pull
+    /// the top-k tiles its crowd predicts for `chunk` from the reports
+    /// available now, skipping tiles already cached or on the wire.
+    pub(crate) fn apply_prefetch(&mut self, chunk: u32, sched: &mut impl EdgeSched) {
         let now = sched.now();
         let t = ChunkTime(chunk);
+        let groups: Vec<(u16, Vec<TileId>)> = self
+            .crowds
+            .iter()
+            .map(|(content, crowd)| {
+                let tiles = crowd.predicted_tiles(now, t, self.config.prefetch_k);
+                (*content, tiles)
+            })
+            .collect();
         for (content, tiles) in groups {
-            for &tile in tiles {
+            for tile in tiles {
                 for layer in 0..=self.config.prefetch_layers {
                     let cell = CellId::new(tile, t);
-                    let key = Self::key_of(cell, layer, *content);
+                    let key = Self::key_of(cell, layer, content);
                     if self.cache.is_disabled()
                         || self.cache.contains(key)
                         || self.inflight.contains_key(&key)
@@ -1066,45 +1066,68 @@ impl EdgeWorld<'_> {
     }
 }
 
-/// Feed a single-edge run's static schedule over canonically ordered
-/// `specs` to `push`, in push order: each client's arrival and, for an
-/// admitted client, its per-chunk decide and display, then one crowd
-/// prefetch per chunk. Push order fixes same-instant tie-breaks, so
-/// the engine and the oracle both schedule through this one function.
-pub(crate) fn edge_schedule(
+/// When a client plans chunk `chunk` and when it displays it: display
+/// follows the client's arrival (its playback offset) by `chunk + 1`
+/// chunk durations, and the decide comes `fetch_lead` earlier, never
+/// before time zero. The sense phase plans at these instants and the
+/// schedule fires them, so both read them from here.
+pub(crate) fn decide_and_display(
+    video: &VideoModel,
+    config: &EdgeConfig,
+    spec: &EdgeClientSpec,
+    chunk: u32,
+) -> (SimTime, SimTime) {
+    let display = SimTime::ZERO + spec.arrival + video.chunk_duration() * (chunk + 1) as u64;
+    let decide = SimTime::from_nanos(
+        display
+            .as_nanos()
+            .saturating_sub(config.fetch_lead.as_nanos()),
+    );
+    (decide, display)
+}
+
+/// Feed the clients' static schedule over canonically ordered `specs`
+/// to `push`, in push order: each client's arrival and, when
+/// `admitted(i)`, its per-chunk decide and display. Push order fixes
+/// same-instant tie-breaks, so the replay and the oracle both schedule
+/// clients through this one function.
+pub(crate) fn client_schedule(
     video: &VideoModel,
     config: &EdgeConfig,
     specs: &[EdgeClientSpec],
+    admitted: impl Fn(usize) -> bool,
     mut push: impl FnMut(SimTime, EdgeEvent),
 ) {
-    let chunks = video.chunk_count();
     for (i, spec) in specs.iter().enumerate() {
         let client = i as u32;
         push(SimTime::ZERO + spec.arrival, EdgeEvent::Arrive { client });
-        if i >= config.max_clients {
+        if !admitted(i) {
             continue;
         }
-        for c in 0..chunks {
-            let display = SimTime::ZERO + spec.arrival + video.chunk_duration() * (c + 1) as u64;
-            let decide = SimTime::from_nanos(
-                display
-                    .as_nanos()
-                    .saturating_sub(config.fetch_lead.as_nanos()),
-            );
+        for c in 0..video.chunk_count() {
+            let (decide, display) = decide_and_display(video, config, spec, c);
             push(decide, EdgeEvent::Decide { client, chunk: c });
             push(display, EdgeEvent::Display { client, chunk: c });
         }
     }
-    if config.prefetch {
-        // Chunk c's first crowd report lands once the earliest-attached
-        // client has watched it and the report has propagated.
-        let report_lag = specs[0].arrival + SimDuration::from_millis(250) + video.chunk_duration();
-        for c in 0..chunks {
-            push(
-                video.chunk_start(ChunkTime(c)) + report_lag,
-                EdgeEvent::Prefetch { chunk: c },
-            );
-        }
+}
+
+/// Feed one node's crowd prefetches to `push`, one per chunk, in chunk
+/// order. Chunk c's first crowd report lands once the node's earliest
+/// client, attached at `first_arrival`, has watched it and the report
+/// has propagated. The replay and the oracle schedule prefetches
+/// through this one function.
+pub(crate) fn prefetch_schedule(
+    video: &VideoModel,
+    first_arrival: SimDuration,
+    mut push: impl FnMut(SimTime, EdgeEvent),
+) {
+    let report_lag = first_arrival + SimDuration::from_millis(250) + video.chunk_duration();
+    for chunk in 0..video.chunk_count() {
+        push(
+            video.chunk_start(ChunkTime(chunk)) + report_lag,
+            EdgeEvent::Prefetch { chunk },
+        );
     }
 }
 

@@ -22,10 +22,10 @@ use sperke_core::oracle::run_fleet_inner;
 use sperke_core::{run_fleet, run_fleet_sweep, FleetConfig, FleetGrid, FleetSweepPoint, Sperke};
 use sperke_edge::oracle::run_edge_full;
 use sperke_edge::{default_clients, run_edge, EdgeConfig, EdgeHarness};
-use sperke_net::LossChannel;
+use sperke_net::{FaultScript, LossChannel};
 use sperke_sim::sweep::run_sweep;
 use sperke_sim::trace::{TraceConfig, TraceLevel, TraceSink};
-use sperke_sim::SimDuration;
+use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{VideoModel, VideoModelBuilder};
 use sperke_vra::AbrPolicyKind;
 
@@ -70,9 +70,13 @@ proptest! {
         }
     }
 
-    /// Edge: randomized populations, cache sizes, admission caps,
-    /// prefetch settings and policies — report AND trace bytes
-    /// identical at every worker count.
+    /// Edge: randomized populations over 1–3 titles, cache sizes,
+    /// admission caps, prefetch settings, policies and an optional
+    /// scripted origin outage — report AND trace bytes identical at
+    /// every worker count. Client `i` watches title `i % titles`, so
+    /// with `cap < clients` some rejected clients can watch a title no
+    /// admitted client watches. The 800 ms outage outlasts the default
+    /// recovery policy's retries, so fetches both retry and give up.
     #[test]
     fn edge_engines_agree_on_trace_bytes(
         clients in 1usize..10,
@@ -81,6 +85,8 @@ proptest! {
         prefetch: bool,
         seed in 0u64..200,
         policy_pick in 0usize..5,
+        titles in 1u16..4,
+        outage_s in 0u64..4,
     ) {
         let v = video(3, 6);
         let cfg = EdgeConfig {
@@ -91,29 +97,34 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let specs = default_clients(&cfg);
+        let mut specs = default_clients(&cfg);
+        for (i, spec) in specs.iter_mut().enumerate() {
+            spec.content = i as u16 % titles;
+        }
         let policy = AbrPolicyKind::all()[policy_pick];
+        let faults = if outage_s == 0 {
+            FaultScript::none()
+        } else {
+            FaultScript::none().link_down(
+                0,
+                SimTime::from_secs(outage_s),
+                SimTime::from_millis(outage_s * 1000 + 800),
+            )
+        };
+        let harness_for = |sink: &TraceSink| EdgeHarness {
+            trace: sink.clone(),
+            faults: faults.clone(),
+            policy,
+            ..Default::default()
+        };
 
         let legacy_sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-        let legacy = run_edge_full(
-            &v,
-            &cfg,
-            &specs,
-            &EdgeHarness { trace: legacy_sink.clone(), policy, ..Default::default() },
-            None,
-        );
+        let legacy = run_edge_full(&v, &cfg, &specs, &harness_for(&legacy_sink), None);
         let legacy_trace = legacy_sink.snapshot();
 
         for workers in WORKER_COUNTS {
             let sink = TraceSink::new(TraceConfig::new(TraceLevel::Verbose));
-            let batched = run_edge(
-                &v,
-                &cfg,
-                &specs,
-                &EdgeHarness { trace: sink.clone(), policy, ..Default::default() },
-                None,
-                workers,
-            );
+            let batched = run_edge(&v, &cfg, &specs, &harness_for(&sink), None, workers);
             let trace = sink.snapshot();
             prop_assert_eq!(
                 &legacy, &batched,

@@ -11,7 +11,8 @@
 //!    `regional egress == regional hits + origin ok`;
 //! 3. **oracle** — a 1-node federation over a degenerate regional tier
 //!    (no cache, infinite capacity, zero RTT) is trace-byte-identical
-//!    to the plain PR 5 single-edge engine;
+//!    to a standalone edge, which runs the same replay on one node with
+//!    no tier: the tier's legs stand in for the edge's own backhaul;
 //! 4. **failure** — a scripted node crash re-homes every resident onto
 //!    the ring's survivors, deterministically, with no client silently
 //!    dropped and delivery continuing on the survivors;
@@ -393,7 +394,10 @@ proptest! {
     /// and origin backhaul outages (which schedule origin retries),
     /// sense sharding and re-homing are worker-count blind — every
     /// worker count (0 = machine default) reproduces the `workers = 1`
-    /// run byte for byte.
+    /// run byte for byte. Contract 2 holds under the same faults: the
+    /// three cross-tier identities are exact, each node's edge books
+    /// balance, and the edge tier's origin demand is exactly what the
+    /// regional tier took in.
     #[test]
     fn windowed_replay_matches_serial_oracle_under_failures(
         raw in proptest::collection::vec((0u64..3000, 0u64..500, 1u32..3, 4u64..10, 0u16..3), 2..7),
@@ -431,6 +435,25 @@ proptest! {
             prop_assert_eq!(r.combined_digest(), base.combined_digest());
             prop_assert_eq!(&r.report, &base.report);
         }
+        let r = &base.report;
+        let edge_demand: u64 = r
+            .nodes
+            .iter()
+            .map(|n| n.cache.miss_bytes + n.cache.prefetch_bytes)
+            .sum();
+        prop_assert_eq!(r.regional_ingress_bytes, edge_demand,
+            "every edge miss or prefetch asks the tier exactly once");
+        prop_assert_eq!(r.origin_bytes + r.origin_failed_bytes, r.regional.miss_bytes,
+            "every regional miss crosses the origin leg exactly once");
+        prop_assert_eq!(r.regional_egress_bytes, r.regional.hit_bytes + r.origin_bytes,
+            "everything sent down was resident or fetched");
+        for n in &r.nodes {
+            prop_assert_eq!(
+                n.origin_demand_bytes(),
+                n.cache.miss_bytes + n.cache.prefetch_bytes
+            );
+        }
+        prop_assert_eq!(r.edge_origin_demand_bytes(), r.regional_ingress_bytes);
     }
 
     /// Contract 1, node half: declaring heterogeneous nodes in any
