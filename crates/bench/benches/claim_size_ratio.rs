@@ -1,9 +1,11 @@
 //! E9 — §1 / §3.4.1 claim: "under the same perceived quality, 360°
 //! videos have around 5x larger sizes than conventional videos" (and
-//! "about 4 to 5 times larger" for live).
+//! "about 4 to 5 times larger" for live), plus §2's offset cube map
+//! (Oculus), the projection that spends those pixels unevenly: one
+//! version per expected gaze, dense at its focus and sparse behind it.
 
 use sperke_bench::{cols, header, note, row};
-use sperke_geo::PixelBudget;
+use sperke_geo::{OffsetCubeMap, Orientation, PixelBudget, Vec3};
 
 fn main() {
     header(
@@ -45,6 +47,31 @@ fn main() {
     assert!(
         sorted.windows(2).all(|w| w[0].1 >= w[1].1),
         "ratio must fall as the FoV widens: {sorted:?}"
+    );
+
+    header(
+        "E9 / §2 offset cube map",
+        "pixel density vs angle from the version's focus (plain cube map = 1)",
+    );
+    cols("angle from focus", &["density"]);
+    let ocm = OffsetCubeMap::oculus(Vec3::X);
+    let mut density = Vec::new();
+    for deg in [0.0, 45.0, 90.0, 135.0, 180.0] {
+        let d = ocm.density(Orientation::from_degrees(deg, 0.0, 0.0).direction());
+        density.push(d);
+        row(&format!("{deg:.0} deg"), &[d]);
+    }
+    note("offset 0.7 toward the focus (OffsetCubeMap::oculus): the version");
+    note("concentrates pixels where it expects the viewer to look.");
+    let (focus, side, antipode) = (density[0], density[2], density[4]);
+    assert!(
+        focus > 1.0 && side < focus && antipode < side && antipode < 1.0,
+        "density must fall from above 1 at the focus, through 90 deg, to \
+         below 1 at the antipode: {density:?}"
+    );
+    assert!(
+        density.windows(2).all(|w| w[1] < w[0]),
+        "density must fall monotonically away from the focus: {density:?}"
     );
     println!("shape check: PASS");
 }

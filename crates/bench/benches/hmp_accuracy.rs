@@ -1,15 +1,17 @@
-//! E5 — §3.2: head-movement prediction accuracy vs horizon, and the
-//! gains from the data-fusion features (popularity prior, per-user
-//! speed bound, context pruning).
+//! E5 — §3.2: head-movement prediction accuracy vs horizon, the gains
+//! from the data-fusion features (popularity prior, per-user speed
+//! bound, context pruning), and §3.2's engagement question: gaze
+//! stability as the engagement signal that hints at sharp head movement.
 
 use sperke_bench::{cols, header, note, row};
 use sperke_geo::TileGrid;
 use sperke_hmp::{
-    evaluate_forecaster, evaluate_predictor, generate_ensemble, AlphaBeta, AttentionModel,
-    Behavior, DampedRegression, DeadReckoning, Ensemble, FusedForecaster, Heatmap,
-    LinearRegression, Persistence, Pose, Predictor, TraceGenerator, ViewingContext,
+    estimate_engagement, evaluate_forecaster, evaluate_predictor, generate_ensemble, AlphaBeta,
+    AttentionModel, Behavior, DampedRegression, DeadReckoning, EngagementConfig, Ensemble,
+    FusedForecaster, Heatmap, LinearRegression, Persistence, Pose, Predictor, TraceGenerator,
+    ViewingContext,
 };
-use sperke_sim::SimDuration;
+use sperke_sim::{SimDuration, SimTime};
 
 fn main() {
     header("E5 / §3.2", "HMP accuracy vs horizon; data-fusion gains");
@@ -49,7 +51,7 @@ fn main() {
     println!();
     let crowd = generate_ensemble(&att, 12, SimDuration::from_secs(60), 77);
     let map = Heatmap::build(grid, SimDuration::from_secs(1), 60, &crowd);
-    let wanderer = TraceGenerator::new(att, Behavior::Explorer, ViewingContext::default())
+    let wanderer = TraceGenerator::new(att.clone(), Behavior::Explorer, ViewingContext::default())
         .generate(SimDuration::from_secs(60), 15);
     let h2 = SimDuration::from_secs(2);
     let cd = SimDuration::from_secs(1);
@@ -85,5 +87,44 @@ fn main() {
         f.topk_hit_rate,
         m.topk_hit_rate
     );
+
+    // --- Engagement: mean score over the 2 s windows of 60 s traces,
+    // one trace per seed and behaviour class.
+    println!();
+    cols("engagement (8 seeds)", &["min", "max"]);
+    let cfg = EngagementConfig::default();
+    let mut classes = Vec::new();
+    for behavior in Behavior::ALL {
+        let means: Vec<f64> = (1..=8u64)
+            .map(|seed| {
+                let tr = TraceGenerator::new(att.clone(), behavior, ViewingContext::default())
+                    .generate(SimDuration::from_secs(60), seed);
+                let windows: Vec<f64> = (1..=30u64)
+                    .map(|w| {
+                        estimate_engagement(&tr.history(SimTime::from_secs(2 * w), 100), &cfg).0
+                    })
+                    .collect();
+                windows.iter().sum::<f64>() / windows.len() as f64
+            })
+            .collect();
+        let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        row(&format!("{behavior:?}"), &[lo, hi]);
+        classes.push((behavior, lo, hi));
+    }
+    note("engagement = gaze stability (low head speed, few yaw reversals); the");
+    note("paper reads low engagement as a likely sharp head movement.");
+    let explorer_max = classes
+        .iter()
+        .find(|c| c.0 == Behavior::Explorer)
+        .map(|c| c.2)
+        .expect("Explorer is a behaviour class");
+    for &(behavior, lo, _) in classes.iter().filter(|c| c.0 != Behavior::Explorer) {
+        assert!(
+            explorer_max < lo,
+            "every Explorer seed must score below every {behavior:?} seed \
+             ({explorer_max:.3} vs {lo:.3})"
+        );
+    }
     println!("shape check: PASS");
 }

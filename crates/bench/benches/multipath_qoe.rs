@@ -1,15 +1,18 @@
 //! E6 — §3.3: content-aware multipath vs MPTCP-style content-agnostic
-//! scheduling vs single path, on asymmetric WiFi + LTE.
+//! scheduling vs single path, on asymmetric WiFi + LTE: a steady LTE
+//! link at two loss rates, then an LTE drive trace with deep fades and
+//! outages (the condition 360° rate adaptation over LTE traces targets,
+//! Ghosh, Aggarwal & Qian, arXiv:1704.08215).
 
 use sperke_bench::{cols, header, note, row};
 use sperke_core::{SchedulerChoice, Sperke};
 use sperke_hmp::Behavior;
 use sperke_net::{BandwidthTrace, PathModel};
-use sperke_sim::SimDuration;
+use sperke_sim::{SimDuration, SimRng};
 
 /// A constrained dual-access setup: neither link alone carries the top
 /// rungs comfortably, which is exactly where §3.3 claims multipath pays.
-fn paths(lte_loss: f64) -> Vec<PathModel> {
+fn paths(lte: BandwidthTrace, lte_loss: f64) -> Vec<PathModel> {
     vec![
         PathModel::new(
             "wifi",
@@ -17,12 +20,7 @@ fn paths(lte_loss: f64) -> Vec<PathModel> {
             SimDuration::from_millis(15),
             0.001,
         ),
-        PathModel::new(
-            "lte",
-            BandwidthTrace::constant(8e6),
-            SimDuration::from_millis(60),
-            lte_loss,
-        ),
+        PathModel::new("lte", lte, SimDuration::from_millis(60), lte_loss),
     ]
 }
 
@@ -35,12 +33,15 @@ fn main() {
         ("content-aware", SchedulerChoice::ContentAware),
     ];
 
-    for &(loss, loss_label) in &[
-        (0.002f64, "clean LTE (0.2% loss)"),
-        (0.02, "lossy LTE (2% loss)"),
+    let steady = BandwidthTrace::constant(8e6);
+    let drive = BandwidthTrace::lte_drive(8e6, SimDuration::from_secs(60), &mut SimRng::new(17));
+    for (lte, loss, label) in [
+        (steady.clone(), 0.002f64, "clean LTE (0.2% loss)"),
+        (steady, 0.02, "lossy LTE (2% loss)"),
+        (drive, 0.002, "LTE drive trace (8 Mbps mean, 0.2% loss)"),
     ] {
         println!();
-        note(loss_label);
+        note(label);
         cols(
             "scheduler",
             &["vpUtil", "stalls", "blank%", "score", "lteMB"],
@@ -50,7 +51,7 @@ fn main() {
             let r = Sperke::builder(17)
                 .duration(SimDuration::from_secs(45))
                 .behavior(Behavior::Focused)
-                .paths(paths(loss))
+                .paths(paths(lte.clone(), loss))
                 .scheduler(sched)
                 .run();
             let lte_mb = r.path_bytes.get(1).copied().unwrap_or(0) as f64 / 1e6;

@@ -122,13 +122,8 @@ impl Sperke {
     /// windowed max-filter over delivery-rate samples feeds the
     /// schedulers' completion estimates instead of the declared trace.
     /// Off by default — declared capacity keeps golden traces stable.
-    pub fn with_bbr(self) -> Self {
-        self.with_bbr_config(BbrConfig::default())
-    }
-
-    /// Enable BBR-style probing with an explicit [`BbrConfig`].
-    pub fn with_bbr_config(mut self, config: BbrConfig) -> Self {
-        self.bbr = Some(config);
+    pub fn with_bbr(mut self) -> Self {
+        self.bbr = Some(BbrConfig::default());
         self
     }
 
@@ -271,15 +266,6 @@ impl Sperke {
         self
     }
 
-    /// Use the Sperke planner with an explicit configuration. This
-    /// replaces the whole tuning, its [`SperkeConfig::policy`] included,
-    /// so call [`abr_policy`](Self::abr_policy) after it to change only
-    /// the policy.
-    pub fn sperke_planner(mut self, config: SperkeConfig) -> Self {
-        self.player.planner = PlannerKind::Sperke(config);
-        self
-    }
-
     /// Select the Sperke planner's viewport-adaptation policy from the
     /// rival suite ([`sperke_vra::policy`]), keeping the rest of the
     /// current planner tuning (the default tuning when the FoV-agnostic
@@ -353,7 +339,7 @@ impl Sperke {
 
     /// Materialize the HMP forecaster (with crowd prior / speed bound /
     /// context as configured).
-    pub fn build_forecaster(&self) -> FusedForecaster {
+    fn build_forecaster(&self) -> FusedForecaster {
         let video = self.build_video();
         let mut forecaster = FusedForecaster::motion_only();
         forecaster.context = self.context;
@@ -762,15 +748,19 @@ mod tests {
             ..Default::default()
         };
         let base = || Sperke::builder(19).duration(SimDuration::from_secs(8));
+        let planner = |cfg| PlayerConfig {
+            planner: PlannerKind::Sperke(cfg),
+            ..Default::default()
+        };
         let chained = base()
-            .sperke_planner(cfg.clone())
+            .player(planner(cfg.clone()))
             .abr_policy(AbrPolicyKind::Knapsack)
             .run();
         let direct = base()
-            .sperke_planner(SperkeConfig {
+            .player(planner(SperkeConfig {
                 policy: AbrPolicyKind::Knapsack,
                 ..cfg
-            })
+            }))
             .run();
         assert_eq!(chained.qoe, direct.qoe);
         assert_eq!(chained.qoe.score.to_bits(), direct.qoe.score.to_bits());

@@ -43,9 +43,7 @@ pub mod sweep;
 
 pub use builder::{AbrChoice, RunReport, SchedulerChoice, Sperke};
 pub use edge::{run_edge_sweep, EdgeBuilder, EdgeGrid, EdgeRunReport, EdgeSweepPoint};
-pub use federation::{
-    run_federation_sweep, FederationBuilder, FederationGrid, FederationSweepPoint,
-};
+pub use federation::FederationBuilder;
 pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use shootout::{
     run_shootout, PolicyRank, ShootoutCell, ShootoutGrid, ShootoutPoint, ShootoutReport,

@@ -83,11 +83,6 @@ impl TileCache {
         self.capacity_bytes == 0
     }
 
-    /// Bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
     /// Entries currently resident.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -196,7 +191,7 @@ mod tests {
         assert!(c.contains(key(0, 2, 0)));
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.stats().evicted_bytes, 100);
-        assert_eq!(c.used_bytes(), 300);
+        assert_eq!(c.used_bytes, 300);
     }
 
     #[test]
@@ -223,7 +218,7 @@ mod tests {
         let mut c = TileCache::new(500);
         c.insert(key(1, 2, 0), 200);
         c.insert(key(1, 2, 0), 300);
-        assert_eq!(c.used_bytes(), 300);
+        assert_eq!(c.used_bytes, 300);
         assert_eq!(c.len(), 1);
     }
 
@@ -238,7 +233,7 @@ mod tests {
                     c.insert(k, 60 + (i as u64 % 3) * 10);
                 }
             }
-            (c.stats(), c.used_bytes(), c.len())
+            (c.stats(), c.used_bytes, c.len())
         };
         assert_eq!(run(), run());
     }

@@ -2,8 +2,9 @@
 
 use std::f64::consts::{PI, TAU};
 
-/// Convert degrees to radians.
-pub fn deg(degrees: f64) -> f64 {
+/// Convert degrees to radians (the geometry tests' shorthand).
+#[cfg(test)]
+pub(crate) fn deg(degrees: f64) -> f64 {
     degrees * PI / 180.0
 }
 
@@ -31,7 +32,7 @@ pub fn wrap_tau(a: f64) -> f64 {
 }
 
 /// Smallest signed difference `a - b`, wrapped to `[-π, π)`.
-pub fn angle_diff(a: f64, b: f64) -> f64 {
+fn angle_diff(a: f64, b: f64) -> f64 {
     wrap_pi(a - b)
 }
 

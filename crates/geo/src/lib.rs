@@ -21,7 +21,6 @@
 
 pub mod angles;
 pub mod classifier;
-pub mod cube_tiling;
 pub mod orientation;
 pub mod projection;
 pub mod sampling;
@@ -31,14 +30,13 @@ pub mod viewport;
 pub mod viscache;
 
 pub use classifier::TileClassifier;
-pub use cube_tiling::CubeTileGrid;
-pub use orientation::{Orientation, Quat};
+pub use orientation::Orientation;
 pub use projection::{CubeFace, CubeMap, Equirect, OffsetCubeMap, PixelBudget, Uv};
 pub use sampling::UnitDirections;
 pub use tiling::{TileCenters, TileGrid, TileId, TileRect};
 pub use vector::Vec3;
 pub use viewport::{visible_tiles_batch, Viewport, VisibilityScratch};
-pub use viscache::{VisCacheStats, VisibilityCache, DEFAULT_VIS_CACHE_CAPACITY};
+pub use viscache::{VisCacheStats, VisibilityCache};
 
 #[cfg(test)]
 mod proptests {
@@ -111,18 +109,6 @@ mod proptests {
             // far below any angular quantity the system cares about.
             prop_assert!((a.angular_distance(&b) - b.angular_distance(&a)).abs() < 1e-7);
             prop_assert!(a.angular_distance(&a) < 1e-7);
-        }
-
-        /// Grid distance is symmetric, zero on self, and bounded.
-        #[test]
-        fn grid_distance_properties(rows in 1u16..6, cols in 1u16..10, a in 0u16..60, b in 0u16..60) {
-            let g = TileGrid::new(rows, cols);
-            let n = g.tile_count() as u16;
-            let ta = TileId(a % n);
-            let tb = TileId(b % n);
-            prop_assert_eq!(g.grid_distance(ta, tb), g.grid_distance(tb, ta));
-            prop_assert_eq!(g.grid_distance(ta, ta), 0);
-            prop_assert!(g.grid_distance(ta, tb) <= rows.max(cols));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Head orientation: Euler angles (yaw/pitch/roll, Figure 1 of the
 //! paper), unit quaternions, and interpolation.
 
-use crate::angles::{angle_dist, wrap_pi};
+use crate::angles::wrap_pi;
 use crate::vector::Vec3;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::FRAC_PI_2;
@@ -51,12 +51,6 @@ impl Orientation {
         Vec3::new(cp * self.yaw.cos(), cp * self.yaw.sin(), self.pitch.sin())
     }
 
-    /// Build the orientation whose view direction is `dir` (roll = 0).
-    pub fn looking_at(dir: Vec3) -> Orientation {
-        let d = dir.normalized();
-        Orientation::new(d.y.atan2(d.x), d.z.clamp(-1.0, 1.0).asin(), 0.0)
-    }
-
     /// Great-circle angle between the view directions of two
     /// orientations, in radians `[0, π]`. Ignores roll.
     pub fn angular_distance(&self, other: &Orientation) -> f64 {
@@ -90,120 +84,6 @@ impl Orientation {
             self.roll + droll * t,
         )
     }
-
-    /// Yaw distance to another orientation (wrapped absolute), radians.
-    pub fn yaw_distance(&self, other: &Orientation) -> f64 {
-        angle_dist(self.yaw, other.yaw)
-    }
-}
-
-/// A unit quaternion, used where composition of rotations is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Quat {
-    /// Scalar part.
-    pub w: f64,
-    /// Vector part x.
-    pub x: f64,
-    /// Vector part y.
-    pub y: f64,
-    /// Vector part z.
-    pub z: f64,
-}
-
-impl Quat {
-    /// The identity rotation.
-    pub const IDENTITY: Quat = Quat {
-        w: 1.0,
-        x: 0.0,
-        y: 0.0,
-        z: 0.0,
-    };
-
-    /// Rotation of `angle` radians about `axis`.
-    pub fn from_axis_angle(axis: Vec3, angle: f64) -> Quat {
-        let a = axis.normalized();
-        let (s, c) = (angle / 2.0).sin_cos();
-        Quat {
-            w: c,
-            x: a.x * s,
-            y: a.y * s,
-            z: a.z * s,
-        }
-    }
-
-    /// Quaternion for an [`Orientation`] (yaw about Z, then pitch about
-    /// the rotated -Y/left axis, then roll about the view axis).
-    pub fn from_orientation(o: &Orientation) -> Quat {
-        let qyaw = Quat::from_axis_angle(Vec3::Z, o.yaw);
-        let left = qyaw.rotate(Vec3::Y);
-        // Positive pitch looks *up*: a right-hand rotation about the left
-        // axis tilts the view down, hence the negated angle.
-        let qpitch = Quat::from_axis_angle(left, -o.pitch);
-        let fwd = (qpitch * qyaw).rotate(Vec3::X);
-        let qroll = Quat::from_axis_angle(fwd, o.roll);
-        qroll * qpitch * qyaw
-    }
-
-    /// Hamilton product: `self * other` applies `other` first.
-    #[allow(clippy::should_implement_trait)] // also provided via ops::Mul below
-    pub fn mul(self, o: Quat) -> Quat {
-        Quat {
-            w: self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z,
-            x: self.w * o.x + self.x * o.w + self.y * o.z - self.z * o.y,
-            y: self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x,
-            z: self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w,
-        }
-    }
-
-    /// Conjugate (inverse for unit quaternions).
-    pub fn conj(self) -> Quat {
-        Quat {
-            w: self.w,
-            x: -self.x,
-            y: -self.y,
-            z: -self.z,
-        }
-    }
-
-    /// Normalize to unit length.
-    pub fn normalized(self) -> Quat {
-        let n = (self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z).sqrt();
-        if n < 1e-12 {
-            Quat::IDENTITY
-        } else {
-            Quat {
-                w: self.w / n,
-                x: self.x / n,
-                y: self.y / n,
-                z: self.z / n,
-            }
-        }
-    }
-
-    /// Rotate a vector.
-    pub fn rotate(self, v: Vec3) -> Vec3 {
-        let qv = Quat {
-            w: 0.0,
-            x: v.x,
-            y: v.y,
-            z: v.z,
-        };
-        let r = self.mul(qv).mul(self.conj());
-        Vec3::new(r.x, r.y, r.z)
-    }
-
-    /// Rotation angle between two unit quaternions, radians `[0, π]`.
-    pub fn angle_to(self, other: Quat) -> f64 {
-        let d = self.conj().mul(other).normalized();
-        2.0 * d.w.abs().clamp(0.0, 1.0).acos()
-    }
-}
-
-impl std::ops::Mul for Quat {
-    type Output = Quat;
-    fn mul(self, rhs: Quat) -> Quat {
-        Quat::mul(self, rhs)
-    }
 }
 
 #[cfg(test)]
@@ -223,16 +103,6 @@ mod tests {
         assert!(close(left.y, 1.0));
         let up = Orientation::new(0.0, deg(90.0), 0.0).direction();
         assert!(close(up.z, 1.0));
-    }
-
-    #[test]
-    fn looking_at_inverts_direction() {
-        for (yaw, pitch) in [(0.3, 0.2), (-2.0, -0.7), (3.0, 1.2)] {
-            let o = Orientation::new(yaw, pitch, 0.0);
-            let back = Orientation::looking_at(o.direction());
-            assert!(close(back.yaw, o.yaw), "yaw {} vs {}", back.yaw, o.yaw);
-            assert!(close(back.pitch, o.pitch));
-        }
     }
 
     #[test]
@@ -267,34 +137,6 @@ mod tests {
         assert_eq!(a.slerp(&b, 0.0), a);
         let e = a.slerp(&b, 1.0);
         assert!(close(e.yaw, b.yaw) && close(e.pitch, b.pitch));
-    }
-
-    #[test]
-    fn quat_rotates_axes() {
-        let q = Quat::from_axis_angle(Vec3::Z, deg(90.0));
-        let r = q.rotate(Vec3::X);
-        assert!(close(r.y, 1.0) && close(r.x, 0.0));
-    }
-
-    #[test]
-    fn quat_from_orientation_matches_direction() {
-        for (yaw, pitch, roll) in [(0.5, 0.3, 0.0), (-1.2, -0.4, 0.7), (2.8, 1.0, -1.0)] {
-            let o = Orientation::new(yaw, pitch, roll);
-            let q = Quat::from_orientation(&o);
-            let dir = q.rotate(Vec3::X);
-            let want = o.direction();
-            assert!(
-                (dir - want).norm() < 1e-9,
-                "mismatch at {yaw},{pitch},{roll}"
-            );
-        }
-    }
-
-    #[test]
-    fn quat_angle_between() {
-        let a = Quat::from_axis_angle(Vec3::Z, 0.0);
-        let b = Quat::from_axis_angle(Vec3::Z, deg(60.0));
-        assert!(close(a.angle_to(b), deg(60.0)));
     }
 
     #[test]

@@ -39,24 +39,14 @@ impl Equirect {
         Uv { u, v }
     }
 
-    /// Inverse projection: texture coordinates to a unit direction.
-    pub fn unproject(uv: Uv) -> Vec3 {
+    /// Inverse projection: texture coordinates to a unit direction (the
+    /// round-trip tests' reference).
+    #[cfg(test)]
+    pub(crate) fn unproject(uv: Uv) -> Vec3 {
         let yaw = uv.u * TAU - PI;
         let pitch = FRAC_PI_2 - uv.v * PI;
         let cp = pitch.cos();
         Vec3::new(cp * yaw.cos(), cp * yaw.sin(), pitch.sin())
-    }
-
-    /// Linear horizontal oversampling factor at latitude `pitch`:
-    /// an equirect row at latitude φ stores `1/cos φ` more pixels per
-    /// solid angle than the equator.
-    pub fn row_oversampling(pitch: f64) -> f64 {
-        let c = pitch.cos().abs();
-        if c < 1e-6 {
-            1e6
-        } else {
-            1.0 / c
-        }
     }
 }
 
@@ -121,8 +111,10 @@ impl CubeMap {
         (face, Uv { u, v })
     }
 
-    /// Inverse projection: `(face, uv)` back to a unit direction.
-    pub fn unproject(face: CubeFace, uv: Uv) -> Vec3 {
+    /// Inverse projection: `(face, uv)` back to a unit direction (the
+    /// round-trip tests' reference).
+    #[cfg(test)]
+    pub(crate) fn unproject(face: CubeFace, uv: Uv) -> Vec3 {
         let a = uv.u * 2.0 - 1.0;
         let b = 1.0 - uv.v * 2.0;
         let v = match face {
@@ -168,12 +160,13 @@ impl OffsetCubeMap {
     }
 
     /// Warp a world direction into the offset space.
-    pub fn warp(&self, dir: Vec3) -> Vec3 {
+    fn warp(&self, dir: Vec3) -> Vec3 {
         (dir.normalized() - self.focus * self.offset).normalized()
     }
 
     /// Invert the warp: recover the world direction whose warp is `w`.
-    pub fn unwarp(&self, w: Vec3) -> Vec3 {
+    #[cfg(test)]
+    fn unwarp(&self, w: Vec3) -> Vec3 {
         // Solve |w·t + k·f| = 1 for t > 0: the original direction is
         // d = w·t + k·f with t chosen so d is unit length.
         let w = w.normalized();
@@ -189,8 +182,10 @@ impl OffsetCubeMap {
         CubeMap::project(self.warp(dir))
     }
 
-    /// Inverse projection back to a world direction.
-    pub fn unproject(&self, face: CubeFace, uv: Uv) -> Vec3 {
+    /// Inverse projection back to a world direction (the round-trip
+    /// tests' reference).
+    #[cfg(test)]
+    fn unproject(&self, face: CubeFace, uv: Uv) -> Vec3 {
         self.unwarp(CubeMap::unproject(face, uv))
     }
 
@@ -244,7 +239,7 @@ impl PixelBudget {
     /// Pixels required by an equirectangular panorama whose equatorial
     /// angular resolution matches a perspective video of
     /// `width × height` pixels spanning the comparison viewport.
-    pub fn equirect_pixels(&self, width: u32, height: u32) -> f64 {
+    fn equirect_pixels(&self, width: u32, height: u32) -> f64 {
         // Perspective pixels per radian at the image centre.
         let ppr_h = width as f64 / (2.0 * (self.viewport_hfov / 2.0).tan());
         let ppr_v = height as f64 / (2.0 * (self.viewport_vfov / 2.0).tan());
@@ -253,7 +248,7 @@ impl PixelBudget {
     }
 
     /// Pixels of the perspective (conventional) video itself.
-    pub fn perspective_pixels(&self, width: u32, height: u32) -> f64 {
+    fn perspective_pixels(&self, width: u32, height: u32) -> f64 {
         width as f64 * height as f64
     }
 
@@ -299,13 +294,6 @@ mod tests {
         let d = Orientation::from_degrees(179.999, 0.0, 0.0).direction();
         let uv = Equirect::project(d);
         assert!(uv.u < 1.0 && uv.u > 0.99);
-    }
-
-    #[test]
-    fn row_oversampling_grows_towards_poles() {
-        assert!((Equirect::row_oversampling(0.0) - 1.0).abs() < 1e-12);
-        assert!(Equirect::row_oversampling(60f64.to_radians()) > 1.9);
-        assert!(Equirect::row_oversampling(89.9999f64.to_radians()) > 1000.0);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub fn fibonacci_sphere(n: usize) -> Vec<Vec3> {
         .collect()
 }
 
-/// Like [`fibonacci_sphere`], as orientations (roll 0).
-pub fn fibonacci_orientations(n: usize) -> Vec<Orientation> {
-    fibonacci_sphere(n)
-        .into_iter()
-        .map(Orientation::looking_at)
-        .collect()
-}
-
 /// The nearest direction in `candidates` to `dir` (index), by
 /// great-circle distance. Panics on empty candidates.
 ///
@@ -172,15 +164,6 @@ mod tests {
         assert!(r88 < r8, "88 versions cover tighter than 8: {r88} vs {r8}");
         // 88 well-spread points cover the sphere within ~25°.
         assert!(r88 < 30f64.to_radians(), "r88 = {}°", r88.to_degrees());
-    }
-
-    #[test]
-    fn orientations_match_directions() {
-        let pts = fibonacci_sphere(16);
-        let os = fibonacci_orientations(16);
-        for (p, o) in pts.iter().zip(&os) {
-            assert!(p.angle_to(o.direction()) < 1e-9);
-        }
     }
 
     #[test]

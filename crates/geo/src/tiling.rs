@@ -43,13 +43,8 @@ pub struct TileRect {
 
 impl TileRect {
     /// Yaw span, radians.
-    pub fn yaw_span(&self) -> f64 {
+    fn yaw_span(&self) -> f64 {
         self.yaw_max - self.yaw_min
-    }
-
-    /// Pitch span, radians.
-    pub fn pitch_span(&self) -> f64 {
-        self.pitch_max - self.pitch_min
     }
 
     /// The solid angle subtended by this tile, steradians.
@@ -133,7 +128,7 @@ impl TileGrid {
     }
 
     /// The tile containing normalized texture coordinates.
-    pub fn tile_of_uv(&self, uv: Uv) -> TileId {
+    fn tile_of_uv(&self, uv: Uv) -> TileId {
         let col = ((uv.u.clamp(0.0, 1.0 - 1e-12)) * self.cols as f64) as u16;
         let row = ((uv.v.clamp(0.0, 1.0 - 1e-12)) * self.rows as f64) as u16;
         self.id_at(row.min(self.rows - 1), col.min(self.cols - 1))
@@ -161,30 +156,6 @@ impl TileGrid {
     /// Great-circle distance from a direction to a tile's centre, radians.
     pub fn distance_to_tile(&self, dir: Vec3, id: TileId) -> f64 {
         dir.angle_to(self.tile_center(id))
-    }
-
-    /// Ring distance between two tiles: Chebyshev distance on the grid
-    /// with yaw wraparound (used by OOS policies to order tiles by
-    /// "how far out of sight").
-    pub fn grid_distance(&self, a: TileId, b: TileId) -> u16 {
-        let (ra, ca) = self.position(a);
-        let (rb, cb) = self.position(b);
-        let dr = ra.abs_diff(rb);
-        let dc_raw = ca.abs_diff(cb);
-        let dc = dc_raw.min(self.cols - dc_raw);
-        dr.max(dc)
-    }
-
-    /// Tiles whose grid distance from `center` is at most `radius`,
-    /// including `center` itself. Ordered by distance then id.
-    pub fn neighborhood(&self, center: TileId, radius: u16) -> Vec<TileId> {
-        let mut out: Vec<(u16, TileId)> = self
-            .tiles()
-            .map(|t| (self.grid_distance(center, t), t))
-            .filter(|&(d, _)| d <= radius)
-            .collect();
-        out.sort();
-        out.into_iter().map(|(_, t)| t).collect()
     }
 }
 
@@ -297,36 +268,6 @@ mod tests {
         let (row_bot, _) = g.position(g.tile_of_direction(-Vec3::Z));
         assert_eq!(row_top, 0);
         assert_eq!(row_bot, 3);
-    }
-
-    #[test]
-    fn grid_distance_wraps_in_yaw() {
-        let g = TileGrid::new(1, 8);
-        let west = g.id_at(0, 0);
-        let east = g.id_at(0, 7);
-        assert_eq!(
-            g.grid_distance(west, east),
-            1,
-            "columns 0 and 7 are adjacent"
-        );
-        assert_eq!(g.grid_distance(west, g.id_at(0, 4)), 4);
-        assert_eq!(g.grid_distance(west, west), 0);
-    }
-
-    #[test]
-    fn neighborhood_radius_zero_is_self() {
-        let g = TileGrid::new(4, 6);
-        let c = g.id_at(2, 3);
-        assert_eq!(g.neighborhood(c, 0), vec![c]);
-    }
-
-    #[test]
-    fn neighborhood_radius_one_in_interior() {
-        let g = TileGrid::new(4, 6);
-        let c = g.id_at(1, 2);
-        let n = g.neighborhood(c, 1);
-        assert_eq!(n.len(), 9, "3x3 block");
-        assert_eq!(n[0], c, "center sorts first at distance 0");
     }
 
     #[test]

@@ -31,8 +31,9 @@ impl Vec3 {
         y: 0.0,
         z: 0.0,
     };
-    /// Unit Y ("left").
-    pub const Y: Vec3 = Vec3 {
+    /// Unit Y ("left"); the geometry tests' axis.
+    #[cfg(test)]
+    pub(crate) const Y: Vec3 = Vec3 {
         x: 0.0,
         y: 1.0,
         z: 0.0,
@@ -84,8 +85,9 @@ impl Vec3 {
         d.acos()
     }
 
-    /// Linear interpolation (not spherical).
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
+    /// Linear interpolation (not spherical); a test helper.
+    #[cfg(test)]
+    pub(crate) fn lerp(self, other: Vec3, t: f64) -> Vec3 {
         self * (1.0 - t) + other * t
     }
 }

@@ -66,8 +66,10 @@ impl Viewport {
     }
 
     /// The world direction of a point on the viewport plane, with
-    /// `(sx, sy)` in `[-1, 1]²` (`sx` left-positive, `sy` up-positive).
-    pub fn ray(&self, sx: f64, sy: f64) -> Vec3 {
+    /// `(sx, sy)` in `[-1, 1]²` (`sx` left-positive, `sy` up-positive);
+    /// the frustum tests' probe.
+    #[cfg(test)]
+    fn ray(&self, sx: f64, sy: f64) -> Vec3 {
         let (f, l, u) = self.orientation.basis();
         let x = (self.hfov / 2.0).tan() * sx;
         let y = (self.vfov / 2.0).tan() * sy;
@@ -99,7 +101,7 @@ impl Viewport {
     /// half-FoVs, and the per-row screen coordinate `sy` — are hoisted
     /// out of the inner loop. Each raw (unnormalized) ray is binned by
     /// a cached [`TileClassifier`], whose result is bit-identical to
-    /// [`Viewport::ray`] followed by [`TileGrid::tile_of_direction`]
+    /// normalizing the ray and calling [`TileGrid::tile_of_direction`]
     /// (golden traces depend on this; see `classifier` module docs).
     pub fn visible_tiles_into(
         &self,

@@ -125,7 +125,7 @@ fn lock(inner: &Mutex<CacheInner>) -> MutexGuard<'_, CacheInner> {
 
 /// Default LRU bound: generously covers a session's working set of
 /// distinct (gaze, grid, density) queries.
-pub const DEFAULT_VIS_CACHE_CAPACITY: usize = 256;
+const DEFAULT_VIS_CACHE_CAPACITY: usize = 256;
 
 impl Default for VisibilityCache {
     fn default() -> Self {

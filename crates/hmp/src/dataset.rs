@@ -35,7 +35,7 @@ pub struct SessionRecord {
 impl SessionRecord {
     /// Approximate upload size of this session's head data in bits per
     /// second of playback — the paper's scalability estimate (< 5 kbps).
-    pub fn head_data_bitrate_bps(&self) -> f64 {
+    fn head_data_bitrate_bps(&self) -> f64 {
         // yaw/pitch/roll as 3 × 16-bit fixed point at the sample rate.
         3.0 * 16.0 * self.trace.sample_hz()
     }
@@ -101,7 +101,7 @@ impl StudyDataset {
     }
 
     /// Sessions of one video.
-    pub fn for_video(&self, video_id: u64) -> Vec<&SessionRecord> {
+    fn for_video(&self, video_id: u64) -> Vec<&SessionRecord> {
         self.sessions
             .iter()
             .filter(|s| s.video_id == video_id)
@@ -158,17 +158,6 @@ impl StudyDataset {
             .collect()
     }
 
-    /// §3.2 question 3: how often each context appears (the prior for
-    /// sessions whose context is unknown).
-    pub fn context_histogram(&self) -> BTreeMap<String, u32> {
-        let mut hist = BTreeMap::new();
-        for s in &self.sessions {
-            let key = format!("{:?}", s.trace.context);
-            *hist.entry(key).or_insert(0) += 1;
-        }
-        hist
-    }
-
     /// Aggregate head-data upload rate across concurrent sessions, bps —
     /// supports the paper's "our system can easily scale" estimate.
     pub fn aggregate_bitrate_bps(&self) -> f64 {
@@ -203,7 +192,7 @@ impl StudyDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{Pose, ViewingContext};
+    use crate::context::ViewingContext;
     use crate::generate::{AttentionModel, Behavior, TraceGenerator};
     use sperke_video::ChunkTime;
 
@@ -270,21 +259,6 @@ mod tests {
             explorer.speed_bound
         );
         assert!((still.mean_rating - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn context_histogram_counts() {
-        let mut ds = corpus();
-        let mut lying = session(0, 9, Behavior::Still, None);
-        lying.trace.context = ViewingContext {
-            pose: Pose::Lying,
-            ..Default::default()
-        };
-        ds.add(lying);
-        let hist = ds.context_histogram();
-        let total: u32 = hist.values().sum();
-        assert_eq!(total, 13);
-        assert!(hist.keys().any(|k| k.contains("Lying")));
     }
 
     #[test]

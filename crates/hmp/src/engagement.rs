@@ -5,9 +5,8 @@
 //! Without eye trackers the observable proxy is *gaze stability*: an
 //! engaged viewer locks onto content (low jitter, few saccades); a
 //! disengaged viewer scans. The estimator turns recent head motion into
-//! an engagement score, and the score into a saccade-likelihood
-//! adjustment the forecaster can use to widen or tighten its
-//! uncertainty.
+//! an engagement score; the `hmp_accuracy` bench checks that scanning
+//! viewers score below every other behaviour class.
 
 use serde::{Deserialize, Serialize};
 use sperke_geo::Orientation;
@@ -16,23 +15,6 @@ use sperke_sim::SimTime;
 /// Engagement level in `[0, 1]`: 1 = locked onto content.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Engagement(pub f64);
-
-impl Engagement {
-    /// The uncertainty multiplier the forecaster should apply: an
-    /// engaged viewer's motion is more predictable (× <1), a
-    /// disengaged viewer may saccade anywhere (× >1).
-    pub fn uncertainty_factor(self) -> f64 {
-        // Map [0,1] engagement to [1.6, 0.7].
-        1.6 - 0.9 * self.0.clamp(0.0, 1.0)
-    }
-
-    /// Probability of a saccade (> 30° jump) in the next second, an
-    /// empirical-shaped logistic of disengagement.
-    pub fn saccade_probability(self) -> f64 {
-        let x = 1.0 - self.0.clamp(0.0, 1.0);
-        0.05 + 0.5 * x * x
-    }
-}
 
 /// Tuning for the estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -144,22 +126,5 @@ mod tests {
     fn short_history_is_neutral() {
         let h = vec![(SimTime::ZERO, Orientation::FRONT)];
         assert_eq!(estimate_engagement(&h, &EngagementConfig::default()).0, 0.5);
-    }
-
-    #[test]
-    fn uncertainty_factor_monotone() {
-        assert!(Engagement(1.0).uncertainty_factor() < Engagement(0.5).uncertainty_factor());
-        assert!(Engagement(0.5).uncertainty_factor() < Engagement(0.0).uncertainty_factor());
-        assert!((Engagement(1.0).uncertainty_factor() - 0.7).abs() < 1e-12);
-        assert!((Engagement(0.0).uncertainty_factor() - 1.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn saccade_probability_rises_with_disengagement() {
-        assert!(Engagement(0.1).saccade_probability() > Engagement(0.9).saccade_probability());
-        for e in [0.0, 0.3, 0.7, 1.0] {
-            let p = Engagement(e).saccade_probability();
-            assert!((0.0..=1.0).contains(&p));
-        }
     }
 }

@@ -398,7 +398,7 @@ impl FusedForecaster {
     }
 
     /// The popularity prior's blend weight at a horizon.
-    pub fn prior_weight(&self, horizon: SimDuration) -> f64 {
+    fn prior_weight(&self, horizon: SimDuration) -> f64 {
         if self.heatmap.is_none() {
             return 0.0;
         }

@@ -136,7 +136,7 @@ impl AttentionModel {
     }
 
     /// The hotspots.
-    pub fn hotspots(&self) -> &[Hotspot] {
+    pub(crate) fn hotspots(&self) -> &[Hotspot] {
         &self.hotspots
     }
 

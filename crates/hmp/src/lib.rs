@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod codec;
 pub mod context;
 pub mod dataset;
 pub mod engagement;
@@ -30,7 +29,6 @@ pub mod predictor;
 pub mod trace;
 
 pub use accuracy::{evaluate_forecaster, evaluate_predictor, ForecastReport, HmpReport};
-pub use codec::{decode as decode_trace, encode as encode_trace, DecodeError, QUANT_ERROR};
 pub use context::{Mobility, Pose, ViewingContext, WatchMode};
 pub use dataset::{SessionRecord, StudyDataset, UserProfile};
 pub use engagement::{estimate_engagement, Engagement, EngagementConfig};
@@ -39,7 +37,7 @@ pub use generate::{
     generate_ensemble, generate_ensemble_member, AttentionModel, Behavior, Hotspot, TraceGenerator,
 };
 pub use oracle::OracleForecaster;
-pub use popularity::{visible_in_window, visible_in_window_cached, Heatmap};
+pub use popularity::Heatmap;
 pub use predictor::{
     AlphaBeta, DampedRegression, DeadReckoning, Ensemble, LinearRegression, Persistence, Predictor,
 };
@@ -146,24 +144,6 @@ mod proptests {
             let mut rotated = views.clone();
             rotated.rotate_left(rot % views.len());
             prop_assert_eq!(map.top_k(chunk, k), record_all(&rotated).top_k(chunk, k));
-        }
-
-        /// The wire codec round-trips any generated trace within the
-        /// quantization bound.
-        #[test]
-        fn codec_roundtrips(seed: u64, b in 0usize..4) {
-            let g = TraceGenerator::new(
-                AttentionModel::generic(seed),
-                Behavior::ALL[b],
-                ViewingContext::default(),
-            );
-            let tr = g.generate(SimDuration::from_secs(3), seed);
-            let back = codec::decode(&codec::encode(&tr)).expect("decodes");
-            prop_assert_eq!(back.len(), tr.len());
-            for (a, d) in tr.samples().iter().zip(back.samples()) {
-                prop_assert!((a.yaw - d.yaw).abs() <= 2.0 * codec::QUANT_ERROR);
-                prop_assert!((a.pitch - d.pitch).abs() <= 2.0 * codec::QUANT_ERROR);
-            }
         }
 
         /// trace.at() is continuous: nearby times yield nearby orientations.

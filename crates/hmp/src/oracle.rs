@@ -18,9 +18,6 @@ pub struct OracleForecaster {
     /// The trace it peeks into (indexed by the same playback timeline
     /// the history timestamps use).
     pub trace: HeadTrace,
-    /// Probability assigned to tiles outside the true viewport (0 for a
-    /// pure oracle; a small value keeps OOS selection exercised).
-    pub outside_probability: f64,
     /// How much of the chunk after `target_time` the oracle covers
     /// (the tile set is the union of viewports over the window, since a
     /// chunk is displayed for its whole duration, not an instant).
@@ -35,18 +32,8 @@ impl OracleForecaster {
     pub fn new(trace: HeadTrace) -> OracleForecaster {
         OracleForecaster {
             trace,
-            outside_probability: 0.0,
             window: SimDuration::from_secs(1),
             vis: VisibilityCache::default(),
-        }
-    }
-
-    /// Same oracle, but with `outside_probability` for out-of-sight
-    /// tiles (keeps OOS chunk selection exercised).
-    pub fn with_outside_probability(trace: HeadTrace, p: f64) -> OracleForecaster {
-        OracleForecaster {
-            outside_probability: p,
-            ..OracleForecaster::new(trace)
         }
     }
 }
@@ -71,13 +58,7 @@ impl Forecaster for OracleForecaster {
         }
         let probs = grid
             .tiles()
-            .map(|t| {
-                if visible.contains(&t) {
-                    1.0
-                } else {
-                    self.outside_probability
-                }
-            })
+            .map(|t| if visible.contains(&t) { 1.0 } else { 0.0 })
             .collect();
         TileForecast::new(probs)
     }
@@ -131,22 +112,5 @@ mod tests {
         // And only a minority of tiles carry probability.
         let covered = grid.tiles().filter(|&t| fc.prob(t) > 0.0).count();
         assert!(covered < grid.tile_count() / 2);
-    }
-
-    #[test]
-    fn outside_probability_is_configurable() {
-        let tr = HeadTrace::from_fn(SimDuration::from_secs(5), |_| Orientation::FRONT);
-        let oracle = OracleForecaster::with_outside_probability(tr, 0.1);
-        let grid = TileGrid::new(4, 6);
-        let history = vec![(SimTime::ZERO, Orientation::FRONT)];
-        let fc = oracle.forecast(
-            &grid,
-            &history,
-            SimTime::ZERO,
-            SimTime::from_secs(2),
-            ChunkTime(2),
-        );
-        let behind = grid.tile_of_direction(-sperke_geo::Vec3::X);
-        assert!((fc.prob(behind) - 0.1).abs() < 1e-12);
     }
 }

@@ -117,11 +117,6 @@ impl Heatmap {
         v
     }
 
-    /// The most-viewed tile for chunk `t`.
-    pub fn top_tile(&self, t: ChunkTime) -> TileId {
-        self.ranked_tiles(t)[0].0
-    }
-
     /// The `k` most-viewed tiles for chunk `t`, best first — the prefetch
     /// working set an edge server pre-warms for a crowd.
     ///
@@ -193,20 +188,10 @@ impl Heatmap {
 }
 
 /// The union of tiles visible to a trace's viewer during one chunk
-/// window (sampled at the window's start, middle and end).
-pub fn visible_in_window(
-    grid: TileGrid,
-    chunk_duration: SimDuration,
-    t: ChunkTime,
-    trace: &HeadTrace,
-) -> Vec<TileId> {
-    visible_in_window_cached(grid, chunk_duration, t, trace, &VisibilityCache::disabled())
-}
-
-/// [`visible_in_window`] through a visibility memo. Results are
-/// bit-identical whichever cache handle is passed; callers that sweep
-/// many chunks or traces should share one cache across calls.
-pub fn visible_in_window_cached(
+/// window (sampled at the window's start, middle and end), through a
+/// visibility memo. Results are bit-identical whichever cache handle is
+/// passed.
+fn visible_in_window_cached(
     grid: TileGrid,
     chunk_duration: SimDuration,
     t: ChunkTime,
@@ -275,7 +260,7 @@ mod tests {
         // All viewers stare at yaw=0 -> the front tiles dominate.
         let traces: Vec<HeadTrace> = (0..5).map(|_| fixed_trace(0.0)).collect();
         let map = Heatmap::build(grid, SimDuration::from_secs(1), 4, &traces);
-        let top = map.top_tile(ChunkTime(2));
+        let top = map.ranked_tiles(ChunkTime(2))[0].0;
         let front = grid.tile_of_direction(sperke_geo::Vec3::X);
         // Front tile must be at probability 1; top tile is one of the
         // tiles around the gaze.

@@ -7,7 +7,7 @@
 
 use crate::context::ViewingContext;
 use serde::{Deserialize, Serialize};
-use sperke_geo::{angles, Orientation};
+use sperke_geo::Orientation;
 use sperke_sim::{SimDuration, SimTime};
 
 /// The paper's logging rate.
@@ -92,17 +92,6 @@ impl HeadTrace {
         self.samples[idx].slerp(&self.samples[idx + 1], frac)
     }
 
-    /// Angular speed (great-circle, radians/second) at `time`, estimated
-    /// by central difference over one sample period.
-    pub fn angular_speed(&self, time: SimTime) -> f64 {
-        let dt = 1.0 / self.sample_hz;
-        let t0 = SimTime::from_secs_f64((time.as_secs_f64() - dt / 2.0).max(0.0));
-        let t1 = SimTime::from_secs_f64(time.as_secs_f64() + dt / 2.0);
-        let a = self.at(t0);
-        let b = self.at(t1);
-        a.angular_distance(&b) * self.sample_hz
-    }
-
     /// The `p`-th percentile of angular speed over the whole trace
     /// (rad/s). Used for the per-user speed bound of §3.2 ("a user's
     /// head movement speed can be learned to bound the latency
@@ -112,15 +101,6 @@ impl HeadTrace {
             .map(|i| self.samples[i].angular_distance(&self.samples[i + 1]) * self.sample_hz)
             .collect();
         sperke_sim::stats::percentile(&speeds, p)
-    }
-
-    /// The mean yaw of the trace (circular mean), the session's "front".
-    pub fn mean_yaw(&self) -> f64 {
-        let (s, c) = self
-            .samples
-            .iter()
-            .fold((0.0, 0.0), |(s, c), o| (s + o.yaw.sin(), c + o.yaw.cos()));
-        angles::wrap_pi(s.atan2(c))
     }
 
     /// The trailing window of samples ending at `time`, at most
@@ -199,28 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn angular_speed_matches_slope() {
-        let tr = linear_trace();
-        let v = tr.angular_speed(SimTime::from_secs(1));
-        assert!((v - 0.5).abs() < 0.02, "speed {v}");
-    }
-
-    #[test]
     fn speed_percentile_of_constant_motion() {
         let tr = linear_trace();
         assert!((tr.speed_percentile(50.0) - 0.5).abs() < 0.02);
         assert!((tr.speed_percentile(95.0) - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn mean_yaw_handles_wraparound() {
-        // Samples straddling ±180°: circular mean must be near 180, not 0.
-        let samples = vec![
-            Orientation::from_degrees(170.0, 0.0, 0.0),
-            Orientation::from_degrees(-170.0, 0.0, 0.0),
-        ];
-        let tr = HeadTrace::new(50.0, samples);
-        assert!(tr.mean_yaw().abs() > 3.0, "mean_yaw {}", tr.mean_yaw());
     }
 
     #[test]

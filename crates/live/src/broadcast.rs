@@ -26,7 +26,7 @@ pub struct NetworkCondition {
 
 impl NetworkCondition {
     /// The five rows of Table 2, with the paper's labels.
-    pub fn table2_rows() -> Vec<(&'static str, &'static str, NetworkCondition)> {
+    fn table2_rows() -> Vec<(&'static str, &'static str, NetworkCondition)> {
         vec![
             (
                 "No limit",

@@ -111,11 +111,6 @@ impl CrowdAggregator {
         map
     }
 
-    /// Number of ingested reports.
-    pub fn report_count(&self) -> usize {
-        self.reports.len()
-    }
-
     /// The `k` tiles the crowd most watched for chunk `chunk`, judged
     /// only from reports causally available at wall time `now` (best
     /// first, ties by tile id). Empty when no report for the chunk has
@@ -425,6 +420,6 @@ mod tests {
         for v in &lows {
             agg.ingest(v, 5);
         }
-        assert_eq!(agg.report_count(), lows.len() * 5);
+        assert_eq!(agg.reports.len(), lows.len() * 5);
     }
 }

@@ -52,7 +52,7 @@ impl Horizon {
 }
 
 /// A yaw-interest histogram built from viewer gaze reports (the
-/// realtime crowd data) and/or broadcaster hints.
+/// realtime crowd data).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InterestProfile {
     /// Histogram over yaw bins spanning `[-π, π)`.
@@ -61,7 +61,7 @@ pub struct InterestProfile {
 
 impl InterestProfile {
     /// Number of yaw bins used.
-    pub const BINS: usize = 36; // 10° resolution
+    const BINS: usize = 36; // 10° resolution
 
     /// An empty (uniform) profile.
     pub fn new() -> InterestProfile {
@@ -74,12 +74,6 @@ impl InterestProfile {
     pub fn record(&mut self, yaw: f64) {
         let idx = Self::bin_of(yaw);
         self.bins[idx] += 1.0;
-    }
-
-    /// Record a broadcaster hint at `yaw` with the given weight.
-    pub fn record_hint(&mut self, yaw: f64, weight: f64) {
-        let idx = Self::bin_of(yaw);
-        self.bins[idx] += weight.max(0.0);
     }
 
     /// Build from viewer traces sampled around time `at`.
@@ -110,7 +104,7 @@ impl InterestProfile {
     /// at least `mass_fraction` of observations, never narrower than
     /// `min_span` (the paper: "ideally it should be wider than the
     /// concert's stage").
-    pub fn horizon_for(&self, mass_fraction: f64, min_span: f64) -> Horizon {
+    fn horizon_for(&self, mass_fraction: f64, min_span: f64) -> Horizon {
         let total = self.total();
         if total <= 0.0 {
             return Horizon::full();
@@ -428,7 +422,9 @@ mod tests {
     #[test]
     fn severe_shortfall_scales_quality_too() {
         let mut p = InterestProfile::new();
-        p.record_hint(0.0, 10.0);
+        for _ in 0..10 {
+            p.record(0.0);
+        }
         let plan = plan_upload(
             UploadStrategy::SpatialFallback,
             4e6,

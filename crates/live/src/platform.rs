@@ -168,14 +168,9 @@ impl PlatformProfile {
         ]
     }
 
-    /// The broadcaster's fixed upload bitrate.
-    pub fn upload_bitrate(&self) -> f64 {
-        self.upload_bitrate_bps
-    }
-
     /// Bytes of one uploaded segment.
     pub fn upload_segment_bytes(&self) -> u64 {
-        (self.upload_bitrate() * self.chunk_duration.as_secs_f64() / 8.0) as u64
+        (self.upload_bitrate_bps * self.chunk_duration.as_secs_f64() / 8.0) as u64
     }
 }
 

@@ -189,8 +189,10 @@ impl BbrState {
             })
     }
 
-    /// The propagation-RTT estimate: min RTT sample in the window.
-    pub fn rt_prop(&self) -> Option<SimDuration> {
+    /// The propagation-RTT estimate: min RTT sample in the window (only
+    /// the tests read it; the pacing path uses BtlBw alone).
+    #[cfg(test)]
+    fn rt_prop(&self) -> Option<SimDuration> {
         self.rtts.iter().map(|&(_, r)| r).min()
     }
 
@@ -200,12 +202,12 @@ impl BbrState {
     }
 
     /// Whether the current epoch is a probing epoch (gain > cruise).
-    pub fn probing(&self) -> bool {
+    fn probing(&self) -> bool {
         self.epoch.is_multiple_of(self.config.cycle_len)
     }
 
     /// The pacing gain in effect for the current epoch.
-    pub fn pacing_gain(&self) -> f64 {
+    fn pacing_gain(&self) -> f64 {
         if self.probing() {
             self.config.probe_gain
         } else {
@@ -256,8 +258,10 @@ impl LossChannel {
     }
 
     /// The stationary fraction of time spent in the Bad state
-    /// (`p_gb / (p_gb + p_bg)`); 0 for [`LossChannel::Declared`].
-    pub fn stationary_bad_fraction(&self) -> f64 {
+    /// (`p_gb / (p_gb + p_bg)`); 0 for [`LossChannel::Declared`]. The
+    /// reference the GE chain's convergence tests compare against.
+    #[cfg(test)]
+    pub(crate) fn stationary_bad_fraction(&self) -> f64 {
         match *self {
             LossChannel::Declared => 0.0,
             LossChannel::GilbertElliott { p_gb, p_bg, .. } => p_gb / (p_gb + p_bg),
@@ -267,8 +271,10 @@ impl LossChannel {
     /// The long-run mean loss rate: the `stationary_bad_fraction`-
     /// weighted mix of the two states' loss probabilities. For
     /// [`LossChannel::Declared`] this is 0 (the declared rate lives on
-    /// the [`crate::PathModel`], not the channel).
-    pub fn stationary_loss(&self) -> f64 {
+    /// the [`crate::PathModel`], not the channel). The reference the GE
+    /// chain's convergence tests compare against.
+    #[cfg(test)]
+    pub(crate) fn stationary_loss(&self) -> f64 {
         match *self {
             LossChannel::Declared => 0.0,
             LossChannel::GilbertElliott {
@@ -284,12 +290,12 @@ impl LossChannel {
 }
 
 /// Virtual-time step at which a [`GeChain`] rolls its state transition.
-pub const GE_STEP: SimDuration = SimDuration::from_millis(100);
+const GE_STEP: SimDuration = SimDuration::from_millis(100);
 
 /// A running Gilbert–Elliott chain: the stateful instantiation of
 /// [`LossChannel::GilbertElliott`] on one path.
 ///
-/// The chain is *time-driven*: it advances in fixed [`GE_STEP`] ticks
+/// The chain is *time-driven*: it advances in fixed 100 ms (`GE_STEP`) ticks
 /// up to the queried instant, each tick rolling one transition on the
 /// chain's **own** RNG stream. Deterministic in `(params, rng seed)`
 /// and independent of how often it is queried.

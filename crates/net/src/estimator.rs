@@ -109,7 +109,7 @@ impl BandwidthEstimator {
     }
 
     /// Current estimate (bits/second), or `None` before any sample.
-    pub fn estimate(&self) -> Option<f64> {
+    fn estimate(&self) -> Option<f64> {
         match self.kind {
             EstimatorKind::Ewma { .. } => self.ewma,
             EstimatorKind::Harmonic { .. } => {

@@ -69,8 +69,8 @@ impl FaultSpec {
 
 /// A declarative fault schedule over a path set. Build it fluently with
 /// [`FaultScript::link_down`] / [`FaultScript::degrade`], or generate
-/// seeded-stochastic schedules with [`FaultScript::random_outages`] and
-/// [`FaultScript::random_loss_bursts`]; compose schedules with
+/// seeded-stochastic outage schedules with
+/// [`FaultScript::random_outages`]; compose schedules with
 /// [`FaultScript::merge`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultScript {
@@ -150,36 +150,6 @@ impl FaultScript {
                 }
                 let len = exponential(&mut rng, mean_outage).max(SimDuration::from_millis(100));
                 script = script.link_down(path, t, t + len);
-                t += len;
-            }
-        }
-        script
-    }
-
-    /// A seeded-stochastic loss-burst schedule: bursts of `extra_loss`
-    /// additional packet loss arrive with exponential gaps of mean
-    /// `mean_gap` and last an exponential `mean_burst` (clamped to at
-    /// least 100 ms), up to `horizon`. Deterministic in `seed`.
-    pub fn random_loss_bursts(
-        seed: u64,
-        paths: usize,
-        horizon: SimDuration,
-        mean_gap: SimDuration,
-        mean_burst: SimDuration,
-        extra_loss: f64,
-    ) -> FaultScript {
-        let mut script = FaultScript::none();
-        let rng = SimRng::new(seed);
-        for path in 0..paths {
-            let mut rng = rng.split(0x1055 ^ path as u64);
-            let mut t = SimTime::ZERO;
-            loop {
-                t += exponential(&mut rng, mean_gap);
-                if t.saturating_since(SimTime::ZERO) >= horizon {
-                    break;
-                }
-                let len = exponential(&mut rng, mean_burst).max(SimDuration::from_millis(100));
-                script = script.degrade(path, t, t + len, 1.0, extra_loss);
                 t += len;
             }
         }
@@ -289,15 +259,9 @@ impl PathFaults {
 
     /// True when the link is down at `at`.
     pub fn is_down(&self, at: SimTime) -> bool {
-        self.outage_at(at).is_some()
-    }
-
-    /// The outage interval covering `at`, if any.
-    pub fn outage_at(&self, at: SimTime) -> Option<(SimTime, SimTime)> {
         self.outages
             .iter()
-            .copied()
-            .find(|&(from, until)| from <= at && at < until)
+            .any(|&(from, until)| from <= at && at < until)
     }
 
     /// The first outage that *starts* within `[from, until)` — the check
@@ -419,28 +383,6 @@ mod tests {
                 assert!(from < SimTime::from_secs(120));
             }
         }
-    }
-
-    #[test]
-    fn loss_bursts_only_touch_loss() {
-        let script = FaultScript::random_loss_bursts(
-            3,
-            1,
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(2),
-            0.05,
-        );
-        let f = script.compile_for(0);
-        assert!(
-            f.outages().is_empty(),
-            "bursts are degradations, not outages"
-        );
-        let bursty = script
-            .specs()
-            .iter()
-            .any(|s| matches!(s, FaultSpec::Degrade { extra_loss, .. } if *extra_loss == 0.05));
-        assert!(bursty);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod mux;
 pub mod path;
 pub mod pipe;
 pub mod priority;
-pub mod shaper;
 pub mod transfer;
 pub mod wrr;
 
@@ -43,14 +42,13 @@ pub use bbr::{BbrConfig, BbrState, BbrUpdate, GeChain, LossChannel};
 pub use estimator::{BandwidthEstimator, EstimatorKind};
 pub use fault::{FaultScript, FaultSpec, PathFaults};
 pub use multipath::{
-    failover_assignment, Assignment, ChunkRequest, ContentAware, EarliestCompletion, MinRtt,
-    MultipathScheduler, MultipathSession, RecoveryOutcome, RecoveryPolicy, SinglePath,
+    Assignment, ChunkRequest, ContentAware, EarliestCompletion, MinRtt, MultipathScheduler,
+    MultipathSession, RecoveryOutcome, RecoveryPolicy, SinglePath,
 };
-pub use mux::{weight_of, MuxLink, StreamCompletion, StreamId};
+pub use mux::{MuxLink, StreamCompletion, StreamId};
 pub use path::PathModel;
 pub use pipe::SerialLink;
 pub use priority::{ChunkPriority, Reliability, SpatialPriority, TemporalPriority};
-pub use shaper::TokenBucket;
 pub use transfer::{Completion, PathQueue, TransferId, TransferOutcome};
 pub use wrr::{WrrCompletion, WrrLink};
 
@@ -132,28 +130,6 @@ mod proptests {
                 "makespan {} vs {}", makespan.as_secs_f64(), expect);
             for c in &done {
                 prop_assert!(c.finished >= c.submitted);
-            }
-        }
-
-        /// Token buckets never hand out more than depth + rate*time.
-        #[test]
-        fn token_bucket_bounded(
-            rate in 1e5f64..1e8,
-            burst in 1e3f64..1e6,
-            steps in proptest::collection::vec((1u64..2000, 100u64..1_000_000), 1..20),
-        ) {
-            let mut tb = TokenBucket::new(rate, burst);
-            let mut now = SimTime::ZERO;
-            let mut last_done = SimTime::ZERO;
-            for (gap_ms, bytes) in steps {
-                now = now.max(last_done) + SimDuration::from_millis(gap_ms);
-                let done = tb.transmit(bytes, now);
-                prop_assert!(done >= now);
-                // Completion never beats the sustained rate by more than
-                // the burst allowance.
-                let min_time = (bytes as f64 - burst).max(0.0) * 8.0 / rate;
-                prop_assert!(done.saturating_since(now).as_secs_f64() >= min_time - 1e-9);
-                last_done = done;
             }
         }
 

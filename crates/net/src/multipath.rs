@@ -65,7 +65,7 @@ pub trait MultipathScheduler {
 /// other than `avoid`, falling back to `avoid` itself when it is the
 /// only path, always reliable (a recovery retransmission that drops
 /// helps nobody).
-pub fn failover_assignment(
+fn failover_assignment(
     req: &ChunkRequest,
     paths: &[PathQueue],
     avoid: usize,

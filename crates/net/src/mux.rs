@@ -45,7 +45,7 @@ pub struct StreamCompletion {
 }
 
 /// The weight assigned to a Table-1 priority class.
-pub fn weight_of(priority: ChunkPriority) -> f64 {
+fn weight_of(priority: ChunkPriority) -> f64 {
     // Urgent chunks dominate; FoV beats OOS 4:1.
     match priority.rank() {
         3 => 16.0, // FoV + urgent
@@ -145,7 +145,7 @@ impl MuxLink {
     }
 
     /// Open a stream with an explicit weight.
-    pub fn submit_weighted(&mut self, bytes: u64, now: SimTime, weight: f64) -> StreamId {
+    pub(crate) fn submit_weighted(&mut self, bytes: u64, now: SimTime, weight: f64) -> StreamId {
         assert!(weight > 0.0, "weight must be positive");
         assert!(now >= self.now, "submissions must be time-ordered");
         self.advance(now);
@@ -178,11 +178,6 @@ impl MuxLink {
             self.advance(t);
         }
         self.run_until(self.now)
-    }
-
-    /// Streams currently in flight.
-    pub fn active_streams(&self) -> usize {
-        self.active.len()
     }
 }
 
@@ -253,7 +248,7 @@ mod tests {
         link.submit_weighted(100 * MBIT, SimTime::ZERO, 1.0);
         let early = link.run_until(SimTime::from_millis(300));
         assert_eq!(early.len(), 1, "only the small stream is done by 0.3 s");
-        assert_eq!(link.active_streams(), 1);
+        assert_eq!(link.active.len(), 1, "the bulk stream is still in flight");
     }
 
     #[test]

@@ -68,17 +68,12 @@ impl PathModel {
 
     /// The TCP throughput ceiling imposed by loss (Mathis:
     /// `MSS / (RTT * sqrt(p)) * C`), bits/second; infinite at zero loss.
-    pub fn loss_cap_bps(&self) -> f64 {
+    fn loss_cap_bps(&self) -> f64 {
         if self.loss <= 0.0 {
             return f64::INFINITY;
         }
         let c = 1.22; // sqrt(3/2)
         c * MSS_BITS / (self.rtt.as_secs_f64() * self.loss.sqrt())
-    }
-
-    /// The achievable steady-state rate at `t` given `share` of the link.
-    pub fn rate_at(&self, t: SimTime, share: f64) -> f64 {
-        (self.bandwidth.at(t) * share).min(self.loss_cap_bps())
     }
 
     /// Time to complete a reliable transfer of `bytes` starting at
@@ -136,18 +131,12 @@ impl PathModel {
         }
     }
 
-    /// Whether a best-effort (unreliable) transfer of `bytes` survives:
-    /// each MSS-sized packet independently survives with probability
-    /// `1 - loss`, and the transfer is useless if more than 2 % of
-    /// packets are lost (no retransmission). Deterministic in `rng`.
-    pub fn best_effort_survives(&self, bytes: u64, rng: &mut SimRng) -> bool {
-        self.best_effort_survives_with_loss(bytes, self.loss, rng)
-    }
-
-    /// Like [`PathModel::best_effort_survives`] with an explicit loss
-    /// probability — used by the fault layer when a loss burst inflates
-    /// the path's base loss. Consumes the same RNG draws as the base
-    /// method for any positive loss.
+    /// Whether a best-effort (unreliable) transfer of `bytes` survives
+    /// a per-packet `loss` probability (the path's own `loss`, or a value
+    /// the fault layer inflates during a loss burst): each MSS-sized
+    /// packet independently survives with probability `1 - loss`, and
+    /// the transfer is useless if more than 2 % of packets are lost (no
+    /// retransmission). Deterministic in `rng`.
     pub fn best_effort_survives_with_loss(&self, bytes: u64, loss: f64, rng: &mut SimRng) -> bool {
         if loss <= 0.0 {
             return true;
@@ -162,7 +151,8 @@ impl PathModel {
 
     /// The probability that a best-effort transfer of `bytes` survives
     /// the ≤ 2 %-packets-lost budget, under the same normal
-    /// approximation [`PathModel::best_effort_survives`] samples from.
+    /// approximation [`PathModel::best_effort_survives_with_loss`] samples
+    /// from.
     /// Size-dependent: the per-packet loss concentrates as the chunk
     /// grows, so a large chunk on a sub-budget-loss path almost always
     /// survives while a small one is a coin flip — schedulers gate
@@ -254,17 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_at_respects_share_and_cap() {
-        let p = PathModel::new(
-            "x",
-            BandwidthTrace::constant(10e6),
-            SimDuration::from_millis(20),
-            0.0,
-        );
-        assert_eq!(p.rate_at(SimTime::ZERO, 0.5), 5e6);
-    }
-
-    #[test]
     fn best_effort_survival_depends_on_loss() {
         let mut rng = SimRng::new(3);
         let clean = PathModel::new(
@@ -281,10 +260,10 @@ mod tests {
         );
         let n = 500;
         let clean_ok = (0..n)
-            .filter(|_| clean.best_effort_survives(500_000, &mut rng))
+            .filter(|_| clean.best_effort_survives_with_loss(500_000, clean.loss, &mut rng))
             .count();
         let dirty_ok = (0..n)
-            .filter(|_| dirty.best_effort_survives(500_000, &mut rng))
+            .filter(|_| dirty.best_effort_survives_with_loss(500_000, dirty.loss, &mut rng))
             .count();
         assert!(clean_ok > n * 9 / 10, "clean {clean_ok}/{n}");
         assert!(dirty_ok < n / 10, "dirty {dirty_ok}/{n}");
@@ -299,7 +278,7 @@ mod tests {
             SimDuration::from_millis(10),
             0.0,
         );
-        assert!(p.best_effort_survives(u64::MAX / 2, &mut rng));
+        assert!(p.best_effort_survives_with_loss(u64::MAX / 2, p.loss, &mut rng));
     }
 
     #[test]
@@ -315,7 +294,7 @@ mod tests {
 
     #[test]
     fn survival_prob_tracks_empirical_survival() {
-        // The analytic gate must agree with what best_effort_survives
+        // The analytic gate must agree with what best_effort_survives_with_loss
         // actually rolls, across sizes and loss rates.
         for (loss, bytes) in [(0.005, 30_000u64), (0.005, 2_000_000), (0.015, 2_000_000)] {
             let p = PathModel::new(
@@ -327,7 +306,7 @@ mod tests {
             let mut rng = SimRng::new(42);
             let n = 2000;
             let ok = (0..n)
-                .filter(|_| p.best_effort_survives(bytes, &mut rng))
+                .filter(|_| p.best_effort_survives_with_loss(bytes, p.loss, &mut rng))
                 .count();
             let empirical = ok as f64 / n as f64;
             let analytic = p.best_effort_survival_prob(bytes);
@@ -442,22 +421,6 @@ mod tests {
             assert!(
                 (warm - expect).abs() < 1e-9,
                 "constant {bw}: warm {warm} vs frozen {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn survives_with_loss_matches_base_draws() {
-        // Same RNG stream, same loss: the parameterized variant is the
-        // identical function (RNG-consumption parity matters for
-        // seed-determinism with faults off).
-        let p = PathModel::lte();
-        let mut a = SimRng::new(9);
-        let mut b = SimRng::new(9);
-        for _ in 0..100 {
-            assert_eq!(
-                p.best_effort_survives(300_000, &mut a),
-                p.best_effort_survives_with_loss(300_000, p.loss, &mut b)
             );
         }
     }

@@ -256,8 +256,9 @@ impl WrrLink {
         SimDuration::from_secs_f64(bits / self.rate_bps)
     }
 
-    /// Streams queued for one client (head included).
-    pub fn queued(&self, client: u32) -> usize {
+    /// Streams queued for one client (head included); the tests' view.
+    #[cfg(test)]
+    fn queued(&self, client: u32) -> usize {
         self.clients[client as usize].queue.len()
     }
 

@@ -94,14 +94,6 @@ impl SourceVideo {
         }
     }
 
-    /// A 4K clip at 30 fps.
-    pub fn four_k() -> SourceVideo {
-        SourceVideo {
-            megapixels: 3840.0 * 2160.0 / 1e6,
-            fps: 30.0,
-        }
-    }
-
     /// Megapixels of one tile under an `n`-tile grid.
     pub fn tile_mp(&self, tiles: usize) -> f64 {
         assert!(tiles > 0);

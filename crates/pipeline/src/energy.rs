@@ -61,7 +61,7 @@ pub struct EnergyReport {
 /// `tiles_rendered_per_frame` and `tiles_decoded_per_second` come from
 /// the pipeline's configuration (all tiles vs FoV-only);
 /// `bytes_downloaded` from the streaming session.
-pub fn energy_of(
+fn energy_of(
     profile: &EnergyProfile,
     stats: &RenderStats,
     tiles_rendered_per_frame: f64,

@@ -35,7 +35,7 @@ pub mod scheduler;
 
 pub use cache::{CacheStats, DecodedFrameCache, FrameKey};
 pub use device::{DeviceProfile, SourceVideo};
-pub use energy::{energy_of, energy_of_mode, EnergyProfile, EnergyReport};
+pub use energy::{energy_of_mode, EnergyProfile, EnergyReport};
 pub use render::{figure5, simulate_render, PipelineConfig, RenderMode, RenderStats};
 pub use scheduler::{DecodeCompletion, DecoderPool};
 

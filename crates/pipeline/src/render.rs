@@ -109,7 +109,7 @@ pub fn simulate_render(
 /// [`TraceEvent::CacheEvicted`]) into `sink` at
 /// [`TraceLevel::Verbose`](sperke_sim::trace::TraceLevel::Verbose).
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_render_traced(
+fn simulate_render_traced(
     device: &DeviceProfile,
     video: SourceVideo,
     grid: &TileGrid,
@@ -430,7 +430,11 @@ mod tests {
             )
             .fps
         };
-        assert!(run(SourceVideo::four_k()) < run(SourceVideo::two_k()));
+        let four_k = SourceVideo {
+            megapixels: 3840.0 * 2160.0 / 1e6,
+            fps: 30.0,
+        };
+        assert!(run(four_k) < run(SourceVideo::two_k()));
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub struct DecoderPool {
     busy_until: Vec<SimTime>,
     /// Total busy time per decoder (utilization accounting).
     busy_time: Vec<SimDuration>,
-    jobs: u64,
 }
 
 impl DecoderPool {
@@ -37,7 +36,6 @@ impl DecoderPool {
         DecoderPool {
             busy_until: vec![SimTime::ZERO; n],
             busy_time: vec![SimDuration::ZERO; n],
-            jobs: 0,
         }
     }
 
@@ -49,15 +47,6 @@ impl DecoderPool {
     /// Never true; pools are non-empty by construction.
     pub fn is_empty(&self) -> bool {
         self.busy_until.is_empty()
-    }
-
-    /// When the next decoder becomes free (≥ `now`).
-    pub fn next_free(&self, now: SimTime) -> SimTime {
-        self.busy_until
-            .iter()
-            .map(|&b| b.max(now))
-            .min()
-            .expect("non-empty pool")
     }
 
     /// Submit a decode job at `now`; it runs on the earliest-free
@@ -75,17 +64,11 @@ impl DecoderPool {
         let finished = start + duration;
         self.busy_until[decoder] = finished;
         self.busy_time[decoder] += duration;
-        self.jobs += 1;
         DecodeCompletion {
             key,
             decoder,
             finished,
         }
-    }
-
-    /// Jobs processed so far.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Mean decoder utilization over `elapsed` wall time. Work queued
@@ -148,26 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn next_free_reflects_backlog() {
-        let mut pool = DecoderPool::new(2);
-        assert_eq!(pool.next_free(SimTime::ZERO), SimTime::ZERO);
-        pool.submit(key(0, 0), SimTime::ZERO, MS10);
-        assert_eq!(
-            pool.next_free(SimTime::ZERO),
-            SimTime::ZERO,
-            "second decoder idle"
-        );
-        pool.submit(key(0, 1), SimTime::ZERO, MS10);
-        assert_eq!(pool.next_free(SimTime::ZERO), SimTime::from_millis(10));
-    }
-
-    #[test]
     fn utilization_accounting() {
         let mut pool = DecoderPool::new(2);
         pool.submit(key(0, 0), SimTime::ZERO, MS10);
         // One of two decoders busy 10 ms over 20 ms elapsed = 25 %.
         assert!((pool.utilization(SimDuration::from_millis(20)) - 0.25).abs() < 1e-12);
-        assert_eq!(pool.jobs(), 1);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl CellBuffer {
         }
     }
 
-    /// The displayable quality of a cell, if buffered.
-    pub fn quality_of(&self, cell: CellId) -> Option<Quality> {
-        self.cells.get(&cell).map(|c| c.quality)
-    }
-
     /// Full state of a cell.
     pub fn get(&self, cell: CellId) -> Option<&BufferedCell> {
         self.cells.get(&cell)
@@ -77,11 +72,6 @@ impl CellBuffer {
             .collect();
         v.sort_by_key(|&(id, _)| id);
         v
-    }
-
-    /// Whether any cell exists for a chunk time.
-    pub fn has_chunk(&self, time: ChunkTime) -> bool {
-        self.cells.keys().any(|id| id.time == time)
     }
 
     /// Total bytes spent across all cells.
@@ -118,10 +108,10 @@ mod tests {
     fn insert_and_query() {
         let mut b = CellBuffer::new();
         b.insert(cell(0, 1), Quality(2), ChunkForm::Avc, 1000);
-        assert_eq!(b.quality_of(cell(0, 1)), Some(Quality(2)));
-        assert_eq!(b.quality_of(cell(1, 1)), None);
-        assert!(b.has_chunk(ChunkTime(1)));
-        assert!(!b.has_chunk(ChunkTime(2)));
+        assert_eq!(b.get(cell(0, 1)).map(|c| c.quality), Some(Quality(2)));
+        assert_eq!(b.get(cell(1, 1)).map(|c| c.quality), None);
+        assert!(!b.cells_at(ChunkTime(1)).is_empty());
+        assert!(b.cells_at(ChunkTime(2)).is_empty());
     }
 
     #[test]
@@ -134,7 +124,7 @@ mod tests {
         assert_eq!(c.bytes_spent, 5000);
         // A lower-quality duplicate doesn't downgrade.
         b.insert(cell(0, 1), Quality(0), ChunkForm::Avc, 100);
-        assert_eq!(b.quality_of(cell(0, 1)), Some(Quality(3)));
+        assert_eq!(b.get(cell(0, 1)).map(|c| c.quality), Some(Quality(3)));
     }
 
     #[test]
@@ -171,8 +161,8 @@ mod tests {
         b.insert(cell(0, 0), Quality(0), ChunkForm::Avc, 1);
         b.insert(cell(0, 5), Quality(0), ChunkForm::Avc, 1);
         b.evict_before(ChunkTime(3));
-        assert!(!b.has_chunk(ChunkTime(0)));
-        assert!(b.has_chunk(ChunkTime(5)));
+        assert!(b.cells_at(ChunkTime(0)).is_empty());
+        assert!(!b.cells_at(ChunkTime(5)).is_empty());
         assert_eq!(b.len(), 1);
     }
 

@@ -16,7 +16,7 @@ use sperke_net::{
     BandwidthEstimator, ChunkPriority, ChunkRequest, Completion, EstimatorKind, MultipathScheduler,
     MultipathSession, PathQueue, RecoveryPolicy, SpatialPriority, TransferOutcome,
 };
-use sperke_sim::trace::{Subsystem, TraceEvent, TraceLevel, TraceSink};
+use sperke_sim::trace::{TraceEvent, TraceLevel, TraceSink};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{CellId, ChunkForm, ChunkTime, Quality, Scheme, VideoModel};
 use sperke_vra::{
@@ -243,7 +243,7 @@ pub fn run_session(
                 // The agnostic planner has no sink of its own; log its
                 // ABR choice here so both planners leave the same shape
                 // of decision record.
-                if sink.enabled(Subsystem::Vra, TraceLevel::Decisions) {
+                if sink.enabled(TraceLevel::Decisions) {
                     sink.emit(TraceEvent::AbrDecision {
                         at: now,
                         chunk: t.0,

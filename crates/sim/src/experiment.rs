@@ -25,7 +25,7 @@ pub struct Replicates {
 
 impl Replicates {
     /// Summarize raw values (non-empty).
-    pub fn from_values(values: Vec<f64>) -> Replicates {
+    fn from_values(values: Vec<f64>) -> Replicates {
         assert!(!values.is_empty(), "need at least one replicate");
         let mean = stats::mean(&values);
         let stddev = stats::stddev(&values);
@@ -40,17 +40,8 @@ impl Replicates {
         }
     }
 
-    /// Coefficient of variation (stddev/mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.stddev / self.mean.abs()
-        }
-    }
-
     /// Half-width of a normal-approximation 95 % confidence interval.
-    pub fn ci95(&self) -> f64 {
+    fn ci95(&self) -> f64 {
         if self.values.len() < 2 {
             return 0.0;
         }
@@ -96,13 +87,6 @@ mod tests {
         let many = Replicates::from_values(vec![1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0]);
         assert!(many.ci95() < few.ci95());
         assert_eq!(Replicates::from_values(vec![5.0]).ci95(), 0.0);
-    }
-
-    #[test]
-    fn cv_handles_zero_mean() {
-        assert_eq!(Replicates::from_values(vec![1.0, -1.0]).cv(), 0.0);
-        let r = Replicates::from_values(vec![9.0, 11.0]);
-        assert!((r.cv() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -84,31 +84,6 @@ impl TimeSeries {
         stats::mean(&self.values())
     }
 
-    /// Time-weighted average, holding each sample's value until the next
-    /// sample (and the last value until `end`). `0.0` when empty.
-    pub fn time_weighted_mean(&self, end: SimTime) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        let mut total = 0.0;
-        for w in self.samples.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            acc += w[0].1 * dt;
-            total += dt;
-        }
-        let (last_t, last_v) = *self.samples.last().expect("non-empty");
-        let tail = end.saturating_since(last_t).as_secs_f64();
-        acc += last_v * tail;
-        total += tail;
-        if total <= 0.0 {
-            // All samples share an instant: fall back to the plain mean.
-            self.mean()
-        } else {
-            acc / total
-        }
-    }
-
     /// Last recorded value, if any.
     pub fn last(&self) -> Option<f64> {
         self.samples.last().map(|&(_, v)| v)
@@ -208,18 +183,6 @@ mod tests {
         ts.record(SimTime::from_secs(0), 1.0);
         ts.record(SimTime::from_secs(1), 3.0);
         assert_eq!(ts.mean(), 2.0);
-        // value 1.0 for 1s, then 3.0 for 1s until end=2s -> 2.0
-        assert!((ts.time_weighted_mean(SimTime::from_secs(2)) - 2.0).abs() < 1e-12);
-        // value 1.0 for 1s, then 3.0 for 3s -> (1+9)/4 = 2.5
-        assert!((ts.time_weighted_mean(SimTime::from_secs(4)) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeseries_time_weighted_degenerate() {
-        let mut ts = TimeSeries::new();
-        assert_eq!(ts.time_weighted_mean(SimTime::from_secs(1)), 0.0);
-        ts.record(SimTime::from_secs(1), 5.0);
-        assert_eq!(ts.time_weighted_mean(SimTime::from_secs(1)), 5.0);
     }
 
     #[test]

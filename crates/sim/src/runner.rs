@@ -15,7 +15,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Scheduler<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Scheduler<'a, E> {
@@ -35,20 +34,9 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.push(self.now + delay, event)
     }
 
-    /// Schedule `event` at the current instant (runs after already-queued
-    /// same-instant events).
-    pub fn immediately(&mut self, event: E) -> EventId {
-        self.queue.push(self.now, event)
-    }
-
     /// Cancel a previously scheduled event.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
-    }
-
-    /// Request the simulation stop after the current handler returns.
-    pub fn stop(&mut self) {
-        *self.stop = true;
     }
 }
 
@@ -65,8 +53,6 @@ pub enum RunOutcome {
     Drained,
     /// The time horizon was reached with events still pending.
     HorizonReached,
-    /// A handler requested stop.
-    Stopped,
     /// The event budget was exhausted (runaway guard).
     BudgetExhausted,
 }
@@ -110,8 +96,8 @@ impl<E> Simulation<E> {
         self.queue.len()
     }
 
-    /// Run until the queue drains, `horizon` passes, a handler stops the
-    /// simulation, or the event budget is exhausted.
+    /// Run until the queue drains, `horizon` passes, or the event budget
+    /// is exhausted.
     ///
     /// Events scheduled exactly at `horizon` are still processed.
     pub fn run<W: World<E>>(&mut self, world: &mut W, horizon: SimTime) -> RunOutcome {
@@ -130,19 +116,12 @@ impl<E> Simulation<E> {
             let (time, event) = self.queue.pop().expect("peeked non-empty");
             debug_assert!(time >= self.now, "time must be monotone");
             self.now = time;
-            let mut stop = false;
-            {
-                let mut sched = Scheduler {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    stop: &mut stop,
-                };
-                world.handle(event, &mut sched);
-            }
+            let mut sched = Scheduler {
+                now: self.now,
+                queue: &mut self.queue,
+            };
+            world.handle(event, &mut sched);
             processed += 1;
-            if stop {
-                return RunOutcome::Stopped;
-            }
         }
     }
 }
@@ -154,7 +133,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Ev {
         Tick(u32),
-        Stop,
     }
 
     struct Ticker {
@@ -164,14 +142,10 @@ mod tests {
 
     impl World<Ev> for Ticker {
         fn handle(&mut self, event: Ev, sched: &mut Scheduler<'_, Ev>) {
-            match event {
-                Ev::Tick(n) => {
-                    self.seen.push((sched.now(), n));
-                    if self.respawn {
-                        sched.after(SimDuration::from_secs(1), Ev::Tick(n + 1));
-                    }
-                }
-                Ev::Stop => sched.stop(),
+            let Ev::Tick(n) = event;
+            self.seen.push((sched.now(), n));
+            if self.respawn {
+                sched.after(SimDuration::from_secs(1), Ev::Tick(n + 1));
             }
         }
     }
@@ -209,23 +183,6 @@ mod tests {
         assert_eq!(w.seen.len(), 6);
         assert_eq!(sim.now(), SimTime::from_secs(5));
         assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn stop_event_halts() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime::from_secs(1), Ev::Tick(1));
-        sim.schedule(SimTime::from_secs(2), Ev::Stop);
-        sim.schedule(SimTime::from_secs(3), Ev::Tick(3));
-        let mut w = Ticker {
-            seen: vec![],
-            respawn: false,
-        };
-        assert_eq!(
-            sim.run(&mut w, SimTime::from_secs(100)),
-            RunOutcome::Stopped
-        );
-        assert_eq!(w.seen, vec![(SimTime::from_secs(1), 1)]);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl<R> PointOutcome<R> {
             PointOutcome::Panicked(_) => None,
         }
     }
-
-    /// True when the run panicked.
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, PointOutcome::Panicked(_))
-    }
 }
 
 // The vendored serde derive shim does not handle generic types, so the

@@ -13,9 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// Nanoseconds in one millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
-/// Nanoseconds in one microsecond.
-pub const NANOS_PER_MICRO: u64 = 1_000;
+const NANOS_PER_MILLI: u64 = 1_000_000;
 
 /// An absolute instant on the virtual simulation clock.
 ///
@@ -64,11 +62,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds since simulation start (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / NANOS_PER_MILLI
-    }
-
     /// Fractional seconds since simulation start.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
@@ -77,11 +70,6 @@ impl SimTime {
     /// Time elapsed since `earlier`, saturating to zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 
     /// Saturating addition of a duration.
@@ -119,11 +107,6 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Construct from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * NANOS_PER_MICRO)
-    }
-
     /// Construct from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * NANOS_PER_MILLI)
@@ -142,11 +125,6 @@ impl SimDuration {
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / NANOS_PER_MILLI
     }
 
     /// Fractional seconds.
@@ -290,8 +268,7 @@ mod tests {
     fn construction_roundtrips() {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3 * NANOS_PER_SEC);
         assert_eq!(SimTime::from_millis(1500).as_secs_f64(), 1.5);
-        assert_eq!(SimDuration::from_micros(250).as_nanos(), 250_000);
-        assert_eq!(SimDuration::from_secs_f64(0.25).as_millis(), 250);
+        assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 
     #[test]
@@ -348,14 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_add_detects_overflow() {
-        assert!(SimTime::MAX
-            .checked_add(SimDuration::from_nanos(1))
-            .is_none());
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::from_secs(1)),
-            Some(SimTime::from_secs(1))
-        );
+    fn saturating_add_clamps_at_max() {
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX

@@ -5,8 +5,8 @@
 //! selection and transfer completions, the VRA logs rate-adaptation
 //! decisions with their candidate qualities, the player logs buffer levels
 //! and stall/blank events, and the decode pipeline logs scheduler admits
-//! and cache activity. The sink is a bounded ring buffer with per-subsystem
-//! levels; a disabled sink is a single `Option` check, so instrumented hot
+//! and cache activity. The sink is a bounded ring buffer gated by one
+//! level; a disabled sink is a single `Option` check, so instrumented hot
 //! paths cost nothing when tracing is off.
 //!
 //! Because the whole stack runs on a virtual clock from a single seed, the
@@ -91,18 +91,6 @@ impl Subsystem {
             Subsystem::Pipeline => "pipeline",
             Subsystem::Edge => "edge",
             Subsystem::Federation => "federation",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Subsystem::Sim => 0,
-            Subsystem::Net => 1,
-            Subsystem::Vra => 2,
-            Subsystem::Player => 3,
-            Subsystem::Pipeline => 4,
-            Subsystem::Edge => 5,
-            Subsystem::Federation => 6,
         }
     }
 }
@@ -508,7 +496,7 @@ impl TraceEvent {
     }
 
     /// The subsystem the event belongs to.
-    pub fn subsystem(&self) -> Subsystem {
+    fn subsystem(&self) -> Subsystem {
         match self {
             TraceEvent::BufferLevel { .. }
             | TraceEvent::StallStarted { .. }
@@ -580,12 +568,11 @@ impl TraceEvent {
     }
 }
 
-/// Sink configuration: a global level, optional per-subsystem overrides,
-/// and the ring-buffer capacity.
+/// Sink configuration: one level for every subsystem, and the
+/// ring-buffer capacity.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     level: TraceLevel,
-    overrides: [Option<TraceLevel>; 7],
     capacity: usize,
 }
 
@@ -595,7 +582,6 @@ impl TraceConfig {
     pub fn new(level: TraceLevel) -> TraceConfig {
         TraceConfig {
             level,
-            overrides: [None; 7],
             capacity: 1 << 16,
         }
     }
@@ -605,18 +591,6 @@ impl TraceConfig {
         assert!(capacity > 0, "trace capacity must be positive");
         self.capacity = capacity;
         self
-    }
-
-    /// Override the level for one subsystem (e.g. keep the pipeline at
-    /// [`TraceLevel::Off`] while the player runs at `Verbose`).
-    pub fn subsystem(mut self, subsystem: Subsystem, level: TraceLevel) -> TraceConfig {
-        self.overrides[subsystem.index()] = Some(level);
-        self
-    }
-
-    /// The effective level for a subsystem.
-    pub fn level_for(&self, subsystem: Subsystem) -> TraceLevel {
-        self.overrides[subsystem.index()].unwrap_or(self.level)
     }
 }
 
@@ -654,11 +628,6 @@ impl MetricsRegistry {
     /// Read a counter's total; `None` if never registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters.get(name).map(|c| c.get())
-    }
-
-    /// Read a registered time series.
-    pub fn get_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
     }
 
     /// Read a registered histogram.
@@ -783,23 +752,23 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// True when `subsystem` records events at `level`. Use this to guard
+    /// True when the sink records events at `level`. Use this to guard
     /// emission sites whose payload is expensive to build.
     #[inline]
-    pub fn enabled(&self, subsystem: Subsystem, level: TraceLevel) -> bool {
+    pub fn enabled(&self, level: TraceLevel) -> bool {
         match &self.inner {
             None => false,
-            Some(inner) => lock(inner).config.level_for(subsystem) >= level,
+            Some(inner) => lock(inner).config.level >= level,
         }
     }
 
-    /// Record an event if its subsystem's level admits it. On a disabled
-    /// sink this is a single branch.
+    /// Record an event if the sink's level admits it. On a disabled sink
+    /// this is a single branch.
     #[inline]
     pub fn emit(&self, event: TraceEvent) {
         let Some(inner) = &self.inner else { return };
         let mut inner = lock(inner);
-        if inner.config.level_for(event.subsystem()) < event.level() {
+        if inner.config.level < event.level() {
             return;
         }
         if inner.events.len() >= inner.config.capacity {
@@ -1085,18 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn subsystem_overrides_apply() {
-        let config =
-            TraceConfig::new(TraceLevel::Verbose).subsystem(Subsystem::Pipeline, TraceLevel::Off);
-        let sink = TraceSink::new(config);
-        sink.emit(cache_hit(1)); // pipeline off
-        sink.emit(stall(1, 0)); // player at verbose
-        assert_eq!(sink.len(), 1);
-        assert!(sink.enabled(Subsystem::Player, TraceLevel::Verbose));
-        assert!(!sink.enabled(Subsystem::Pipeline, TraceLevel::Events));
-    }
-
-    #[test]
     fn ring_bound_drops_oldest() {
         let sink = TraceSink::new(TraceConfig::new(TraceLevel::Events).capacity(3));
         for i in 0..5 {
@@ -1229,7 +1186,7 @@ mod tests {
         m.series("player.buffer").record(SimTime::from_secs(1), 1.5);
         m.histogram("net.goodput").record(20e6);
         assert_eq!(m.counter_value("player.stalls"), Some(3));
-        assert_eq!(m.get_series("player.buffer").unwrap().len(), 1);
+        assert_eq!(m.series("player.buffer").len(), 1);
         assert_eq!(m.get_histogram("net.goodput").unwrap().count(), 1);
         assert_eq!(m.names().len(), 3);
         assert_eq!(m.to_jsonl().lines().count(), 3);

@@ -164,8 +164,10 @@ impl VideoModelBuilder {
         self
     }
 
-    /// Set the spatial complexity spread across tiles (0 = uniform).
-    pub fn complexity_variance(mut self, v: f64) -> Self {
+    /// Set the spatial complexity spread across tiles (0 = uniform); the
+    /// size tests' knob, every model otherwise uses the default 0.3.
+    #[cfg(test)]
+    fn complexity_variance(mut self, v: f64) -> Self {
         assert!((0.0..1.0).contains(&v), "variance must be in [0,1)");
         self.complexity_variance = v;
         self
@@ -266,14 +268,8 @@ impl VideoModel {
         self.chunk_start(t)
     }
 
-    /// The chunk being played at `position` into the video.
-    pub fn chunk_at(&self, position: SimTime) -> ChunkTime {
-        let idx = position.as_nanos() / self.chunk_duration.as_nanos();
-        ChunkTime((idx as u32).min(self.chunk_count().saturating_sub(1)))
-    }
-
     /// A tile's share of panorama bits.
-    pub fn tile_weight(&self, tile: TileId) -> f64 {
+    fn tile_weight(&self, tile: TileId) -> f64 {
         self.tile_weights[tile.index()]
     }
 
@@ -370,19 +366,6 @@ impl VideoModel {
         }
         total
     }
-
-    /// Server storage footprint for the *versioning* approach (§2):
-    /// `versions` full-panorama copies, each stored at every quality.
-    /// Oculus 360 maintains up to 88 versions.
-    pub fn versioning_storage_bytes(&self, versions: u32) -> u64 {
-        let mut per_copy = 0u64;
-        for t in self.chunk_times() {
-            for q in self.ladder.qualities() {
-                per_copy += self.panorama_bytes(q, t, Scheme::Avc);
-            }
-        }
-        per_copy * versions as u64
-    }
 }
 
 #[cfg(test)]
@@ -421,15 +404,6 @@ mod tests {
             .chunk_duration(SimDuration::from_secs(1))
             .build();
         assert_eq!(v.chunk_count(), 3);
-    }
-
-    #[test]
-    fn chunk_at_maps_positions() {
-        let v = video();
-        assert_eq!(v.chunk_at(SimTime::ZERO), ChunkTime(0));
-        assert_eq!(v.chunk_at(SimTime::from_millis(1500)), ChunkTime(1));
-        // Clamp at the end.
-        assert_eq!(v.chunk_at(SimTime::from_secs(999)), ChunkTime(9));
     }
 
     #[test]
@@ -474,19 +448,6 @@ mod tests {
                 assert!(s >= base * 0.84 && s <= base * 1.16, "s={s} base={base}");
             }
         }
-    }
-
-    #[test]
-    fn versioning_storage_dwarfs_tiling() {
-        // The motivation for the tiling approach (§2): versioning
-        // multiplies the whole catalogue by the version count.
-        let v = video();
-        let tiling = v.tiling_storage_bytes(true);
-        let versioning = v.versioning_storage_bytes(88);
-        assert!(
-            versioning > 20 * tiling,
-            "versioning {versioning} vs tiling {tiling}"
-        );
     }
 
     #[test]

@@ -46,9 +46,6 @@ impl std::fmt::Display for Quality {
 pub struct Layer(pub u8);
 
 impl Layer {
-    /// The base layer.
-    pub const BASE: Layer = Layer(0);
-
     /// The quality level this layer completes (layer i completes quality i).
     pub fn quality(self) -> Quality {
         Quality(self.0)
@@ -94,11 +91,6 @@ impl ChunkId {
             tile,
             time,
         }
-    }
-
-    /// The same tile/time at a different quality.
-    pub fn at_quality(self, quality: Quality) -> ChunkId {
-        ChunkId { quality, ..self }
     }
 }
 
@@ -156,7 +148,6 @@ mod tests {
         let chunk = cell.at(Quality(2));
         assert_eq!(chunk.tile, TileId(3));
         assert_eq!(chunk.time, ChunkTime(7));
-        assert_eq!(chunk.at_quality(Quality(4)).quality, Quality(4));
     }
 
     #[test]
@@ -167,7 +158,7 @@ mod tests {
 
     #[test]
     fn layer_completes_matching_quality() {
-        assert_eq!(Layer::BASE.quality(), Quality(0));
+        assert_eq!(Layer(0).quality(), Quality(0));
         assert_eq!(Layer(3).quality(), Quality(3));
     }
 }

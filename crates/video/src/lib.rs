@@ -35,7 +35,7 @@ pub use encoding::{CellSizes, Scheme};
 pub use ids::{CellId, ChunkId, ChunkTime, Layer, Quality};
 pub use ladder::{Ladder, Rung};
 pub use manifest::{Mpd, Representation, SegmentRef};
-pub use protocol::{DashOrigin, OriginStats, Request, Response, HTTP_OVERHEAD_BYTES};
+pub use protocol::{DashOrigin, OriginStats, Request, Response};
 pub use segmenter::SegmenterModel;
 pub use store::{ChunkForm, StoreStats, TiledStore};
 pub use versioning::{StorageComparison, VersionedStore};

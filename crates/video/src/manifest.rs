@@ -112,13 +112,6 @@ impl Mpd {
         }
     }
 
-    /// Look up a representation.
-    pub fn representation(&self, quality: Quality, tile: TileId) -> Option<&Representation> {
-        self.representations
-            .iter()
-            .find(|r| r.quality == quality && r.tile == tile)
-    }
-
     /// Newest published segment time (live).
     pub fn live_edge(&self) -> Option<ChunkTime> {
         self.recent_segments.iter().map(|s| s.chunk.time).max()
@@ -166,13 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn representation_lookup() {
+    fn svc_representations_carry_codec_and_size() {
         let v = video();
         let mpd = Mpd::vod("clip", &v, Scheme::svc_default());
-        let rep = mpd.representation(Quality(1), TileId(3)).expect("exists");
-        assert!(rep.codec.starts_with("svc1"));
-        assert!(rep.mean_segment_bytes > 0);
-        assert!(mpd.representation(Quality(42), TileId(0)).is_none());
+        for rep in &mpd.representations {
+            assert!(rep.codec.starts_with("svc1"), "{}", rep.codec);
+            assert!(rep.mean_segment_bytes > 0);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 /// Approximate wire overhead of one HTTP request/response exchange
 /// (request line + headers both ways), bytes.
-pub const HTTP_OVERHEAD_BYTES: u64 = 700;
+const HTTP_OVERHEAD_BYTES: u64 = 700;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -55,13 +55,6 @@ impl SegmenterModel {
     pub fn corrections_per_second(&self, chunk_duration: SimDuration) -> f64 {
         1.0 / chunk_duration.as_secs_f64()
     }
-
-    /// A combined figure of merit for duration sweeps: adaptiveness per
-    /// unit of bitrate inflation. Not a QoE model — a screening metric
-    /// for which durations deserve a full player simulation.
-    pub fn adaptiveness_efficiency(&self, chunk_duration: SimDuration) -> f64 {
-        self.corrections_per_second(chunk_duration) / self.bitrate_factor(chunk_duration)
-    }
 }
 
 #[cfg(test)]
@@ -92,26 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_duration_band_is_a_sensible_sweet_spot() {
-        // The screening metric should peak somewhere in the paper's
-        // "one or two seconds" band rather than at the extremes.
+    fn sub_second_chunks_pay_a_steep_bitrate_cost() {
         let m = SegmenterModel::default();
-        let durations = [0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0];
-        let scores: Vec<f64> = durations
-            .iter()
-            .map(|&d| m.adaptiveness_efficiency(SimDuration::from_secs_f64(d)))
-            .collect();
-        let best = durations[scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .expect("non-empty")
-            .0];
-        assert!(
-            best <= 1.0,
-            "adaptiveness/bitrate favors short chunks; got {best}s"
-        );
-        // But the marginal bitrate cost of going below 1 s is steep:
         let cost_ratio = m.bitrate_factor(SimDuration::from_millis(250))
             / m.bitrate_factor(SimDuration::from_secs(1));
         assert!(

@@ -8,8 +8,7 @@
 //! SVC/AVC policy of §3.1.2.
 
 use crate::content::VideoModel;
-use crate::encoding::Scheme;
-use crate::ids::{ChunkId, Layer, Quality};
+use crate::ids::{ChunkId, Layer};
 use serde::{Deserialize, Serialize};
 
 /// Which form of a chunk a client requests.
@@ -64,11 +63,6 @@ impl TiledStore {
         &self.video
     }
 
-    /// Whether SVC forms are available.
-    pub fn offers_svc(&self) -> bool {
-        self.offers_svc
-    }
-
     /// Byte size of a request, or `None` when the form is not offered or
     /// the coordinates are out of range.
     pub fn size_of(&self, id: ChunkId, form: ChunkForm) -> Option<u64> {
@@ -108,33 +102,6 @@ impl TiledStore {
     pub fn storage_bytes(&self) -> u64 {
         self.video.tiling_storage_bytes(self.offers_svc)
     }
-
-    /// Bytes needed to upgrade an already-delivered chunk from `have` to
-    /// `want` using the cheapest offered mechanism, together with the
-    /// form the client should request.
-    pub fn upgrade_quote(
-        &self,
-        id: ChunkId,
-        have: Quality,
-        want: Quality,
-    ) -> Option<(u64, Vec<ChunkForm>)> {
-        if want <= have || !self.video.ladder().contains(want) {
-            return None;
-        }
-        let sizes = self.video.cell_sizes(id.tile, id.time);
-        if self.offers_svc {
-            // Fetch each missing enhancement layer.
-            let mut forms = Vec::new();
-            let mut total = 0u64;
-            for l in (have.0 + 1)..=want.0 {
-                forms.push(ChunkForm::SvcLayer(Layer(l)));
-                total += sizes.svc_layer(Layer(l));
-            }
-            Some((total, forms))
-        } else {
-            Some((sizes.initial_cost(Scheme::Avc, want), vec![ChunkForm::Avc]))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,6 +109,7 @@ mod tests {
     use super::*;
     use crate::content::VideoModelBuilder;
     use crate::ids::ChunkTime;
+    use crate::ids::Quality;
     use sperke_geo::TileId;
     use sperke_sim::SimDuration;
 
@@ -205,26 +173,6 @@ mod tests {
         let mut s = store(false);
         assert!(s.serve(chunk(0), ChunkForm::SvcCumulative).is_none());
         assert_eq!(s.stats().requests, 0);
-    }
-
-    #[test]
-    fn upgrade_quote_prefers_layers_on_hybrid() {
-        let hybrid = store(true);
-        let avc = store(false);
-        let id = chunk(0);
-        let (hy_bytes, hy_forms) = hybrid.upgrade_quote(id, Quality(0), Quality(2)).unwrap();
-        let (avc_bytes, avc_forms) = avc.upgrade_quote(id, Quality(0), Quality(2)).unwrap();
-        assert_eq!(hy_forms.len(), 2, "two enhancement layers");
-        assert_eq!(avc_forms, vec![ChunkForm::Avc]);
-        assert!(hy_bytes < avc_bytes, "delta beats re-download");
-    }
-
-    #[test]
-    fn upgrade_quote_rejects_non_upgrades() {
-        let s = store(true);
-        assert!(s.upgrade_quote(chunk(2), Quality(2), Quality(2)).is_none());
-        assert!(s.upgrade_quote(chunk(2), Quality(2), Quality(1)).is_none());
-        assert!(s.upgrade_quote(chunk(2), Quality(0), Quality(99)).is_none());
     }
 
     #[test]

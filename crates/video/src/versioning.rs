@@ -91,11 +91,6 @@ impl VersionedStore {
         nearest(&self.centers, orientation.direction())
     }
 
-    /// The direction a version's high-quality region is centred on.
-    pub fn center_of(&self, version: usize) -> Vec3 {
-        self.centers[version]
-    }
-
     /// Whether `dir` falls in a version's high-quality region.
     pub fn in_hq_region(&self, version: usize, dir: Vec3) -> bool {
         self.centers[version].angle_to(dir) <= self.hq_radius
@@ -105,7 +100,7 @@ impl VersionedStore {
     /// with tiles inside the HQ region at `hq` and the rest at `lq`.
     /// (Tiles are only an accounting granularity here — each version is
     /// a single monolithic stream on the wire.)
-    pub fn version_chunk_bytes(&self, version: usize, t: ChunkTime) -> u64 {
+    fn version_chunk_bytes(&self, version: usize, t: ChunkTime) -> u64 {
         let center = self.centers[version];
         self.video
             .grid()
@@ -132,16 +127,6 @@ impl VersionedStore {
                     .sum::<u64>()
             })
             .sum()
-    }
-
-    /// The quality level delivered at gaze direction `dir` when the
-    /// client plays `version`.
-    pub fn delivered_quality(&self, version: usize, dir: Vec3) -> Quality {
-        if self.in_hq_region(version, dir) {
-            self.hq
-        } else {
-            self.lq
-        }
     }
 
     /// Worst-case delivered quality when the client always picks the
@@ -210,7 +195,7 @@ mod tests {
         for yaw in [-170.0, -60.0, 0.0, 45.0, 120.0] {
             let o = Orientation::from_degrees(yaw, 10.0, 0.0);
             let v = s.best_version(&o);
-            let dist = s.center_of(v).angle_to(o.direction());
+            let dist = s.centers[v].angle_to(o.direction());
             assert!(
                 dist < 30f64.to_radians(),
                 "yaw {yaw}: nearest center {:.1}° away",
@@ -226,7 +211,6 @@ mod tests {
             let o = Orientation::new((i as f64 * 0.7).sin() * 3.0, (i as f64 * 0.3).cos(), 0.0);
             let v = s.best_version(&o);
             assert!(s.in_hq_region(v, o.direction()));
-            assert_eq!(s.delivered_quality(v, o.direction()), s.hq);
         }
     }
 

@@ -46,7 +46,7 @@ impl AbrContext<'_> {
     /// The capacity signal the lookahead policies plan against: the
     /// measured BBR estimate when the probe is live, else the declared
     /// estimate. `None` only before any estimate exists.
-    pub fn planning_bps(&self) -> Option<f64> {
+    fn planning_bps(&self) -> Option<f64> {
         self.measured_bps.or(self.bandwidth_bps)
     }
 
@@ -228,100 +228,6 @@ impl Abr for Mpc {
     }
 }
 
-/// Exact MPC: dynamic programming over *per-chunk* quality decisions in
-/// the lookahead window (the fast [`Mpc`] restricts itself to constant
-/// quality). State = (chunk index, quantized buffer, previous quality);
-/// the table is small enough to solve exactly every decision epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExactMpc {
-    /// Lookahead horizon in chunks.
-    pub lookahead: usize,
-    /// Switching penalty per level of change.
-    pub switch_penalty: f64,
-    /// Stall penalty per second of predicted rebuffering.
-    pub stall_penalty: f64,
-    /// Buffer quantization step, seconds.
-    pub buffer_step: f64,
-    /// Buffer cap, seconds (states above are clamped).
-    pub buffer_cap: f64,
-}
-
-impl Default for ExactMpc {
-    fn default() -> Self {
-        ExactMpc {
-            lookahead: 5,
-            switch_penalty: 0.5,
-            stall_penalty: 8.0,
-            buffer_step: 0.25,
-            buffer_cap: 12.0,
-        }
-    }
-}
-
-impl ExactMpc {
-    fn bucket(&self, buffer_s: f64) -> usize {
-        ((buffer_s.clamp(0.0, self.buffer_cap)) / self.buffer_step).round() as usize
-    }
-
-    fn unbucket(&self, b: usize) -> f64 {
-        b as f64 * self.buffer_step
-    }
-}
-
-impl Abr for ExactMpc {
-    fn choose(&mut self, ctx: &AbrContext<'_>) -> Quality {
-        // Same capacity source as [`Mpc`]: measured-over-declared.
-        let Some(bw0) = ctx.planning_bps() else {
-            return Quality::LOWEST;
-        };
-        let horizon = self.lookahead.max(1);
-        let forecast: Vec<f64> = (0..horizon)
-            .map(|i| {
-                ctx.bandwidth_forecast
-                    .get(i)
-                    .copied()
-                    .unwrap_or(bw0)
-                    .max(1.0)
-            })
-            .collect();
-        let chunk_secs = ctx.chunk_duration.as_secs_f64();
-        let levels = ctx.ladder.levels();
-        let buckets = self.bucket(self.buffer_cap) + 1;
-
-        // value[b][last_q] = best total reward from the current step on.
-        let mut value = vec![vec![0.0f64; levels]; buckets];
-        let mut first_choice = vec![vec![Quality::LOWEST; levels]; buckets];
-        for step in (0..horizon).rev() {
-            let bw = forecast[step];
-            let mut next = vec![vec![f64::NEG_INFINITY; levels]; buckets];
-            let mut choice = vec![vec![Quality::LOWEST; levels]; buckets];
-            for b in 0..buckets {
-                let buffer = self.unbucket(b);
-                for last in 0..levels {
-                    for q in ctx.ladder.qualities() {
-                        let dl = ctx.rate(q) * chunk_secs / bw;
-                        let stall = (dl - buffer).max(0.0);
-                        let after = (buffer - dl).max(0.0) + chunk_secs;
-                        let reward = ctx.ladder.utility(q)
-                            - self.switch_penalty * (q.0 as i32 - last as i32).abs() as f64
-                            - self.stall_penalty * stall;
-                        let future = value[self.bucket(after)][q.index()];
-                        let total = reward + future;
-                        if total > next[b][last] {
-                            next[b][last] = total;
-                            choice[b][last] = q;
-                        }
-                    }
-                }
-            }
-            value = next;
-            first_choice = choice;
-        }
-        let b = self.bucket(ctx.buffer.as_secs_f64());
-        first_choice[b][ctx.last_quality.index().min(levels - 1)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,78 +342,23 @@ mod tests {
     }
 
     #[test]
-    fn exact_mpc_matches_fast_mpc_on_easy_cases() {
-        let ladder = Ladder::vod_default();
-        let mut exact = ExactMpc::default();
-        let mut fast = Mpc::default();
-        // Ample bandwidth: both pick the top.
-        let rich = ctx(&ladder, 10.0, Some(100e6), Quality(3));
-        assert_eq!(exact.choose(&rich), fast.choose(&rich));
-        // Starved: both pick the base.
-        let poor = ctx(&ladder, 1.0, Some(3e6), Quality(0));
-        assert_eq!(exact.choose(&poor), fast.choose(&poor));
-    }
-
-    #[test]
-    fn exact_mpc_rides_out_a_short_dip() {
-        // A one-chunk bandwidth dip: constant-quality MPC must commit to
-        // a low level for the whole horizon, but per-chunk DP can keep
-        // quality high and absorb the dip with buffer.
-        let ladder = Ladder::vod_default();
-        let mut exact = ExactMpc::default();
-        let mut fast = Mpc::default();
-        let mut c = ctx(&ladder, 8.0, Some(20e6), Quality(2));
-        c.bandwidth_forecast = vec![20e6, 4e6, 20e6, 20e6, 20e6];
-        let e = exact.choose(&c);
-        let f = fast.choose(&c);
-        assert!(
-            e >= f,
-            "per-chunk planning ({e}) must not be more timid than constant-quality ({f})"
-        );
-        assert!(
-            e >= Quality(2),
-            "8 s of buffer absorbs a one-chunk dip, got {e}"
-        );
-    }
-
-    #[test]
-    fn exact_mpc_conservative_without_estimate() {
-        let ladder = Ladder::vod_default();
-        assert_eq!(
-            ExactMpc::default().choose(&ctx(&ladder, 5.0, None, Quality(2))),
-            Quality::LOWEST
-        );
-    }
-
-    #[test]
     fn mpc_trusts_measured_bbr_estimate_over_declared() {
         // Regression: the declared estimate says the link is generous,
         // but the BBR probe has measured a much thinner bottleneck. Both
-        // MPC variants must plan against the measurement and back off;
-        // ignoring it (the pre-fix behaviour) picks the top rung.
+        // MPC must plan against the measurement and back off; ignoring
+        // it (the pre-fix behaviour) picks the top rung.
         let ladder = Ladder::vod_default(); // 4/8/16/32 Mbps
         let mut declared_only = ctx(&ladder, 2.0, Some(100e6), Quality(3));
         let mut probed = declared_only.clone();
         probed.measured_bps = Some(5e6);
 
-        for (name, q_declared, q_probed) in [
-            (
-                "mpc",
-                Mpc::default().choose(&declared_only),
-                Mpc::default().choose(&probed),
-            ),
-            (
-                "exact-mpc",
-                ExactMpc::default().choose(&declared_only),
-                ExactMpc::default().choose(&probed),
-            ),
-        ] {
-            assert_eq!(q_declared, ladder.top(), "{name}: generous declared");
-            assert!(
-                q_probed < q_declared,
-                "{name}: measured 5 Mbps must pull quality below the top, got {q_probed}"
-            );
-        }
+        let q_declared = Mpc::default().choose(&declared_only);
+        let q_probed = Mpc::default().choose(&probed);
+        assert_eq!(q_declared, ladder.top(), "generous declared");
+        assert!(
+            q_probed < q_declared,
+            "measured 5 Mbps must pull quality below the top, got {q_probed}"
+        );
 
         // With probing off (None) nothing changes: byte-for-byte the
         // declared-capacity decision.

@@ -70,16 +70,20 @@ fn tile_utility(video: &VideoModel, q: Quality) -> f64 {
 /// [`select_oos`](crate::oos::select_oos)'s convention.
 ///
 /// ```
-/// use sperke_vra::{select_stochastic, selection_cost};
+/// use sperke_vra::select_stochastic;
 /// use sperke_hmp::TileForecast;
-/// use sperke_video::{ChunkTime, Scheme, VideoModelBuilder};
+/// use sperke_video::{ChunkId, ChunkTime, Scheme, VideoModelBuilder};
 /// use sperke_sim::SimDuration;
 ///
 /// let video = VideoModelBuilder::new(1).duration(SimDuration::from_secs(4)).build();
 /// let forecast = TileForecast::uniform(video.grid(), 0.4);
 /// let budget = 500_000;
 /// let picks = select_stochastic(&video, &forecast, ChunkTime(0), budget, Scheme::Avc, 0.05);
-/// assert!(selection_cost(&video, ChunkTime(0), Scheme::Avc, &picks) <= budget);
+/// let cost: u64 = picks
+///     .iter()
+///     .map(|c| video.chunk_bytes(ChunkId::new(c.quality, c.tile, ChunkTime(0)), Scheme::Avc))
+///     .sum();
+/// assert!(cost <= budget);
 /// ```
 pub fn select_stochastic(
     video: &VideoModel,
@@ -173,19 +177,6 @@ pub fn expected_utility(
         .sum()
 }
 
-/// Total cost of a selection.
-pub fn selection_cost(
-    video: &VideoModel,
-    time: ChunkTime,
-    scheme: Scheme,
-    choices: &[StochasticChoice],
-) -> u64 {
-    choices
-        .iter()
-        .map(|c| video.chunk_bytes(ChunkId::new(c.quality, c.tile, time), scheme))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +198,19 @@ mod tests {
             ChunkTime(0),
         );
         (video, fc)
+    }
+
+    /// Total cost of a selection (the budget checks' reference).
+    fn selection_cost(
+        video: &VideoModel,
+        time: ChunkTime,
+        scheme: Scheme,
+        choices: &[StochasticChoice],
+    ) -> u64 {
+        choices
+            .iter()
+            .map(|c| video.chunk_bytes(ChunkId::new(c.quality, c.tile, time), scheme))
+            .sum()
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub mod sperke;
 pub mod superchunk;
 pub mod upgrade;
 
-pub use abr::{Abr, AbrContext, BufferBased, ExactMpc, FixedQuality, Mpc, RateBased};
-pub use knapsack::{expected_utility, select_stochastic, selection_cost, StochasticChoice};
+pub use abr::{Abr, AbrContext, BufferBased, FixedQuality, Mpc, RateBased};
+pub use knapsack::{expected_utility, select_stochastic, StochasticChoice};
 pub use oos::{select_oos, OosChoice, OosConfig};
 pub use policy::{AbrPolicyKind, PolicyInput, PolicyPlan, TileAssignment, DEFAULT_MIN_PROBABILITY};
 pub use sperke::{

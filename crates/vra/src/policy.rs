@@ -120,8 +120,10 @@ impl PolicyPlan {
         levels
     }
 
-    /// Total cost of the plan under `scheme`.
-    pub fn cost_bytes(&self, video: &VideoModel, time: ChunkTime, scheme: Scheme) -> u64 {
+    /// Total cost of the plan under `scheme` (the budget checks'
+    /// reference).
+    #[cfg(test)]
+    pub(crate) fn cost_bytes(&self, video: &VideoModel, time: ChunkTime, scheme: Scheme) -> u64 {
         self.assignments
             .iter()
             .map(|a| video.chunk_bytes(ChunkId::new(a.quality, a.tile, time), scheme))
@@ -481,7 +483,7 @@ impl AbrPolicyKind {
     }
 
     /// [`AbrPolicyKind::Consistency`] at its default tuning.
-    pub fn consistency_default() -> AbrPolicyKind {
+    fn consistency_default() -> AbrPolicyKind {
         AbrPolicyKind::Consistency { max_up_step: 1 }
     }
 

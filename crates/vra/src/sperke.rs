@@ -16,7 +16,7 @@ use crate::superchunk::SuperChunk;
 use serde::{Deserialize, Serialize};
 use sperke_hmp::TileForecast;
 use sperke_net::{ChunkPriority, SpatialPriority, TemporalPriority};
-use sperke_sim::trace::{CandidateQuality, Subsystem, TraceEvent, TraceLevel, TraceSink};
+use sperke_sim::trace::{CandidateQuality, TraceEvent, TraceLevel, TraceSink};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{CellId, ChunkForm, ChunkId, ChunkTime, Quality, Scheme, VideoModel};
 
@@ -39,7 +39,7 @@ pub enum EncodingPolicy {
 
 impl EncodingPolicy {
     /// The scheme used to *price* a fetch under this policy.
-    pub fn scheme_for(&self, video: &VideoModel, probability: f64) -> Scheme {
+    fn scheme_for(&self, video: &VideoModel, probability: f64) -> Scheme {
         match *self {
             EncodingPolicy::AvcOnly => Scheme::Avc,
             EncodingPolicy::SvcOnly => Scheme::Svc {
@@ -60,7 +60,7 @@ impl EncodingPolicy {
     }
 
     /// The wire form corresponding to [`EncodingPolicy::scheme_for`].
-    pub fn form_for(&self, video: &VideoModel, probability: f64) -> ChunkForm {
+    fn form_for(&self, video: &VideoModel, probability: f64) -> ChunkForm {
         match self.scheme_for(video, probability) {
             Scheme::Avc => ChunkForm::Avc,
             // Cumulative fetch of all layers through the chunk's quality;
@@ -101,20 +101,6 @@ impl FetchPlan {
     /// Total planned bytes.
     pub fn total_bytes(&self) -> u64 {
         self.fetches.iter().map(|f| f.bytes).sum()
-    }
-
-    /// The FoV subset of fetches.
-    pub fn fov_fetches(&self) -> impl Iterator<Item = &PlannedFetch> {
-        self.fetches
-            .iter()
-            .filter(|f| f.priority.spatial == SpatialPriority::Fov)
-    }
-
-    /// The OOS subset of fetches.
-    pub fn oos_fetches(&self) -> impl Iterator<Item = &PlannedFetch> {
-        self.fetches
-            .iter()
-            .filter(|f| f.priority.spatial == SpatialPriority::Oos)
     }
 }
 
@@ -218,7 +204,7 @@ impl SperkeVra {
     /// Emit the per-plan [`TraceEvent::AbrDecision`], with the candidate
     /// ladder only when the sink actually records VRA decisions.
     fn emit_decision(&self, input: &PlanInput<'_>, chosen: Quality, unit_bitrate: &[f64]) {
-        if !self.trace.enabled(Subsystem::Vra, TraceLevel::Decisions) {
+        if !self.trace.enabled(TraceLevel::Decisions) {
             return;
         }
         let ladder = input.video.ladder();
@@ -502,6 +488,13 @@ mod tests {
     use sperke_hmp::FusedForecaster;
     use sperke_video::VideoModelBuilder;
 
+    /// The plan's fetches of one spatial class (FoV or OOS).
+    fn fetches_of(plan: &FetchPlan, class: SpatialPriority) -> impl Iterator<Item = &PlannedFetch> {
+        plan.fetches
+            .iter()
+            .filter(move |f| f.priority.spatial == class)
+    }
+
     fn video() -> VideoModel {
         VideoModelBuilder::new(9)
             .duration(SimDuration::from_secs(20))
@@ -538,14 +531,14 @@ mod tests {
         let fc = forecast(&v);
         let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let plan = vra.plan(&input(&v, &fc, Some(30e6)));
-        assert!(plan.fov_fetches().count() > 0);
-        assert!(plan.oos_fetches().count() > 0);
+        assert!(fetches_of(&plan, SpatialPriority::Fov).count() > 0);
+        assert!(fetches_of(&plan, SpatialPriority::Oos).count() > 0);
         // FoV tiles share one quality.
-        for f in plan.fov_fetches() {
+        for f in fetches_of(&plan, SpatialPriority::Fov) {
             assert_eq!(f.chunk.quality, plan.fov_quality);
         }
         // OOS strictly below.
-        for f in plan.oos_fetches() {
+        for f in fetches_of(&plan, SpatialPriority::Oos) {
             assert!(f.chunk.quality < plan.fov_quality);
         }
     }
@@ -571,7 +564,11 @@ mod tests {
         let mut vra = SperkeVra::new(Box::new(RateBased::default()), SperkeConfig::default());
         let plan = vra.plan(&input(&v, &fc, None));
         assert_eq!(plan.fov_quality, Quality::LOWEST);
-        assert_eq!(plan.oos_fetches().count(), 0, "no budget, no OOS");
+        assert_eq!(
+            fetches_of(&plan, SpatialPriority::Oos).count(),
+            0,
+            "no budget, no OOS"
+        );
     }
 
     #[test]
@@ -582,7 +579,7 @@ mod tests {
         let mut inp = input(&v, &fc, Some(30e6));
         inp.buffer = SimDuration::from_millis(300);
         let plan = vra.plan(&inp);
-        for f in plan.fov_fetches() {
+        for f in fetches_of(&plan, SpatialPriority::Fov) {
             assert_eq!(f.priority.temporal, TemporalPriority::Urgent);
         }
     }
@@ -691,8 +688,8 @@ mod tests {
             "plan {plan_bps:.0} vs budget {bw:.0}"
         );
         // Both priorities present: certain tiles FoV, uncertain tiles OOS.
-        assert!(plan.fov_fetches().count() > 0);
-        assert!(plan.oos_fetches().count() > 0);
+        assert!(fetches_of(&plan, SpatialPriority::Fov).count() > 0);
+        assert!(fetches_of(&plan, SpatialPriority::Oos).count() > 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! have different qualities, thus worsening the QoE)".
 
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileGrid, TileId, Viewport};
+use sperke_geo::TileId;
 use sperke_hmp::TileForecast;
 use sperke_video::{ChunkTime, Quality, Scheme, VideoModel};
 
@@ -21,15 +21,6 @@ pub struct SuperChunk {
 }
 
 impl SuperChunk {
-    /// Build from a known viewport (the perfect-HMP case of §3.1.2
-    /// part one).
-    pub fn from_viewport(grid: &TileGrid, viewport: &Viewport, time: ChunkTime) -> SuperChunk {
-        SuperChunk {
-            time,
-            tiles: viewport.visible_tile_set(grid),
-        }
-    }
-
     /// Build from a tile forecast: tiles whose on-screen probability is
     /// at least `threshold` **relative to the most probable tile**, so
     /// the FoV set survives any uniform rescaling of the forecast (e.g.
@@ -76,29 +67,12 @@ impl SuperChunk {
     pub fn bitrate_at(&self, video: &VideoModel, q: Quality, scheme: Scheme) -> f64 {
         self.bytes_at(video, q, scheme) as f64 * 8.0 / video.chunk_duration().as_secs_f64()
     }
-
-    /// The highest quality whose super-chunk bitrate fits `budget_bps`;
-    /// the lowest quality if none fit.
-    pub fn highest_quality_within(
-        &self,
-        video: &VideoModel,
-        scheme: Scheme,
-        budget_bps: f64,
-    ) -> Quality {
-        let mut best = Quality::LOWEST;
-        for q in video.ladder().qualities() {
-            if self.bitrate_at(video, q, scheme) <= budget_bps {
-                best = q;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sperke_geo::Orientation;
+    use sperke_geo::{Orientation, Viewport};
     use sperke_hmp::FusedForecaster;
     use sperke_sim::{SimDuration, SimTime};
     use sperke_video::VideoModelBuilder;
@@ -109,11 +83,19 @@ mod tests {
             .build()
     }
 
+    /// The super chunk of a known, front-facing viewport (the
+    /// perfect-HMP case of §3.1.2 part one).
+    fn front_chunk(v: &VideoModel, time: ChunkTime) -> SuperChunk {
+        SuperChunk {
+            time,
+            tiles: Viewport::headset(Orientation::FRONT).visible_tile_set(v.grid()),
+        }
+    }
+
     #[test]
     fn viewport_superchunk_is_sorted_and_partial() {
         let v = video();
-        let vp = Viewport::headset(Orientation::FRONT);
-        let sc = SuperChunk::from_viewport(v.grid(), &vp, ChunkTime(0));
+        let sc = front_chunk(&v, ChunkTime(0));
         assert!(!sc.is_empty());
         assert!(
             sc.len() < v.grid().tile_count(),
@@ -159,28 +141,10 @@ mod tests {
     #[test]
     fn bytes_scale_with_quality() {
         let v = video();
-        let vp = Viewport::headset(Orientation::FRONT);
-        let sc = SuperChunk::from_viewport(v.grid(), &vp, ChunkTime(1));
+        let sc = front_chunk(&v, ChunkTime(1));
         let lo = sc.bytes_at(&v, Quality(0), Scheme::Avc);
         let hi = sc.bytes_at(&v, Quality(3), Scheme::Avc);
         assert!(hi > lo * 4, "ladder spans 8x in bitrate");
-    }
-
-    #[test]
-    fn highest_quality_within_budget() {
-        let v = video();
-        let vp = Viewport::headset(Orientation::FRONT);
-        let sc = SuperChunk::from_viewport(v.grid(), &vp, ChunkTime(0));
-        let top_rate = sc.bitrate_at(&v, v.ladder().top(), Scheme::Avc);
-        assert_eq!(
-            sc.highest_quality_within(&v, Scheme::Avc, top_rate * 1.01),
-            v.ladder().top()
-        );
-        assert_eq!(
-            sc.highest_quality_within(&v, Scheme::Avc, 1.0),
-            Quality::LOWEST,
-            "degenerate budget falls back to base"
-        );
     }
 
     #[test]
@@ -188,8 +152,7 @@ mod tests {
         // The essence of FoV-guided streaming: the super chunk is a
         // fraction of the full panorama.
         let v = video();
-        let vp = Viewport::headset(Orientation::FRONT);
-        let sc = SuperChunk::from_viewport(v.grid(), &vp, ChunkTime(0));
+        let sc = front_chunk(&v, ChunkTime(0));
         let q = Quality(2);
         let sc_bytes = sc.bytes_at(&v, q, Scheme::Avc);
         let pano = v.panorama_bytes(q, ChunkTime(0), Scheme::Avc);

@@ -6,15 +6,16 @@
 //! metric against the committed `BENCH_PR4.json` / `BENCH_PR5.json`
 //! baselines, and exits non-zero if any metric regresses by more than
 //! the tolerance (default 20%, `PERF_TOLERANCE_PCT` to override).
-//! Fresh measurements are always written back to the two JSON files so
-//! CI can upload them as artifacts.
+//! Fresh measurements are written to `target/perf_baseline/`, never over
+//! the committed baselines, so every run gates against the same numbers
+//! and CI can upload the fresh ones as artifacts.
 //!
 //! ```sh
 //! cargo run --release --example perf_baseline
 //! ```
 //!
-//! A missing baseline file is reported and skipped (first run on a new
-//! branch), never a failure: the write at the end creates it.
+//! A missing baseline file is reported and skipped, never a failure:
+//! commit a fresh copy from `target/perf_baseline/` to create it.
 
 use sperke_core::{
     run_edge_sweep, run_federation, run_fleet, run_fleet_sweep, run_shootout, EdgeConfig, EdgeGrid,
@@ -69,8 +70,18 @@ fn metric(doc: &serde_json::Value, name: &str) -> Option<f64> {
     }
 }
 
+/// Where fresh measurements go: beside the build output, never over the
+/// committed baselines they are gated against.
+const FRESH_DIR: &str = "target/perf_baseline";
+
+/// Write one fresh measurement file into [`FRESH_DIR`].
+fn write_fresh(name: &str, json: &str) {
+    let path = format!("{FRESH_DIR}/{name}");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
 /// Load a committed baseline file; `None` (with a notice) when absent
-/// or unparsable, so first runs create rather than fail.
+/// or unparsable, so a new baseline skips rather than fails.
 fn load_baseline(path: &str) -> Option<serde_json::Value> {
     match std::fs::read_to_string(path) {
         Ok(text) => match serde_json::from_str::<serde_json::Value>(&text) {
@@ -81,7 +92,7 @@ fn load_baseline(path: &str) -> Option<serde_json::Value> {
             }
         },
         Err(_) => {
-            println!("note: {path} not found; skipping comparison (will be created)");
+            println!("note: {path} not found; skipping comparison");
             None
         }
     }
@@ -794,7 +805,8 @@ fn main() {
         steps / fleet_on_s,
         points / sweep_s,
     );
-    std::fs::write("BENCH_PR4.json", &pr4_json).expect("write BENCH_PR4.json");
+    std::fs::create_dir_all(FRESH_DIR).expect("create the fresh-measurement directory");
+    write_fresh("BENCH_PR4.json", &pr4_json);
     let pr5_json = format!(
         "{{\n  \"edge_origin_demand_mb\": {edge_origin_mb:.1},\n  \
          \"edge_cache_hit_rate_pct\": {edge_hit_pct:.1},\n  \
@@ -802,7 +814,7 @@ fn main() {
          \"edge_steps_per_s\": {edge_steps_per_s:.0},\n  \
          \"edge_sweep_points_per_s\": {edge_sweep_pps:.2}\n}}\n"
     );
-    std::fs::write("BENCH_PR5.json", &pr5_json).expect("write BENCH_PR5.json");
+    write_fresh("BENCH_PR5.json", &pr5_json);
     let pr6_json = format!(
         "{{\n  \"edge_steps_per_s\": {pr6_edge_steps_per_s:.0},\n  \
          \"edge_full_steps_per_s\": {pr6_full_steps_per_s:.0},\n  \
@@ -811,27 +823,27 @@ fn main() {
          \"speedup_vs_pr5_anchor\": {pr6_speedup:.1}\n}}\n",
         prepare_s * 1e3,
     );
-    std::fs::write("BENCH_PR6.json", &pr6_json).expect("write BENCH_PR6.json");
+    write_fresh("BENCH_PR6.json", &pr6_json);
     let pr7_json = format!(
         "{{\n  \"edge_bbr_steps_per_s\": {pr7_edge_steps_per_s:.0},\n  \
          \"bbr_overhead_pct\": {pr7_overhead_pct:.1},\n  \
          \"origin_retries\": {}\n}}\n",
         batched_bbr.origin_retries,
     );
-    std::fs::write("BENCH_PR7.json", &pr7_json).expect("write BENCH_PR7.json");
+    write_fresh("BENCH_PR7.json", &pr7_json);
     let pr8_json = format!(
         "{{\n  \"federation_steps_per_s\": {fed_steps_per_s:.0},\n  \
          \"federation_origin_savings_pct\": {fed_savings_pct:.1},\n  \
          \"regional_hit_rate_pct\": {fed_hit_pct:.1}\n}}\n"
     );
-    std::fs::write("BENCH_PR8.json", &pr8_json).expect("write BENCH_PR8.json");
+    write_fresh("BENCH_PR8.json", &pr8_json);
     let pr9_json = format!(
         "{{\n  \"federation_steps_per_s\": {pr9_serial_steps_per_s:.0},\n  \
          \"federation_parallel_steps_per_s\": {pr9_parallel_steps_per_s:.0},\n  \
          \"speedup_vs_pr8_anchor\": {pr9_speedup:.1},\n  \
          \"digest_mb_per_s\": {digest_mb_per_s:.1}\n}}\n"
     );
-    std::fs::write("BENCH_PR9.json", &pr9_json).expect("write BENCH_PR9.json");
+    write_fresh("BENCH_PR9.json", &pr9_json);
     let mut pr10_json = String::from("{\n");
     for (name, ns) in &decide_ns {
         pr10_json.push_str(&format!("  \"decide_{name}_ns\": {ns:.1},\n"));
@@ -839,10 +851,10 @@ fn main() {
     pr10_json.push_str(&format!(
         "  \"shootout_points_per_s\": {shootout_pps:.2}\n}}\n"
     ));
-    std::fs::write("BENCH_PR10.json", &pr10_json).expect("write BENCH_PR10.json");
+    write_fresh("BENCH_PR10.json", &pr10_json);
     println!(
         "\nwrote BENCH_PR4.json, BENCH_PR5.json, BENCH_PR6.json, BENCH_PR7.json, \
-         BENCH_PR8.json, BENCH_PR9.json, BENCH_PR10.json"
+         BENCH_PR8.json, BENCH_PR9.json, BENCH_PR10.json to {FRESH_DIR}/"
     );
 
     let failures: Vec<String> = checks.into_iter().flatten().collect();
