@@ -1,5 +1,5 @@
 //! Sweep harness speedup: serial vs parallel execution of a 16-point
-//! fleet grid (4 egress capacities × 2 delivery schemes × 2 seeds).
+//! edge grid (4 audience sizes × 2 cache capacities × 2 seeds).
 //!
 //! Every point is the same deterministic single-threaded simulation;
 //! the worker pool only divides wall-clock time. The acceptance bar is
@@ -7,7 +7,7 @@
 //! every thread count.
 
 use sperke_bench::{cols, header, note, row};
-use sperke_core::{run_fleet_sweep, FleetConfig, FleetGrid};
+use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
 use sperke_vra::AbrPolicyKind;
@@ -21,23 +21,20 @@ fn main() {
     let video = VideoModelBuilder::new(61)
         .duration(SimDuration::from_secs(15))
         .build();
-    let grid = FleetGrid::new(FleetConfig {
-        viewers: 10,
-        ..Default::default()
-    })
-    .egress_axis(vec![40e6, 80e6, 160e6, 320e6])
-    .scheme_axis(vec![true, false])
-    .seed_axis(vec![7, 23]);
+    let grid = EdgeGrid::new(EdgeConfig::default())
+        .clients_axis(vec![8, 16, 24, 32])
+        .cache_axis(vec![0, 256 << 20])
+        .seed_axis(vec![7, 23]);
     assert_eq!(grid.points().len(), 16, "the 16-point acceptance grid");
 
     // Warm-up run (page in code and video tables) before timing.
-    let reference = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 1);
+    let reference = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), 1);
 
     cols("threads", &["seconds", "speedup", "pts/s"]);
     let mut serial_secs = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let report = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), threads);
+        let report = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), threads);
         let secs = start.elapsed().as_secs_f64();
         if threads == 1 {
             serial_secs = secs;
@@ -53,7 +50,7 @@ fn main() {
         );
     }
     let start = Instant::now();
-    let report4 = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 4);
+    let report4 = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), 4);
     let quad_secs = start.elapsed().as_secs_f64();
     let speedup = serial_secs / quad_secs;
     assert_eq!(report4.digest(), reference.digest());

@@ -1,12 +1,13 @@
 //! Edge-fleet entry points: the fluent builder and the sweep grid for
-//! the [`sperke_edge`] multi-client edge-server model.
+//! the [`sperke_edge`] multi-client edge-server model, the stack's one
+//! multi-viewer model.
 //!
 //! [`Sperke::edge_builder`] is the five-line way to run an edge
 //! experiment, and [`EdgeGrid`] → [`run_edge_sweep`] fans a clients ×
-//! cache × seeds grid across CPU cores with the same byte-determinism
-//! guarantee as the fleet sweep: the merged report is identical for any
-//! worker count. Both run [`sperke_edge::run_edge`], the one edge
-//! engine.
+//! cache × seeds grid across CPU cores: the merged report is identical
+//! for any worker count. Both run [`sperke_edge::run_edge`], the one
+//! edge engine. The §2 FoV-agnostic baseline is a policy, not a mode:
+//! plan with [`AbrPolicyKind::panorama`] to ship the whole sphere.
 
 use crate::builder::Sperke;
 use serde::{Deserialize, Serialize};
@@ -453,6 +454,18 @@ mod tests {
         assert_eq!(points[0].cache_bytes, 0);
         assert_eq!(points[1].cache_bytes, 64 << 20);
         assert_eq!(points[2].clients, 8);
+    }
+
+    #[test]
+    fn degenerate_and_empty_grids_are_valid() {
+        let single = EdgeGrid::new(EdgeConfig::default());
+        assert_eq!(single.points().len(), 1);
+        let empty = single.clone().clients_axis(vec![]);
+        assert!(empty.points().is_empty());
+        let report = run_edge_sweep(&video(), &empty, AbrPolicyKind::default(), 4);
+        assert!(report.is_empty());
+        let s = report.summary(|p| p.report.egress_bytes as f64);
+        assert_eq!((s.mean, s.min, s.max), (0.0, 0.0, 0.0));
     }
 
     #[test]

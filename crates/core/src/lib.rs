@@ -35,16 +35,12 @@
 pub mod builder;
 pub mod edge;
 pub mod federation;
-pub mod fleet;
-#[doc(hidden)]
-pub mod oracle;
 pub mod shootout;
 pub mod sweep;
 
 pub use builder::{AbrChoice, RunReport, SchedulerChoice, Sperke};
 pub use edge::{run_edge_sweep, EdgeBuilder, EdgeGrid, EdgeRunReport, EdgeSweepPoint};
 pub use federation::FederationBuilder;
-pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use shootout::{
     run_shootout, PolicyRank, ShootoutCell, ShootoutGrid, ShootoutPoint, ShootoutReport,
 };
@@ -58,7 +54,7 @@ pub use sperke_net::{
 };
 pub use sperke_sim::sweep::{SweepPlan, SweepReport, SweepSummary};
 pub use sperke_sim::trace::{Trace, TraceEvent, TraceLevel};
-pub use sweep::{run_fleet_sweep, FleetGrid, FleetSweepPoint, SperkeSweep, SperkeSweepPoint};
+pub use sweep::{SperkeSweep, SperkeSweepPoint};
 
 // Re-export the subsystem crates under stable names so downstream users
 // depend on one crate.

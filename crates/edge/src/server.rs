@@ -9,8 +9,8 @@
 //! world:
 //!
 //! * every client is a FoV-guided player (motion-only HMP + stochastic
-//!   SVC selection, as in `sperke-core`'s fleet) arriving at its own
-//!   offset;
+//!   SVC selection by default, or any [`AbrPolicyKind`], the
+//!   full-panorama baseline included) arriving at its own offset;
 //! * admission control caps concurrent clients at
 //!   [`EdgeConfig::max_clients`] — beyond it, clients are rejected and
 //!   traced, never silently dropped;
@@ -765,7 +765,6 @@ impl EdgeWorld<'_> {
         let xfer = SimDuration::from_secs_f64(bytes as f64 * 8.0 / wire);
         self.origin_busy_until = start + xfer;
         if let Some(bbr) = &mut self.origin_bbr {
-            bbr.on_rtt_sample(self.config.origin_rtt, now);
             // The sample interval is the wire time alone — folding the
             // propagation RTT in would undershoot the rate, drop the
             // pacing, stretch the next wire time and spiral downward.

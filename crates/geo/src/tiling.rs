@@ -163,7 +163,7 @@ impl TileGrid {
 ///
 /// [`TileGrid::tile_center`] spends four trig calls per query, and
 /// forecast scoring asks for every tile's centre once per (client,
-/// chunk) — at fleet scale that is millions of redundant evaluations of
+/// chunk) — at edge scale that is millions of redundant evaluations of
 /// the same `rows × cols` values. The table stores the exact
 /// `tile_center` outputs, so anything derived from it (notably
 /// [`TileCenters::distance_to_tile`]) is bit-identical to the on-demand

@@ -1,7 +1,7 @@
 //! Memoized tile-visibility queries: the hot-path cache.
 //!
 //! Every layer of the stack — the rate adaptor, the HMP evaluators, the
-//! live path, the fleet model — bottoms out in
+//! live path, the edge model — bottoms out in
 //! [`Viewport::visible_tiles`], which casts a ray grid and runs
 //! trig-heavy projection math per sample. The same gaze orientation is
 //! re-queried many times per simulated second, so a [`VisibilityCache`]

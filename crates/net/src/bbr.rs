@@ -5,10 +5,9 @@
 //! bandwidth" with *measured* delivery-rate probing in the BBR mold:
 //!
 //! * [`BbrState`] keeps a windowed **max-filter** over delivery-rate
-//!   samples (BtlBw) and a windowed **min-filter** over RTT samples
-//!   (RTprop), advancing through fixed-length probe epochs whose pacing
-//!   gain periodically exceeds 1 so the estimate can climb after the
-//!   bottleneck widens.
+//!   samples (BtlBw), advancing through fixed-length probe epochs whose
+//!   pacing gain periodically exceeds 1 so the estimate can climb after
+//!   the bottleneck widens. Pacing reads BtlBw alone.
 //! * [`LossChannel`] / [`GeChain`] model bursty loss as a seeded
 //!   two-state Gilbert–Elliott Markov chain — a Good state with light
 //!   loss and a Bad state with heavy loss — replacing the i.i.d. roll
@@ -35,8 +34,6 @@ use std::collections::VecDeque;
 pub struct BbrConfig {
     /// How long a delivery-rate sample stays in the BtlBw max-filter.
     pub btlbw_window: SimDuration,
-    /// How long an RTT sample stays in the RTprop min-filter.
-    pub rtprop_window: SimDuration,
     /// Virtual-time length of one probe epoch.
     pub probe_interval: SimDuration,
     /// Pacing gain applied during a probe epoch (> 1 probes for more).
@@ -51,7 +48,6 @@ impl Default for BbrConfig {
     fn default() -> BbrConfig {
         BbrConfig {
             btlbw_window: SimDuration::from_secs(10),
-            rtprop_window: SimDuration::from_secs(10),
             probe_interval: SimDuration::from_secs(1),
             probe_gain: 1.25,
             cruise_gain: 1.0,
@@ -81,8 +77,7 @@ pub struct BbrUpdate {
 ///
 /// Fed by completed-transfer ACK accounting: each delivered transfer
 /// contributes one delivery-rate sample (`bytes · 8 / interval`) to the
-/// windowed max-filter, and each observed RTT one sample to the
-/// windowed min-filter. The max-filter makes the estimate robust to
+/// windowed max-filter. The max-filter makes the estimate robust to
 /// samples deflated by application-limited periods; the rolling window
 /// lets it decay when the bottleneck genuinely shrinks.
 #[derive(Debug, Clone)]
@@ -90,8 +85,6 @@ pub struct BbrState {
     config: BbrConfig,
     /// `(sample time, rate)` — max over this window is BtlBw.
     samples: VecDeque<(SimTime, f64)>,
-    /// `(sample time, rtt)` — min over this window is RTprop.
-    rtts: VecDeque<(SimTime, SimDuration)>,
     /// Completed probe-epoch counter (0 before the first ACK).
     epoch: u64,
     /// Start of the current epoch (valid once `started`).
@@ -112,7 +105,6 @@ impl BbrState {
         BbrState {
             config,
             samples: VecDeque::new(),
-            rtts: VecDeque::new(),
             epoch: 0,
             epoch_started: SimTime::ZERO,
             started: false,
@@ -166,18 +158,6 @@ impl BbrState {
         })
     }
 
-    /// Absorb an RTT observation at `now`.
-    pub fn on_rtt_sample(&mut self, rtt: SimDuration, now: SimTime) {
-        while let Some(&(t, _)) = self.rtts.front() {
-            if now.saturating_since(t) > self.config.rtprop_window {
-                self.rtts.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.rtts.push_back((now, rtt));
-    }
-
     /// The bottleneck-bandwidth estimate: max delivery-rate sample in
     /// the window, or `None` before any sample.
     pub fn btl_bw(&self) -> Option<f64> {
@@ -187,13 +167,6 @@ impl BbrState {
             .fold(None, |acc: Option<f64>, r| {
                 Some(acc.map_or(r, |a| a.max(r)))
             })
-    }
-
-    /// The propagation-RTT estimate: min RTT sample in the window (only
-    /// the tests read it; the pacing path uses BtlBw alone).
-    #[cfg(test)]
-    fn rt_prop(&self) -> Option<SimDuration> {
-        self.rtts.iter().map(|&(_, r)| r).min()
     }
 
     /// Completed probe epochs so far (0 until the first epoch rolls).
@@ -428,16 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn rt_prop_is_window_min() {
-        let mut b = BbrState::new(BbrConfig::default());
-        assert_eq!(b.rt_prop(), None);
-        b.on_rtt_sample(SimDuration::from_millis(40), SimTime::from_secs(1));
-        b.on_rtt_sample(SimDuration::from_millis(15), SimTime::from_secs(2));
-        b.on_rtt_sample(SimDuration::from_millis(60), SimTime::from_secs(3));
-        assert_eq!(b.rt_prop(), Some(SimDuration::from_millis(15)));
-    }
-
-    #[test]
     fn epochs_roll_and_cycle_gains() {
         let mut b = BbrState::new(BbrConfig::default());
         let u = b
@@ -481,11 +444,9 @@ mod tests {
             let interval = SimDuration::from_secs_f64(chunk as f64 * 8.0 / truth);
             now += interval;
             b.on_ack(chunk, interval, now);
-            b.on_rtt_sample(SimDuration::from_millis(15), now);
             let err = (b.btl_bw().unwrap() - truth).abs() / truth;
             assert!(err <= 0.10, "epoch {}: error {err}", b.epoch());
         }
-        assert_eq!(b.rt_prop(), Some(SimDuration::from_millis(15)));
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod bbr;
 pub mod estimator;
 pub mod fault;
 pub mod multipath;
-pub mod mux;
 pub mod path;
 pub mod pipe;
 pub mod priority;
@@ -45,12 +44,11 @@ pub use multipath::{
     Assignment, ChunkRequest, ContentAware, EarliestCompletion, MinRtt, MultipathScheduler,
     MultipathSession, RecoveryOutcome, RecoveryPolicy, SinglePath,
 };
-pub use mux::{MuxLink, StreamCompletion, StreamId};
 pub use path::PathModel;
 pub use pipe::SerialLink;
 pub use priority::{ChunkPriority, Reliability, SpatialPriority, TemporalPriority};
 pub use transfer::{Completion, PathQueue, TransferId, TransferOutcome};
-pub use wrr::{WrrCompletion, WrrLink};
+pub use wrr::{StreamId, WrrCompletion, WrrLink};
 
 #[cfg(test)]
 mod proptests {
@@ -106,31 +104,6 @@ mod proptests {
             let d = tr.time_to_transfer(bits, from, 1.0);
             let back = tr.bits_between(from, from + d);
             prop_assert!((back - bits).abs() / bits < 1e-6, "bits {bits} back {back}");
-        }
-
-        /// The mux link conserves work: the makespan of a batch equals
-        /// total bits / rate regardless of weights, and every stream's
-        /// completion is after its submission.
-        #[test]
-        fn mux_conserves_work(
-            sizes in proptest::collection::vec(1_000u64..2_000_000, 1..12),
-            weights in proptest::collection::vec(0.1f64..16.0, 12),
-        ) {
-            let rate = 10e6;
-            let mut link = MuxLink::new(rate);
-            let total_bits: f64 = sizes.iter().map(|&b| b as f64 * 8.0).sum();
-            for (i, &bytes) in sizes.iter().enumerate() {
-                link.submit_weighted(bytes, SimTime::ZERO, weights[i % weights.len()]);
-            }
-            let done = link.drain();
-            prop_assert_eq!(done.len(), sizes.len());
-            let makespan = done.iter().map(|c| c.finished).max().expect("non-empty");
-            let expect = total_bits / rate;
-            prop_assert!((makespan.as_secs_f64() - expect).abs() < 1e-6,
-                "makespan {} vs {}", makespan.as_secs_f64(), expect);
-            for c in &done {
-                prop_assert!(c.finished >= c.submitted);
-            }
         }
 
         /// The GE chain's long-run occupancy converges to the stationary

@@ -312,7 +312,6 @@ impl PathQueue {
         // across it would systematically undershoot the wire rate, so
         // the startup latency is excluded from the interval.
         if let Some(bbr) = &mut self.bbr {
-            bbr.on_rtt_sample(self.path.rtt, finished);
             if outcome == TransferOutcome::Delivered {
                 let interval = if warm {
                     duration

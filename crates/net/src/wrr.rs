@@ -1,11 +1,10 @@
 //! Per-client weighted round-robin egress for a shared delivery point.
 //!
-//! [`MuxLink`](crate::mux::MuxLink) shares a link between *streams*:
-//! every in-flight stream gets a weight-proportional slice, so a client
-//! that opens ten streams takes ten slices. An edge server arbitrating
-//! many viewers needs the opposite isolation — fairness between
-//! *clients*, whatever their request depth. [`WrrLink`] gives each
-//! client one FIFO queue and serves only the queue heads, weighted
+//! An edge server arbitrating many viewers needs fairness between
+//! *clients*, whatever their request depth: a link that gave every
+//! in-flight stream its own weighted slice would hand a client that
+//! opens ten streams ten slices. [`WrrLink`] gives each client one FIFO
+//! queue and serves only the queue heads, weighted
 //! round-robin: the fluid (processor-sharing) limit of a deficit
 //! round-robin scheduler, where at any instant each backlogged client
 //! receives `weight / Σ backlogged weights` of the capacity and its
@@ -40,10 +39,13 @@
 //! assert!(done.iter().all(|c| (c.finished.as_secs_f64() - 0.25).abs() < 1e-9));
 //! ```
 
-use crate::mux::StreamId;
 use serde::{Deserialize, Serialize};
 use sperke_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
+
+/// Identifier of a stream on a [`WrrLink`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct StreamId(pub u64);
 
 /// A stream queued or in flight on a [`WrrLink`]. Only a queue head
 /// drains, and its remaining bits live in the link's dense head array;

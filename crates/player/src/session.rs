@@ -32,8 +32,8 @@ const UPGRADE_LEAD: SimDuration = SimDuration::from_millis(600);
 
 /// Which planner drives fetching: FoV-guided or not. The FoV-guided
 /// planner's viewport policy is [`SperkeConfig::policy`], an
-/// [`AbrPolicyKind`](sperke_vra::AbrPolicyKind) like the fleet and edge
-/// engines take.
+/// [`AbrPolicyKind`](sperke_vra::AbrPolicyKind) like the edge engine
+/// takes.
 #[derive(Debug, Clone)]
 pub enum PlannerKind {
     /// The FoV-guided Sperke planner (§3.1), running the viewport

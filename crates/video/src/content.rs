@@ -349,6 +349,18 @@ impl VideoModel {
             .sum()
     }
 
+    /// Peak per-chunk rate of the whole panorama at quality `q`, in
+    /// bits/second: the smallest per-viewer budget that affords the
+    /// full panorama at `q` in every chunk.
+    pub fn panorama_peak_bps(&self, q: Quality, scheme: Scheme) -> f64 {
+        let peak = self
+            .chunk_times()
+            .map(|t| self.panorama_bytes(q, t, scheme))
+            .max()
+            .unwrap_or(0);
+        peak as f64 * 8.0 / self.chunk_duration().as_secs_f64()
+    }
+
     /// Server storage footprint in bytes for the *tiling* approach:
     /// every tile at every quality (AVC), plus optionally the SVC copies.
     pub fn tiling_storage_bytes(&self, include_svc: bool) -> u64 {
@@ -417,6 +429,20 @@ mod tests {
         let expect = 8.0e6 / 8.0; // one second
         let err = (bytes as f64 - expect).abs() / expect;
         assert!(err < 0.01, "panorama bytes {bytes} vs expected {expect}");
+    }
+
+    #[test]
+    fn panorama_peak_rate_affords_every_chunk_exactly() {
+        let v = video();
+        let scheme = Scheme::svc_default();
+        let per_chunk = v.panorama_peak_bps(Quality(2), scheme) * v.chunk_duration().as_secs_f64();
+        let budget = (per_chunk / 8.0) as u64;
+        let sizes: Vec<u64> = v
+            .chunk_times()
+            .map(|t| v.panorama_bytes(Quality(2), t, scheme))
+            .collect();
+        assert!(sizes.iter().all(|&b| b <= budget));
+        assert!(sizes.contains(&budget), "the peak chunk fits with no slack");
     }
 
     #[test]

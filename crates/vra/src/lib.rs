@@ -310,6 +310,51 @@ mod proptests {
                 "consistency oscillated {osc_c} > knapsack {osc_k}");
         }
 
+        /// The FoV-agnostic baseline ships every tile once, all at the
+        /// highest quality whose whole panorama fits the budget, or at
+        /// the lowest quality when none fits, under either scheme.
+        #[test]
+        fn panorama_ships_the_best_affordable_panorama(
+            seed: u64,
+            budget in 50_000u64..40_000_000,
+            probs in proptest::collection::vec(0.0f64..1.0, 24),
+            chunk in 0u32..4,
+        ) {
+            let video = VideoModelBuilder::new(seed)
+                .duration(SimDuration::from_secs(4))
+                .build();
+            let fc = TileForecast::new(probs);
+            let t = ChunkTime(chunk);
+            for scheme in [sperke_video::Scheme::Avc, sperke_video::Scheme::svc_default()] {
+                let plan = AbrPolicyKind::panorama().decide(&policy::PolicyInput {
+                    video: &video,
+                    forecast: &fc,
+                    confidence: fc.confidence(),
+                    time: t,
+                    buffer: SimDuration::from_secs(2),
+                    budget_bytes: budget,
+                    capacity_bps: Some(budget as f64 * 8.0),
+                    scheme,
+                    min_probability: DEFAULT_MIN_PROBABILITY,
+                    prev: None,
+                });
+                let expect = video
+                    .ladder()
+                    .qualities()
+                    .filter(|&q| video.panorama_bytes(q, t, scheme) <= budget)
+                    .max()
+                    .unwrap_or(Quality::LOWEST);
+                let mut tiles: Vec<_> = plan.assignments.iter().map(|a| a.tile).collect();
+                tiles.sort();
+                tiles.dedup();
+                prop_assert_eq!(tiles.len(), video.grid().tile_count(), "every tile, once");
+                prop_assert_eq!(plan.assignments.len(), video.grid().tile_count());
+                for a in &plan.assignments {
+                    prop_assert_eq!(a.quality, expect, "{:?} under {:?}", a.tile, scheme);
+                }
+            }
+        }
+
         /// With its distinguishing knob disabled, every rival collapses
         /// to the knapsack core — i.e. Sperke's stochastic selector —
         /// byte for byte.

@@ -29,8 +29,8 @@
 //!   selector, the knapsack.
 //!
 //! Every decide is a *pure function* of its [`PolicyInput`] — no
-//! hidden state, no RNG — which is what lets the fleet/edge batched
-//! engines keep their oracle≡batched byte-identity proof: a decide
+//! hidden state, no RNG — which is what lets the edge's batched
+//! engine keep its oracle≡batched byte-identity proof: a decide
 //! computed on a worker thread is the same bytes as one computed
 //! inline. Temporal state (the previous window's levels for
 //! [`Consistency`]) is threaded explicitly through
@@ -50,8 +50,7 @@ use sperke_sim::SimDuration;
 use sperke_video::{ChunkId, ChunkTime, Quality, Scheme, VideoModel};
 
 /// The probability floor below which tiles are never fetched: the
-/// floor the player's policy planner and the fleet/edge engines plan
-/// with.
+/// floor the player's policy planner and the edge engine plan with.
 pub const DEFAULT_MIN_PROBABILITY: f64 = 0.05;
 
 /// Everything a tile-aware policy may look at when planning a window.
@@ -77,8 +76,8 @@ pub struct PolicyInput<'a> {
     /// `None` before any estimate exists.
     pub capacity_bps: Option<f64>,
     /// The pricing scheme fetches are costed under (AVC or SVC with the
-    /// model's overhead) — supplied by the caller, since the player,
-    /// fleet and edge engines price differently.
+    /// model's overhead) — supplied by the caller, since the player and
+    /// the edge engine price differently.
     pub scheme: Scheme,
     /// Tiles below this forecast probability are never fetched.
     pub min_probability: f64,
@@ -154,7 +153,7 @@ fn canonicalize(mut assignments: Vec<TileAssignment>) -> Vec<TileAssignment> {
 
 /// The shared knapsack core every policy degenerates to when its
 /// distinguishing knob is off: the §3.2 greedy expected-utility
-/// knapsack, byte-identical to what the fleet/edge engines run.
+/// knapsack, byte-identical to what the edge engine runs.
 fn knapsack_plan(input: &PolicyInput<'_>) -> PolicyPlan {
     let choices = select_stochastic(
         input.video,
@@ -366,8 +365,9 @@ fn consistency_plan(input: &PolicyInput<'_>, max_up_step: u8) -> PolicyPlan {
 /// The viewport-adaptation policy an engine or player runs. Plain data
 /// (like [`SperkeConfig`](crate::sperke::SperkeConfig)) so it threads
 /// through builders, sweeps and worker shards by copy. The default,
-/// [`Knapsack`], is the §3.2 stochastic selector every fleet and edge
-/// engine plans with unless told otherwise.
+/// [`Knapsack`], is the §3.2 stochastic selector the edge engine plans
+/// with unless told otherwise. [`AbrPolicyKind::panorama`] names the §2
+/// FoV-agnostic baseline as one of these values.
 ///
 /// [`Knapsack`]: AbrPolicyKind::Knapsack
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -447,8 +447,8 @@ pub enum AbrPolicyKind {
         max_up_step: u8,
     },
     /// (e) The existing Sperke VRA. The player runs it as the full
-    /// three-part planner; inside a window decide — the fleet/edge
-    /// engines, whose planner has always been Sperke's §3.2 stochastic
+    /// three-part planner; inside a window decide — the edge engine,
+    /// whose planner has always been Sperke's §3.2 stochastic
     /// selector — it is exactly the knapsack core.
     Sperke,
 }
@@ -479,6 +479,17 @@ impl AbrPolicyKind {
         AbrPolicyKind::Qer {
             variants: 4,
             emphasis_drop: 2,
+        }
+    }
+
+    /// FoV-agnostic full-panorama delivery, the §2 baseline: one
+    /// precoded representation whose emphasized region is the whole
+    /// sphere, so every tile ships at the highest quality whose
+    /// panorama fits the budget ([`Quality::LOWEST`] when none does).
+    pub fn panorama() -> AbrPolicyKind {
+        AbrPolicyKind::Qer {
+            variants: 1,
+            emphasis_drop: 0,
         }
     }
 

@@ -1,7 +1,6 @@
 //! Tracked perf baselines with regression gating.
 //!
-//! Measures the PR4 hot-path numbers (visibility cache, fleet step and
-//! sweep throughput) and the PR5 edge numbers (origin demand, cache
+//! Measures the PR4 visibility hot-path numbers and the PR5 edge numbers (origin demand, cache
 //! hit rate, edge run and sweep throughput), compares every gated
 //! metric against the committed `BENCH_PR4.json` / `BENCH_PR5.json`
 //! baselines, and exits non-zero if any metric regresses by more than
@@ -18,8 +17,8 @@
 //! commit a fresh copy from `target/perf_baseline/` to create it.
 
 use sperke_core::{
-    run_edge_sweep, run_federation, run_fleet, run_fleet_sweep, run_shootout, EdgeConfig, EdgeGrid,
-    FederationConfig, FederationHarness, FleetConfig, FleetGrid, LossChannel, ShootoutGrid,
+    run_edge_sweep, run_federation, run_shootout, EdgeConfig, EdgeGrid, FederationConfig,
+    FederationHarness, LossChannel, ShootoutGrid,
 };
 use sperke_edge::oracle::run_edge_full;
 use sperke_edge::{
@@ -130,7 +129,7 @@ fn main() {
         .unwrap_or(20.0)
         / 100.0;
 
-    // ---------------- PR4: visibility hot path + fleet ----------------
+    // ---------------- PR4: visibility hot path ----------------
     let grid = TileGrid::new(4, 6);
     let vp = Viewport::headset(Orientation::from_degrees(37.0, 12.0, 3.0));
 
@@ -146,64 +145,6 @@ fn main() {
     println!("visible_tiles(4x6, 16 samples)");
     println!("  uncached : {uncached_ns:>10.1} ns/op");
     println!("  cache hit: {cached_ns:>10.1} ns/op   ({speedup:.1}x)");
-
-    let video = VideoModelBuilder::new(29)
-        .duration(SimDuration::from_secs(6))
-        .build();
-    let config = FleetConfig {
-        viewers: 8,
-        ..Default::default()
-    };
-    let time_fleet = || {
-        // Warm-up run, then median of three timed runs.
-        let report = run_fleet(&video, &config, AbrPolicyKind::default(), 1);
-        let mut secs: Vec<f64> = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(run_fleet(&video, &config, AbrPolicyKind::default(), 1));
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        (report, secs[1])
-    };
-    // The fleet engine takes no visibility cache (its sense phase batches
-    // visibility), so the "uncached" and "cached" numbers time the same
-    // call; both keys stay gated so the history stays comparable.
-    let (report_off, fleet_off_s) = time_fleet();
-    let (report_on, fleet_on_s) = time_fleet();
-    assert_eq!(
-        report_off, report_on,
-        "repeat runs must not change the fleet report"
-    );
-    let steps = config.viewers as f64 * video.chunk_count() as f64;
-    let fleet_gain_pct = (fleet_off_s / fleet_on_s - 1.0) * 100.0;
-    println!(
-        "fleet step throughput ({} viewers x {} chunks)",
-        config.viewers,
-        video.chunk_count()
-    );
-    println!("  uncached : {:>10.0} steps/s", steps / fleet_off_s);
-    println!(
-        "  cached   : {:>10.0} steps/s   ({fleet_gain_pct:+.1}%)",
-        steps / fleet_on_s
-    );
-
-    let sweep_grid = FleetGrid::new(FleetConfig {
-        viewers: 3,
-        ..Default::default()
-    })
-    .egress_axis(vec![60e6, 200e6])
-    .scheme_axis(vec![true, false]);
-    let points = sweep_grid.points().len() as f64;
-    let start = Instant::now();
-    let sweep = run_fleet_sweep(&video, &sweep_grid, AbrPolicyKind::default(), 0);
-    let sweep_s = start.elapsed().as_secs_f64();
-    assert_eq!(sweep.len(), points as usize);
-    println!(
-        "fleet sweep   : {:>10.1} points/s ({points} points)",
-        points / sweep_s
-    );
 
     // ---------------- PR5: edge server ----------------
     let edge_video = VideoModelBuilder::new(7)
@@ -614,34 +555,6 @@ fn main() {
             tol,
         ),
         check(
-            pr4_base.as_ref(),
-            "fleet_uncached_steps_per_s",
-            steps / fleet_off_s,
-            Gate::Higher,
-            tol,
-        ),
-        check(
-            pr4_base.as_ref(),
-            "fleet_cached_steps_per_s",
-            steps / fleet_on_s,
-            Gate::Higher,
-            tol,
-        ),
-        check(
-            pr4_base.as_ref(),
-            "fleet_throughput_gain_pct",
-            fleet_gain_pct,
-            Gate::Record,
-            tol,
-        ),
-        check(
-            pr4_base.as_ref(),
-            "sweep_points_per_s",
-            points / sweep_s,
-            Gate::Higher,
-            tol,
-        ),
-        check(
             pr5_base.as_ref(),
             "edge_origin_demand_mb",
             edge_origin_mb,
@@ -796,14 +709,7 @@ fn main() {
     let pr4_json = format!(
         "{{\n  \"visible_tiles_uncached_ns\": {uncached_ns:.1},\n  \
          \"visible_tiles_cached_ns\": {cached_ns:.1},\n  \
-         \"cached_speedup\": {speedup:.1},\n  \
-         \"fleet_uncached_steps_per_s\": {:.0},\n  \
-         \"fleet_cached_steps_per_s\": {:.0},\n  \
-         \"fleet_throughput_gain_pct\": {fleet_gain_pct:.1},\n  \
-         \"sweep_points_per_s\": {:.1}\n}}\n",
-        steps / fleet_off_s,
-        steps / fleet_on_s,
-        points / sweep_s,
+         \"cached_speedup\": {speedup:.1}\n}}\n"
     );
     std::fs::create_dir_all(FRESH_DIR).expect("create the fresh-measurement directory");
     write_fresh("BENCH_PR4.json", &pr4_json);

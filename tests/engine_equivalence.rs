@@ -7,9 +7,8 @@
 //! > for any worker count.
 //!
 //! Every property here runs the oracle (single-threaded,
-//! event-at-a-time — `sperke_core::oracle::run_fleet_inner` /
-//! `sperke_edge::oracle::run_edge_full`) and the production engine
-//! (`run_fleet` / `run_edge`: a sharded sense phase, then one replay)
+//! event-at-a-time — `sperke_edge::oracle::run_edge_full`) and the
+//! production engine (`run_edge`: a sharded sense phase, then one replay)
 //! side by side over randomized configurations and every viewport
 //! policy, and requires the *bytes* to match: trace JSONL, trace
 //! digest, and the full report struct. Worker counts 1, 2 and 8 must
@@ -18,8 +17,7 @@
 //! time.
 
 use proptest::prelude::*;
-use sperke_core::oracle::run_fleet_inner;
-use sperke_core::{run_fleet, run_fleet_sweep, FleetConfig, FleetGrid, FleetSweepPoint, Sperke};
+use sperke_core::{run_edge_sweep, EdgeGrid, EdgeSweepPoint, Sperke};
 use sperke_edge::oracle::run_edge_full;
 use sperke_edge::{default_clients, run_edge, EdgeConfig, EdgeHarness};
 use sperke_net::{FaultScript, LossChannel};
@@ -39,36 +37,6 @@ fn video(seed: u64, secs: u64) -> VideoModel {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Fleet: randomized viewer counts, egress capacities, schemes,
-    /// seeds and policies — the engine reproduces the oracle's report
-    /// exactly at every worker count.
-    #[test]
-    fn fleet_engines_agree_bit_for_bit(
-        viewers in 1usize..14,
-        egress_pick in 0usize..4,
-        fov_guided: bool,
-        seed in 0u64..200,
-        policy_pick in 0usize..5,
-    ) {
-        let v = video(3, 8);
-        let cfg = FleetConfig {
-            viewers,
-            egress_bps: [25e6, 60e6, 200e6, 500e6][egress_pick],
-            fov_guided,
-            seed,
-            ..Default::default()
-        };
-        let policy = AbrPolicyKind::all()[policy_pick];
-        let legacy = run_fleet_inner(&v, &cfg, policy);
-        for workers in WORKER_COUNTS {
-            let batched = run_fleet(&v, &cfg, policy, workers);
-            prop_assert_eq!(
-                &legacy, &batched,
-                "fleet engines diverged at {} workers under {}", workers, policy.name()
-            );
-        }
-    }
 
     /// Edge: randomized populations over 1–3 titles, cache sizes,
     /// admission caps, prefetch settings, policies and an optional
@@ -204,30 +172,43 @@ proptest! {
         }
     }
 
-    /// Sweeps: a randomized fleet grid merged on a randomized thread
-    /// count — the oracle, run once per grid point through the sweep
-    /// harness, and the production sweep serialize to the same JSONL and
-    /// digest.
+    /// Sweeps: a randomized edge grid under a randomized policy (the
+    /// five rivals and the panorama baseline), merged on a randomized
+    /// thread count — every point matches the oracle's report, and the
+    /// oracle, run once per grid point through the sweep harness,
+    /// serializes to the production sweep's JSONL and digest.
     #[test]
     fn sweep_engines_agree_on_merged_bytes(
-        viewers in 1usize..5,
+        clients in 1usize..5,
         seed_a in 0u64..50,
         seed_b in 50u64..100,
         threads in 1usize..5,
+        policy_pick in 0usize..6,
     ) {
         let v = video(29, 5);
-        let grid = FleetGrid::new(FleetConfig { viewers, ..Default::default() })
-            .egress_axis(vec![60e6, 200e6])
-            .scheme_axis(vec![true, false])
+        let grid = EdgeGrid::new(EdgeConfig { clients, ..Default::default() })
+            .cache_axis(vec![0, 64 << 20])
             .seed_axis(vec![seed_a, seed_b]);
-        let policy = AbrPolicyKind::default();
-        let legacy = run_sweep(&grid.plan(), threads, |_index, config| FleetSweepPoint {
+        let policy = if policy_pick < 5 {
+            AbrPolicyKind::all()[policy_pick]
+        } else {
+            AbrPolicyKind::panorama()
+        };
+        let harness = EdgeHarness { policy, ..Default::default() };
+        let oracle = run_sweep(&grid.plan(), threads, |_index, config| EdgeSweepPoint {
             config: *config,
-            report: run_fleet_inner(&v, config, policy),
+            report: run_edge_full(&v, config, &default_clients(config), &harness, None),
         });
-        let batched = run_fleet_sweep(&v, &grid, policy, threads);
-        prop_assert_eq!(legacy.to_jsonl(), batched.to_jsonl());
-        prop_assert_eq!(legacy.digest(), batched.digest());
+        let batched = run_edge_sweep(&v, &grid, policy, threads);
+        prop_assert_eq!(batched.len(), grid.points().len());
+        for (engine, oracle) in batched.ok_results().zip(oracle.ok_results()) {
+            prop_assert_eq!(
+                &engine.report, &oracle.report,
+                "sweep point {:?} diverged under {}", engine.config, policy.name()
+            );
+        }
+        prop_assert_eq!(oracle.to_jsonl(), batched.to_jsonl());
+        prop_assert_eq!(oracle.digest(), batched.digest());
     }
 }
 

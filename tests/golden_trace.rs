@@ -1,5 +1,5 @@
 //! Golden-trace regression tests: one fully-featured seed-77 session
-//! and one fleet parameter sweep are pinned down to their exact digests
+//! and one edge parameter sweep are pinned down to their exact digests
 //! and QoE numbers. Any change to the simulation's event ordering, RNG
 //! consumption, trace encoding, or sweep merge shows up here first.
 //! Two churn goldens run a tile cache far below its working set, so the
@@ -16,13 +16,13 @@
 //!
 //! then paste the printed constants over the `GOLDEN_*` values below.
 
-use sperke_core::oracle::run_fleet_inner;
 use sperke_core::{
-    run_federation, run_fleet_sweep, run_shootout, zipf_catalog_clients, AbrChoice, EdgeConfig,
-    EdgeRunReport, FederationConfig, FederationHarness, FleetConfig, FleetGrid, FleetSweepPoint,
-    RunReport, SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
+    run_edge_sweep, run_federation, run_shootout, zipf_catalog_clients, AbrChoice, EdgeConfig,
+    EdgeGrid, EdgeRunReport, EdgeSweepPoint, FederationConfig, FederationHarness, RunReport,
+    SchedulerChoice, ShootoutGrid, ShootoutReport, Sperke, SweepReport, TraceLevel,
 };
-use sperke_edge::{flash_crowd_clients, FederationRunReport};
+use sperke_edge::oracle::run_edge_full;
+use sperke_edge::{default_clients, flash_crowd_clients, EdgeHarness, FederationRunReport};
 use sperke_hmp::Behavior;
 use sperke_sim::sweep::run_sweep;
 use sperke_sim::{fnv1a64, SimDuration};
@@ -69,77 +69,78 @@ fn seed_77_matches_golden_trace() {
     assert_eq!(report.session.qoe.stall_count, GOLDEN_STALL_COUNT);
 }
 
-/// The video and grid the sweep goldens were captured from: a 2×2×1
-/// fleet grid (egress × scheme × seed).
-fn golden_sweep_inputs() -> (VideoModel, FleetGrid) {
+/// The video and grid the edge-sweep goldens were captured from: a
+/// 2×2×1 edge grid (clients × cache off / 64 MiB × seed).
+fn golden_edge_sweep_inputs() -> (VideoModel, EdgeGrid) {
     let video = VideoModelBuilder::new(29)
         .duration(SimDuration::from_secs(6))
         .build();
-    let grid = FleetGrid::new(FleetConfig {
-        viewers: 3,
-        ..Default::default()
-    })
-    .egress_axis(vec![60e6, 200e6])
-    .scheme_axis(vec![true, false])
-    .seed_axis(vec![7]);
+    let grid = EdgeGrid::new(EdgeConfig::default())
+        .clients_axis(vec![3, 6])
+        .cache_axis(vec![0, 64 << 20])
+        .seed_axis(vec![7]);
     (video, grid)
 }
 
-/// The exact sweep the sweep goldens were captured from, merged from
-/// three worker threads to keep the worker-blindness of the merge under
-/// golden coverage too.
-fn golden_sweep() -> SweepReport<FleetSweepPoint> {
-    let (video, grid) = golden_sweep_inputs();
-    run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 3)
+/// The exact sweep the edge-sweep goldens were captured from, merged
+/// from three worker threads to keep the worker-blindness of the merge
+/// under golden coverage too.
+fn golden_edge_sweep() -> SweepReport<EdgeSweepPoint> {
+    let (video, grid) = golden_edge_sweep_inputs();
+    run_edge_sweep(&video, &grid, AbrPolicyKind::default(), 3)
 }
 
-const GOLDEN_SWEEP_DIGEST: u64 = 0x5a2aa78d9b54173d;
-const GOLDEN_SWEEP_POINTS: usize = 4;
-const GOLDEN_SWEEP_POINT0_DIGEST: u64 = 0x1fe86f8c537f7d15;
+const GOLDEN_EDGE_SWEEP_DIGEST: u64 = 0x8e23d34bbe401b3e;
+const GOLDEN_EDGE_SWEEP_POINTS: usize = 4;
+const GOLDEN_EDGE_SWEEP_POINT0_DIGEST: u64 = 0xdd6d0d7f73814c59;
 
 #[test]
-fn fleet_sweep_matches_golden_digest() {
-    let report = golden_sweep();
-    assert_eq!(report.len(), GOLDEN_SWEEP_POINTS);
+fn edge_sweep_matches_golden_digest() {
+    let report = golden_edge_sweep();
+    assert_eq!(report.len(), GOLDEN_EDGE_SWEEP_POINTS);
     assert_eq!(
         report.digest(),
-        GOLDEN_SWEEP_DIGEST,
-        "sweep report drifted — if the behaviour change is intentional, \
-         regenerate with `cargo test --test golden_trace -- --ignored --nocapture`"
+        GOLDEN_EDGE_SWEEP_DIGEST,
+        "edge sweep report drifted — if the behaviour change is \
+         intentional, regenerate with \
+         `cargo test --test golden_trace -- --ignored --nocapture`"
     );
     assert_eq!(
         report.points()[0].trace_digest,
-        GOLDEN_SWEEP_POINT0_DIGEST,
+        GOLDEN_EDGE_SWEEP_POINT0_DIGEST,
         "per-point digest drifted"
     );
     assert!(report.panicked().is_empty(), "golden grid never panics");
 }
 
-/// Two engines stand under the sweep golden: the per-event oracle, run
-/// once per grid point through the sweep harness, must land on the
-/// *same* pinned digest as the batched production sweep and on its
-/// exact JSONL — no regenerated constants allowed. This is the golden
-/// half of the engine-equivalence contract: worker-count blindness is
-/// covered in `engine_equivalence.rs`; here the batched engine is held
-/// to history and to the oracle bit-for-bit.
+/// Two engines stand under the edge-sweep golden: the per-event oracle,
+/// run once per grid point through the sweep harness, must land on the
+/// *same* pinned digest as the production sweep and on its exact JSONL
+/// — no regenerated constants allowed. Worker-count blindness is
+/// covered in `engine_equivalence.rs`; here the engine is held to
+/// history and to the oracle bit for bit.
 #[test]
-fn batched_engine_reproduces_golden_sweep_digest() {
-    let (video, grid) = golden_sweep_inputs();
-    let report = run_sweep(&grid.plan(), 3, |_index, config| FleetSweepPoint {
+fn edge_oracle_reproduces_golden_sweep_digest() {
+    let (video, grid) = golden_edge_sweep_inputs();
+    let harness = EdgeHarness::default();
+    let report = run_sweep(&grid.plan(), 3, |_index, config| EdgeSweepPoint {
         config: *config,
-        report: run_fleet_inner(&video, config, AbrPolicyKind::default()),
+        report: run_edge_full(&video, config, &default_clients(config), &harness, None),
     });
-    assert_eq!(report.len(), GOLDEN_SWEEP_POINTS);
+    assert_eq!(report.len(), GOLDEN_EDGE_SWEEP_POINTS);
     assert_eq!(
         report.digest(),
-        GOLDEN_SWEEP_DIGEST,
-        "the oracle drifted from the pinned sweep digest"
+        GOLDEN_EDGE_SWEEP_DIGEST,
+        "the oracle drifted from the pinned edge-sweep digest"
     );
-    assert_eq!(report.points()[0].trace_digest, GOLDEN_SWEEP_POINT0_DIGEST);
+    assert_eq!(
+        report.points()[0].trace_digest,
+        GOLDEN_EDGE_SWEEP_POINT0_DIGEST
+    );
     assert_eq!(
         report.to_jsonl(),
-        golden_sweep().to_jsonl(),
-        "the batched sweep drifted from the oracle's bytes"
+        golden_edge_sweep().to_jsonl(),
+        "the production sweep drifted from the oracle's bytes"
     );
 }
 
@@ -420,7 +421,7 @@ fn builder_dispatch_matrix_matches_golden_digest() {
     );
 }
 
-/// Prints fresh golden constants for ALL goldens (session, sweep,
+/// Prints fresh golden constants for ALL goldens (session, edge sweep,
 /// federation, edge and regional churn, shootout and dispatch matrix).
 /// Run with `cargo test --test golden_trace -- --ignored --nocapture`
 /// and paste the output over the `GOLDEN_*` constants above.
@@ -446,11 +447,14 @@ fn regenerate_golden_constants() {
         "const GOLDEN_STALL_COUNT: u32 = {};",
         report.session.qoe.stall_count
     );
-    let sweep = golden_sweep();
-    println!("const GOLDEN_SWEEP_DIGEST: u64 = {:#018x};", sweep.digest());
-    println!("const GOLDEN_SWEEP_POINTS: usize = {};", sweep.len());
+    let sweep = golden_edge_sweep();
     println!(
-        "const GOLDEN_SWEEP_POINT0_DIGEST: u64 = {:#018x};",
+        "const GOLDEN_EDGE_SWEEP_DIGEST: u64 = {:#018x};",
+        sweep.digest()
+    );
+    println!("const GOLDEN_EDGE_SWEEP_POINTS: usize = {};", sweep.len());
+    println!(
+        "const GOLDEN_EDGE_SWEEP_POINT0_DIGEST: u64 = {:#018x};",
         sweep.points()[0].trace_digest
     );
     let fed = golden_federation();

@@ -9,7 +9,7 @@
 //! itself.
 
 use proptest::prelude::*;
-use sperke_core::{run_fleet_sweep, FleetConfig, FleetGrid, Sperke};
+use sperke_core::{run_edge_sweep, EdgeConfig, EdgeGrid, EdgeSweepPoint, Sperke};
 use sperke_sim::sweep::{run_sweep, PointOutcome, SweepPlan, SweepReport};
 use sperke_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use sperke_video::VideoModelBuilder;
@@ -131,29 +131,26 @@ proptest! {
     }
 }
 
-/// The acceptance-criteria check on the real workload: a fleet grid
-/// merged from 1, 2 and 8 workers is byte-identical, per-point digests
-/// included.
+/// The acceptance-criteria check on the real workload: a multi-viewer
+/// edge grid (clients × cache × seeds) merged from 1, 2 and 8 workers is
+/// byte-identical, per-point digests included.
 #[test]
 fn fleet_sweep_report_is_byte_identical_across_thread_counts() {
     let video = VideoModelBuilder::new(41)
         .duration(SimDuration::from_secs(6))
         .build();
-    let grid = FleetGrid::new(FleetConfig {
-        viewers: 3,
-        ..Default::default()
-    })
-    .egress_axis(vec![60e6, 200e6])
-    .scheme_axis(vec![true, false])
-    .seed_axis(vec![7, 11]);
-    let serial = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), 1);
+    let grid = EdgeGrid::new(EdgeConfig::default())
+        .clients_axis(vec![3, 6])
+        .cache_axis(vec![0, 64 << 20])
+        .seed_axis(vec![7, 11]);
+    let serial = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), 1);
     assert_eq!(serial.len(), 8);
     for threads in [2usize, 8] {
-        let parallel = run_fleet_sweep(&video, &grid, AbrPolicyKind::default(), threads);
+        let parallel = run_edge_sweep(&video, &grid, AbrPolicyKind::default(), threads);
         assert_eq!(parallel, serial);
         assert_eq!(parallel.to_jsonl(), serial.to_jsonl(), "threads={threads}");
         assert_eq!(parallel.digest(), serial.digest());
-        let digests = |r: &sperke_core::SweepReport<sperke_core::FleetSweepPoint>| {
+        let digests = |r: &SweepReport<EdgeSweepPoint>| {
             r.points()
                 .iter()
                 .map(|p| p.trace_digest)
