@@ -61,7 +61,6 @@ fn main() {
             RenderMode::OptimizedFov,
             &PipelineConfig {
                 cache_capacity: cap,
-                ..Default::default()
             },
             duration,
         );

@@ -7,9 +7,8 @@ use sperke_bench::{cols, header, note, row};
 use sperke_geo::TileGrid;
 use sperke_hmp::{
     estimate_engagement, evaluate_forecaster, evaluate_predictor, generate_ensemble, AlphaBeta,
-    AttentionModel, Behavior, DampedRegression, DeadReckoning, EngagementConfig, Ensemble,
-    FusedForecaster, Heatmap, LinearRegression, Persistence, Pose, Predictor, TraceGenerator,
-    ViewingContext,
+    AttentionModel, Behavior, DampedRegression, DeadReckoning, Ensemble, FusedForecaster, Heatmap,
+    LinearRegression, Persistence, Pose, Predictor, TraceGenerator, ViewingContext,
 };
 use sperke_sim::{SimDuration, SimTime};
 
@@ -92,7 +91,6 @@ fn main() {
     // one trace per seed and behaviour class.
     println!();
     cols("engagement (8 seeds)", &["min", "max"]);
-    let cfg = EngagementConfig::default();
     let mut classes = Vec::new();
     for behavior in Behavior::ALL {
         let means: Vec<f64> = (1..=8u64)
@@ -100,9 +98,7 @@ fn main() {
                 let tr = TraceGenerator::new(att.clone(), behavior, ViewingContext::default())
                     .generate(SimDuration::from_secs(60), seed);
                 let windows: Vec<f64> = (1..=30u64)
-                    .map(|w| {
-                        estimate_engagement(&tr.history(SimTime::from_secs(2 * w), 100), &cfg).0
-                    })
+                    .map(|w| estimate_engagement(&tr.history(SimTime::from_secs(2 * w), 100)).0)
                     .collect();
                 windows.iter().sum::<f64>() / windows.len() as f64
             })

@@ -8,8 +8,8 @@ use sperke_hmp::{
     OracleForecaster, TraceGenerator, ViewingContext,
 };
 use sperke_net::{
-    BandwidthTrace, BbrConfig, ContentAware, EarliestCompletion, FaultScript, LossChannel, MinRtt,
-    MultipathScheduler, PathModel, PathQueue, RecoveryPolicy, SinglePath,
+    BandwidthTrace, ContentAware, EarliestCompletion, FaultScript, LossChannel, MinRtt,
+    MultipathScheduler, PathModel, PathQueue, SinglePath,
 };
 use sperke_player::{run_session, PlannerKind, PlayerConfig, SessionResult};
 use sperke_sim::trace::{Trace, TraceLevel, TraceSink};
@@ -62,7 +62,7 @@ pub struct Sperke {
     oracle_hmp: bool,
     trace: TraceLevel,
     faults: FaultScript,
-    bbr: Option<BbrConfig>,
+    bbr: bool,
     loss_channel: LossChannel,
 }
 
@@ -113,7 +113,7 @@ impl Sperke {
             oracle_hmp: false,
             trace: TraceLevel::Off,
             faults: FaultScript::none(),
-            bbr: None,
+            bbr: false,
             loss_channel: LossChannel::Declared,
         }
     }
@@ -123,7 +123,7 @@ impl Sperke {
     /// schedulers' completion estimates instead of the declared trace.
     /// Off by default — declared capacity keeps golden traces stable.
     pub fn with_bbr(mut self) -> Self {
-        self.bbr = Some(BbrConfig::default());
+        self.bbr = true;
         self
     }
 
@@ -147,11 +147,12 @@ impl Sperke {
     }
 
     /// Enable resilient transfers: deadline-based timeouts with bounded
-    /// retry, exponential backoff and cross-path failover, following
-    /// `policy`. Without this, a transfer interrupted by an outage simply
-    /// fails (the naive client of the §3.3 comparison).
-    pub fn with_resilience(mut self, policy: RecoveryPolicy) -> Self {
-        self.player.resilience = Some(policy);
+    /// retry, exponential backoff and cross-path failover
+    /// ([`sperke_net::MultipathSession::submit_resilient`]). Without
+    /// this, a transfer interrupted by an outage simply fails (the naive
+    /// client of the §3.3 comparison).
+    pub fn with_resilience(mut self) -> Self {
+        self.player.resilient = true;
         self
     }
 
@@ -391,8 +392,8 @@ impl Sperke {
                 let mut q = PathQueue::new(p.clone(), rng.split(i as u64))
                     .with_faults(self.faults.compile_for(i))
                     .with_loss_channel(self.loss_channel);
-                if let Some(cfg) = &self.bbr {
-                    q = q.with_bbr(cfg.clone());
+                if self.bbr {
+                    q = q.with_bbr();
                 }
                 q
             })
@@ -672,10 +673,7 @@ mod tests {
                 ))
         };
         let naive = faulty().run();
-        let hardened = faulty()
-            .with_resilience(RecoveryPolicy::default())
-            .with_fallback()
-            .run();
+        let hardened = faulty().with_resilience().with_fallback().run();
         assert!(
             hardened.qoe.mean_blank_fraction < naive.qoe.mean_blank_fraction,
             "failover + fall-back shrink the blank area: hardened {} vs naive {}",

@@ -13,7 +13,7 @@ use crate::builder::Sperke;
 use serde::{Deserialize, Serialize};
 use sperke_edge::{run_edge, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport};
 use sperke_geo::VisibilityCache;
-use sperke_net::{FaultScript, LossChannel, RecoveryPolicy};
+use sperke_net::{FaultScript, LossChannel};
 use sperke_sim::sweep::{run_sweep, SweepPlan, SweepReport};
 use sperke_sim::trace::{Trace, TraceLevel, TraceSink};
 use sperke_sim::{MetricsRegistry, SimDuration};
@@ -43,7 +43,6 @@ pub struct EdgeBuilder {
     duration: SimDuration,
     clients: Option<Vec<EdgeClientSpec>>,
     faults: FaultScript,
-    recovery: RecoveryPolicy,
     trace: TraceLevel,
     vis: VisibilityCache,
     bbr: bool,
@@ -72,7 +71,6 @@ impl Sperke {
             duration: SimDuration::from_secs(12),
             clients: None,
             faults: FaultScript::none(),
-            recovery: RecoveryPolicy::default(),
             trace: TraceLevel::Off,
             vis: VisibilityCache::default(),
             bbr: false,
@@ -142,12 +140,6 @@ impl EdgeBuilder {
     /// Attach a fault script to the origin backhaul (path 0).
     pub fn with_faults(mut self, faults: FaultScript) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Retry policy for failed origin fetches.
-    pub fn with_resilience(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -228,7 +220,6 @@ impl EdgeBuilder {
         let harness = EdgeHarness {
             trace: sink.clone(),
             faults: self.faults.clone(),
-            recovery: self.recovery,
             vis: self.vis.clone(),
             bbr: self.bbr,
             origin_loss: self.origin_loss,

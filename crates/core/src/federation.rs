@@ -11,7 +11,6 @@ use sperke_edge::{
     run_federation, EdgeClientSpec, FederationConfig, FederationHarness, FederationRunReport,
 };
 use sperke_geo::VisibilityCache;
-use sperke_net::RecoveryPolicy;
 use sperke_sim::trace::TraceLevel;
 use sperke_sim::{MetricsRegistry, SimDuration};
 use sperke_video::VideoModel;
@@ -23,7 +22,6 @@ pub struct FederationBuilder {
     config: FederationConfig,
     duration: SimDuration,
     clients: Option<Vec<EdgeClientSpec>>,
-    recovery: RecoveryPolicy,
     trace: TraceLevel,
     vis: VisibilityCache,
     workers: usize,
@@ -48,7 +46,6 @@ impl Sperke {
             config,
             duration: SimDuration::from_secs(12),
             clients: None,
-            recovery: RecoveryPolicy::default(),
             trace: TraceLevel::Off,
             vis: VisibilityCache::default(),
             workers: 0,
@@ -101,12 +98,6 @@ impl FederationBuilder {
         self
     }
 
-    /// Retry policy for origin fetches forwarded by the regional tier.
-    pub fn with_resilience(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     /// Record deterministic traces (federation + per node) at `level`.
     pub fn with_trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
@@ -151,7 +142,6 @@ impl FederationBuilder {
         let video = self.build_video();
         let harness = FederationHarness {
             trace: self.trace,
-            recovery: self.recovery,
             vis: self.vis.clone(),
             ..FederationHarness::default()
         };

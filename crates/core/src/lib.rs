@@ -49,9 +49,7 @@ pub use sperke_edge::{
     EdgeConfig, EdgeHarness, EdgeReport, FederationConfig, FederationHarness, FederationReport,
     FederationRunReport, NodeSpec, TileCache,
 };
-pub use sperke_net::{
-    BbrConfig, BbrState, FaultScript, FaultSpec, LossChannel, PathFaults, RecoveryPolicy,
-};
+pub use sperke_net::{BbrState, FaultScript, FaultSpec, LossChannel, PathFaults};
 pub use sperke_sim::sweep::{SweepPlan, SweepReport, SweepSummary};
 pub use sperke_sim::trace::{Trace, TraceEvent, TraceLevel};
 pub use sweep::{SperkeSweep, SperkeSweepPoint};

@@ -535,7 +535,7 @@ pub fn run_edge_prepared(
 }
 
 /// Run the edge world: explicit client set, harness (trace, faults,
-/// recovery, origin probing, viewport policy) and optional metrics
+/// origin probing, viewport policy) and optional metrics
 /// registry.
 ///
 /// Clients are canonicalised (sorted by arrival, then seed/weight/

@@ -9,9 +9,9 @@
 //!   clients ──► edge node … ─┘   (shared cache)    └──────────┘
 //! ```
 //!
-//! * **Sharding** is seeded consistent hashing: every node owns
-//!   `vnodes` points on a 64-bit ring and a client lives at the first
-//!   point clockwise of its canonical-key hash. The assignment is a
+//! * **Sharding** is seeded consistent hashing: every node owns 16
+//!   points on a 64-bit ring and a client lives at the first point
+//!   clockwise of its canonical-key hash. The assignment is a
 //!   pure function of `(seed, node layout, client key)` — declaration
 //!   order of nodes or clients cannot change it.
 //! * **Cooperative lookups**: an edge miss goes to the regional tier
@@ -20,7 +20,7 @@
 //!   [`FederationReport`]).
 //! * **Crowd sharing**: with [`FederationConfig::share_heatmaps`] on,
 //!   one node's viewers pre-warm another's prefetcher — remote gaze
-//!   reports arrive `sync_delay` later than local ones, modelled by a
+//!   reports arrive 150 ms later than local ones, modelled by a
 //!   wall-clock shift of the report stream.
 //! * **Node failure** is crash-stop: at a scripted outage start the
 //!   node's in-flight work is written off and every client homed there
@@ -51,7 +51,7 @@ use crate::server::{
 };
 use serde::{Deserialize, Serialize};
 use sperke_geo::VisibilityCache;
-use sperke_net::{FaultScript, PathFaults, RecoveryPolicy, SerialLink};
+use sperke_net::{FaultScript, PathFaults, SerialLink};
 use sperke_sim::trace::{Trace, TraceLevel};
 use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimTime, TraceEvent, TraceSink};
 use sperke_video::VideoModel;
@@ -118,11 +118,6 @@ pub struct FederationConfig {
     /// Share crowd heatmaps across nodes: one node's viewers pre-warm
     /// every sibling's prefetcher for the titles the sibling serves.
     pub share_heatmaps: bool,
-    /// How much later a remote node's gaze reports become visible than
-    /// local ones (cross-edge sync latency).
-    pub sync_delay: SimDuration,
-    /// Virtual points per node on the consistent-hash ring.
-    pub vnodes: usize,
     /// Seed for the sharding ring (independent of the video seed).
     pub seed: u64,
 }
@@ -137,8 +132,6 @@ impl Default for FederationConfig {
             regional_bps: 200e6,
             regional_rtt: SimDuration::from_millis(10),
             share_heatmaps: true,
-            sync_delay: SimDuration::from_millis(150),
-            vnodes: 16,
             seed: 7,
         }
     }
@@ -171,8 +164,6 @@ pub struct FederationHarness {
     pub node_faults: FaultScript,
     /// Shared origin backhaul faults (path 0 of the script).
     pub origin_faults: FaultScript,
-    /// Retry policy for origin fetches forwarded by the regional tier.
-    pub recovery: RecoveryPolicy,
     /// Visibility cache handle. No production run reads it: node
     /// worlds score displays from the sense phase's coverage lists.
     pub vis: VisibilityCache,
@@ -184,7 +175,6 @@ impl Default for FederationHarness {
             trace: TraceLevel::Off,
             node_faults: FaultScript::none(),
             origin_faults: FaultScript::none(),
-            recovery: RecoveryPolicy::default(),
             vis: VisibilityCache::default(),
         }
     }
@@ -304,14 +294,20 @@ fn fnv_words(seed: u64, words: &[u64]) -> u64 {
     h
 }
 
-/// The ring: `vnodes` points per node, sorted by hash. Ties (hash
+/// Virtual points per node on the consistent-hash ring.
+const VNODES: usize = 16;
+
+/// How much later a remote node's gaze reports become visible than
+/// local ones (cross-edge sync latency).
+const SYNC_DELAY: SimDuration = SimDuration::from_millis(150);
+
+/// The ring: `VNODES` points per node, sorted by hash. Ties (hash
 /// collisions) break towards the lower node index, so the ring is a
 /// total order.
-fn ring_points(seed: u64, nodes: usize, vnodes: usize) -> Vec<(u64, u32)> {
-    assert!(vnodes >= 1, "at least one virtual point per node");
-    let mut points = Vec::with_capacity(nodes * vnodes);
+fn ring_points(seed: u64, nodes: usize) -> Vec<(u64, u32)> {
+    let mut points = Vec::with_capacity(nodes * VNODES);
     for node in 0..nodes as u64 {
-        for replica in 0..vnodes as u64 {
+        for replica in 0..VNODES as u64 {
             points.push((fnv_words(seed, &[0x4e4f_4445, node, replica]), node as u32));
         }
     }
@@ -357,7 +353,6 @@ pub(crate) struct RegionalTier {
     node_links: Vec<SerialLink>,
     origin: SerialLink,
     faults: PathFaults,
-    recovery: RecoveryPolicy,
     trace: TraceSink,
     ingress_bytes: u64,
     egress_bytes: u64,
@@ -410,7 +405,7 @@ impl RegionalTier {
         // with attempt > 1 and skip the cache (the miss is already
         // recorded once — the balance stays exact).
         if self.faults.is_down(now) {
-            let decision = failed_attempt(&self.trace, &self.recovery, node, bytes, attempt, now);
+            let decision = failed_attempt(&self.trace, node, bytes, attempt, now);
             if let UpstreamDecision::Retry { .. } = decision {
                 self.origin_retries += 1;
                 self.pending.insert((node, key), bytes);
@@ -541,7 +536,7 @@ pub fn run_federation(
     // --- Ring placement: each client's home node is a pure function of
     // the config and the canonical orders. A node's first scripted
     // outage inside the horizon is its crash-stop.
-    let points = ring_points(config.seed, layout.len(), config.vnodes);
+    let points = ring_points(config.seed, layout.len());
     let client_points: Vec<u64> = specs.iter().map(|s| client_point(config.seed, s)).collect();
     let all_alive = vec![true; layout.len()];
     let home = client_points
@@ -592,7 +587,6 @@ pub fn run_federation(
             .collect(),
         origin: SerialLink::new(config.node.origin_bps, config.node.origin_rtt),
         faults: harness.origin_faults.compile_for(0),
-        recovery: harness.recovery,
         trace: fed_sink.clone(),
         ingress_bytes: 0,
         egress_bytes: 0,
@@ -610,7 +604,7 @@ pub fn run_federation(
     let mut failed_nodes = 0u64;
     let mut lost_egress_bytes = 0u64;
     let mut lost_streams = 0u64;
-    let share_delay = config.share_heatmaps.then_some(config.sync_delay);
+    let share_delay = config.share_heatmaps.then_some(SYNC_DELAY);
     let node_reports = replay(
         video,
         &config.node,
@@ -725,8 +719,8 @@ mod tests {
 
     #[test]
     fn ring_is_deterministic_and_total() {
-        let a = ring_points(7, 4, 16);
-        let b = ring_points(7, 4, 16);
+        let a = ring_points(7, 4);
+        let b = ring_points(7, 4);
         assert_eq!(a, b);
         assert_eq!(a.len(), 64);
         let mut sorted = a.clone();
@@ -740,7 +734,7 @@ mod tests {
 
     #[test]
     fn rehoming_skips_dead_nodes() {
-        let points = ring_points(7, 3, 16);
+        let points = ring_points(7, 3);
         let alive_all = vec![true; 3];
         let mut one_dead = alive_all.clone();
         let spec = EdgeClientSpec {

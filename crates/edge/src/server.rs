@@ -17,8 +17,8 @@
 //! * the egress is a [`WrrLink`]: weighted round-robin between clients,
 //!   so one viewer's deep queue cannot starve the others;
 //! * misses go to the origin over a serialized backhaul that can fail
-//!   per a [`FaultScript`] and recovers under the same
-//!   [`RecoveryPolicy`] machinery as the multipath layer;
+//!   per a [`FaultScript`] and recovers on the same bounded
+//!   [`retry_delay`] schedule as the multipath layer;
 //! * under egress pressure the planner degrades gracefully, shedding
 //!   SVC enhancement layers before base layers (§3.1.1's rationale for
 //!   scalable coding);
@@ -48,8 +48,8 @@ use sperke_hmp::{
 };
 use sperke_live::CrowdAggregator;
 use sperke_net::{
-    BbrConfig, BbrState, FaultScript, GeChain, LossChannel, PathFaults, RecoveryPolicy, StreamId,
-    WrrLink,
+    retry_delay, BbrState, FaultScript, GeChain, LossChannel, PathFaults, StreamId, WrrLink,
+    MAX_RETRIES,
 };
 use sperke_player::QoeWeights;
 use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimRng, SimTime, TraceEvent, TraceSink};
@@ -178,8 +178,8 @@ pub(crate) fn chunk_of(salted: u32) -> u32 {
     salted & ((1 << CONTENT_SHIFT) - 1)
 }
 
-/// Non-serializable run dependencies: trace sink, fault script,
-/// recovery policy, origin probing and the viewport policy. Kept out of
+/// Non-serializable run dependencies: trace sink, fault script, origin
+/// probing and the viewport policy. Kept out of
 /// [`EdgeConfig`] so configs stay plain data for sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeHarness {
@@ -187,8 +187,6 @@ pub struct EdgeHarness {
     pub trace: TraceSink,
     /// Origin backhaul faults (path 0 of the script).
     pub faults: FaultScript,
-    /// Retry policy for failed origin fetches.
-    pub recovery: RecoveryPolicy,
     /// Visibility cache handle. No production run reads it: the engine
     /// computes display visibility in its sense phase. Only the
     /// per-event [`oracle`](crate::oracle) memoizes through it, and the
@@ -275,11 +273,10 @@ pub(crate) enum UpstreamDecision {
 }
 
 /// A failed origin attempt on `path`, for the world's backhaul and the
-/// regional tier alike: trace the timeout, then schedule the recovery
-/// policy's backed-off retry, or give up once the budget is spent.
+/// regional tier alike: trace the timeout, then schedule the backed-off
+/// retry ([`retry_delay`]), or give up once [`MAX_RETRIES`] is spent.
 pub(crate) fn failed_attempt(
     trace: &TraceSink,
-    recovery: &RecoveryPolicy,
     path: u32,
     bytes: u64,
     attempt: u32,
@@ -291,16 +288,16 @@ pub(crate) fn failed_attempt(
         bytes,
         attempt,
     });
-    if attempt > recovery.max_retries {
+    if attempt > MAX_RETRIES {
         return UpstreamDecision::Failed;
     }
-    let delay = recovery.delay_after(attempt);
+    let (delay, delay_ms) = retry_delay(attempt, false);
     trace.emit(TraceEvent::RetryScheduled {
         at: now,
         path,
         bytes,
         attempt: attempt + 1,
-        delay_ms: delay.as_nanos() / 1_000_000,
+        delay_ms,
     });
     UpstreamDecision::Retry {
         at: now + delay,
@@ -499,7 +496,6 @@ pub(crate) struct EdgeWorld<'a> {
     /// the declared channel).
     origin_ge: Option<GeChain>,
     faults: PathFaults,
-    recovery: RecoveryPolicy,
     /// Crowd aggregators per catalog title, sorted by content id. A
     /// single-title run holds exactly one entry under content 0.
     crowds: Vec<(u16, CrowdAggregator)>,
@@ -542,7 +538,7 @@ impl<'a> EdgeWorld<'a> {
             cache: TileCache::new(config.cache_bytes),
             inflight: FxHashMap::default(),
             origin_busy_until: SimTime::ZERO,
-            origin_bbr: harness.bbr.then(|| BbrState::new(BbrConfig::default())),
+            origin_bbr: harness.bbr.then(BbrState::new),
             origin_ge: match harness.origin_loss {
                 LossChannel::Declared => None,
                 ge @ LossChannel::GilbertElliott { .. } => Some(GeChain::new(
@@ -551,7 +547,6 @@ impl<'a> EdgeWorld<'a> {
                 )),
             },
             faults: harness.faults.compile_for(0),
-            recovery: harness.recovery,
             crowds,
             trace: harness.trace.clone(),
             pending: FxHashMap::default(),
@@ -750,7 +745,7 @@ impl EdgeWorld<'_> {
             .as_mut()
             .is_some_and(|chain| chain.roll_failure(now));
         if self.faults.is_down(now) || ge_down {
-            return failed_attempt(&self.trace, &self.recovery, 0, bytes, attempt, now);
+            return failed_attempt(&self.trace, 0, bytes, attempt, now);
         }
         let start = now.max(self.origin_busy_until);
         // Pace at the measured estimate while probing, clamped to the

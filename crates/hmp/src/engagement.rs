@@ -16,32 +16,17 @@ use sperke_sim::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Engagement(pub f64);
 
-/// Tuning for the estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EngagementConfig {
-    /// Head speed (rad/s) considered fully "locked".
-    pub calm_speed: f64,
-    /// Head speed at/above which the viewer counts as scanning.
-    pub scan_speed: f64,
-}
-
-impl Default for EngagementConfig {
-    fn default() -> Self {
-        EngagementConfig {
-            calm_speed: 0.1,
-            scan_speed: 1.2,
-        }
-    }
-}
+/// Head speed (rad/s) considered fully "locked".
+const CALM_SPEED: f64 = 0.1;
+/// Head speed at/above which the viewer counts as scanning.
+const SCAN_SPEED: f64 = 1.2;
 
 /// Estimate engagement from a gaze history window (oldest first).
 ///
 /// The score combines mean speed (scanning) and direction reversals
-/// (restlessness); both are normalized against the config thresholds.
-pub fn estimate_engagement(
-    history: &[(SimTime, Orientation)],
-    config: &EngagementConfig,
-) -> Engagement {
+/// (restlessness); the speed is normalized between `CALM_SPEED` and
+/// `SCAN_SPEED`.
+pub fn estimate_engagement(history: &[(SimTime, Orientation)]) -> Engagement {
     if history.len() < 3 {
         return Engagement(0.5); // no evidence either way
     }
@@ -76,9 +61,7 @@ pub fn estimate_engagement(
         0.0
     };
 
-    let speed_score = 1.0
-        - ((mean_speed - config.calm_speed) / (config.scan_speed - config.calm_speed))
-            .clamp(0.0, 1.0);
+    let speed_score = 1.0 - ((mean_speed - CALM_SPEED) / (SCAN_SPEED - CALM_SPEED)).clamp(0.0, 1.0);
     let steadiness = 1.0 - reversal_frac.clamp(0.0, 1.0);
     Engagement((0.7 * speed_score + 0.3 * steadiness).clamp(0.0, 1.0))
 }
@@ -102,18 +85,14 @@ mod tests {
 
     #[test]
     fn still_viewer_scores_engaged() {
-        let e = estimate_engagement(
-            &history_of(Behavior::Still, 3),
-            &EngagementConfig::default(),
-        );
+        let e = estimate_engagement(&history_of(Behavior::Still, 3));
         assert!(e.0 > 0.6, "still viewer engagement {}", e.0);
     }
 
     #[test]
     fn explorer_scores_less_engaged_than_still() {
-        let cfg = EngagementConfig::default();
-        let still = estimate_engagement(&history_of(Behavior::Still, 3), &cfg);
-        let explorer = estimate_engagement(&history_of(Behavior::Explorer, 3), &cfg);
+        let still = estimate_engagement(&history_of(Behavior::Still, 3));
+        let explorer = estimate_engagement(&history_of(Behavior::Explorer, 3));
         assert!(
             explorer.0 < still.0,
             "explorer {} should be below still {}",
@@ -125,6 +104,6 @@ mod tests {
     #[test]
     fn short_history_is_neutral() {
         let h = vec![(SimTime::ZERO, Orientation::FRONT)];
-        assert_eq!(estimate_engagement(&h, &EngagementConfig::default()).0, 0.5);
+        assert_eq!(estimate_engagement(&h).0, 0.5);
     }
 }

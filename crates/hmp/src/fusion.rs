@@ -96,39 +96,22 @@ impl TileForecast {
     }
 }
 
-/// Tuning for the fused forecaster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FusionConfig {
-    /// Below this horizon, trust motion extrapolation alone.
-    pub short_horizon: SimDuration,
-    /// At/beyond this horizon the popularity prior reaches its maximum
-    /// blend weight.
-    pub long_horizon: SimDuration,
-    /// Maximum weight the popularity prior can take (< 1 keeps motion in
-    /// the mix even at long horizons).
-    pub max_prior_weight: f64,
-    /// Gaussian growth of motion uncertainty with horizon, rad/s.
-    pub uncertainty_rate: f64,
-    /// Ceiling on the motion uncertainty (head-prediction error
-    /// saturates — viewers revert to content, they don't random-walk).
-    pub uncertainty_cap: f64,
-    /// Floor probability applied instead of zero when pruning
-    /// (robustness against hard errors).
-    pub prune_floor: f64,
-}
-
-impl Default for FusionConfig {
-    fn default() -> Self {
-        FusionConfig {
-            short_horizon: SimDuration::from_millis(500),
-            long_horizon: SimDuration::from_secs(2),
-            max_prior_weight: 0.7,
-            uncertainty_rate: 0.35,
-            uncertainty_cap: 0.85,
-            prune_floor: 0.05,
-        }
-    }
-}
+/// Below this horizon, trust motion extrapolation alone.
+const SHORT_HORIZON: SimDuration = SimDuration::from_millis(500);
+/// At/beyond this horizon the popularity prior reaches its maximum
+/// blend weight.
+const LONG_HORIZON: SimDuration = SimDuration::from_secs(2);
+/// Maximum weight the popularity prior can take (< 1 keeps motion in
+/// the mix even at long horizons).
+const MAX_PRIOR_WEIGHT: f64 = 0.7;
+/// Gaussian growth of motion uncertainty with horizon, rad/s.
+const UNCERTAINTY_RATE: f64 = 0.35;
+/// Ceiling on the motion uncertainty (head-prediction error saturates —
+/// viewers revert to content, they don't random-walk).
+const UNCERTAINTY_CAP: f64 = 0.85;
+/// Floor probability applied instead of zero when pruning (robustness
+/// against hard errors).
+const PRUNE_FLOOR: f64 = 0.05;
 
 /// Anything that can forecast per-tile on-screen probabilities.
 ///
@@ -164,8 +147,6 @@ pub struct FusedForecaster {
     /// The session's "front" yaw (radians) against which context limits
     /// apply; normally the initial gaze direction.
     pub front_yaw: f64,
-    /// Tuning.
-    pub config: FusionConfig,
 }
 
 impl FusedForecaster {
@@ -180,7 +161,6 @@ impl FusedForecaster {
                 ..Default::default()
             },
             front_yaw: 0.0,
-            config: FusionConfig::default(),
         }
     }
 
@@ -235,8 +215,8 @@ impl Forecaster for FusedForecaster {
         // --- Motion component: FoV membership blurred by horizon noise.
         let vp = Viewport::headset(predicted);
         let fov_radius = (vp.hfov.min(vp.vfov)) / 2.0;
-        let sigma = (0.12 + self.config.uncertainty_rate * horizon.as_secs_f64())
-            .min(self.config.uncertainty_cap.max(0.12));
+        let sigma =
+            (0.12 + UNCERTAINTY_RATE * horizon.as_secs_f64()).min(UNCERTAINTY_CAP.max(0.12));
         let motion_probs: Vec<f64> = grid
             .tiles()
             .map(|tile| {
@@ -270,7 +250,7 @@ impl Forecaster for FusedForecaster {
             for tile in grid.tiles() {
                 let d = grid.distance_to_tile(current.direction(), tile);
                 if d > reach {
-                    probs[tile.index()] = probs[tile.index()].min(self.config.prune_floor);
+                    probs[tile.index()] = probs[tile.index()].min(PRUNE_FLOOR);
                 }
             }
         }
@@ -285,7 +265,7 @@ impl Forecaster for FusedForecaster {
             let yaw = center.y.atan2(center.x);
             let offset = sperke_geo::angles::wrap_pi(yaw - self.front_yaw).abs();
             if offset > self.context.yaw_half_range() + fov_radius {
-                probs[tile.index()] = probs[tile.index()].min(self.config.prune_floor);
+                probs[tile.index()] = probs[tile.index()].min(PRUNE_FLOOR);
             }
         }
 
@@ -348,8 +328,8 @@ impl FusedForecaster {
 
         let vp = Viewport::headset(predicted);
         let fov_radius = (vp.hfov.min(vp.vfov)) / 2.0;
-        let sigma = (0.12 + self.config.uncertainty_rate * horizon.as_secs_f64())
-            .min(self.config.uncertainty_cap.max(0.12));
+        let sigma =
+            (0.12 + UNCERTAINTY_RATE * horizon.as_secs_f64()).min(UNCERTAINTY_CAP.max(0.12));
         let predicted_dir = predicted.direction();
         motion.clear();
         motion.extend(grid.tiles().map(|tile| {
@@ -377,7 +357,7 @@ impl FusedForecaster {
             for tile in grid.tiles() {
                 let d = centers.distance_to_tile(current_dir, tile);
                 if d > reach {
-                    probs[tile.index()] = probs[tile.index()].min(self.config.prune_floor);
+                    probs[tile.index()] = probs[tile.index()].min(PRUNE_FLOOR);
                 }
             }
         }
@@ -389,7 +369,7 @@ impl FusedForecaster {
                 let yaw = center.y.atan2(center.x);
                 let offset = sperke_geo::angles::wrap_pi(yaw - self.front_yaw).abs();
                 if offset > limit {
-                    probs[tile.index()] = probs[tile.index()].min(self.config.prune_floor);
+                    probs[tile.index()] = probs[tile.index()].min(PRUNE_FLOOR);
                 }
             }
         }
@@ -402,15 +382,15 @@ impl FusedForecaster {
         if self.heatmap.is_none() {
             return 0.0;
         }
-        let short = self.config.short_horizon.as_secs_f64();
-        let long = self.config.long_horizon.as_secs_f64();
+        let short = SHORT_HORIZON.as_secs_f64();
+        let long = LONG_HORIZON.as_secs_f64();
         let h = horizon.as_secs_f64();
         if h <= short {
             0.0
         } else if h >= long {
-            self.config.max_prior_weight
+            MAX_PRIOR_WEIGHT
         } else {
-            self.config.max_prior_weight * (h - short) / (long - short)
+            MAX_PRIOR_WEIGHT * (h - short) / (long - short)
         }
     }
 }

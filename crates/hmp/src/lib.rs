@@ -31,8 +31,8 @@ pub mod trace;
 pub use accuracy::{evaluate_forecaster, evaluate_predictor, ForecastReport, HmpReport};
 pub use context::{Mobility, Pose, ViewingContext, WatchMode};
 pub use dataset::{SessionRecord, StudyDataset, UserProfile};
-pub use engagement::{estimate_engagement, Engagement, EngagementConfig};
-pub use fusion::{ForecastScratch, Forecaster, FusedForecaster, FusionConfig, TileForecast};
+pub use engagement::{estimate_engagement, Engagement};
+pub use fusion::{ForecastScratch, Forecaster, FusedForecaster, TileForecast};
 pub use generate::{
     generate_ensemble, generate_ensemble_member, AttentionModel, Behavior, Hotspot, TraceGenerator,
 };

@@ -72,15 +72,17 @@ impl NetworkCondition {
     }
 }
 
+/// Uncapped link speed ("high-speed WiFi").
+const BASE_LINK_BPS: f64 = 80e6;
+
+/// Access-link RTT.
+const RTT: SimDuration = SimDuration::from_millis(30);
+
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LiveRunConfig {
     /// How long the broadcast runs (the measurement window).
     pub duration: SimDuration,
-    /// Uncapped link speed ("high-speed WiFi").
-    pub base_link_bps: f64,
-    /// Access-link RTT.
-    pub rtt: SimDuration,
     /// Seed for the (minimal) randomness in the transport model.
     pub seed: u64,
 }
@@ -89,8 +91,6 @@ impl Default for LiveRunConfig {
     fn default() -> Self {
         LiveRunConfig {
             duration: SimDuration::from_secs(90),
-            base_link_bps: 80e6,
-            rtt: SimDuration::from_millis(30),
             seed: 1,
         }
     }
@@ -145,19 +145,14 @@ pub fn run_live_with_upload_vra(
     let segments = (config.duration.as_nanos() / d.as_nanos()) as u32;
     let rng = SimRng::new(config.seed);
 
-    let up_bps = condition.up_cap_bps.unwrap_or(config.base_link_bps);
-    let down_bps = condition.down_cap_bps.unwrap_or(config.base_link_bps);
+    let up_bps = condition.up_cap_bps.unwrap_or(BASE_LINK_BPS);
+    let down_bps = condition.down_cap_bps.unwrap_or(BASE_LINK_BPS);
     let mut uplink = PathQueue::new(
-        PathModel::new("uplink", BandwidthTrace::constant(up_bps), config.rtt, 0.0),
+        PathModel::new("uplink", BandwidthTrace::constant(up_bps), RTT, 0.0),
         rng.split(1),
     );
     let mut downlink = PathQueue::new(
-        PathModel::new(
-            "downlink",
-            BandwidthTrace::constant(down_bps),
-            config.rtt,
-            0.0,
-        ),
+        PathModel::new("downlink", BandwidthTrace::constant(down_bps), RTT, 0.0),
         rng.split(2),
     );
     let mut estimator = BandwidthEstimator::festive();

@@ -18,7 +18,11 @@ use serde::{Deserialize, Serialize};
 use sperke_hmp::FusedForecaster;
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{CellId, ChunkId, ChunkTime, Quality, Scheme, VideoModel};
-use sperke_vra::select_stochastic;
+use sperke_vra::{select_stochastic, DEFAULT_MIN_PROBABILITY};
+
+/// Fraction of the downlink budget spent per chunk (headroom for
+/// retries).
+const BUDGET_SHARE: f64 = 0.9;
 
 /// Parameters of the live FoV-guided session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -29,10 +33,6 @@ pub struct FovLiveConfig {
     pub fetch_lead: SimDuration,
     /// Downlink budget, bits/second.
     pub downlink_bps: f64,
-    /// Fraction of the budget spent per chunk (headroom for retries).
-    pub budget_share: f64,
-    /// Minimum forecast probability for a tile to be fetched.
-    pub min_probability: f64,
 }
 
 impl Default for FovLiveConfig {
@@ -40,8 +40,6 @@ impl Default for FovLiveConfig {
         FovLiveConfig {
             fetch_lead: SimDuration::from_secs(4),
             downlink_bps: 8e6,
-            budget_share: 0.9,
-            min_probability: 0.05,
         }
     }
 }
@@ -77,7 +75,7 @@ pub fn run_fov_live(
 ) -> FovLiveReport {
     let cd = video.chunk_duration();
     let chunks = video.chunk_count();
-    let budget = (config.downlink_bps * config.budget_share * cd.as_secs_f64() / 8.0) as u64;
+    let budget = (config.downlink_bps * BUDGET_SHARE * cd.as_secs_f64() / 8.0) as u64;
 
     let mut bytes_fetched = 0u64;
     let mut blank_acc = 0.0;
@@ -114,7 +112,7 @@ pub fn run_fov_live(
             t,
             budget,
             Scheme::Avc,
-            config.min_probability,
+            DEFAULT_MIN_PROBABILITY,
         );
         let mut buffered: std::collections::HashMap<CellId, Quality> =
             std::collections::HashMap::new();

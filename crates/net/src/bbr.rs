@@ -29,32 +29,16 @@ use serde::{Deserialize, Serialize};
 use sperke_sim::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
-/// Tunables for a [`BbrState`] machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BbrConfig {
-    /// How long a delivery-rate sample stays in the BtlBw max-filter.
-    pub btlbw_window: SimDuration,
-    /// Virtual-time length of one probe epoch.
-    pub probe_interval: SimDuration,
-    /// Pacing gain applied during a probe epoch (> 1 probes for more).
-    pub probe_gain: f64,
-    /// Pacing gain outside probe epochs (cruise).
-    pub cruise_gain: f64,
-    /// Probe every `cycle_len`-th epoch (the rest cruise).
-    pub cycle_len: u64,
-}
-
-impl Default for BbrConfig {
-    fn default() -> BbrConfig {
-        BbrConfig {
-            btlbw_window: SimDuration::from_secs(10),
-            probe_interval: SimDuration::from_secs(1),
-            probe_gain: 1.25,
-            cruise_gain: 1.0,
-            cycle_len: 4,
-        }
-    }
-}
+/// How long a delivery-rate sample stays in the BtlBw max-filter.
+pub(crate) const BTLBW_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Virtual-time length of one probe epoch.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Pacing gain applied during a probe epoch (> 1 probes for more).
+const PROBE_GAIN: f64 = 1.25;
+/// Pacing gain outside probe epochs (cruise).
+const CRUISE_GAIN: f64 = 1.0;
+/// Probe every `CYCLE_LEN`-th epoch (the rest cruise).
+const CYCLE_LEN: u64 = 4;
 
 /// What one [`BbrState::on_ack`] call changed — returned to the caller
 /// so it can emit trace events / metrics under its own ordering rules.
@@ -80,9 +64,8 @@ pub struct BbrUpdate {
 /// windowed max-filter. The max-filter makes the estimate robust to
 /// samples deflated by application-limited periods; the rolling window
 /// lets it decay when the bottleneck genuinely shrinks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BbrState {
-    config: BbrConfig,
     /// `(sample time, rate)` — max over this window is BtlBw.
     samples: VecDeque<(SimTime, f64)>,
     /// Completed probe-epoch counter (0 before the first ACK).
@@ -94,26 +77,8 @@ pub struct BbrState {
 
 impl BbrState {
     /// A fresh machine; no samples, no epochs.
-    pub fn new(config: BbrConfig) -> BbrState {
-        assert!(config.probe_gain >= 1.0, "probe gain must be >= 1");
-        assert!(
-            config.cruise_gain > 0.0 && config.cruise_gain <= config.probe_gain,
-            "cruise gain in (0, probe_gain]"
-        );
-        assert!(!config.probe_interval.is_zero(), "probe interval > 0");
-        assert!(config.cycle_len > 0, "cycle length > 0");
-        BbrState {
-            config,
-            samples: VecDeque::new(),
-            epoch: 0,
-            epoch_started: SimTime::ZERO,
-            started: false,
-        }
-    }
-
-    /// The machine's tunables.
-    pub fn config(&self) -> &BbrConfig {
-        &self.config
+    pub fn new() -> BbrState {
+        BbrState::default()
     }
 
     /// Absorb a completed transfer: `bytes` delivered over `interval`
@@ -134,15 +99,15 @@ impl BbrState {
             self.started = true;
             self.epoch_started = now;
         } else {
-            while now >= self.epoch_started + self.config.probe_interval {
+            while now >= self.epoch_started + PROBE_INTERVAL {
                 self.epoch += 1;
-                self.epoch_started += self.config.probe_interval;
+                self.epoch_started += PROBE_INTERVAL;
                 new_epoch = Some(self.epoch);
             }
         }
         // Slide the max-filter window and absorb the sample.
         while let Some(&(t, _)) = self.samples.front() {
-            if now.saturating_since(t) > self.config.btlbw_window {
+            if now.saturating_since(t) > BTLBW_WINDOW {
                 self.samples.pop_front();
             } else {
                 break;
@@ -176,15 +141,15 @@ impl BbrState {
 
     /// Whether the current epoch is a probing epoch (gain > cruise).
     fn probing(&self) -> bool {
-        self.epoch.is_multiple_of(self.config.cycle_len)
+        self.epoch.is_multiple_of(CYCLE_LEN)
     }
 
     /// The pacing gain in effect for the current epoch.
     fn pacing_gain(&self) -> f64 {
         if self.probing() {
-            self.config.probe_gain
+            PROBE_GAIN
         } else {
-            self.config.cruise_gain
+            CRUISE_GAIN
         }
     }
 
@@ -374,7 +339,7 @@ mod tests {
 
     #[test]
     fn btl_bw_is_window_max() {
-        let mut b = BbrState::new(BbrConfig::default());
+        let mut b = BbrState::new();
         assert_eq!(b.btl_bw(), None);
         b.on_ack(125_000, SimDuration::from_secs(1), SimTime::from_secs(1));
         b.on_ack(250_000, SimDuration::from_secs(1), SimTime::from_secs(2));
@@ -384,13 +349,9 @@ mod tests {
 
     #[test]
     fn window_slide_evicts_stale_maximum() {
-        let cfg = BbrConfig {
-            btlbw_window: SimDuration::from_secs(4),
-            ..Default::default()
-        };
-        let mut b = BbrState::new(cfg);
+        let mut b = BbrState::new();
         b.on_ack(250_000, SimDuration::from_secs(1), SimTime::from_secs(1));
-        for s in 2..10u64 {
+        for s in 2..14u64 {
             b.on_ack(125_000, SimDuration::from_secs(1), SimTime::from_secs(s));
         }
         assert_eq!(
@@ -402,7 +363,7 @@ mod tests {
 
     #[test]
     fn epochs_roll_and_cycle_gains() {
-        let mut b = BbrState::new(BbrConfig::default());
+        let mut b = BbrState::new();
         let u = b
             .on_ack(125_000, SimDuration::from_secs(1), SimTime::from_secs(1))
             .unwrap();
@@ -427,7 +388,7 @@ mod tests {
 
     #[test]
     fn empty_interval_yields_no_sample() {
-        let mut b = BbrState::new(BbrConfig::default());
+        let mut b = BbrState::new();
         assert_eq!(b.on_ack(1_000, SimDuration::ZERO, SimTime::ZERO), None);
         assert_eq!(b.btl_bw(), None);
     }
@@ -437,7 +398,7 @@ mod tests {
         // Acceptance criterion: within 10 probe epochs the estimate is
         // within 10 % of the true bottleneck on a constant-rate path.
         let truth = 25e6;
-        let mut b = BbrState::new(BbrConfig::default());
+        let mut b = BbrState::new();
         let mut now = SimTime::ZERO;
         let chunk = 250_000u64; // bytes
         while b.epoch() < 10 {

@@ -37,12 +37,12 @@ pub mod transfer;
 pub mod wrr;
 
 pub use bandwidth::BandwidthTrace;
-pub use bbr::{BbrConfig, BbrState, BbrUpdate, GeChain, LossChannel};
+pub use bbr::{BbrState, BbrUpdate, GeChain, LossChannel};
 pub use estimator::{BandwidthEstimator, EstimatorKind};
 pub use fault::{FaultScript, FaultSpec, PathFaults};
 pub use multipath::{
-    Assignment, ChunkRequest, ContentAware, EarliestCompletion, MinRtt, MultipathScheduler,
-    MultipathSession, RecoveryOutcome, RecoveryPolicy, SinglePath,
+    retry_delay, Assignment, ChunkRequest, ContentAware, EarliestCompletion, MinRtt,
+    MultipathScheduler, MultipathSession, RecoveryOutcome, SinglePath, MAX_RETRIES,
 };
 pub use path::PathModel;
 pub use pipe::SerialLink;
@@ -174,9 +174,8 @@ mod proptests {
             rates in proptest::collection::vec(1e5f64..1e8, 1..40),
             gaps_ms in proptest::collection::vec(50u64..3000, 40),
         ) {
-            let cfg = BbrConfig::default();
-            let window = cfg.btlbw_window;
-            let mut b = BbrState::new(cfg);
+            let window = bbr::BTLBW_WINDOW;
+            let mut b = BbrState::new();
             let mut now = SimTime::ZERO;
             let mut samples: Vec<(SimTime, f64)> = Vec::new();
             for (i, &rate) in rates.iter().enumerate() {

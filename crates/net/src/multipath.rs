@@ -81,39 +81,33 @@ fn failover_assignment(
     }
 }
 
-/// Bounded-retry parameters for [`MultipathSession::submit_resilient`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryPolicy {
-    /// Minimum patience per attempt: an attempt is cut off at
-    /// `max(deadline, submit_time + timeout)` — the deadline governs when
-    /// it is later than the floor, so a transfer that would finish in
-    /// time is never interrupted.
-    pub timeout: SimDuration,
-    /// How many recovery attempts may follow the initial try.
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub backoff: SimDuration,
-    /// Multiplier applied to the backoff for each further retry.
-    pub backoff_factor: f64,
-}
+/// How many recovery attempts may follow a transfer's first try, in
+/// [`MultipathSession::submit_resilient`] and for origin fetches.
+pub const MAX_RETRIES: u32 = 2;
 
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            timeout: SimDuration::from_millis(800),
-            max_retries: 2,
-            backoff: SimDuration::from_millis(100),
-            backoff_factor: 2.0,
-        }
-    }
-}
+/// Minimum patience per attempt: an attempt is cut off at
+/// `max(deadline, submit_time + TIMEOUT)` — the deadline governs when
+/// it is later than the floor, so a transfer that would finish in time
+/// is never interrupted.
+const TIMEOUT: SimDuration = SimDuration::from_millis(800);
 
-impl RecoveryPolicy {
-    /// The backoff delay applied after failed attempt `attempt` (1-based).
-    pub fn delay_after(&self, attempt: u32) -> SimDuration {
-        self.backoff
-            .mul_f64(self.backoff_factor.powi(attempt.saturating_sub(1) as i32))
+/// Backoff before the first retry.
+const BACKOFF: SimDuration = SimDuration::from_millis(100);
+
+/// Multiplier applied to the backoff for each further retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// The backoff before the retry that follows failed attempt `attempt`
+/// (1-based): `BACKOFF · BACKOFF_FACTOR^(attempt − 1)`, doubled when
+/// `burst` says the failed path sits in a Gilbert–Elliott burst, so the
+/// retry lands past it. Returns the delay and its whole milliseconds,
+/// the `delay_ms` a [`TraceEvent::RetryScheduled`] carries.
+pub fn retry_delay(attempt: u32, burst: bool) -> (SimDuration, u64) {
+    let mut delay = BACKOFF.mul_f64(BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32));
+    if burst {
+        delay = delay.mul_f64(2.0);
     }
+    (delay, delay.as_nanos() / 1_000_000)
 }
 
 /// How a [`MultipathSession::submit_resilient`] call ended.
@@ -600,12 +594,7 @@ impl<S: MultipathScheduler> MultipathSession<S> {
     /// failover target — or abandons the chunk — and the retry goes out
     /// after exponential backoff. The last permitted attempt is accepted
     /// as-is: late bytes beat no bytes once the budget is spent.
-    pub fn submit_resilient(
-        &mut self,
-        req: ChunkRequest,
-        now: SimTime,
-        policy: &RecoveryPolicy,
-    ) -> RecoveryOutcome {
+    pub fn submit_resilient(&mut self, req: ChunkRequest, now: SimTime) -> RecoveryOutcome {
         let mut attempt: u32 = 0;
         let mut at = now;
         let mut assignment = self.scheduler.assign(&req, &self.paths, now);
@@ -620,8 +609,8 @@ impl<S: MultipathScheduler> MultipathSession<S> {
                 self.paths[assignment.path].submit(req.bytes, at, assignment.reliability);
             self.defer_attempt_events(&req, assignment, at);
             self.defer_path_feedback(assignment.path);
-            let retries_left = attempt <= policy.max_retries;
-            let cutoff = req.deadline.max(at + policy.timeout);
+            let retries_left = attempt <= MAX_RETRIES;
+            let cutoff = req.deadline.max(at + TIMEOUT);
 
             let failure = if completion.outcome == TransferOutcome::Failed {
                 self.defer(TraceEvent::TransferFinished {
@@ -695,19 +684,16 @@ impl<S: MultipathScheduler> MultipathSession<S> {
                 Some(fallback) => {
                     // Burst-aware backoff: when the failed path's GE
                     // chain sits in its Bad state, the burst is likely
-                    // still in progress — double the backoff so the
-                    // retry lands past it. Declared channels never
-                    // report a burst, so legacy behaviour is untouched.
-                    let mut delay = policy.delay_after(attempt);
-                    if self.paths[assignment.path].loss_burst_active() {
-                        delay = delay.mul_f64(2.0);
-                    }
+                    // still in progress. Declared channels never report
+                    // a burst, so legacy behaviour is untouched.
+                    let burst = self.paths[assignment.path].loss_burst_active();
+                    let (delay, delay_ms) = retry_delay(attempt, burst);
                     self.defer(TraceEvent::RetryScheduled {
                         at: failed.finished,
                         path: assignment.path as u32,
                         bytes: req.bytes,
                         attempt,
-                        delay_ms: (delay.as_secs_f64() * 1000.0).round() as u64,
+                        delay_ms,
                     });
                     self.drain_ready();
                     at = failed.finished + delay;
@@ -955,10 +941,9 @@ mod tests {
     #[test]
     fn resilient_submission_fails_over_to_surviving_path() {
         let mut s = MultipathSession::new(outage_on_wifi(), ContentAware);
-        let policy = RecoveryPolicy::default();
         // FoV chunk submitted mid-outage: the premium (wifi) attempt dies
         // after a detection RTT, the retry lands on LTE and delivers.
-        let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(3), &policy);
+        let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(3));
         assert_eq!(r.completion.outcome, TransferOutcome::Delivered);
         assert_eq!(r.path, 1, "failover to the surviving path");
         assert_eq!(r.attempts, 2, "one retry was enough");
@@ -968,7 +953,7 @@ mod tests {
         assert_eq!(s.log[0].0.outcome, TransferOutcome::Failed);
         assert_eq!(s.log[0].1, 0);
         // The retry went out after the backoff.
-        assert!(s.log[1].0.submitted >= s.log[0].0.finished + policy.backoff);
+        assert!(s.log[1].0.submitted >= s.log[0].0.finished + BACKOFF);
         assert_eq!(s.bytes_failed(), 400_000);
     }
 
@@ -978,8 +963,7 @@ mod tests {
         // Force the OOS chunk onto the dead premium path by making the
         // secondary useless for it: saturate LTE first.
         s.submit(fov_req(30_000_000), SimTime::from_millis(1)); // wifi, pre-outage
-        let policy = RecoveryPolicy::default();
-        let r = s.submit_resilient(oos_req(400_000), SimTime::from_secs(3), &policy);
+        let r = s.submit_resilient(oos_req(400_000), SimTime::from_secs(3));
         if r.completion.outcome == TransferOutcome::Failed {
             assert!(
                 r.abandoned,
@@ -992,8 +976,7 @@ mod tests {
     #[test]
     fn agnostic_recovery_retries_everything() {
         let mut s = MultipathSession::new(outage_on_wifi(), EarliestCompletion);
-        let policy = RecoveryPolicy::default();
-        let r = s.submit_resilient(oos_req(400_000), SimTime::from_secs(6), &policy);
+        let r = s.submit_resilient(oos_req(400_000), SimTime::from_secs(6));
         // EarliestCompletion sends to idle LTE or dead wifi; either way
         // the default reassign keeps retrying, so the chunk lands.
         assert_eq!(r.completion.outcome, TransferOutcome::Delivered);
@@ -1018,26 +1001,37 @@ mod tests {
             .map(|(i, q)| q.with_faults(script.compile_for(i)))
             .collect();
         let mut s = MultipathSession::new(paths, SinglePathFirstTry);
-        // Patience generous enough that the healthy path's slow-start
-        // ramp fits; only the collapsed path gets cut off.
-        let policy = RecoveryPolicy {
-            timeout: SimDuration::from_secs(2),
-            ..RecoveryPolicy::default()
-        };
+        // Small enough that the healthy path's slow-start ramp fits the
+        // 800 ms patience floor; only the collapsed path gets cut off.
         let req = ChunkRequest {
-            bytes: 500_000,
+            bytes: 300_000,
             priority: ChunkPriority::FOV,
             deadline: SimTime::from_secs(2),
         };
-        let r = s.submit_resilient(req, SimTime::ZERO, &policy);
+        let r = s.submit_resilient(req, SimTime::ZERO);
         assert_eq!(r.completion.outcome, TransferOutcome::Delivered);
         assert_eq!(r.path, 1, "timed out on the collapsed path, failed over");
         assert_eq!(r.attempts, 2);
         // The abort reversed the stalled attempt's delivered-bytes credit.
         assert_eq!(s.paths()[0].bytes_delivered, 0);
-        assert_eq!(s.paths()[0].bytes_failed, 500_000);
+        assert_eq!(s.paths()[0].bytes_failed, 300_000);
         // The timeout fired at the deadline (it exceeds the 800ms floor).
         assert_eq!(s.log[0].0.finished, SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn retry_delay_is_whole_milliseconds() {
+        // 100 ms · 2^(attempt − 1), doubled in a burst: the stamp is the
+        // delay's exact millisecond count however it is rounded.
+        for attempt in 1..=MAX_RETRIES {
+            for burst in [false, true] {
+                let (delay, ms) = retry_delay(attempt, burst);
+                let expect = 100 << (attempt - 1 + burst as u32);
+                assert_eq!(delay, SimDuration::from_millis(expect));
+                assert_eq!(ms, expect);
+                assert_eq!(ms, (delay.as_secs_f64() * 1000.0).round() as u64);
+            }
+        }
     }
 
     /// Pins the first attempt to path 0 so the timeout test exercises a
@@ -1059,7 +1053,7 @@ mod tests {
     #[test]
     fn retry_budget_is_bounded() {
         // Both paths down forever: every retry fails, and the session
-        // must stop after max_retries + 1 attempts with a Failed result.
+        // must stop after MAX_RETRIES + 1 attempts with a Failed result.
         let script = crate::fault::FaultScript::none()
             .link_down(0, SimTime::ZERO, SimTime::from_secs(600))
             .link_down(1, SimTime::ZERO, SimTime::from_secs(600));
@@ -1069,14 +1063,10 @@ mod tests {
             .map(|(i, q)| q.with_faults(script.compile_for(i)))
             .collect();
         let mut s = MultipathSession::new(paths, EarliestCompletion);
-        let policy = RecoveryPolicy {
-            max_retries: 3,
-            ..RecoveryPolicy::default()
-        };
-        let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(1), &policy);
+        let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(1));
         assert_eq!(r.completion.outcome, TransferOutcome::Failed);
-        assert_eq!(r.attempts, 4, "initial try + 3 retries");
+        assert_eq!(r.attempts, MAX_RETRIES + 1, "initial try + every retry");
         assert!(!r.abandoned, "budget exhaustion is not abandonment");
-        assert_eq!(s.log.len(), 4);
+        assert_eq!(s.log.len(), MAX_RETRIES as usize + 1);
     }
 }

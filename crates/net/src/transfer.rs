@@ -6,7 +6,7 @@
 //! scheduler exploits by keeping OOS bulk off the path that urgent FoV
 //! chunks need.
 
-use crate::bbr::{BbrConfig, BbrState, BbrUpdate, GeChain, LossChannel};
+use crate::bbr::{BbrState, BbrUpdate, GeChain, LossChannel};
 use crate::fault::PathFaults;
 use crate::path::PathModel;
 use crate::priority::Reliability;
@@ -164,8 +164,8 @@ impl PathQueue {
     /// included) reads the measurement. Consumes no RNG; a queue
     /// without BBR behaves byte-identically to one built before this
     /// option existed.
-    pub fn with_bbr(mut self, config: BbrConfig) -> PathQueue {
-        self.bbr = Some(BbrState::new(config));
+    pub fn with_bbr(mut self) -> PathQueue {
+        self.bbr = Some(BbrState::new());
         self
     }
 
@@ -704,10 +704,9 @@ mod tests {
 
     #[test]
     fn bbr_estimate_tracks_measured_rate() {
-        use crate::bbr::BbrConfig;
         // Declared 25 Mbps, but BBR has only measured what transfers
         // actually achieved — the estimate must come from the samples.
-        let mut q = queue(25e6).with_bbr(BbrConfig::default());
+        let mut q = queue(25e6).with_bbr();
         // Before any sample: declared-model estimate (unchanged).
         let declared_est = q.estimate_completion(1_000_000, SimTime::ZERO);
         let plain = queue(25e6);

@@ -47,21 +47,19 @@ impl RenderMode {
     }
 }
 
+/// How many source frames ahead the scheduler prefetches.
+const PREFETCH_FRAMES: u64 = 2;
+
 /// Pipeline configuration beyond the mode (for ablations, E12).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Decoded-frame cache capacity in tile frames (0 disables).
     pub cache_capacity: usize,
-    /// How many source frames ahead the scheduler prefetches.
-    pub prefetch_frames: u64,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            cache_capacity: 64,
-            prefetch_frames: 2,
-        }
+        PipelineConfig { cache_capacity: 64 }
     }
 }
 
@@ -193,7 +191,7 @@ fn simulate_render_traced(
         // Prefetch upcoming source frames so decoders stay warm
         // (the decoding scheduler's "playback time and HMP" policy).
         if cache_capacity > 0 {
-            let horizon = source_frame + config.prefetch_frames;
+            let horizon = source_frame + PREFETCH_FRAMES;
             while prefetched_through < horizon as i64 {
                 let f = (prefetched_through + 1) as u64;
                 // HMP steer: in FoV mode, prefetch only tiles plausibly

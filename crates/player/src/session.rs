@@ -14,14 +14,14 @@ use sperke_geo::VisibilityCache;
 use sperke_hmp::{Forecaster, HeadTrace};
 use sperke_net::{
     BandwidthEstimator, ChunkPriority, ChunkRequest, Completion, EstimatorKind, MultipathScheduler,
-    MultipathSession, PathQueue, RecoveryPolicy, SpatialPriority, TransferOutcome,
+    MultipathSession, PathQueue, SpatialPriority, TransferOutcome,
 };
 use sperke_sim::trace::{TraceEvent, TraceLevel, TraceSink};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{CellId, ChunkForm, ChunkTime, Quality, Scheme, VideoModel};
 use sperke_vra::{
     decide_upgrade, plan_fov_agnostic, upgrade_candidates, Abr, FetchPlan, PlanInput, SperkeConfig,
-    SperkeVra, UpgradeConfig, UpgradeDecision,
+    SperkeVra, UpgradeDecision,
 };
 
 /// Samples of gaze history handed to the forecaster.
@@ -63,10 +63,10 @@ pub struct PlayerConfig {
     pub realtime: bool,
     /// Transfer recovery: when set, every fetch uses deadline-based
     /// timeouts with bounded retry and cross-path failover
-    /// ([`MultipathSession::submit_resilient`]). When `None` the client
+    /// ([`MultipathSession::submit_resilient`]). When unset the client
     /// is naive — a failed transfer (outage, dead path) simply never
     /// arrives.
-    pub resilience: Option<RecoveryPolicy>,
+    pub resilient: bool,
     /// Spatial fall-back rendering: when a viewport cell is missing at
     /// display time but the previous chunk's tile is still buffered,
     /// show that stale content instead of blank. The rescued area is
@@ -91,7 +91,7 @@ impl Default for PlayerConfig {
             upgrades_enabled: true,
             max_buffer: SimDuration::from_secs(2),
             realtime: false,
-            resilience: None,
+            resilient: false,
             fallback_enabled: false,
             trace: TraceSink::disabled(),
             vis_cache: VisibilityCache::default(),
@@ -268,7 +268,7 @@ pub fn run_session(
                 priority: fetch.priority,
                 deadline: est_deadline,
             };
-            let (completion, _path) = submit_chunk(&mut net, req, now, config.resilience.as_ref());
+            let (completion, _path) = submit_chunk(&mut net, req, now, config.resilient);
             chunk_bytes += fetch.bytes;
             match completion.outcome {
                 TransferOutcome::Delivered => {
@@ -292,8 +292,7 @@ pub fn run_session(
                             priority: ChunkPriority::CRITICAL,
                             deadline: est_deadline,
                         };
-                        let (retry_done, _) =
-                            submit_chunk(&mut net, retry, now, config.resilience.as_ref());
+                        let (retry_done, _) = submit_chunk(&mut net, retry, now, config.resilient);
                         chunk_bytes += fetch.bytes;
                         // Even a reliable refetch can fail under an
                         // outage; only delivered bytes reach the buffer.
@@ -413,22 +412,14 @@ pub fn run_session(
                 // upgrade", §3.1.2); follow it for up to a few rounds.
                 let mut at = check_at;
                 for _ in 0..4 {
-                    match decide_upgrade(
-                        &cand,
-                        &sizes,
-                        scheme,
-                        at,
-                        bw_now,
-                        &UpgradeConfig::default(),
-                    ) {
+                    match decide_upgrade(&cand, &sizes, scheme, at, bw_now) {
                         UpgradeDecision::UpgradeNow { delta_bytes } => {
                             let req = ChunkRequest {
                                 bytes: delta_bytes,
                                 priority: ChunkPriority::CRITICAL,
                                 deadline: display_time,
                             };
-                            let (completion, _) =
-                                submit_chunk(&mut net, req, at, config.resilience.as_ref());
+                            let (completion, _) = submit_chunk(&mut net, req, at, config.resilient);
                             upgrade_bytes += delta_bytes;
                             if !(completion.outcome == TransferOutcome::Delivered
                                 && completion.finished <= display_time)
@@ -645,20 +636,19 @@ fn measured_capacity(paths: &[PathQueue]) -> Option<f64> {
     any.then_some(total)
 }
 
-/// Submit one chunk through the session, resiliently when a
-/// [`RecoveryPolicy`] is configured, naively otherwise.
+/// Submit one chunk through the session, resiliently when `resilient`
+/// is set, naively otherwise.
 fn submit_chunk(
     net: &mut MultipathSession<Box<dyn MultipathScheduler>>,
     req: ChunkRequest,
     now: SimTime,
-    resilience: Option<&RecoveryPolicy>,
+    resilient: bool,
 ) -> (Completion, usize) {
-    match resilience {
-        Some(policy) => {
-            let r = net.submit_resilient(req, now, policy);
-            (r.completion, r.path)
-        }
-        None => net.submit(req, now),
+    if resilient {
+        let r = net.submit_resilient(req, now);
+        (r.completion, r.path)
+    } else {
+        net.submit(req, now)
     }
 }
 
@@ -929,7 +919,7 @@ mod tests {
     fn resilient_recovery_fails_over_during_an_outage() {
         let v = video(15);
         let tr = trace(15, 3);
-        let run_with = |resilience: Option<RecoveryPolicy>| {
+        let run_with = |resilient: bool| {
             let faults =
                 FaultScript::none().link_down(0, SimTime::from_secs(4), SimTime::from_secs(9));
             let paths = vec![
@@ -961,13 +951,13 @@ mod tests {
                 Box::new(RateBased::default()),
                 &FusedForecaster::motion_only(),
                 &PlayerConfig {
-                    resilience,
+                    resilient,
                     ..Default::default()
                 },
             )
         };
-        let naive = run_with(None);
-        let resilient = run_with(Some(RecoveryPolicy::default()));
+        let naive = run_with(false);
+        let resilient = run_with(true);
         assert!(
             naive.qoe.mean_blank_fraction > 0.05,
             "naive mode blanks during the outage: {}",

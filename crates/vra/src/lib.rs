@@ -38,7 +38,7 @@ pub use sperke::{
     SperkeConfig, SperkeVra,
 };
 pub use superchunk::SuperChunk;
-pub use upgrade::{decide_upgrade, UpgradeCandidate, UpgradeConfig, UpgradeDecision};
+pub use upgrade::{decide_upgrade, UpgradeCandidate, UpgradeDecision};
 
 #[cfg(test)]
 mod proptests {
@@ -169,7 +169,7 @@ mod proptests {
             };
             let bw = bw_mbps * 1e6;
             let d = decide_upgrade(&cand, &sizes, sperke_video::Scheme::svc_default(),
-                SimTime::ZERO, bw, &UpgradeConfig::default());
+                SimTime::ZERO, bw);
             if let UpgradeDecision::UpgradeNow { delta_bytes } = d {
                 let fetch_secs = delta_bytes as f64 * 8.0 / bw;
                 prop_assert!(fetch_secs <= deadline_ms as f64 / 1000.0 + 1e-9,

@@ -50,7 +50,8 @@ use sperke_sim::SimDuration;
 use sperke_video::{ChunkId, ChunkTime, Quality, Scheme, VideoModel};
 
 /// The probability floor below which tiles are never fetched: the
-/// floor the player's policy planner and the edge engine plan with.
+/// floor the player's policy planner, the edge engine and the live
+/// FoV-guided viewer plan with.
 pub const DEFAULT_MIN_PROBABILITY: f64 = 0.05;
 
 /// Everything a tile-aware policy may look at when planning a window.

@@ -129,6 +129,18 @@ pub struct PlanInput<'a> {
     pub last_quality: Quality,
 }
 
+/// Probability above which a tile counts as FoV.
+const FOV_THRESHOLD: f64 = 0.75;
+/// Fraction of the bandwidth-estimate budget the FoV super chunk may
+/// consume; the rest funds OOS tiles.
+const FOV_BUDGET_SHARE: f64 = 0.8;
+/// OOS spending cap as a fraction of the FoV super chunk's bytes — keeps
+/// ample bandwidth from degenerating into fetching the whole panorama
+/// "just in case".
+const OOS_BUDGET_VS_FOV: f64 = 0.6;
+/// A chunk is "urgent" (Table 1) when its deadline is within this.
+const URGENT_WINDOW: SimDuration = SimDuration::from_millis(700);
+
 /// Tuning for the holistic planner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SperkeConfig {
@@ -140,35 +152,20 @@ pub struct SperkeConfig {
     /// pairs; [`AbrPolicyKind::Knapsack`] is the §3.2 stochastic
     /// optimization.
     pub policy: AbrPolicyKind,
-    /// Probability above which a tile counts as FoV.
-    pub fov_threshold: f64,
     /// OOS selection settings.
     pub oos: OosConfig,
     /// Encoding policy.
     pub encoding: EncodingPolicy,
-    /// Fraction of the bandwidth-estimate budget the FoV super chunk may
-    /// consume; the rest funds OOS tiles.
-    pub fov_budget_share: f64,
-    /// OOS spending cap as a fraction of the FoV super chunk's bytes —
-    /// keeps ample bandwidth from degenerating into fetching the whole
-    /// panorama "just in case".
-    pub oos_budget_vs_fov: f64,
-    /// A chunk is "urgent" (Table 1) when its deadline is within this.
-    pub urgent_window: SimDuration,
 }
 
 impl Default for SperkeConfig {
     fn default() -> Self {
         SperkeConfig {
             policy: AbrPolicyKind::Sperke,
-            fov_threshold: 0.75,
             oos: OosConfig::default(),
             encoding: EncodingPolicy::Hybrid {
                 svc_when_uncertain_below: 0.85,
             },
-            fov_budget_share: 0.8,
-            oos_budget_vs_fov: 0.6,
-            urgent_window: SimDuration::from_millis(700),
         }
     }
 }
@@ -235,7 +232,7 @@ impl SperkeVra {
         let video = input.video;
 
         // Part one: the super chunk and its quality via the inner ABR.
-        let sc = SuperChunk::from_forecast(input.forecast, input.time, self.config.fov_threshold);
+        let sc = SuperChunk::from_forecast(input.forecast, input.time, FOV_THRESHOLD);
         let pricing_scheme = self.config.encoding.scheme_for(video, 1.0);
         let unit_bitrate: Vec<f64> = video
             .ladder()
@@ -247,10 +244,8 @@ impl SperkeVra {
             ladder: video.ladder(),
             unit_bitrate,
             buffer: input.buffer,
-            bandwidth_bps: input
-                .bandwidth_bps
-                .map(|b| b * self.config.fov_budget_share),
-            measured_bps: input.measured_bps.map(|b| b * self.config.fov_budget_share),
+            bandwidth_bps: input.bandwidth_bps.map(|b| b * FOV_BUDGET_SHARE),
+            measured_bps: input.measured_bps.map(|b| b * FOV_BUDGET_SHARE),
             bandwidth_forecast: vec![],
             last_quality: input.last_quality,
             chunk_duration: video.chunk_duration(),
@@ -260,7 +255,7 @@ impl SperkeVra {
 
         // Temporal priority: near-deadline chunks are urgent (the
         // buffer level is the time to this chunk's deadline).
-        let temporal = if input.buffer <= self.config.urgent_window {
+        let temporal = if input.buffer <= URGENT_WINDOW {
             TemporalPriority::Urgent
         } else {
             TemporalPriority::Regular
@@ -284,9 +279,9 @@ impl SperkeVra {
         }
 
         // Part two: OOS tiles from their bounded budget share. The OOS
-        // pool is (1 - fov_budget_share) of the estimate, topped up by
+        // pool is (1 - FOV_BUDGET_SHARE) of the estimate, topped up by
         // whatever the FoV fetch left unused of its own share — but it
-        // never grows past the configured split, so ample bandwidth
+        // never grows past that split, so ample bandwidth
         // doesn't degenerate into fetching the whole panorama.
         let fov_bytes: u64 = fetches.iter().map(|f| f.bytes).sum();
         let budget_bytes = input
@@ -294,9 +289,8 @@ impl SperkeVra {
             .map(|bw| {
                 let chunk_secs = video.chunk_duration().as_secs_f64();
                 let total = (bw * chunk_secs / 8.0) as u64;
-                let oos_share =
-                    ((1.0 - self.config.fov_budget_share).max(0.0) * bw * chunk_secs / 8.0) as u64;
-                let vs_fov = (self.config.oos_budget_vs_fov.max(0.0) * fov_bytes as f64) as u64;
+                let oos_share = ((1.0 - FOV_BUDGET_SHARE).max(0.0) * bw * chunk_secs / 8.0) as u64;
+                let vs_fov = (OOS_BUDGET_VS_FOV.max(0.0) * fov_bytes as f64) as u64;
                 oos_share.min(vs_fov).min(total.saturating_sub(fov_bytes))
             })
             .unwrap_or(0);
@@ -348,8 +342,11 @@ impl SperkeVra {
             .map(|bw| (bw * video.chunk_duration().as_secs_f64() / 8.0) as u64)
             .unwrap_or_else(|| {
                 // No estimate yet: a conservative base-layer FoV budget.
-                SuperChunk::from_forecast(input.forecast, input.time, self.config.fov_threshold)
-                    .bytes_at(video, Quality::LOWEST, Scheme::Avc)
+                SuperChunk::from_forecast(input.forecast, input.time, FOV_THRESHOLD).bytes_at(
+                    video,
+                    Quality::LOWEST,
+                    Scheme::Avc,
+                )
             });
         let tile_count = video.grid().tile_count();
         let plan = self.config.policy.decide(&PolicyInput {
@@ -366,7 +363,7 @@ impl SperkeVra {
         });
         self.prev = plan.levels(tile_count);
 
-        let deadline_close = input.buffer <= self.config.urgent_window;
+        let deadline_close = input.buffer <= URGENT_WINDOW;
         let mut fetches = Vec::with_capacity(plan.assignments.len());
         let mut fov_quality = Quality::LOWEST;
         let mut best_p = -1.0;
@@ -376,7 +373,7 @@ impl SperkeVra {
                 best_p = p;
                 fov_quality = a.quality;
             }
-            let spatial = if p >= self.config.fov_threshold {
+            let spatial = if p >= FOV_THRESHOLD {
                 SpatialPriority::Fov
             } else {
                 SpatialPriority::Oos
@@ -724,8 +721,11 @@ mod tests {
         for bw in [None, Some(8e6), Some(25e6), Some(80e6)] {
             let budget = match bw {
                 Some(bw) => (bw * v.chunk_duration().as_secs_f64() / 8.0) as u64,
-                None => SuperChunk::from_forecast(&fc, ChunkTime(1), config.fov_threshold)
-                    .bytes_at(&v, Quality::LOWEST, Scheme::Avc),
+                None => SuperChunk::from_forecast(&fc, ChunkTime(1), FOV_THRESHOLD).bytes_at(
+                    &v,
+                    Quality::LOWEST,
+                    Scheme::Avc,
+                ),
             };
             let plan = vra.plan(&input(&v, &fc, bw));
             let oracle = crate::knapsack::select_stochastic(

@@ -12,29 +12,15 @@ use serde::{Deserialize, Serialize};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::{CellId, CellSizes, Quality, Scheme};
 
-/// Tuning for upgrade decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UpgradeConfig {
-    /// Only upgrade cells whose on-screen probability is at least this.
-    pub min_probability: f64,
-    /// Safety factor on the estimated fetch time vs the remaining time
-    /// (1.5 = require 50 % slack).
-    pub deadline_safety: f64,
-    /// Defer the upgrade until this close to the deadline (as a multiple
-    /// of the estimated fetch time) — the "when to upgrade" half: late
-    /// enough that the HMP has settled, early enough to make it.
-    pub urgency_factor: f64,
-}
-
-impl Default for UpgradeConfig {
-    fn default() -> Self {
-        UpgradeConfig {
-            min_probability: 0.5,
-            deadline_safety: 1.3,
-            urgency_factor: 2.0,
-        }
-    }
-}
+/// Only upgrade cells whose on-screen probability is at least this.
+const MIN_PROBABILITY: f64 = 0.5;
+/// Safety factor on the estimated fetch time vs the remaining time
+/// (1.3 = require 30 % slack).
+const DEADLINE_SAFETY: f64 = 1.3;
+/// Defer the upgrade until this close to the deadline (as a multiple of
+/// the estimated fetch time) — the "when to upgrade" half: late enough
+/// that the HMP has settled, early enough to make it.
+const URGENCY_FACTOR: f64 = 2.0;
 
 /// The verdict for one candidate upgrade.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,9 +68,8 @@ pub fn decide_upgrade(
     scheme: Scheme,
     now: SimTime,
     bandwidth_bps: f64,
-    config: &UpgradeConfig,
 ) -> UpgradeDecision {
-    if candidate.want <= candidate.have || candidate.probability < config.min_probability {
+    if candidate.want <= candidate.have || candidate.probability < MIN_PROBABILITY {
         return UpgradeDecision::Skip;
     }
     if bandwidth_bps <= 0.0 {
@@ -94,13 +79,13 @@ pub fn decide_upgrade(
     let fetch_secs = delta_bytes as f64 * 8.0 / bandwidth_bps;
     let remaining = candidate.deadline.saturating_since(now).as_secs_f64();
 
-    if fetch_secs * config.deadline_safety > remaining {
+    if fetch_secs * DEADLINE_SAFETY > remaining {
         // Too late to make it at the wanted level. Try a partial upgrade
         // one level up, otherwise give up.
         let mut want = candidate.want.down();
         while want > candidate.have {
             let bytes = sizes.upgrade_cost(scheme, candidate.have, want);
-            if (bytes as f64 * 8.0 / bandwidth_bps) * config.deadline_safety <= remaining {
+            if (bytes as f64 * 8.0 / bandwidth_bps) * DEADLINE_SAFETY <= remaining {
                 return UpgradeDecision::UpgradeNow { delta_bytes: bytes };
             }
             want = want.down();
@@ -110,7 +95,7 @@ pub fn decide_upgrade(
 
     // Not urgent yet? Defer to let the HMP settle ("upgrading too early
     // may lead to extra bandwidth waste").
-    let urgent_window = fetch_secs * config.urgency_factor.max(1.0);
+    let urgent_window = fetch_secs * URGENCY_FACTOR.max(1.0);
     if remaining > urgent_window {
         let revisit_at = candidate.deadline - SimDuration::from_secs_f64(urgent_window);
         // High-confidence cells skip the wait: the HMP has settled.
@@ -151,7 +136,6 @@ mod tests {
             Scheme::svc_default(),
             SimTime::ZERO,
             BW,
-            &UpgradeConfig::default(),
         );
         assert_eq!(d, UpgradeDecision::Skip);
     }
@@ -165,7 +149,6 @@ mod tests {
             Scheme::svc_default(),
             SimTime::ZERO,
             BW,
-            &UpgradeConfig::default(),
         );
         match d {
             UpgradeDecision::Defer { revisit_at } => {
@@ -183,7 +166,6 @@ mod tests {
             Scheme::svc_default(),
             SimTime::ZERO,
             BW,
-            &UpgradeConfig::default(),
         );
         match d {
             UpgradeDecision::UpgradeNow { delta_bytes } => {
@@ -203,7 +185,6 @@ mod tests {
             Scheme::svc_default(),
             SimTime::ZERO,
             BW,
-            &UpgradeConfig::default(),
         );
         assert!(matches!(d, UpgradeDecision::UpgradeNow { .. }), "{d:?}");
     }
@@ -218,7 +199,6 @@ mod tests {
             Scheme::svc_default(),
             SimTime::ZERO,
             BW,
-            &UpgradeConfig::default(),
         );
         assert_eq!(d, UpgradeDecision::Skip);
         // With 0.3s remaining, the partial Q0->Q1 upgrade fits.
@@ -228,7 +208,6 @@ mod tests {
             Scheme::svc_default(),
             SimTime::ZERO,
             BW,
-            &UpgradeConfig::default(),
         );
         match d {
             UpgradeDecision::UpgradeNow { delta_bytes } => {
@@ -241,22 +220,8 @@ mod tests {
     #[test]
     fn avc_upgrade_costs_more_than_svc() {
         let c = candidate(0.99, 10.0);
-        let svc = decide_upgrade(
-            &c,
-            &sizes(),
-            Scheme::svc_default(),
-            SimTime::ZERO,
-            BW,
-            &UpgradeConfig::default(),
-        );
-        let avc = decide_upgrade(
-            &c,
-            &sizes(),
-            Scheme::Avc,
-            SimTime::ZERO,
-            BW,
-            &UpgradeConfig::default(),
-        );
+        let svc = decide_upgrade(&c, &sizes(), Scheme::svc_default(), SimTime::ZERO, BW);
+        let avc = decide_upgrade(&c, &sizes(), Scheme::Avc, SimTime::ZERO, BW);
         let (
             UpgradeDecision::UpgradeNow { delta_bytes: s },
             UpgradeDecision::UpgradeNow { delta_bytes: a },
@@ -272,14 +237,7 @@ mod tests {
         let mut c = candidate(0.9, 5.0);
         c.want = Quality(0);
         assert_eq!(
-            decide_upgrade(
-                &c,
-                &sizes(),
-                Scheme::svc_default(),
-                SimTime::ZERO,
-                BW,
-                &UpgradeConfig::default()
-            ),
+            decide_upgrade(&c, &sizes(), Scheme::svc_default(), SimTime::ZERO, BW),
             UpgradeDecision::Skip
         );
     }
@@ -292,8 +250,7 @@ mod tests {
                 &sizes(),
                 Scheme::svc_default(),
                 SimTime::ZERO,
-                0.0,
-                &UpgradeConfig::default()
+                0.0
             ),
             UpgradeDecision::Skip
         );

@@ -23,7 +23,7 @@
 //! cargo run --example capacity_probe
 //! ```
 
-use sperke_core::{BbrConfig, FaultScript, LossChannel, RecoveryPolicy, SchedulerChoice, Sperke};
+use sperke_core::{FaultScript, LossChannel, SchedulerChoice, Sperke};
 use sperke_hmp::Behavior;
 use sperke_net::{BandwidthTrace, PathModel, PathQueue, Reliability};
 use sperke_sim::{SimDuration, SimRng, SimTime};
@@ -38,7 +38,7 @@ fn probe_convergence(bottleneck_bps: f64, bytes: u64) -> (Option<u64>, f64) {
         SimDuration::from_millis(30),
         0.0,
     );
-    let mut q = PathQueue::new(path, SimRng::new(7)).with_bbr(BbrConfig::default());
+    let mut q = PathQueue::new(path, SimRng::new(7)).with_bbr();
     let mut now = SimTime::ZERO;
     let mut converged_at = None;
     let mut final_err = f64::INFINITY;
@@ -95,7 +95,7 @@ fn client_rig(loss: LossChannel) -> Sperke {
             0.04,
             0.0,
         ))
-        .with_resilience(RecoveryPolicy::default())
+        .with_resilience()
         .with_fallback()
         .with_loss_channel(loss)
 }

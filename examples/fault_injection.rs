@@ -10,7 +10,7 @@
 //! cargo run --example fault_injection
 //! ```
 
-use sperke_core::{FaultScript, RecoveryPolicy, SchedulerChoice, Sperke, TraceEvent, TraceLevel};
+use sperke_core::{FaultScript, SchedulerChoice, Sperke, TraceEvent, TraceLevel};
 use sperke_hmp::Behavior;
 use sperke_net::{BandwidthTrace, PathModel};
 use sperke_sim::{SimDuration, SimTime};
@@ -48,10 +48,7 @@ fn main() {
     println!();
 
     let naive = rig().run_report();
-    let hardened = rig()
-        .with_resilience(RecoveryPolicy::default())
-        .with_fallback()
-        .run_report();
+    let hardened = rig().with_resilience().with_fallback().run_report();
 
     println!(
         "{:<28} {:>8} {:>10} {:>10} {:>8}",

@@ -3,9 +3,7 @@
 //! the acceptance demo, and the proof that an attached-but-empty fault
 //! script changes nothing at all.
 
-use sperke_core::{
-    FaultScript, RecoveryPolicy, RunReport, SchedulerChoice, Sperke, TraceEvent, TraceLevel,
-};
+use sperke_core::{FaultScript, RunReport, SchedulerChoice, Sperke, TraceEvent, TraceLevel};
 use sperke_hmp::Behavior;
 use sperke_net::{BandwidthTrace, PathModel};
 use sperke_sim::{SimDuration, SimTime};
@@ -39,8 +37,7 @@ fn outage_rig(seed: u64) -> Sperke {
 }
 
 fn resilient(rig: Sperke) -> Sperke {
-    rig.with_resilience(RecoveryPolicy::default())
-        .with_fallback()
+    rig.with_resilience().with_fallback()
 }
 
 /// The PR's acceptance scenario: a 5 s outage on the premium path
@@ -155,7 +152,7 @@ fn random_outages_are_seed_deterministic() {
             .wifi_plus_lte()
             .scheduler(SchedulerChoice::ContentAware)
             .with_faults(FaultScript::random_outages(seed, 2, horizon, gap, len))
-            .with_resilience(RecoveryPolicy::default())
+            .with_resilience()
             .with_trace(TraceLevel::Events)
             .run_report()
     };

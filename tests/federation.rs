@@ -391,15 +391,16 @@ proptest! {
     }
 
     /// Contract 1, resilience half: with randomized node-crash scripts
-    /// and origin backhaul outages (which schedule origin retries),
-    /// sense sharding and re-homing are worker-count blind — every
-    /// worker count (0 = machine default) reproduces the `workers = 1`
-    /// run byte for byte. Contract 2 holds under the same faults: the
-    /// three cross-tier identities are exact, each node's edge books
-    /// balance, and the edge tier's origin demand is exactly what the
-    /// regional tier took in.
+    /// and origin backhaul outages (which schedule origin retries), the
+    /// run is worker-count blind — workers shard only the sense phase,
+    /// the replay and its re-homing are serial, and every worker count
+    /// (0 = machine default) reproduces the `workers = 1` run byte for
+    /// byte. Contract 2 holds under the same faults: the three
+    /// cross-tier identities are exact, each node's edge books balance,
+    /// and the edge tier's origin demand is exactly what the regional
+    /// tier took in.
     #[test]
-    fn windowed_replay_matches_serial_oracle_under_failures(
+    fn failures_are_worker_count_blind_and_balanced(
         raw in proptest::collection::vec((0u64..3000, 0u64..500, 1u32..3, 4u64..10, 0u16..3), 2..7),
         nodes in 2usize..4,
         fail_node in 0usize..4,

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sperke_net::{
     BandwidthTrace, ChunkPriority, ChunkRequest, ContentAware, FaultScript, MultipathSession,
-    PathModel, PathQueue, RecoveryPolicy,
+    PathModel, PathQueue,
 };
 use sperke_sim::metrics::TimeSeries;
 use sperke_sim::trace::{Subsystem, TraceLevel, TraceSink};
@@ -177,7 +177,6 @@ proptest! {
         let sink = TraceSink::with_level(TraceLevel::Decisions);
         let mut session = MultipathSession::new(paths, ContentAware);
         session.set_trace(sink.clone());
-        let policy = RecoveryPolicy::default();
         let priorities = [ChunkPriority::CRITICAL, ChunkPriority::FOV, ChunkPriority::OOS];
         let mut now = SimTime::ZERO;
         for (i, &bytes) in sizes.iter().enumerate() {
@@ -188,7 +187,7 @@ proptest! {
                 deadline: now + SimDuration::from_secs(2),
             };
             if resilient {
-                session.submit_resilient(req, now, &policy);
+                session.submit_resilient(req, now);
             } else {
                 session.submit(req, now);
             }
