@@ -123,20 +123,24 @@ fn bench_trace(c: &mut Criterion) {
     let disabled = TraceSink::disabled();
     c.bench_function("sim/trace_emit_disabled", |b| {
         b.iter(|| {
-            disabled.emit(std::hint::black_box(TraceEvent::CacheHit {
+            disabled.emit(std::hint::black_box(TraceEvent::EdgeCacheHit {
                 at: SimTime::from_nanos(42),
-                frame: 7,
                 tile: 3,
+                chunk: 7,
+                layer: 0,
+                bytes: 4_096,
             }))
         })
     });
     let enabled = TraceSink::with_level(TraceLevel::Verbose);
     c.bench_function("sim/trace_emit_enabled", |b| {
         b.iter(|| {
-            enabled.emit(std::hint::black_box(TraceEvent::CacheHit {
+            enabled.emit(std::hint::black_box(TraceEvent::EdgeCacheHit {
                 at: SimTime::from_nanos(42),
-                frame: 7,
                 tile: 3,
+                chunk: 7,
+                layer: 0,
+                bytes: 4_096,
             }))
         })
     });

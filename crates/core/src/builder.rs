@@ -172,14 +172,10 @@ impl Sperke {
         self
     }
 
-    /// Bound (or share) the tile-visibility memo the player's display
-    /// path uses. Cached results are bit-identical to recomputation, so
-    /// this knob changes speed, never outcomes. A default-capacity
-    /// cache is already on by default; pass a [`VisibilityCache`] handle
-    /// explicitly to share one memo across several experiments in the
-    /// same thread, e.g. a seed panel replaying the same video.
-    pub fn vis_cache(mut self, cache: VisibilityCache) -> Self {
-        self.player.vis_cache = cache;
+    /// Inert: no run holds a visibility memo, so the handle is dropped
+    /// unread and sees no query. Kept only because `sperkebench/` still
+    /// calls it; ROADMAP item 1 deletes it with that call.
+    pub fn vis_cache(self, _cache: VisibilityCache) -> Self {
         self
     }
 
@@ -681,62 +677,6 @@ mod tests {
             naive.qoe.mean_blank_fraction
         );
         assert!(hardened.qoe.score > naive.qoe.score);
-    }
-
-    #[test]
-    fn vis_cache_never_changes_outcomes() {
-        let base = || {
-            Sperke::builder(31)
-                .duration(SimDuration::from_secs(8))
-                .wifi_plus_lte()
-                .scheduler(SchedulerChoice::ContentAware)
-                .with_trace(TraceLevel::Verbose)
-        };
-        let cached = base().vis_cache(VisibilityCache::new(64)).run_report();
-        let uncached = base().vis_cache(VisibilityCache::disabled()).run_report();
-        assert_eq!(
-            cached.to_jsonl(),
-            uncached.to_jsonl(),
-            "events byte-identical"
-        );
-        assert_eq!(cached.trace_digest(), uncached.trace_digest());
-        assert_eq!(
-            cached.session.qoe.score.to_bits(),
-            uncached.session.qoe.score.to_bits(),
-            "QoE must be bit-identical with and without the cache"
-        );
-        assert_eq!(cached.session.qoe, uncached.session.qoe);
-        // The counters land in the metrics registry (events/digest are
-        // untouched: metrics are not part of the trace JSONL). Hits
-        // within one session may be zero — every mid-chunk gaze is a
-        // distinct bit pattern — but the counters must be flushed.
-        let m = cached.trace.metrics();
-        assert!(m.counter_value("vis_cache_miss").unwrap_or(0) > 0);
-        assert!(m.counter_value("vis_cache_hit").is_some());
-        assert_eq!(
-            uncached.trace.metrics().counter_value("vis_cache_miss"),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn shared_vis_cache_hits_across_runs_without_drift() {
-        let cache = sperke_geo::VisibilityCache::new(512);
-        let mk = || {
-            Sperke::builder(41)
-                .duration(SimDuration::from_secs(6))
-                .vis_cache(cache.clone())
-                .run_report()
-        };
-        let first = mk();
-        let misses_after_first = cache.stats().misses;
-        let second = mk();
-        assert!(misses_after_first > 0, "first run populates the memo");
-        assert!(
-            cache.stats().hits >= misses_after_first,
-            "an identical rerun replays from the memo"
-        );
-        assert_eq!(first.session.qoe, second.session.qoe);
     }
 
     #[test]

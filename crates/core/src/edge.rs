@@ -44,7 +44,6 @@ pub struct EdgeBuilder {
     clients: Option<Vec<EdgeClientSpec>>,
     faults: FaultScript,
     trace: TraceLevel,
-    vis: VisibilityCache,
     bbr: bool,
     origin_loss: LossChannel,
     policy: AbrPolicyKind,
@@ -72,7 +71,6 @@ impl Sperke {
             clients: None,
             faults: FaultScript::none(),
             trace: TraceLevel::Off,
-            vis: VisibilityCache::default(),
             bbr: false,
             origin_loss: LossChannel::Declared,
             policy: AbrPolicyKind::default(),
@@ -149,11 +147,10 @@ impl EdgeBuilder {
         self
     }
 
-    /// Pass a visibility-cache handle through to the run. No production
-    /// run reads it: the engine computes display visibility in its
-    /// sense phase, so the handle changes neither speed nor outcomes.
-    pub fn vis_cache(mut self, vis: VisibilityCache) -> Self {
-        self.vis = vis;
+    /// Inert: no run holds a visibility memo, so the handle is dropped
+    /// unread and sees no query. Kept only because `sperkebench/` still
+    /// calls it; ROADMAP item 1 deletes it with that call.
+    pub fn vis_cache(self, _vis: VisibilityCache) -> Self {
         self
     }
 
@@ -220,7 +217,6 @@ impl EdgeBuilder {
         let harness = EdgeHarness {
             trace: sink.clone(),
             faults: self.faults.clone(),
-            vis: self.vis.clone(),
             bbr: self.bbr,
             origin_loss: self.origin_loss,
             policy: self.policy,

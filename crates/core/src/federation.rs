@@ -23,7 +23,6 @@ pub struct FederationBuilder {
     duration: SimDuration,
     clients: Option<Vec<EdgeClientSpec>>,
     trace: TraceLevel,
-    vis: VisibilityCache,
     workers: usize,
 }
 
@@ -47,7 +46,6 @@ impl Sperke {
             duration: SimDuration::from_secs(12),
             clients: None,
             trace: TraceLevel::Off,
-            vis: VisibilityCache::default(),
             workers: 0,
         }
     }
@@ -104,11 +102,10 @@ impl FederationBuilder {
         self
     }
 
-    /// Pass a visibility-cache handle through to the run. No production
-    /// run reads it: node worlds score displays from the sense phase's
-    /// coverage lists, so the handle changes neither speed nor outcomes.
-    pub fn vis_cache(mut self, vis: VisibilityCache) -> Self {
-        self.vis = vis;
+    /// Inert: no run holds a visibility memo, so the handle is dropped
+    /// unread and sees no query. Kept only because `sperkebench/` still
+    /// calls it; ROADMAP item 1 deletes it with that call.
+    pub fn vis_cache(self, _vis: VisibilityCache) -> Self {
         self
     }
 
@@ -142,7 +139,6 @@ impl FederationBuilder {
         let video = self.build_video();
         let harness = FederationHarness {
             trace: self.trace,
-            vis: self.vis.clone(),
             ..FederationHarness::default()
         };
         run_federation(
@@ -206,7 +202,6 @@ mod tests {
                 SimTime::from_secs(2),
                 SimTime::from_millis(2800),
             ),
-            ..Default::default()
         };
         let run = run_federation(
             &video(),

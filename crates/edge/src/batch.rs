@@ -21,11 +21,10 @@
 //!    schedule functions the oracle also calls.
 //!
 //! The per-event engine in [`oracle`](crate::oracle) plans every decide
-//! inline at its event and runs the same `apply_*` code. The pure
-//! kernels are individually proven bit-identical to their inline forms
-//! (see the `forecast_with` / `visible_tiles_batch` / `viewer_reports`
-//! tests), and `tests/engine_equivalence.rs` pins the end-to-end claim:
-//! the same report and trace bytes, for every policy and worker count.
+//! inline at its event and runs the same `apply_*` code through the
+//! same kernels (`forecast_with`, `visible_tiles_into`), and
+//! `tests/engine_equivalence.rs` pins the end-to-end claim: the same
+//! report and trace bytes, for every policy and worker count.
 
 use crate::cache::CacheKey;
 use crate::federation::{NodeSpec, RegionalTier};
@@ -34,7 +33,7 @@ use crate::server::{
     edge_horizon, finish_edge_run, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig,
     EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
 };
-use sperke_geo::{visible_tiles_batch, Orientation, TileId, Viewport, VisibilityScratch};
+use sperke_geo::{Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{AttentionModel, ForecastScratch};
 use sperke_live::{viewer_reports, CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
@@ -178,20 +177,18 @@ fn sense_client(
                 video, spec, &head, c, decide_at, fscratch, hist, policy, &mut prev,
             ));
         }
-        let gazes: Vec<Orientation> = (0..chunks).map(|c| display_gaze(video, &head, c)).collect();
-        let mut displays: Vec<Vec<(TileId, f64)>> = vec![Vec::new(); chunks as usize];
-        if !gazes.is_empty() {
-            let proto = Viewport::headset(gazes[0]);
-            visible_tiles_batch(
-                video.grid(),
-                proto.hfov,
-                proto.vfov,
-                &gazes,
-                12,
-                vscratch,
-                |pose, list| displays[pose] = list.to_vec(),
-            );
-        }
+        let mut list = Vec::new();
+        let displays: Vec<Vec<(TileId, f64)>> = (0..chunks)
+            .map(|c| {
+                Viewport::headset(display_gaze(video, &head, c)).visible_tiles_into(
+                    video.grid(),
+                    12,
+                    vscratch,
+                    &mut list,
+                );
+                list.to_vec()
+            })
+            .collect();
         // The crowd only matters when the prefetcher runs; skipping
         // ingest otherwise cannot change any output (the aggregator
         // is read exclusively by prefetch events). The reports are the

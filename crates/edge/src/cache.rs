@@ -12,9 +12,7 @@
 //! eviction cost O(1), whatever the cache holds. The list head is
 //! exactly the entry a scan for the minimum of a unique, monotone
 //! last-used tick would pick, so the eviction schedule is the same pure
-//! function of the access sequence that such a scan gives — the
-//! property the geometry [`VisibilityCache`](sperke_geo::VisibilityCache)
-//! pins down too.
+//! function of the access sequence that such a scan gives.
 
 use serde::{Deserialize, Serialize};
 use sperke_sim::Lru;

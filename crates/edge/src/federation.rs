@@ -50,7 +50,6 @@ use crate::server::{
     UpstreamDecision,
 };
 use serde::{Deserialize, Serialize};
-use sperke_geo::VisibilityCache;
 use sperke_net::{FaultScript, PathFaults, SerialLink};
 use sperke_sim::trace::{Trace, TraceLevel};
 use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimTime, TraceEvent, TraceSink};
@@ -164,9 +163,6 @@ pub struct FederationHarness {
     pub node_faults: FaultScript,
     /// Shared origin backhaul faults (path 0 of the script).
     pub origin_faults: FaultScript,
-    /// Visibility cache handle. No production run reads it: node
-    /// worlds score displays from the sense phase's coverage lists.
-    pub vis: VisibilityCache,
 }
 
 impl Default for FederationHarness {
@@ -175,7 +171,6 @@ impl Default for FederationHarness {
             trace: TraceLevel::Off,
             node_faults: FaultScript::none(),
             origin_faults: FaultScript::none(),
-            vis: VisibilityCache::default(),
         }
     }
 }

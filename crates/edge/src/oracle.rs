@@ -13,7 +13,7 @@ use crate::server::{
     finish_edge_run, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent,
     EdgeHarness, EdgeReport, EdgeSched, EdgeWorld,
 };
-use sperke_geo::{Orientation, Viewport, VisibilityCache};
+use sperke_geo::{Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
 use sperke_live::{CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
@@ -42,8 +42,9 @@ struct OracleWorld<'a> {
     /// Reusable forecast/history buffers for inline decides.
     fscratch: ForecastScratch,
     hist: Vec<(SimTime, Orientation)>,
-    /// The harness's visibility memo for inline displays.
-    vis: VisibilityCache,
+    /// Reusable visibility counts and coverage list for inline displays.
+    vscratch: VisibilityScratch,
+    visible: Vec<(TileId, f64)>,
 }
 
 impl World<EdgeEvent> for OracleWorld<'_> {
@@ -70,10 +71,13 @@ impl World<EdgeEvent> for OracleWorld<'_> {
             }
             EdgeEvent::Display { client, chunk } => {
                 let gaze = display_gaze(world.video, &self.heads[client as usize], chunk);
-                let visible =
-                    self.vis
-                        .visible_tiles(&Viewport::headset(gaze), world.video.grid(), 12);
-                world.apply_display(client, chunk, &visible);
+                Viewport::headset(gaze).visible_tiles_into(
+                    world.video.grid(),
+                    12,
+                    &mut self.vscratch,
+                    &mut self.visible,
+                );
+                world.apply_display(client, chunk, &self.visible);
             }
             EdgeEvent::OriginArrived { chunk, tile, layer } => {
                 world.apply_origin_arrived(chunk, tile, layer, now)
@@ -156,7 +160,8 @@ pub fn run_edge_full(
         prev_levels: vec![Vec::new(); specs.len()],
         fscratch: ForecastScratch::new(),
         hist: Vec::new(),
-        vis: harness.vis.clone(),
+        vscratch: VisibilityScratch::new(),
+        visible: Vec::new(),
     };
 
     let mut sim = Simulation::new();

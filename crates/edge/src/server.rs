@@ -42,7 +42,7 @@
 
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use serde::{Deserialize, Serialize};
-use sperke_geo::{Orientation, TileGrid, TileId, VisibilityCache};
+use sperke_geo::{Orientation, TileGrid, TileId};
 use sperke_hmp::{
     generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster, HeadTrace,
 };
@@ -187,11 +187,6 @@ pub struct EdgeHarness {
     pub trace: TraceSink,
     /// Origin backhaul faults (path 0 of the script).
     pub faults: FaultScript,
-    /// Visibility cache handle. No production run reads it: the engine
-    /// computes display visibility in its sense phase. Only the
-    /// per-event [`oracle`](crate::oracle) memoizes through it, and the
-    /// cache stores exact results, so it never changes a byte.
-    pub vis: VisibilityCache,
     /// Probe the origin backhaul with a BBR-style estimator and pace
     /// fetches at the measured rate (clamped to the declared capacity).
     /// Off by default: declared pacing keeps golden digests stable.

@@ -35,7 +35,7 @@ pub use projection::{CubeFace, CubeMap, Equirect, OffsetCubeMap, PixelBudget, Uv
 pub use sampling::UnitDirections;
 pub use tiling::{TileCenters, TileGrid, TileId, TileRect};
 pub use vector::Vec3;
-pub use viewport::{visible_tiles_batch, Viewport, VisibilityScratch};
+pub use viewport::{Viewport, VisibilityScratch};
 pub use viscache::{VisCacheStats, VisibilityCache};
 
 #[cfg(test)]

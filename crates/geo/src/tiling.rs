@@ -153,8 +153,11 @@ impl TileGrid {
         )
     }
 
-    /// Great-circle distance from a direction to a tile's centre, radians.
-    pub fn distance_to_tile(&self, dir: Vec3, id: TileId) -> f64 {
+    /// Great-circle distance from a direction to a tile's centre,
+    /// radians; the reference [`TileCenters::distance_to_tile`] is
+    /// tested against.
+    #[cfg(test)]
+    fn distance_to_tile(&self, dir: Vec3, id: TileId) -> f64 {
         dir.angle_to(self.tile_center(id))
     }
 }
@@ -166,8 +169,8 @@ impl TileGrid {
 /// chunk) — at edge scale that is millions of redundant evaluations of
 /// the same `rows × cols` values. The table stores the exact
 /// `tile_center` outputs, so anything derived from it (notably
-/// [`TileCenters::distance_to_tile`]) is bit-identical to the on-demand
-/// formulation.
+/// [`TileCenters::distance_to_tile`]) is bit-identical to computing the
+/// centre on demand.
 #[derive(Debug, Clone)]
 pub struct TileCenters {
     grid: TileGrid,
@@ -193,7 +196,7 @@ impl TileCenters {
     }
 
     /// Great-circle distance from a direction to a tile's centre,
-    /// radians; bit-identical to [`TileGrid::distance_to_tile`].
+    /// radians: the angle to the exact [`TileGrid::tile_center`].
     pub fn distance_to_tile(&self, dir: Vec3, id: TileId) -> f64 {
         dir.angle_to(self.centers[id.index()])
     }

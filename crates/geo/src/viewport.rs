@@ -83,8 +83,7 @@ impl Viewport {
     /// The returned list is ordered by decreasing coverage.
     ///
     /// Allocates the result and a counts buffer; steady-state callers
-    /// should prefer [`Viewport::visible_tiles_into`] (zero allocation)
-    /// or a [`crate::viscache::VisibilityCache`] (memoized).
+    /// should prefer [`Viewport::visible_tiles_into`] (zero allocation).
     pub fn visible_tiles(&self, grid: &TileGrid, samples: u32) -> Vec<(TileId, f64)> {
         let mut out = Vec::new();
         self.visible_tiles_into(grid, samples, &mut VisibilityScratch::new(), &mut out);
@@ -96,13 +95,6 @@ impl Viewport {
     /// replaces the contents of `out`. Once `scratch` and `out` have
     /// grown to the working size, repeated queries do zero heap
     /// allocation.
-    ///
-    /// Per-call invariants — the orientation basis, the tangents of the
-    /// half-FoVs, and the per-row screen coordinate `sy` — are hoisted
-    /// out of the inner loop. Each raw (unnormalized) ray is binned by
-    /// a cached [`TileClassifier`], whose result is bit-identical to
-    /// normalizing the ray and calling [`TileGrid::tile_of_direction`]
-    /// (golden traces depend on this; see `classifier` module docs).
     pub fn visible_tiles_into(
         &self,
         grid: &TileGrid,
@@ -110,25 +102,8 @@ impl Viewport {
         scratch: &mut VisibilityScratch,
         out: &mut Vec<(TileId, f64)>,
     ) {
-        assert!(samples >= 2, "need at least a 2x2 sample grid");
-        let (cls, counts) = scratch.for_grid(grid);
-        let n = samples;
-        // Hoisted invariants: `ray` recomputes these for every sample.
-        let (f, l, u) = self.orientation.basis();
-        let tan_h = (self.hfov / 2.0).tan();
-        let tan_v = (self.vfov / 2.0).tan();
-        for iy in 0..n {
-            // Sample cell centres, not edges, to avoid double-counting corners.
-            let sy = (iy as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-            // `u * y` is constant along a row; `(f + l*x) + u*y` keeps
-            // the addition order of `ray`.
-            let uy = u * (tan_v * sy);
-            for ix in 0..n {
-                let sx = (ix as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-                counts[cls.classify(f + l * (tan_h * sx) + uy).index()] += 1;
-            }
-        }
-        let total = (n * n) as f64;
+        let counts = self.cast(grid, samples, scratch);
+        let total = (samples * samples) as f64;
         out.clear();
         out.extend(
             counts
@@ -149,31 +124,16 @@ impl Viewport {
     }
 
     /// Scratch-reusing form of [`Viewport::visible_tile_set`]: the set
-    /// of tiles with at least one ray hit, in ascending id order (the
-    /// order a coverage sort followed by an id sort would produce), at
-    /// the same default sampling density. Skips the coverage fractions
-    /// and both sorts entirely — hit tiles are read straight out of the
-    /// count buffer in index order — so the result is identical to
-    /// `visible_tile_set` by construction.
+    /// of tiles with at least one ray hit at the default 16×16 density,
+    /// read straight out of the count buffer in ascending id order (the
+    /// order a coverage sort followed by an id sort would produce).
     pub fn visible_tile_set_into(
         &self,
         grid: &TileGrid,
         scratch: &mut VisibilityScratch,
         out: &mut Vec<TileId>,
     ) {
-        let (cls, counts) = scratch.for_grid(grid);
-        let n = 16u32;
-        let (f, l, u) = self.orientation.basis();
-        let tan_h = (self.hfov / 2.0).tan();
-        let tan_v = (self.vfov / 2.0).tan();
-        for iy in 0..n {
-            let sy = (iy as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-            let uy = u * (tan_v * sy);
-            for ix in 0..n {
-                let sx = (ix as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-                counts[cls.classify(f + l * (tan_h * sx) + uy).index()] += 1;
-            }
-        }
+        let counts = self.cast(grid, 16, scratch);
         out.clear();
         out.extend(
             counts
@@ -184,94 +144,50 @@ impl Viewport {
         );
     }
 
-    /// Fraction of the screen covered by `tile` (0 when off screen).
-    ///
-    /// Counts hits on the one queried tile directly instead of building
-    /// (and sorting) the full visible list just to extract a single
-    /// entry. The sampling arithmetic is identical to
-    /// [`Viewport::visible_tiles`], so the returned fraction matches it
-    /// bit for bit.
+    /// Fraction of the screen covered by `tile` (0 when off screen):
+    /// the entry [`Viewport::visible_tiles`] reports for it, bit for
+    /// bit, without building or sorting the list.
     pub fn tile_coverage(&self, grid: &TileGrid, tile: TileId, samples: u32) -> f64 {
+        let mut scratch = VisibilityScratch::new();
+        match self.cast(grid, samples, &mut scratch).get(tile.index()) {
+            Some(&hits) if hits > 0 => hits as f64 / (samples * samples) as f64,
+            _ => 0.0,
+        }
+    }
+
+    /// The one ray cast: bins a `samples × samples` grid of rays through
+    /// cell centres of the viewport plane into per-tile hit counts,
+    /// returned from `scratch`.
+    ///
+    /// The basis and the half-FoV tangents are computed once per call
+    /// and `u * y` once per row; `(f + l*x) + u*y` keeps the addition
+    /// order of a per-ray construction. Each raw (unnormalized) ray is
+    /// binned by the scratch's [`TileClassifier`], whose result is
+    /// bit-identical to normalizing the ray and binning it by its
+    /// yaw/pitch angles (golden traces depend on this; see the
+    /// `classifier` module docs).
+    fn cast<'s>(
+        &self,
+        grid: &TileGrid,
+        samples: u32,
+        scratch: &'s mut VisibilityScratch,
+    ) -> &'s [u32] {
         assert!(samples >= 2, "need at least a 2x2 sample grid");
+        let (cls, counts) = scratch.for_grid(grid);
         let n = samples;
         let (f, l, u) = self.orientation.basis();
         let tan_h = (self.hfov / 2.0).tan();
         let tan_v = (self.vfov / 2.0).tan();
-        let mut hits = 0u32;
         for iy in 0..n {
+            // Sample cell centres, not edges, to avoid double-counting corners.
             let sy = (iy as f64 + 0.5) / n as f64 * 2.0 - 1.0;
             let uy = u * (tan_v * sy);
             for ix in 0..n {
                 let sx = (ix as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-                let dir = (f + l * (tan_h * sx) + uy).normalized();
-                if grid.tile_of_direction(dir) == tile {
-                    hits += 1;
-                }
+                counts[cls.classify(f + l * (tan_h * sx) + uy).index()] += 1;
             }
         }
-        if hits == 0 {
-            0.0
-        } else {
-            hits as f64 / (n * n) as f64
-        }
-    }
-}
-
-/// Batched form of [`Viewport::visible_tiles_into`] for many poses
-/// sharing one FoV: the FoV tangents and the `samples × samples` screen
-/// coordinates are computed once and reused for every orientation,
-/// instead of once per pose. For each pose the per-sample arithmetic is
-/// operation-for-operation identical to `visible_tiles_into`
-/// (pre-scaling the screen coordinates by the tangents yields the exact
-/// f64 the per-pose path computes inline), so every emitted list is
-/// bit-identical to a one-off query — the differential engine harness
-/// depends on this.
-///
-/// `emit` is called once per orientation, in slice order, with the pose
-/// index and its coverage list ordered by decreasing coverage. The list
-/// borrows a buffer reused across poses; copy out what you keep.
-pub fn visible_tiles_batch(
-    grid: &TileGrid,
-    hfov: f64,
-    vfov: f64,
-    orientations: &[Orientation],
-    samples: u32,
-    scratch: &mut VisibilityScratch,
-    mut emit: impl FnMut(usize, &[(TileId, f64)]),
-) {
-    assert!(samples >= 2, "need at least a 2x2 sample grid");
-    let n = samples;
-    let tan_h = (hfov / 2.0).tan();
-    let tan_v = (vfov / 2.0).tan();
-    // Screen coordinates are pose-independent: hoist them across the
-    // whole batch, pre-multiplied by the half-FoV tangents.
-    let xs: Vec<f64> = (0..n)
-        .map(|ix| tan_h * ((ix as f64 + 0.5) / n as f64 * 2.0 - 1.0))
-        .collect();
-    let ys: Vec<f64> = (0..n)
-        .map(|iy| tan_v * ((iy as f64 + 0.5) / n as f64 * 2.0 - 1.0))
-        .collect();
-    let total = (n * n) as f64;
-    let mut out: Vec<(TileId, f64)> = Vec::new();
-    for (pose, &orientation) in orientations.iter().enumerate() {
-        let (cls, counts) = scratch.for_grid(grid);
-        let (f, l, u) = orientation.basis();
-        for &y in &ys {
-            let uy = u * y;
-            for &x in &xs {
-                counts[cls.classify(f + l * x + uy).index()] += 1;
-            }
-        }
-        out.clear();
-        out.extend(
-            counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (TileId(i as u16), c as f64 / total)),
-        );
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
-        emit(pose, &out);
+        counts
     }
 }
 
@@ -433,38 +349,6 @@ mod tests {
                     b.1.to_bits(),
                     "coverage must be bit-identical"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_visibility_matches_per_pose_bitwise() {
-        let grid = TileGrid::new(4, 6);
-        let poses: Vec<Orientation> = (0..20)
-            .map(|i| {
-                Orientation::from_degrees(
-                    (i as f64 * 47.0) % 360.0 - 180.0,
-                    (i as f64 * 13.0) % 120.0 - 60.0,
-                    (i as f64 * 5.0) % 30.0 - 15.0,
-                )
-            })
-            .collect();
-        let hfov = 100f64.to_radians();
-        let vfov = 90f64.to_radians();
-        let mut scratch = VisibilityScratch::new();
-        let mut batch: Vec<Vec<(TileId, f64)>> = Vec::new();
-        visible_tiles_batch(&grid, hfov, vfov, &poses, 12, &mut scratch, |i, vis| {
-            assert_eq!(i, batch.len());
-            batch.push(vis.to_vec());
-        });
-        assert_eq!(batch.len(), poses.len());
-        let mut out = Vec::new();
-        for (i, &o) in poses.iter().enumerate() {
-            Viewport::new(o, hfov, vfov).visible_tiles_into(&grid, 12, &mut scratch, &mut out);
-            assert_eq!(batch[i].len(), out.len(), "pose {i}");
-            for (a, b) in batch[i].iter().zip(&out) {
-                assert_eq!(a.0, b.0, "pose {i}");
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "pose {i} coverage bits");
             }
         }
     }

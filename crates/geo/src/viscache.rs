@@ -1,15 +1,16 @@
-//! Memoized tile-visibility queries: the hot-path cache.
+//! Memoized tile-visibility queries.
 //!
-//! Every layer of the stack — the rate adaptor, the HMP evaluators, the
-//! live path, the edge model — bottoms out in
-//! [`Viewport::visible_tiles`], which casts a ray grid and runs
-//! trig-heavy projection math per sample. The same gaze orientation is
-//! re-queried many times per simulated second, so a [`VisibilityCache`]
-//! memoizes *exact* results keyed by the orientation's f64 bit patterns
-//! plus the grid shape and sample density. Because the key is the exact
-//! bit pattern and the stored value is the exact computed result, a
-//! cache hit is bit-identical to recomputation by construction — the
-//! golden trace digests cannot tell the difference.
+//! No run holds a [`VisibilityCache`]: every consumer casts through a
+//! [`VisibilityScratch`] it owns, because measured runs never hit the
+//! memo. The type stays only because the benchmark harness
+//! (`sperkebench/`) still builds one and passes it to the builders'
+//! inert `.vis_cache(..)` setters; ROADMAP item 1 deletes both.
+//!
+//! A [`VisibilityCache`] memoizes *exact* [`Viewport::visible_tiles`]
+//! results keyed by the orientation's f64 bit patterns plus the grid
+//! shape and sample density. Because the key is the exact bit pattern
+//! and the stored value is the exact computed result, a cache hit is
+//! bit-identical to recomputation by construction.
 //!
 //! The memo is a bounded least-recently-used store, a
 //! [`sperke_sim::Lru`]: a hit moves its entry to the newest end of a
@@ -22,11 +23,7 @@
 //! the same exact value.
 //!
 //! The handle is an `Arc<Mutex<..>>` (like `TraceSink`), so it and
-//! anything holding it are `Send + Sync`. Parallel sweeps keep one
-//! cache per worker thread, so no lock is shared across threads.
-//! Determinism does not depend on the hit pattern: the key is the exact
-//! bit pattern and the stored value the exact computed result, so a
-//! hit and a recomputation are indistinguishable.
+//! anything holding it are `Send + Sync`.
 
 use crate::tiling::{TileGrid, TileId};
 use crate::viewport::{Viewport, VisibilityScratch};
@@ -92,9 +89,8 @@ struct CacheInner {
 
 /// A bounded LRU memo of exact [`Viewport::visible_tiles`] results.
 ///
-/// The handle is cheap to clone (`Arc`); clones share one cache, which
-/// is how a cache is threaded through a session's subsystems. See the
-/// [module docs](self) for the bit-exactness and threading contract.
+/// The handle is cheap to clone (`Arc`); clones share one cache. See
+/// the [module docs](self) for the bit-exactness and threading contract.
 ///
 /// ```
 /// use sperke_geo::{Orientation, TileGrid, Viewport, VisibilityCache};

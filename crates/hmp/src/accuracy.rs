@@ -9,7 +9,7 @@ use crate::fusion::FusedForecaster;
 use crate::predictor::Predictor;
 use crate::trace::HeadTrace;
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileGrid, Viewport, VisibilityCache};
+use sperke_geo::{TileGrid, Viewport, VisibilityScratch};
 use sperke_sim::stats;
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::ChunkTime;
@@ -43,9 +43,8 @@ pub fn evaluate_predictor(
     let mut errors = Vec::new();
     let mut hits = 0usize;
     let mut total = 0usize;
-    // Predictors emit recurring orientations (still gazes, grid-snapped
-    // fits), so the per-step viewport query memoizes well.
-    let vis = VisibilityCache::default();
+    let mut vis_scratch = VisibilityScratch::new();
+    let mut predicted_tiles = Vec::new();
 
     let start = SimTime::from_secs(1); // warm-up for history
     let end_f = trace.duration().as_secs_f64() - horizon.as_secs_f64();
@@ -56,7 +55,11 @@ pub fn evaluate_predictor(
         let actual = trace.at(t + horizon);
         errors.push(predicted.angular_distance(&actual).to_degrees());
 
-        let predicted_tiles = vis.visible_tile_set(&Viewport::headset(predicted), grid);
+        Viewport::headset(predicted).visible_tile_set_into(
+            grid,
+            &mut vis_scratch,
+            &mut predicted_tiles,
+        );
         let actual_tile = grid.tile_of_direction(actual.direction());
         if predicted_tiles.contains(&actual_tile) {
             hits += 1;

@@ -207,69 +207,8 @@ impl Forecaster for FusedForecaster {
         target_time: SimTime,
         chunk_time: ChunkTime,
     ) -> TileForecast {
-        assert!(!history.is_empty(), "history must be non-empty");
-        let horizon = target_time.saturating_since(now);
-        let current = history.last().expect("non-empty").1;
-        let predicted = self.motion.predict(history, horizon);
-
-        // --- Motion component: FoV membership blurred by horizon noise.
-        let vp = Viewport::headset(predicted);
-        let fov_radius = (vp.hfov.min(vp.vfov)) / 2.0;
-        let sigma =
-            (0.12 + UNCERTAINTY_RATE * horizon.as_secs_f64()).min(UNCERTAINTY_CAP.max(0.12));
-        let motion_probs: Vec<f64> = grid
-            .tiles()
-            .map(|tile| {
-                let d = grid.distance_to_tile(predicted.direction(), tile);
-                let outside = (d - fov_radius).max(0.0);
-                (-0.5 * (outside / sigma).powi(2)).exp()
-            })
-            .collect();
-
-        // --- Popularity component, combined as a noisy-OR: the tile is
-        // on screen if motion predicts it OR the crowd watches it. This
-        // lifts popular tiles at long horizons without ever *displacing*
-        // the viewer's own motion evidence (a convex blend would dilute
-        // a certain motion prediction down to the crowd average).
-        let w = self.prior_weight(horizon);
-        let mut probs: Vec<f64> = if let (Some(map), true) = (&self.heatmap, w > 0.0) {
-            grid.tiles()
-                .map(|tile| {
-                    let pop = map.tile_probability(chunk_time, tile);
-                    let m = motion_probs[tile.index()];
-                    1.0 - (1.0 - m) * (1.0 - w * pop)
-                })
-                .collect()
-        } else {
-            motion_probs
-        };
-
-        // --- Speed-bound pruning: tiles unreachable within the horizon.
-        if let Some(bound) = self.speed_bound {
-            let reach = bound * horizon.as_secs_f64() + fov_radius;
-            for tile in grid.tiles() {
-                let d = grid.distance_to_tile(current.direction(), tile);
-                if d > reach {
-                    probs[tile.index()] = probs[tile.index()].min(PRUNE_FLOOR);
-                }
-            }
-        }
-
-        // --- Context pruning: tiles no reachable gaze could *see*. The
-        // pose limits where the gaze can point; the viewport extends a
-        // further FoV half-width beyond the gaze, so the visibility
-        // limit is the pose range plus that margin (a viewer pinned at
-        // the limit still sees past it).
-        for tile in grid.tiles() {
-            let center = grid.tile_center(tile);
-            let yaw = center.y.atan2(center.x);
-            let offset = sperke_geo::angles::wrap_pi(yaw - self.front_yaw).abs();
-            if offset > self.context.yaw_half_range() + fov_radius {
-                probs[tile.index()] = probs[tile.index()].min(PRUNE_FLOOR);
-            }
-        }
-
-        TileForecast::new(probs)
+        let mut scratch = ForecastScratch::new();
+        self.forecast_with(grid, history, now, target_time, chunk_time, &mut scratch)
     }
 }
 
@@ -298,13 +237,12 @@ impl ForecastScratch {
 }
 
 impl FusedForecaster {
-    /// Scratch-backed form of [`FusedForecaster::forecast`]: identical
-    /// output bits, computed cheaper.
+    /// [`FusedForecaster::forecast`] with reusable buffers: the output
+    /// bits do not depend on what `scratch` held before.
     ///
     /// * Tile centres come from the scratch's [`TileCenters`] table
     ///   instead of four trig calls per query, and the predicted/current
-    ///   gaze directions are derived once instead of once per tile —
-    ///   both produce the exact f64s the per-tile path produces inline.
+    ///   gaze directions are derived once instead of once per tile.
     /// * The context-prune pass is skipped entirely when the pose's yaw
     ///   range plus the FoV half-width reaches π: a wrapped yaw offset
     ///   never exceeds π, so the prune condition `offset > limit` is
@@ -326,6 +264,7 @@ impl FusedForecaster {
         let current = history.last().expect("non-empty").1;
         let predicted = self.motion.predict(history, horizon);
 
+        // --- Motion component: FoV membership blurred by horizon noise.
         let vp = Viewport::headset(predicted);
         let fov_radius = (vp.hfov.min(vp.vfov)) / 2.0;
         let sigma =
@@ -338,6 +277,11 @@ impl FusedForecaster {
             (-0.5 * (outside / sigma).powi(2)).exp()
         }));
 
+        // --- Popularity component, combined as a noisy-OR: the tile is
+        // on screen if motion predicts it OR the crowd watches it. This
+        // lifts popular tiles at long horizons without ever *displacing*
+        // the viewer's own motion evidence (a convex blend would dilute
+        // a certain motion prediction down to the crowd average).
         let w = self.prior_weight(horizon);
         let mut probs: Vec<f64> = if let (Some(map), true) = (&self.heatmap, w > 0.0) {
             grid.tiles()
@@ -351,6 +295,7 @@ impl FusedForecaster {
             motion.clone()
         };
 
+        // --- Speed-bound pruning: tiles unreachable within the horizon.
         if let Some(bound) = self.speed_bound {
             let reach = bound * horizon.as_secs_f64() + fov_radius;
             let current_dir = current.direction();
@@ -362,6 +307,11 @@ impl FusedForecaster {
             }
         }
 
+        // --- Context pruning: tiles no reachable gaze could *see*. The
+        // pose limits where the gaze can point; the viewport extends a
+        // further FoV half-width beyond the gaze, so the visibility
+        // limit is the pose range plus that margin (a viewer pinned at
+        // the limit still sees past it).
         let limit = self.context.yaw_half_range() + fov_radius;
         if limit < std::f64::consts::PI {
             for tile in grid.tiles() {
@@ -598,9 +548,9 @@ mod tests {
         assert!(above.iter().all(|&t| fc.prob(t) >= 0.5));
     }
 
-    #[test]
-    fn forecast_with_scratch_is_bit_identical() {
-        let grid = TileGrid::new(4, 6);
+    /// Five forecaster shapes on `grid`: motion only, with a heatmap,
+    /// a speed bound, a lying context, and all three together.
+    fn forecasters_on(grid: TileGrid) -> Vec<FusedForecaster> {
         let traces: Vec<HeadTrace> = (0..4)
             .map(|i| {
                 HeadTrace::from_fn(SimDuration::from_secs(4), move |t| {
@@ -613,7 +563,7 @@ mod tests {
             pose: Pose::Lying,
             ..Default::default()
         };
-        let forecasters = [
+        vec![
             FusedForecaster::motion_only(),
             FusedForecaster::motion_only().with_heatmap(map.clone()),
             FusedForecaster::motion_only().with_speed_bound(0.4),
@@ -622,22 +572,35 @@ mod tests {
                 .with_heatmap(map)
                 .with_speed_bound(1.1)
                 .with_context(lying, -0.8),
-        ];
+        ]
+    }
+
+    #[test]
+    fn one_scratch_reused_across_forecasters_and_grids_matches_a_fresh_one() {
+        // One scratch serves every forecaster and two grid shapes in
+        // turn (its centre table is rebuilt on each shape change); the
+        // plain `forecast` builds a fresh scratch per call.
+        let cases = [TileGrid::new(4, 6), TileGrid::new(3, 5)].map(|g| (g, forecasters_on(g)));
         let mut scratch = ForecastScratch::new();
-        for (fi, f) in forecasters.iter().enumerate() {
+        for fi in 0..5 {
             for yaw in [0.0, 75.0, -160.0] {
                 for horizon_ms in [150, 900, 3000] {
-                    let h = still_history(yaw);
-                    let now = h.last().unwrap().0;
-                    let target = now + SimDuration::from_millis(horizon_ms);
-                    let slow = f.forecast(&grid, &h, now, target, ChunkTime(2));
-                    let fast = f.forecast_with(&grid, &h, now, target, ChunkTime(2), &mut scratch);
-                    for tile in grid.tiles() {
-                        assert_eq!(
-                            fast.prob(tile).to_bits(),
-                            slow.prob(tile).to_bits(),
-                            "forecaster {fi}, yaw {yaw}, horizon {horizon_ms} ms, tile {tile}"
-                        );
+                    for (grid, forecasters) in &cases {
+                        let f = &forecasters[fi];
+                        let h = still_history(yaw);
+                        let now = h.last().unwrap().0;
+                        let target = now + SimDuration::from_millis(horizon_ms);
+                        let fresh = f.forecast(grid, &h, now, target, ChunkTime(2));
+                        let reused =
+                            f.forecast_with(grid, &h, now, target, ChunkTime(2), &mut scratch);
+                        for tile in grid.tiles() {
+                            assert_eq!(
+                                reused.prob(tile).to_bits(),
+                                fresh.prob(tile).to_bits(),
+                                "forecaster {fi}, grid {grid:?}, yaw {yaw}, \
+                                 horizon {horizon_ms} ms, tile {tile}"
+                            );
+                        }
                     }
                 }
             }

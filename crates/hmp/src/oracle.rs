@@ -8,7 +8,7 @@
 
 use crate::fusion::{Forecaster, TileForecast};
 use crate::trace::HeadTrace;
-use sperke_geo::{Orientation, TileGrid, TileId, Viewport, VisibilityCache};
+use sperke_geo::{Orientation, TileGrid, TileId, Viewport, VisibilityScratch};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::ChunkTime;
 
@@ -22,8 +22,6 @@ pub struct OracleForecaster {
     /// (the tile set is the union of viewports over the window, since a
     /// chunk is displayed for its whole duration, not an instant).
     pub window: SimDuration,
-    /// Memoized visibility (adjacent chunks revisit sample instants).
-    vis: VisibilityCache,
 }
 
 impl OracleForecaster {
@@ -33,7 +31,6 @@ impl OracleForecaster {
         OracleForecaster {
             trace,
             window: SimDuration::from_secs(1),
-            vis: VisibilityCache::default(),
         }
     }
 }
@@ -47,10 +44,13 @@ impl Forecaster for OracleForecaster {
         target_time: SimTime,
         _chunk_time: ChunkTime,
     ) -> TileForecast {
+        let mut scratch = VisibilityScratch::new();
+        let mut at_instant = Vec::new();
         let mut visible: Vec<TileId> = Vec::new();
         for frac in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let gaze = self.trace.at(target_time + self.window.mul_f64(frac));
-            for t in self.vis.visible_tile_set(&Viewport::headset(gaze), grid) {
+            Viewport::headset(gaze).visible_tile_set_into(grid, &mut scratch, &mut at_instant);
+            for &t in &at_instant {
                 if !visible.contains(&t) {
                     visible.push(t);
                 }

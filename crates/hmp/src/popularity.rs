@@ -11,7 +11,7 @@
 
 use crate::trace::HeadTrace;
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileGrid, TileId, Viewport, VisibilityCache};
+use sperke_geo::{TileGrid, TileId, Viewport, VisibilityScratch};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::ChunkTime;
 
@@ -41,6 +41,10 @@ impl Heatmap {
     /// Build from an ensemble of traces: for every chunk window, each
     /// viewer contributes the union of tiles visible at three instants
     /// within the window (start / middle / end of chunk).
+    ///
+    /// Each distinct sample instant is cast once per trace: a window
+    /// that starts at the instant the previous one ended reuses that
+    /// end set as its start set.
     pub fn build(
         grid: TileGrid,
         chunk_duration: SimDuration,
@@ -48,15 +52,34 @@ impl Heatmap {
         traces: &[HeadTrace],
     ) -> Heatmap {
         let mut map = Heatmap::empty(grid, chunk_duration, chunks);
-        // One memo across the whole ensemble: window boundaries are
-        // shared between adjacent chunks and hotspots make viewers
-        // revisit the same gazes, so the build is hit-heavy.
-        let vis = VisibilityCache::default();
+        let mut scratch = VisibilityScratch::new();
+        // The visible sets at the window's start, middle and end.
+        let mut sets: [Vec<TileId>; 3] = Default::default();
+        let mut union = Vec::new();
         for trace in traces {
+            let mut last_end: Option<SimTime> = None;
             for t in 0..chunks {
-                let tiles =
-                    visible_in_window_cached(grid, chunk_duration, ChunkTime(t), trace, &vis);
-                map.record(ChunkTime(t), &tiles);
+                let start = SimTime::ZERO + chunk_duration * t as u64;
+                let instants = [0.0, 0.5, 1.0].map(|frac| start + chunk_duration.mul_f64(frac));
+                for (i, &at) in instants.iter().enumerate() {
+                    if i == 0 && last_end == Some(at) {
+                        sets.swap(0, 2);
+                    } else {
+                        Viewport::headset(trace.at(at)).visible_tile_set_into(
+                            &grid,
+                            &mut scratch,
+                            &mut sets[i],
+                        );
+                    }
+                }
+                last_end = Some(instants[2]);
+                union.clear();
+                for set in &sets {
+                    union.extend_from_slice(set);
+                }
+                union.sort();
+                union.dedup();
+                map.record(ChunkTime(t), &union);
             }
         }
         map
@@ -187,32 +210,6 @@ impl Heatmap {
     }
 }
 
-/// The union of tiles visible to a trace's viewer during one chunk
-/// window (sampled at the window's start, middle and end), through a
-/// visibility memo. Results are bit-identical whichever cache handle is
-/// passed.
-fn visible_in_window_cached(
-    grid: TileGrid,
-    chunk_duration: SimDuration,
-    t: ChunkTime,
-    trace: &HeadTrace,
-    vis: &VisibilityCache,
-) -> Vec<TileId> {
-    let start = SimTime::ZERO + chunk_duration * t.0 as u64;
-    let mut tiles = Vec::new();
-    for frac in [0.0, 0.5, 1.0] {
-        let at = start + chunk_duration.mul_f64(frac);
-        let vp = Viewport::headset(trace.at(at));
-        for tile in vis.visible_tile_set(&vp, &grid) {
-            if !tiles.contains(&tile) {
-                tiles.push(tile);
-            }
-        }
-    }
-    tiles.sort();
-    tiles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +266,38 @@ mod tests {
         // Tiles behind the viewer are at 0.
         let behind = grid.tile_of_direction(-sperke_geo::Vec3::X);
         assert_eq!(map.tile_probability(ChunkTime(2), behind), 0.0);
+    }
+
+    #[test]
+    fn build_matches_three_casts_per_window() {
+        let grid = TileGrid::new(4, 6);
+        let traces =
+            generate_ensemble(&AttentionModel::generic(5), 3, SimDuration::from_secs(6), 9);
+        // A round and an odd chunk length. Either way a window's end
+        // instant is the next window's start, so each window after a
+        // trace's first reuses the previous end set.
+        for cd in [
+            SimDuration::from_secs(1),
+            SimDuration::from_nanos(333_333_333),
+        ] {
+            let mut expected = Heatmap::empty(grid, cd, 5);
+            for trace in &traces {
+                for t in 0..5u32 {
+                    let start = SimTime::ZERO + cd * t as u64;
+                    let mut tiles: Vec<TileId> = [0.0, 0.5, 1.0]
+                        .iter()
+                        .flat_map(|&frac| {
+                            Viewport::headset(trace.at(start + cd.mul_f64(frac)))
+                                .visible_tile_set(&grid)
+                        })
+                        .collect();
+                    tiles.sort();
+                    tiles.dedup();
+                    expected.record(ChunkTime(t), &tiles);
+                }
+            }
+            assert_eq!(Heatmap::build(grid, cd, 5, &traces), expected);
+        }
     }
 
     #[test]

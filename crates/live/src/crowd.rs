@@ -14,7 +14,7 @@
 //! `v + L_hi` — by which point the crowd's gaze at `v` is long known.
 
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileGrid, TileId, Viewport, VisibilityCache, VisibilityScratch};
+use sperke_geo::{TileGrid, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{FusedForecaster, HeadTrace, Heatmap};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::ChunkTime;
@@ -41,8 +41,6 @@ pub struct CrowdAggregator {
     reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
     /// Extra delay for a gaze report to reach the server.
     pub report_delay: SimDuration,
-    /// Memoized visibility for ingest (many viewers share gazes).
-    vis: VisibilityCache,
 }
 
 impl CrowdAggregator {
@@ -53,23 +51,20 @@ impl CrowdAggregator {
             chunk_duration,
             reports: Vec::new(),
             report_delay: SimDuration::from_millis(200),
-            vis: VisibilityCache::default(),
         }
     }
 
-    /// Ingest one viewer's gaze stream for chunks `0..chunks`.
+    /// Ingest one viewer's gaze stream for chunks `0..chunks`: append
+    /// that viewer's [`viewer_reports`] at this aggregator's report
+    /// delay.
     pub fn ingest(&mut self, viewer: &LiveViewer, chunks: u32) {
-        for c in 0..chunks {
-            let video_time = SimTime::ZERO + self.chunk_duration * c as u64;
-            // The viewer watches chunk c at wall video_time + latency;
-            // their gaze report reaches the server report_delay later.
-            let wall = video_time + viewer.latency + self.report_delay;
-            let gaze = viewer.trace.at(video_time + self.chunk_duration / 2);
-            let tiles = self
-                .vis
-                .visible_tile_set(&Viewport::headset(gaze), &self.grid);
-            self.reports.push((wall, ChunkTime(c), tiles));
-        }
+        self.ingest_reports(viewer_reports(
+            &self.grid,
+            self.chunk_duration,
+            self.report_delay,
+            viewer,
+            chunks,
+        ));
     }
 
     /// Append reports precomputed by [`viewer_reports`]. Appending each
@@ -149,11 +144,11 @@ impl CrowdAggregator {
     }
 }
 
-/// The gaze reports [`CrowdAggregator::ingest`] would append for one
-/// viewer — `(available_at_wall, chunk, visible tiles)` for each chunk
-/// in `0..chunks` — computed without touching an aggregator. Pure in
-/// its arguments, so a batched engine can compute every viewer's
-/// reports on worker threads and append them in canonical order with
+/// The gaze reports [`CrowdAggregator::ingest`] appends for one viewer
+/// — `(available_at_wall, chunk, visible tiles)` for each chunk in
+/// `0..chunks` — computed without touching an aggregator. Pure in its
+/// arguments, so a batched engine can compute every viewer's reports on
+/// worker threads and append them in canonical order with
 /// [`CrowdAggregator::ingest_reports`].
 pub fn viewer_reports(
     grid: &TileGrid,
@@ -169,6 +164,8 @@ pub fn viewer_reports(
     (0..chunks)
         .map(|c| {
             let video_time = SimTime::ZERO + chunk_duration * c as u64;
+            // The viewer watches chunk c at wall video_time + latency;
+            // their gaze report reaches the server report_delay later.
             let wall = video_time + viewer.latency + report_delay;
             let gaze = viewer.trace.at(video_time + chunk_duration / 2);
             let mut tiles = Vec::new();

@@ -81,9 +81,9 @@ pub fn run_fov_live(
     let mut blank_acc = 0.0;
     let mut util_acc = 0.0;
     let mut evaluated = 0u32;
-    // Display-point visibility memo; the gaze sequence revisits
-    // orientations, and a hit is bit-identical to recomputation.
-    let vis = sperke_geo::VisibilityCache::default();
+    // Display visibility: one scratch and one list, reused every chunk.
+    let mut vis_scratch = sperke_geo::VisibilityScratch::new();
+    let mut visible = Vec::new();
 
     for c in 1..chunks {
         let t = ChunkTime(c);
@@ -123,7 +123,12 @@ pub fn run_fov_live(
         }
         // Display: viewport at the chunk's midpoint.
         let gaze = viewer.trace.at(video_time + cd / 2);
-        let visible = vis.visible_tiles(&sperke_geo::Viewport::headset(gaze), video.grid(), 16);
+        sperke_geo::Viewport::headset(gaze).visible_tiles_into(
+            video.grid(),
+            16,
+            &mut vis_scratch,
+            &mut visible,
+        );
         let mut blank = 0.0;
         let mut util = 0.0;
         for &(tile, coverage) in visible.iter() {

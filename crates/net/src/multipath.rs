@@ -922,9 +922,10 @@ mod tests {
         );
     }
 
-    fn outage_on_wifi() -> Vec<PathQueue> {
+    /// [`wifi_lte_clean`] with `path` down over `[2 s, 7 s)`.
+    fn outage_on(path: usize) -> Vec<PathQueue> {
         let script = crate::fault::FaultScript::none().link_down(
-            0,
+            path,
             SimTime::from_secs(2),
             SimTime::from_secs(7),
         );
@@ -940,7 +941,7 @@ mod tests {
 
     #[test]
     fn resilient_submission_fails_over_to_surviving_path() {
-        let mut s = MultipathSession::new(outage_on_wifi(), ContentAware);
+        let mut s = MultipathSession::new(outage_on(0), ContentAware);
         // FoV chunk submitted mid-outage: the premium (wifi) attempt dies
         // after a detection RTT, the retry lands on LTE and delivers.
         let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(3));
@@ -959,23 +960,23 @@ mod tests {
 
     #[test]
     fn content_aware_abandons_oos_retries() {
-        let mut s = MultipathSession::new(outage_on_wifi(), ContentAware);
-        // Force the OOS chunk onto the dead premium path by making the
-        // secondary useless for it: saturate LTE first.
-        s.submit(fov_req(30_000_000), SimTime::from_millis(1)); // wifi, pre-outage
+        // A regular OOS chunk rides the non-premium path (LTE, path 1);
+        // that path is down at the submit instant, so the attempt fails
+        // while the premium wifi path stays healthy.
+        let mut s = MultipathSession::new(outage_on(1), ContentAware);
         let r = s.submit_resilient(oos_req(400_000), SimTime::from_secs(3));
-        if r.completion.outcome == TransferOutcome::Failed {
-            assert!(
-                r.abandoned,
-                "content-aware gives up on OOS rather than retry"
-            );
-            assert_eq!(r.attempts, 1);
-        }
+        assert_eq!(r.completion.outcome, TransferOutcome::Failed);
+        assert!(
+            r.abandoned,
+            "content-aware gives up on OOS rather than fail over"
+        );
+        assert_eq!(r.attempts, 1);
+        assert_eq!(r.path, 1, "the one attempt rode the non-premium path");
     }
 
     #[test]
     fn agnostic_recovery_retries_everything() {
-        let mut s = MultipathSession::new(outage_on_wifi(), EarliestCompletion);
+        let mut s = MultipathSession::new(outage_on(0), EarliestCompletion);
         let r = s.submit_resilient(oos_req(400_000), SimTime::from_secs(6));
         // EarliestCompletion sends to idle LTE or dead wifi; either way
         // the default reassign keeps retrying, so the chunk lands.

@@ -13,9 +13,8 @@ use crate::cache::{DecodedFrameCache, FrameKey};
 use crate::device::{DeviceProfile, SourceVideo};
 use crate::scheduler::DecoderPool;
 use serde::{Deserialize, Serialize};
-use sperke_geo::{TileGrid, TileId, Viewport, VisibilityCache};
+use sperke_geo::{TileGrid, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::HeadTrace;
-use sperke_sim::trace::{TraceEvent, TraceSink};
 use sperke_sim::{SimDuration, SimTime};
 
 /// The three Figure-5 configurations.
@@ -90,33 +89,6 @@ pub fn simulate_render(
     config: &PipelineConfig,
     duration: SimDuration,
 ) -> RenderStats {
-    simulate_render_traced(
-        device,
-        video,
-        grid,
-        trace,
-        mode,
-        config,
-        duration,
-        &TraceSink::disabled(),
-    )
-}
-
-/// Like [`simulate_render`], additionally emitting decode-scheduler and
-/// cache events ([`TraceEvent::DecodeAdmitted`], [`TraceEvent::CacheHit`],
-/// [`TraceEvent::CacheEvicted`]) into `sink` at
-/// [`TraceLevel::Verbose`](sperke_sim::trace::TraceLevel::Verbose).
-#[allow(clippy::too_many_arguments)]
-fn simulate_render_traced(
-    device: &DeviceProfile,
-    video: SourceVideo,
-    grid: &TileGrid,
-    trace: &HeadTrace,
-    mode: RenderMode,
-    config: &PipelineConfig,
-    duration: SimDuration,
-    sink: &TraceSink,
-) -> RenderStats {
     let (decoders, cache_capacity) = match mode {
         RenderMode::UnoptimizedAll => (1, 0),
         RenderMode::OptimizedAll | RenderMode::OptimizedFov => {
@@ -125,9 +97,7 @@ fn simulate_render_traced(
     };
     let mut pool = DecoderPool::new(decoders);
     let mut cache = DecodedFrameCache::new(cache_capacity);
-    // The render and prefetch passes query the same orientation every
-    // frame, so the visibility memo hits on the second query onward.
-    let vis = VisibilityCache::default();
+    let mut vis_scratch = VisibilityScratch::new();
     let decode_time = device.decode_time(video.tile_mp(grid.tile_count()));
     let frame_period = SimDuration::from_secs_f64(1.0 / video.fps);
 
@@ -140,15 +110,20 @@ fn simulate_render_traced(
     // finishes.
     let mut decoded_at: std::collections::HashMap<FrameKey, SimTime> =
         std::collections::HashMap::new();
+    // The tiles this frame draws: the whole grid, or in FoV mode the
+    // current viewport's set, cast once per frame.
+    let mut needed: Vec<TileId> = grid.tiles().collect();
 
     let end = SimTime::ZERO + duration;
     while now < end {
         let source_frame = now.as_nanos() / frame_period.as_nanos();
-        let orientation = trace.at(now);
-        let needed: Vec<TileId> = match mode {
-            RenderMode::UnoptimizedAll | RenderMode::OptimizedAll => grid.tiles().collect(),
-            RenderMode::OptimizedFov => vis.visible_tile_set(&Viewport::headset(orientation), grid),
-        };
+        if mode == RenderMode::OptimizedFov {
+            Viewport::headset(trace.at(now)).visible_tile_set_into(
+                grid,
+                &mut vis_scratch,
+                &mut needed,
+            );
+        }
 
         // Decode whatever the current frame still misses; even cached
         // (prefetched) tiles gate on their decode completion time.
@@ -163,25 +138,8 @@ fn simulate_render_traced(
                 cache.insert(key);
                 decoded_at.insert(key, completion.finished);
                 ready_at = ready_at.max(completion.finished);
-                if sink.is_enabled() {
-                    sink.emit(TraceEvent::DecodeAdmitted {
-                        at: now,
-                        frame: key.frame,
-                        tile: key.tile.0,
-                        decoder: completion.decoder as u32,
-                    });
-                }
-            } else {
-                if sink.is_enabled() {
-                    sink.emit(TraceEvent::CacheHit {
-                        at: now,
-                        frame: key.frame,
-                        tile: key.tile.0,
-                    });
-                }
-                if let Some(&done) = decoded_at.get(&key) {
-                    ready_at = ready_at.max(done);
-                }
+            } else if let Some(&done) = decoded_at.get(&key) {
+                ready_at = ready_at.max(done);
             }
         }
         if ready_at > now {
@@ -195,28 +153,14 @@ fn simulate_render_traced(
             while prefetched_through < horizon as i64 {
                 let f = (prefetched_through + 1) as u64;
                 // HMP steer: in FoV mode, prefetch only tiles plausibly
-                // visible soon (current visible set; the margin comes
-                // from re-checks every rendered frame).
-                let prefetch_tiles: Vec<TileId> = match mode {
-                    RenderMode::OptimizedFov => {
-                        vis.visible_tile_set(&Viewport::headset(orientation), grid)
-                    }
-                    _ => grid.tiles().collect(),
-                };
-                for tile in prefetch_tiles {
+                // visible soon (this frame's visible set; the margin
+                // comes from re-checks every rendered frame).
+                for &tile in &needed {
                     let key = FrameKey { frame: f, tile };
                     if !cache.contains(key) {
                         let completion = pool.submit(key, now, decode_time);
                         cache.insert(key);
                         decoded_at.insert(key, completion.finished);
-                        if sink.is_enabled() {
-                            sink.emit(TraceEvent::DecodeAdmitted {
-                                at: now,
-                                frame: key.frame,
-                                tile: key.tile.0,
-                                decoder: completion.decoder as u32,
-                            });
-                        }
                     }
                 }
                 prefetched_through += 1;
@@ -231,31 +175,11 @@ fn simulate_render_traced(
         }
         now = next;
         frames += 1;
-        let evicted = cache.evict_before(source_frame.saturating_sub(1));
-        if evicted > 0 && sink.is_enabled() {
-            sink.emit(TraceEvent::CacheEvicted {
-                at: now,
-                frame: source_frame.saturating_sub(1),
-                count: evicted as u32,
-            });
-        }
+        cache.evict_before(source_frame.saturating_sub(1));
         decoded_at.retain(|k, _| k.frame + 1 >= source_frame);
     }
 
     let elapsed = now.saturating_since(SimTime::ZERO);
-    if sink.is_enabled() {
-        let stats = cache.stats();
-        let vstats = vis.stats();
-        sink.metrics(|m| {
-            m.counter("pipeline.frames").add(frames);
-            m.counter("pipeline.cache_hits").add(stats.hits);
-            m.counter("pipeline.cache_misses").add(stats.misses);
-            m.counter("vis_cache_hit").add(vstats.hits);
-            m.counter("vis_cache_miss").add(vstats.misses);
-            m.histogram("pipeline.fps")
-                .record(frames as f64 / elapsed.as_secs_f64());
-        });
-    }
     RenderStats {
         frames,
         elapsed,
@@ -452,58 +376,6 @@ mod tests {
             SimDuration::from_secs(10),
         );
         assert!(s.cache_hit_rate > 0.6, "hit rate {}", s.cache_hit_rate);
-    }
-
-    #[test]
-    fn traced_render_captures_pipeline_events() {
-        use sperke_sim::trace::{TraceLevel, TraceSink};
-        let (device, video, grid) = fig5_setup();
-        let trace = still_trace();
-        let sink = TraceSink::with_level(TraceLevel::Verbose);
-        let traced = simulate_render_traced(
-            &device,
-            video,
-            &grid,
-            &trace,
-            RenderMode::OptimizedAll,
-            &PipelineConfig::default(),
-            SimDuration::from_secs(2),
-            &sink,
-        );
-        let untraced = simulate_render(
-            &device,
-            video,
-            &grid,
-            &trace,
-            RenderMode::OptimizedAll,
-            &PipelineConfig::default(),
-            SimDuration::from_secs(2),
-        );
-        // Tracing must not perturb the simulation.
-        assert_eq!(traced, untraced);
-        let snap = sink.snapshot();
-        let admits = snap
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::DecodeAdmitted { .. }))
-            .count();
-        let hits = snap
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::CacheHit { .. }))
-            .count();
-        let evictions = snap
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::CacheEvicted { .. }))
-            .count();
-        assert!(admits > 0, "decode admits recorded");
-        assert!(hits > 0, "cache hits recorded");
-        assert!(evictions > 0, "cache evictions recorded");
-        assert_eq!(
-            snap.metrics().counter_value("pipeline.frames"),
-            Some(traced.frames)
-        );
     }
 
     #[test]

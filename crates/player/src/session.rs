@@ -10,7 +10,7 @@
 
 use crate::buffer::CellBuffer;
 use crate::qoe::{ChunkRecord, QoeReport, QoeWeights};
-use sperke_geo::VisibilityCache;
+use sperke_geo::{TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{Forecaster, HeadTrace};
 use sperke_net::{
     BandwidthEstimator, ChunkPriority, ChunkRequest, Completion, EstimatorKind, MultipathScheduler,
@@ -76,12 +76,6 @@ pub struct PlayerConfig {
     /// network layer, the bandwidth estimator and the VRA planner all
     /// emit into it). Disabled by default; emission is then a no-op.
     pub trace: TraceSink,
-    /// Memoized tile-visibility queries for the display-evaluation hot
-    /// path. Cached results are bit-identical to recomputation, so this
-    /// never changes a session's outcome — only its speed. Clones of
-    /// the config share one cache (an `Arc<Mutex<..>>` handle), across
-    /// threads too.
-    pub vis_cache: VisibilityCache,
 }
 
 impl Default for PlayerConfig {
@@ -94,7 +88,6 @@ impl Default for PlayerConfig {
             resilient: false,
             fallback_enabled: false,
             trace: TraceSink::disabled(),
-            vis_cache: VisibilityCache::default(),
         }
     }
 }
@@ -143,11 +136,9 @@ pub fn run_session(
 ) -> SessionResult {
     let cd = video.chunk_duration();
     let sink = config.trace.clone();
-    // The cache may be shared across runs (config clones share the Arc
-    // handle); track a running baseline so each display phase flushes
-    // only the traffic it caused, never stale counts carried over from
-    // earlier runs or earlier phases.
-    let mut vis_flushed = config.vis_cache.stats();
+    // Display visibility: one scratch and one list, reused every chunk.
+    let mut vis_scratch = VisibilityScratch::new();
+    let mut visible: Vec<(TileId, f64)> = Vec::new();
     let mut net = MultipathSession::new(paths, scheduler);
     net.set_trace(sink.clone());
     let mut estimator = BandwidthEstimator::new(EstimatorKind::Harmonic { window: 5 });
@@ -509,8 +500,12 @@ pub fn run_session(
         // --- Display evaluation at the mid-chunk gaze.
         let gaze_trace_time = display_time.saturating_since(ps) + cd / 2;
         let gaze = trace.at(SimTime::ZERO + gaze_trace_time);
-        let viewport = sperke_geo::Viewport::headset(gaze);
-        let visible = config.vis_cache.visible_tiles(&viewport, video.grid(), 16);
+        Viewport::headset(gaze).visible_tiles_into(
+            video.grid(),
+            16,
+            &mut vis_scratch,
+            &mut visible,
+        );
         let mut utility = 0.0;
         let mut blank = 0.0;
         let mut degraded = 0.0;
@@ -560,22 +555,13 @@ pub fn run_session(
                     fraction: degraded,
                 });
             }
-            // Flush the visibility memo's traffic for this display
-            // phase: counters advance with the phase that caused them
-            // instead of in one stale lump at session end.
-            let vis_now = config.vis_cache.stats();
             sink.metrics(|m| {
                 m.counter("player.bytes_fetched")
                     .add(chunk_bytes + upgrade_bytes);
                 m.histogram("player.blank_fraction").record(blank);
                 m.histogram("player.degraded_fraction").record(degraded);
                 m.histogram("player.viewport_utility").record(utility);
-                m.counter("vis_cache_hit")
-                    .add(vis_now.hits - vis_flushed.hits);
-                m.counter("vis_cache_miss")
-                    .add(vis_now.misses - vis_flushed.misses);
             });
-            vis_flushed = vis_now;
         }
         let total_bytes = chunk_bytes + upgrade_bytes;
         let wasted = total_bytes.saturating_sub(useful_bytes);
@@ -596,19 +582,6 @@ pub fn run_session(
     // Release the network layer's still-deferred trace events (transfers
     // resolving after the last submission).
     net.finish_trace();
-
-    if sink.is_enabled() {
-        // Residual flush: queries made outside any display phase (e.g.
-        // every chunk stalled out). Sum of per-phase deltas plus this
-        // equals exactly this session's traffic — shared handles never
-        // leak another run's counts in.
-        let vis = config.vis_cache.stats();
-        sink.metrics(|m| {
-            m.counter("vis_cache_hit").add(vis.hits - vis_flushed.hits);
-            m.counter("vis_cache_miss")
-                .add(vis.misses - vis_flushed.misses);
-        });
-    }
 
     let qoe = QoeReport::from_records(&records, startup_delay, &QoeWeights::default());
     let path_bytes = net.paths().iter().map(|p| p.bytes_delivered).collect();

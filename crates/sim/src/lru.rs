@@ -246,9 +246,9 @@ mod tests {
         assert_eq!(lru.pop_oldest(), Some((4, ())));
     }
 
-    /// The reference model: the minimum-tick scan `TileCache` and
-    /// `VisibilityCache` used before [`Lru`]. Every touch or insert
-    /// stamps a fresh, unique tick; the victim is the minimum.
+    /// The reference model: the minimum-tick scan `TileCache` used
+    /// before [`Lru`]. Every touch or insert stamps a fresh, unique
+    /// tick; the victim is the minimum.
     struct MinTick<K, V> {
         entries: HashMap<K, (V, u64)>,
         tick: u64,
@@ -358,8 +358,8 @@ mod tests {
         }
     }
 
-    /// `VisibilityCache`'s policy: an entry-count bound, a query touches
-    /// on a hit and on a miss evicts the oldest once full, then inserts.
+    /// An entry-count bound: a query touches on a hit and on a miss
+    /// evicts the oldest once full, then inserts.
     struct CountBound<R> {
         capacity: usize,
         list: R,
@@ -435,9 +435,8 @@ mod tests {
             }
         }
 
-        /// Under `VisibilityCache`'s entry-count bound (1–3 entries),
-        /// the [`Lru`] and the min-tick reference agree after every
-        /// query.
+        /// Under an entry-count bound (1–3 entries), the [`Lru`] and the
+        /// min-tick reference agree after every query.
         #[test]
         fn count_bound_lru_matches_min_tick_reference(
             capacity in 1usize..4,

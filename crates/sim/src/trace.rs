@@ -4,8 +4,8 @@
 //! [`TraceEvent`]s into a shared [`TraceSink`]: the network layer logs path
 //! selection and transfer completions, the VRA logs rate-adaptation
 //! decisions with their candidate qualities, the player logs buffer levels
-//! and stall/blank events, and the decode pipeline logs scheduler admits
-//! and cache activity. The sink is a bounded ring buffer gated by one
+//! and stall/blank events, and the edge and federation tiers log
+//! admissions and cache activity. The sink is a bounded ring buffer gated by one
 //! level; a disabled sink is a single `Option` check, so instrumented hot
 //! paths cost nothing when tracing is off.
 //!
@@ -46,7 +46,8 @@ pub enum TraceLevel {
     /// Per-chunk decisions: ABR choices, path assignments, transfer
     /// completions, bandwidth updates, buffer levels.
     Decisions,
-    /// Per-frame detail: decode admits, cache hits and evictions.
+    /// Per-request detail: edge and regional cache hits and misses,
+    /// and per-ACK delivery-rate samples.
     Verbose,
 }
 
@@ -61,8 +62,6 @@ pub enum Subsystem {
     Vra,
     /// The streaming player loop (`sperke-player`).
     Player,
-    /// The decode/render pipeline (`sperke-pipeline`).
-    Pipeline,
     /// The multi-client edge server (`sperke-edge`).
     Edge,
     /// The multi-edge federation tier (`sperke-edge::federation`).
@@ -71,12 +70,11 @@ pub enum Subsystem {
 
 impl Subsystem {
     /// All subsystems, in declaration order.
-    pub const ALL: [Subsystem; 7] = [
+    pub const ALL: [Subsystem; 6] = [
         Subsystem::Sim,
         Subsystem::Net,
         Subsystem::Vra,
         Subsystem::Player,
-        Subsystem::Pipeline,
         Subsystem::Edge,
         Subsystem::Federation,
     ];
@@ -88,7 +86,6 @@ impl Subsystem {
             Subsystem::Net => "net",
             Subsystem::Vra => "vra",
             Subsystem::Player => "player",
-            Subsystem::Pipeline => "pipeline",
             Subsystem::Edge => "edge",
             Subsystem::Federation => "federation",
         }
@@ -310,37 +307,6 @@ pub enum TraceEvent {
         bursty: bool,
     },
 
-    // --- Pipeline -------------------------------------------------------
-    /// The decode scheduler admitted a job to a decoder.
-    DecodeAdmitted {
-        /// Submission time.
-        at: SimTime,
-        /// Source frame index.
-        frame: u64,
-        /// Tile decoded.
-        tile: u16,
-        /// Decoder that ran the job.
-        decoder: u32,
-    },
-    /// A decoded-frame cache lookup hit.
-    CacheHit {
-        /// Lookup time.
-        at: SimTime,
-        /// Source frame index.
-        frame: u64,
-        /// Tile looked up.
-        tile: u16,
-    },
-    /// The decoded-frame cache evicted entries.
-    CacheEvicted {
-        /// When the eviction ran.
-        at: SimTime,
-        /// The frame horizon that triggered it.
-        frame: u64,
-        /// Number of entries evicted.
-        count: u32,
-    },
-
     // --- Edge ---------------------------------------------------------
     /// An edge server admitted a client session.
     ClientAdmitted {
@@ -480,9 +446,6 @@ impl TraceEvent {
             | TraceEvent::ProbeEpochStarted { at, .. }
             | TraceEvent::DeliveryRateSample { at, .. }
             | TraceEvent::LossStateChanged { at, .. }
-            | TraceEvent::DecodeAdmitted { at, .. }
-            | TraceEvent::CacheHit { at, .. }
-            | TraceEvent::CacheEvicted { at, .. }
             | TraceEvent::ClientAdmitted { at, .. }
             | TraceEvent::ClientThrottled { at, .. }
             | TraceEvent::EdgeCacheHit { at, .. }
@@ -516,9 +479,6 @@ impl TraceEvent {
             | TraceEvent::ProbeEpochStarted { .. }
             | TraceEvent::DeliveryRateSample { .. }
             | TraceEvent::LossStateChanged { .. } => Subsystem::Net,
-            TraceEvent::DecodeAdmitted { .. }
-            | TraceEvent::CacheHit { .. }
-            | TraceEvent::CacheEvicted { .. } => Subsystem::Pipeline,
             TraceEvent::ClientAdmitted { .. }
             | TraceEvent::ClientThrottled { .. }
             | TraceEvent::EdgeCacheHit { .. }
@@ -556,10 +516,7 @@ impl TraceEvent {
             | TraceEvent::RetryScheduled { .. }
             | TraceEvent::ProbeEpochStarted { .. }
             | TraceEvent::LossStateChanged { .. } => TraceLevel::Decisions,
-            TraceEvent::DecodeAdmitted { .. }
-            | TraceEvent::CacheHit { .. }
-            | TraceEvent::CacheEvicted { .. }
-            | TraceEvent::EdgeCacheHit { .. }
+            TraceEvent::EdgeCacheHit { .. }
             | TraceEvent::EdgeCacheMiss { .. }
             | TraceEvent::RegionalCacheHit { .. }
             | TraceEvent::RegionalCacheMiss { .. }
@@ -1016,10 +973,12 @@ mod tests {
     }
 
     fn cache_hit(at_secs: u64) -> TraceEvent {
-        TraceEvent::CacheHit {
+        TraceEvent::EdgeCacheHit {
             at: SimTime::from_secs(at_secs),
-            frame: 1,
             tile: 2,
+            chunk: 1,
+            layer: 0,
+            bytes: 4_096,
         }
     }
 
@@ -1217,7 +1176,7 @@ mod tests {
         sink.emit(cache_hit(2));
         let trace = sink.snapshot();
         assert_eq!(trace.for_subsystem(Subsystem::Player).len(), 1);
-        assert_eq!(trace.for_subsystem(Subsystem::Pipeline).len(), 1);
+        assert_eq!(trace.for_subsystem(Subsystem::Edge).len(), 1);
         assert_eq!(trace.for_subsystem(Subsystem::Net).len(), 0);
     }
 }

@@ -171,65 +171,3 @@ fn crowd_prior_never_suppresses_motion_evidence() {
         "prior diluted the gaze tile: {p_prior:.3} < {p_plain:.3}"
     );
 }
-
-/// BUG: `vis_cache_hit`/`vis_cache_miss` were flushed once at session
-/// end as a lump delta against a start-of-run snapshot. Two problems:
-/// the counters lagged every display phase (a mid-run metrics reader
-/// saw zeros), and any cache traffic between the snapshot and the flush
-/// that this session did not cause — a shared handle warmed by an
-/// interleaved run — was silently attributed to whoever flushed last.
-/// FIX: each display phase flushes its own delta as it completes; the
-/// end-of-run flush only carries the residual. Sum of deltas == exactly
-/// this session's traffic, for any sharing pattern.
-#[test]
-fn vis_counters_attribute_exactly_per_session_over_a_shared_cache() {
-    use sperke_core::TraceLevel;
-    let cache = sperke_geo::VisibilityCache::new(512);
-    let run = |seed: u64| {
-        Sperke::builder(seed)
-            .duration(SimDuration::from_secs(6))
-            .vis_cache(cache.clone())
-            .with_trace(TraceLevel::Events)
-            .run_report()
-    };
-    let first = run(41);
-    let after_first = cache.stats();
-    let second = run(41); // identical rerun: replays from the memo
-    let after_second = cache.stats();
-
-    let hits = |r: &sperke_core::RunReport| {
-        r.trace
-            .metrics()
-            .counter_value("vis_cache_hit")
-            .unwrap_or(0)
-    };
-    let misses = |r: &sperke_core::RunReport| {
-        r.trace
-            .metrics()
-            .counter_value("vis_cache_miss")
-            .unwrap_or(0)
-    };
-
-    // Each run reports exactly the traffic it generated...
-    assert_eq!(
-        hits(&first) + misses(&first),
-        after_first.hits + after_first.misses
-    );
-    assert_eq!(
-        hits(&second) + misses(&second),
-        (after_second.hits - after_first.hits) + (after_second.misses - after_first.misses)
-    );
-    // ...and never the shared total (the stale-lump failure mode).
-    assert!(misses(&first) > 0, "first run populates the memo");
-    assert!(
-        hits(&second) >= misses(&first),
-        "identical rerun replays from the memo: {} hits vs {} first-run misses",
-        hits(&second),
-        misses(&first)
-    );
-    assert_eq!(
-        misses(&second),
-        0,
-        "rerun misses nothing, reports nothing stale"
-    );
-}

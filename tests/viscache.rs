@@ -1,18 +1,48 @@
-//! Property tests for the PR4 visibility cache and the allocation-free
-//! geometry APIs: over random orientations, grid shapes and sampling
-//! densities, every cached / scratch / direct formulation must agree
-//! **bitwise** — the golden trace digests depend on it.
+//! Property tests for the visibility kernel and the visibility cache:
+//! over random orientations, FoV extents, grid shapes and sampling
+//! densities, every view of the one ray cast must agree **bitwise** with
+//! an exact reference, and a cache hit with a fresh computation — the
+//! golden trace digests depend on it. Case count: `PROPTEST_CASES`
+//! (default 64).
 
 use proptest::prelude::*;
-use sperke_geo::{Orientation, TileGrid, Viewport, VisibilityCache, VisibilityScratch};
+use sperke_geo::{Orientation, TileGrid, TileId, Viewport, VisibilityCache, VisibilityScratch};
 use std::f64::consts::PI;
 
-fn bits(tiles: &[(sperke_geo::TileId, f64)]) -> Vec<(u16, u64)> {
+fn bits(tiles: &[(TileId, f64)]) -> Vec<(u16, u64)> {
     tiles.iter().map(|&(t, f)| (t.0, f.to_bits())).collect()
 }
 
+/// The exact cast the kernel must reproduce, with no classifier: each
+/// ray of the `samples × samples` cell-centre grid is normalized and
+/// binned by `TileGrid::tile_of_direction`, then the hits are counted
+/// and sorted like `Viewport::visible_tiles` (coverage descending, ties
+/// by tile id).
+fn reference_coverage(vp: &Viewport, grid: &TileGrid, samples: u32) -> Vec<(TileId, f64)> {
+    let (f, l, u) = vp.orientation.basis();
+    let tan_h = (vp.hfov / 2.0).tan();
+    let tan_v = (vp.vfov / 2.0).tan();
+    let mut counts = vec![0u32; grid.tile_count()];
+    for iy in 0..samples {
+        let sy = (iy as f64 + 0.5) / samples as f64 * 2.0 - 1.0;
+        for ix in 0..samples {
+            let sx = (ix as f64 + 0.5) / samples as f64 * 2.0 - 1.0;
+            let ray = f + l * (tan_h * sx) + u * (tan_v * sy);
+            counts[grid.tile_of_direction(ray.normalized()).index()] += 1;
+        }
+    }
+    let total = (samples * samples) as f64;
+    let mut out: Vec<(TileId, f64)> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(i, &c)| (TileId(i as u16), c as f64 / total))
+        .collect();
+    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+    out
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A cache hit is bit-identical to a fresh uncached computation, for
     /// any orientation, grid shape and sampling density.
@@ -85,29 +115,50 @@ proptest! {
         }
     }
 
-    /// The direct single-tile `tile_coverage` equals the fraction the
-    /// full sorted `visible_tiles` list reports for that tile (or zero
-    /// when absent), bitwise.
+    /// Every view of the kernel agrees with the exact reference: the
+    /// coverage list bitwise, the default-density tile set, and each
+    /// tile's `tile_coverage` (zero when the reference lacks it). Grids
+    /// include the classifier's special shapes (1×1, 1×2, 2×2).
     #[test]
     fn tile_coverage_agrees_with_full_list(
         yaw in -PI..PI,
         pitch in -1.4f64..1.4,
+        roll in -0.6f64..0.6,
+        hfov_deg in 20.0f64..170.0,
+        vfov_deg in 20.0f64..150.0,
+        shape in 0usize..8,
         rows in 1u16..8,
         cols in 1u16..12,
-        tile_pick in 0usize..96,
-        samples in 4u32..24,
+        samples in 2u32..24,
     ) {
-        let grid = TileGrid::new(rows, cols);
-        let vp = Viewport::headset(Orientation::new(yaw, pitch, 0.0));
-        let tile = sperke_geo::TileId((tile_pick % grid.tile_count()) as u16);
-        let full = vp.visible_tiles(&grid, samples);
-        let expected = full
+        let grid = match shape {
+            0 => TileGrid::new(1, 1),
+            1 => TileGrid::new(1, 2),
+            2 => TileGrid::new(2, 2),
+            _ => TileGrid::new(rows, cols),
+        };
+        let vp = Viewport::new(
+            Orientation::new(yaw, pitch, roll),
+            hfov_deg.to_radians(),
+            vfov_deg.to_radians(),
+        );
+        let reference = reference_coverage(&vp, &grid, samples);
+        prop_assert_eq!(bits(&vp.visible_tiles(&grid, samples)), bits(&reference));
+        for tile in grid.tiles() {
+            let expected = reference
+                .iter()
+                .find(|&&(t, _)| t == tile)
+                .map(|&(_, f)| f)
+                .unwrap_or(0.0);
+            let direct = vp.tile_coverage(&grid, tile, samples);
+            prop_assert_eq!(direct.to_bits(), expected.to_bits(), "tile {}", tile);
+        }
+        let mut set: Vec<TileId> = reference_coverage(&vp, &grid, 16)
             .iter()
-            .find(|&&(t, _)| t == tile)
-            .map(|&(_, f)| f)
-            .unwrap_or(0.0);
-        let direct = vp.tile_coverage(&grid, tile, samples);
-        prop_assert_eq!(direct.to_bits(), expected.to_bits());
+            .map(|&(t, _)| t)
+            .collect();
+        set.sort();
+        prop_assert_eq!(vp.visible_tile_set(&grid), set);
     }
 
     /// The pre-normalized candidate set answers nearest-direction
