@@ -30,24 +30,27 @@ use crate::cache::CacheKey;
 use crate::federation::{NodeSpec, RegionalTier};
 use crate::server::{
     client_head, client_schedule, crowd_slot, decide_and_display, decide_choices, display_gaze,
-    edge_horizon, finish_edge_run, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig,
-    EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
+    edge_horizon, finish_edge_run, head_session, prefetch_schedule, ClientState, EdgeClientSpec,
+    EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
 };
 use sperke_geo::{Orientation, TileId, Viewport, VisibilityScratch};
-use sperke_hmp::{AttentionModel, ForecastScratch};
+use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
 use sperke_live::{viewer_reports, CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
 use sperke_sim::{parallel_indexed, MetricsRegistry, ReplayQueue, SimDuration, SimTime};
 use sperke_video::{ChunkTime, VideoModel};
 use sperke_vra::{AbrPolicyKind, StochasticChoice};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Everything the sense phase computes for one client, independent of
 /// every other client and of the world's mutable state. The client's
 /// head trace is not part of it: [`sense_client`] is its only user.
+#[derive(Debug, Default, PartialEq)]
 struct ClientBatch {
-    /// Crowd gaze reports (admitted clients, prefetch runs only).
-    reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
+    /// Crowd gaze reports (admitted clients, prefetch runs only). Each
+    /// tile list is shared by every crowd the report reaches.
+    reports: Vec<(SimTime, ChunkTime, Arc<[TileId]>)>,
     /// Per-chunk decide plans (admitted clients only).
     decides: Vec<Vec<StochasticChoice>>,
     /// Per-chunk display coverage lists (admitted clients only).
@@ -122,51 +125,37 @@ pub(crate) fn sense_plan(
     workers: usize,
     policy: AbrPolicyKind,
 ) -> EdgePlan {
-    let session = video.duration() + SimDuration::from_secs(5);
+    let session = head_session(video);
     let attention = AttentionModel::generic(config.seed);
     let report_delay = CrowdAggregator::new(*video.grid(), video.chunk_duration()).report_delay;
 
     let specs_ref = &specs;
     let batches = parallel_indexed(specs.len(), workers, |i| {
-        sense_client(
-            video,
-            config,
-            &attention,
-            &specs_ref[i],
-            admitted[i],
-            session,
-            report_delay,
-            policy,
-        )
+        if !admitted[i] {
+            return ClientBatch::default();
+        }
+        let spec = &specs_ref[i];
+        let head = client_head(&attention, spec, session);
+        sense_client(video, config, spec, head, report_delay, policy)
     });
     EdgePlan { specs, batches }
 }
 
-/// The pure per-client sense kernel: head trace, per-chunk decide
-/// plans, display coverage lists and crowd gaze reports, all as a
-/// function of `(video, config, spec, policy)` alone. The per-client
-/// chunk loop runs in order, so temporal policies see the same
-/// previous-window state as the oracle's time-ordered inline decides.
-#[allow(clippy::too_many_arguments)]
+/// The pure per-client sense kernel of an admitted client: per-chunk
+/// decide plans, display coverage lists and crowd gaze reports, all as
+/// a function of `(video, config, spec, head, policy)` alone. The
+/// per-client chunk loop runs in order, so temporal policies see the
+/// same previous-window state as the oracle's time-ordered inline
+/// decides.
 fn sense_client(
     video: &VideoModel,
     config: &EdgeConfig,
-    attention: &AttentionModel,
     spec: &EdgeClientSpec,
-    admitted: bool,
-    session: SimDuration,
+    head: HeadTrace,
     report_delay: SimDuration,
     policy: AbrPolicyKind,
 ) -> ClientBatch {
     let chunks = video.chunk_count();
-    if !admitted {
-        return ClientBatch {
-            reports: Vec::new(),
-            decides: Vec::new(),
-            displays: Vec::new(),
-        };
-    }
-    let head = client_head(attention, spec, session);
     SCRATCH.with(|s| {
         let (fscratch, vscratch, hist) = &mut *s.borrow_mut();
         let mut decides = Vec::with_capacity(chunks as usize);
@@ -192,18 +181,24 @@ fn sense_client(
         // The crowd only matters when the prefetcher runs; skipping
         // ingest otherwise cannot change any output (the aggregator
         // is read exclusively by prefetch events). The reports are the
-        // head's last use, so the viewer takes it without a copy.
+        // head's last use, so the viewer takes it without a copy. Each
+        // tile list moves into an `Arc` here, once, so every crowd the
+        // report reaches shares it.
         let reports = if config.prefetch {
+            let viewer = LiveViewer {
+                trace: head,
+                latency: spec.arrival,
+            };
             viewer_reports(
                 video.grid(),
                 video.chunk_duration(),
                 report_delay,
-                &LiveViewer {
-                    trace: head,
-                    latency: spec.arrival,
-                },
+                &viewer,
                 chunks,
             )
+            .into_iter()
+            .map(|(wall, chunk, tiles)| (wall, chunk, tiles.into()))
+            .collect()
         } else {
             Vec::new()
         };
@@ -557,7 +552,7 @@ pub fn run_edge(
 mod tests {
     use super::*;
     use crate::oracle::run_edge_full;
-    use crate::server::default_clients;
+    use crate::server::{default_clients, gaze_instant, own_now};
     use sperke_net::FaultScript;
     use sperke_sim::{TraceConfig, TraceLevel, TraceSink};
     use sperke_video::VideoModelBuilder;
@@ -566,6 +561,60 @@ mod tests {
         VideoModelBuilder::new(3)
             .duration(SimDuration::from_secs(12))
             .build()
+    }
+
+    #[test]
+    fn head_traces_end_where_the_sense_phase_stops_reading() {
+        // Chunks of 1 s and 2 s over an 11 s video (the 2 s chunking
+        // ends in a short chunk), with no fetch lead and with one longer
+        // than the video.
+        for chunk_secs in [1, 2] {
+            let v = VideoModelBuilder::new(3)
+                .chunk_duration(SimDuration::from_secs(chunk_secs))
+                .duration(SimDuration::from_secs(11))
+                .build();
+            let report_delay = CrowdAggregator::new(*v.grid(), v.chunk_duration()).report_delay;
+            let last = v.chunk_count() - 1;
+            for lead in [SimDuration::ZERO, v.duration() + SimDuration::from_secs(4)] {
+                let cfg = EdgeConfig {
+                    clients: 4,
+                    fetch_lead: lead,
+                    ..Default::default()
+                };
+                let attention = AttentionModel::generic(cfg.seed);
+                for spec in default_clients(&cfg) {
+                    let head = client_head(&attention, &spec, head_session(&v));
+                    let end = SimTime::ZERO + head.duration();
+                    let policy = AbrPolicyKind::default();
+                    let batch = sense_client(&v, &cfg, &spec, head, report_delay, policy);
+                    // The last decide reads gaze history up to its own
+                    // playback instant; the last display samples its
+                    // chunk's midpoint, and so does the last crowd
+                    // report, stamped `latency + report_delay` after its
+                    // chunk starts.
+                    let (decide, _) = decide_and_display(&v, &cfg, &spec, last);
+                    let (wall, _, _) = batch.reports.last().expect("prefetch runs report");
+                    let report_gaze = SimTime::ZERO
+                        + (*wall - (SimTime::ZERO + spec.arrival + report_delay))
+                        + v.chunk_duration() / 2;
+                    let latest = own_now(&spec, decide)
+                        .max(gaze_instant(&v, last))
+                        .max(report_gaze);
+                    assert!(
+                        latest <= end,
+                        "chunk {chunk_secs} s, lead {lead}: reads {latest} past {end}"
+                    );
+                    // So a longer trace senses the client bit for bit alike.
+                    let longer = head_session(&v) + SimDuration::from_secs(5);
+                    let longer = client_head(&attention, &spec, longer);
+                    assert_eq!(
+                        batch,
+                        sense_client(&v, &cfg, &spec, longer, report_delay, policy),
+                        "chunk {chunk_secs} s, lead {lead}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -622,8 +622,8 @@ pub fn run_federation(
                 let to = home_for(&points, alive, client_points[c]);
                 home[c] = to;
                 if worlds[dead].clients[c].admitted {
-                    let (delivered, planned) = worlds[dead].take_client_session(c as u32);
-                    worlds[to as usize].install_client_session(c as u32, delivered, planned);
+                    let session = worlds[dead].take_client_session(c as u32);
+                    worlds[to as usize].install_client_session(c as u32, session);
                 }
                 fed_sink.emit(TraceEvent::ClientRehomed {
                     at: now,

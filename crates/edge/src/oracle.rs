@@ -10,14 +10,14 @@
 
 use crate::server::{
     client_head, client_schedule, crowd_slot, decide_choices, display_gaze, edge_horizon,
-    finish_edge_run, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig, EdgeEvent,
-    EdgeHarness, EdgeReport, EdgeSched, EdgeWorld,
+    finish_edge_run, head_session, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig,
+    EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld,
 };
 use sperke_geo::{Orientation, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
 use sperke_live::{CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
-use sperke_sim::{MetricsRegistry, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, World};
+use sperke_sim::{MetricsRegistry, RunOutcome, Scheduler, SimTime, Simulation, World};
 use sperke_video::VideoModel;
 use sperke_vra::AbrPolicyKind;
 
@@ -112,7 +112,7 @@ pub fn run_edge_full(
     specs.sort_by_key(EdgeClientSpec::canonical_key);
 
     let chunks = video.chunk_count();
-    let session = video.duration() + SimDuration::from_secs(5);
+    let session = head_session(video);
     let mut egress = WrrLink::new(config.egress_bps);
     let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
     let attention = AttentionModel::generic(config.seed);

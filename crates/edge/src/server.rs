@@ -48,7 +48,7 @@ use sperke_hmp::{
 };
 use sperke_live::CrowdAggregator;
 use sperke_net::{
-    retry_delay, BbrState, FaultScript, GeChain, LossChannel, PathFaults, StreamId, WrrLink,
+    retry_delay, BbrState, FaultScript, GeChain, LossChannel, PathFaults, WrrCompletion, WrrLink,
     MAX_RETRIES,
 };
 use sperke_player::QoeWeights;
@@ -349,10 +349,13 @@ pub(crate) struct ClientState {
     pub(crate) admitted: bool,
     /// WRR queue id; only admitted clients hold one.
     pub(crate) link_id: Option<u32>,
-    /// Delivered SVC layers per cell, as a bitmask (bit i = layer i).
-    pub(crate) delivered: FxHashMap<CellId, u32>,
-    /// Planned quality per cell (display-time degradation check).
-    pub(crate) planned: FxHashMap<CellId, u8>,
+    /// Delivered SVC layers per cell, as a bitmask (bit i = layer i),
+    /// indexed by [`EdgeWorld::cell_index`]. Empty until the first
+    /// delivery, which allocates every cell of the video at zero.
+    delivered: Vec<u32>,
+    /// Planned quality per cell (display-time degradation check), laid
+    /// out and allocated like `delivered`; 0 where nothing was planned.
+    planned: Vec<u8>,
 }
 
 impl ClientState {
@@ -362,11 +365,24 @@ impl ClientState {
             spec,
             admitted,
             link_id,
-            delivered: FxHashMap::default(),
-            planned: FxHashMap::default(),
+            delivered: Vec::new(),
+            planned: Vec::new(),
         }
     }
 }
+
+/// Entry `i` of a dense per-cell array, allocating all `len` entries
+/// (zeroed) on first use.
+fn cell_mut<T: Copy + Default>(array: &mut Vec<T>, len: usize, i: usize) -> &mut T {
+    if array.is_empty() {
+        array.resize(len, T::default());
+    }
+    &mut array[i]
+}
+
+/// A client's per-cell session state, moved whole when a crash-stop
+/// re-homes the client: delivered layer masks and planned qualities.
+pub(crate) type ClientSession = (Vec<u32>, Vec<u8>);
 
 /// The aggregator for one catalog title inside a content-sorted group
 /// list, created on first use. Insertion keeps the list sorted by
@@ -385,6 +401,17 @@ pub(crate) fn crowd_slot<'c>(
         }
     };
     &mut crowds[idx].1
+}
+
+/// The span of video time a client's head trace covers: up to the end
+/// of the last chunk, the video time of its last display. A decide reads
+/// gaze history up to its client's own playback instant, never later
+/// than that chunk's display, and displays and crowd reports sample
+/// mid-chunk, so no read lands past it. It is `video.duration()` for a
+/// video of whole chunks; a shorter last chunk still gets its full
+/// span.
+pub(crate) fn head_session(video: &VideoModel) -> SimDuration {
+    video.chunk_duration() * video.chunk_count() as u64
 }
 
 /// The head trace the edge assigns to a client spec: one deterministic
@@ -418,7 +445,7 @@ pub(crate) fn decide_choices(
 ) -> Vec<StochasticChoice> {
     let t = ChunkTime(chunk);
     let video_time = video.chunk_start(t);
-    let own_now = SimTime::from_nanos(now.as_nanos().saturating_sub(spec.arrival.as_nanos()));
+    let own_now = own_now(spec, now);
     let budget = (spec.budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
     head.history_into(own_now, 50, history);
     let forecast = FusedForecaster::motion_only().forecast_with(
@@ -452,23 +479,37 @@ pub(crate) fn decide_choices(
         .collect()
 }
 
+/// A client's own playback instant at wall time `now`: the video time
+/// it has watched up to, the last instant of its head trace a decide at
+/// `now` reads.
+pub(crate) fn own_now(spec: &EdgeClientSpec, now: SimTime) -> SimTime {
+    SimTime::from_nanos(now.as_nanos().saturating_sub(spec.arrival.as_nanos()))
+}
+
+/// The video time a display samples: mid-chunk. Crowd reports sample
+/// the same instant of each chunk.
+pub(crate) fn gaze_instant(video: &VideoModel, chunk: u32) -> SimTime {
+    video.chunk_start(ChunkTime(chunk)) + video.chunk_duration() / 2
+}
+
 /// The gaze a display samples: mid-chunk orientation in video time.
 pub(crate) fn display_gaze(video: &VideoModel, head: &HeadTrace, chunk: u32) -> Orientation {
-    let video_time = video.chunk_start(ChunkTime(chunk)) + video.chunk_duration() / 2;
-    head.at(video_time)
+    head.at(gaze_instant(video, chunk))
 }
 
 struct Inflight {
     bytes: u64,
-    /// Admitted clients waiting on this fetch, with their deadlines.
-    waiters: Vec<(u32, SimTime)>,
+    /// Admitted clients waiting on this fetch.
+    waiters: Vec<u32>,
 }
 
-struct PendingStream {
+/// What an egress stream delivers, carried through the link as the
+/// stream's tag and handed back with its completion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EgressTag {
     client: u32,
     cell: CellId,
     layer: u8,
-    deadline: SimTime,
 }
 
 /// RNG stream label for the origin's Gilbert–Elliott chain ("ORIGIN").
@@ -480,7 +521,11 @@ pub(crate) struct EdgeWorld<'a> {
     pub(crate) video: &'a VideoModel,
     config: EdgeConfig,
     pub(crate) clients: Vec<ClientState>,
-    pub(crate) egress: WrrLink,
+    pub(crate) egress: WrrLink<EgressTag>,
+    /// Tiles per chunk and cells (chunk × tile) of the video: the
+    /// layout of every client's dense per-cell state.
+    tiles: usize,
+    cells: usize,
     cache: TileCache,
     inflight: FxHashMap<CacheKey, Inflight>,
     origin_busy_until: SimTime,
@@ -495,7 +540,6 @@ pub(crate) struct EdgeWorld<'a> {
     /// single-title run holds exactly one entry under content 0.
     crowds: Vec<(u16, CrowdAggregator)>,
     trace: TraceSink,
-    pending: FxHashMap<StreamId, PendingStream>,
     // Accounting.
     origin_bytes: u64,
     origin_failed_bytes: u64,
@@ -517,7 +561,7 @@ impl<'a> EdgeWorld<'a> {
         video: &'a VideoModel,
         config: EdgeConfig,
         clients: Vec<ClientState>,
-        egress: WrrLink,
+        egress: WrrLink<EgressTag>,
         crowds: Vec<(u16, CrowdAggregator)>,
         harness: &EdgeHarness,
     ) -> EdgeWorld<'a> {
@@ -525,11 +569,14 @@ impl<'a> EdgeWorld<'a> {
             video.chunk_count() <= 1 << CONTENT_SHIFT,
             "chunk indices must fit under the content salt"
         );
+        let tiles = video.grid().tile_count();
         EdgeWorld {
             video,
             config,
             clients,
             egress,
+            tiles,
+            cells: tiles * video.chunk_count() as usize,
             cache: TileCache::new(config.cache_bytes),
             inflight: FxHashMap::default(),
             origin_busy_until: SimTime::ZERO,
@@ -544,7 +591,6 @@ impl<'a> EdgeWorld<'a> {
             faults: harness.faults.compile_for(0),
             crowds,
             trace: harness.trace.clone(),
-            pending: FxHashMap::default(),
             origin_bytes: 0,
             origin_failed_bytes: 0,
             origin_retries: 0,
@@ -569,6 +615,11 @@ impl EdgeWorld<'_> {
         }
     }
 
+    /// A cell's index in the clients' dense per-cell arrays.
+    fn cell_index(&self, cell: CellId) -> usize {
+        cell.time.0 as usize * self.tiles + cell.tile.index()
+    }
+
     fn layer_bytes(&self, cell: CellId, layer: u8) -> u64 {
         self.video
             .cell_sizes(cell.tile, cell.time)
@@ -584,16 +635,24 @@ impl EdgeWorld<'_> {
     /// Pull completed egress streams into client buffers.
     pub(crate) fn drain_egress(&mut self, now: SimTime) {
         for done in self.egress.run_until(now) {
-            if let Some(p) = self.pending.remove(&done.id) {
-                *self.clients[p.client as usize]
-                    .delivered
-                    .entry(p.cell)
-                    .or_insert(0) |= 1u32 << p.layer;
-                self.egress_bytes += done.bytes;
-                if done.finished > p.deadline {
-                    self.streams_late += 1;
-                }
-            }
+            let EgressTag {
+                client,
+                cell,
+                layer,
+            } = done.tag;
+            let i = self.cell_index(cell);
+            let delivered = &mut self.clients[client as usize].delivered;
+            *cell_mut(delivered, self.cells, i) |= 1u32 << layer;
+            self.account_stream(&done);
+        }
+    }
+
+    /// Count a completed egress stream's bytes, and count it late when
+    /// it finished after its display.
+    fn account_stream(&mut self, done: &WrrCompletion<EgressTag>) {
+        self.egress_bytes += done.bytes;
+        if done.finished > self.display_wall(done.tag.client, done.tag.cell.time.0) {
+            self.streams_late += 1;
         }
     }
 
@@ -601,17 +660,12 @@ impl EdgeWorld<'_> {
         let Some(link_id) = self.clients[client as usize].link_id else {
             return;
         };
-        let id = self.egress.submit(link_id, bytes, now);
-        let deadline = self.display_wall(client, cell.time.0);
-        self.pending.insert(
-            id,
-            PendingStream {
-                client,
-                cell,
-                layer,
-                deadline,
-            },
-        );
+        let tag = EgressTag {
+            client,
+            cell,
+            layer,
+        };
+        self.egress.submit(link_id, bytes, now, tag);
         self.streams_total += 1;
     }
 
@@ -628,10 +682,9 @@ impl EdgeWorld<'_> {
         let content = self.clients[client as usize].spec.content;
         let key = Self::key_of(cell, layer, content);
         let bytes = self.layer_bytes(cell, layer);
-        let deadline = self.display_wall(client, cell.time.0);
         if let Some(fl) = self.inflight.get_mut(&key) {
             // A fetch for this layer is already on the wire: share it.
-            fl.waiters.push((client, deadline));
+            fl.waiters.push(client);
             self.cache.record_coalesced_hit(bytes);
             self.trace.emit(TraceEvent::EdgeCacheHit {
                 at: now,
@@ -661,7 +714,7 @@ impl EdgeWorld<'_> {
                 key,
                 Inflight {
                     bytes,
-                    waiters: vec![(client, deadline)],
+                    waiters: vec![client],
                 },
             );
             self.start_origin_fetch(key, bytes, 1, now, sched);
@@ -842,10 +895,8 @@ impl EdgeWorld<'_> {
         for choice in choices {
             let q = Quality(choice.quality.0.saturating_sub(shed));
             let cell = CellId::new(choice.tile, t);
-            let planned = self.clients[client as usize]
-                .planned
-                .entry(cell)
-                .or_insert(0);
+            let i = self.cell_index(cell);
+            let planned = cell_mut(&mut self.clients[client as usize].planned, self.cells, i);
             *planned = (*planned).max(choice.quality.0);
             for layer in 0..=q.0 {
                 self.request_layer(client, cell, layer, now, sched);
@@ -861,10 +912,10 @@ impl EdgeWorld<'_> {
         let mut util = 0.0;
         let mut blank = 0.0;
         let mut degraded = false;
+        let state = &self.clients[client as usize];
         for &(tile, coverage) in visible.iter() {
-            let cell = CellId::new(tile, t);
-            let state = &self.clients[client as usize];
-            let mask = state.delivered.get(&cell).copied().unwrap_or(0);
+            let i = self.cell_index(CellId::new(tile, t));
+            let mask = state.delivered.get(i).copied().unwrap_or(0);
             // SVC: quality q plays only when layers 0..=q all arrived.
             let contiguous = mask.trailing_ones() as u8;
             if contiguous == 0 {
@@ -872,10 +923,8 @@ impl EdgeWorld<'_> {
             } else {
                 let shown = Quality(contiguous - 1);
                 util += coverage * self.video.ladder().utility(shown);
-                if let Some(&planned) = state.planned.get(&cell) {
-                    if shown.0 < planned {
-                        degraded = true;
-                    }
+                if shown.0 < state.planned.get(i).copied().unwrap_or(0) {
+                    degraded = true;
                 }
             }
         }
@@ -959,7 +1008,7 @@ impl EdgeWorld<'_> {
             self.origin_bytes += fl.bytes;
             self.cache.insert(key, fl.bytes);
             let cell = CellId::new(TileId(tile), ChunkTime(chunk_of(chunk)));
-            for (client, _) in fl.waiters {
+            for client in fl.waiters {
                 self.submit_egress(client, cell, layer, fl.bytes, now);
             }
         }
@@ -1004,10 +1053,8 @@ impl EdgeWorld<'_> {
         let mut lost_egress_bytes = 0;
         let mut lost_streams = 0;
         for done in self.egress.drain() {
-            if self.pending.remove(&done.id).is_some() {
-                lost_egress_bytes += done.bytes;
-                lost_streams += 1;
-            }
+            lost_egress_bytes += done.bytes;
+            lost_streams += 1;
         }
         for (_, fl) in self.inflight.drain() {
             self.origin_failed_bytes += fl.bytes;
@@ -1021,10 +1068,7 @@ impl EdgeWorld<'_> {
     /// Detach a client's session state (for re-homing onto a survivor).
     /// The client stays in the vector — indices are global across a
     /// federation — but no longer holds an egress queue here.
-    pub(crate) fn take_client_session(
-        &mut self,
-        client: u32,
-    ) -> (FxHashMap<CellId, u32>, FxHashMap<CellId, u8>) {
+    pub(crate) fn take_client_session(&mut self, client: u32) -> ClientSession {
         let state = &mut self.clients[client as usize];
         state.admitted = false;
         state.link_id = None;
@@ -1039,19 +1083,13 @@ impl EdgeWorld<'_> {
     /// received and planned so delivery continues where it left off.
     /// There is no admission check, so a survivor can end the run above
     /// its own `max_clients`.
-    pub(crate) fn install_client_session(
-        &mut self,
-        client: u32,
-        delivered: FxHashMap<CellId, u32>,
-        planned: FxHashMap<CellId, u8>,
-    ) {
+    pub(crate) fn install_client_session(&mut self, client: u32, session: ClientSession) {
         let weight = self.clients[client as usize].spec.weight;
         let link_id = self.egress.add_client(weight);
         let state = &mut self.clients[client as usize];
         state.admitted = true;
         state.link_id = Some(link_id);
-        state.delivered = delivered;
-        state.planned = planned;
+        (state.delivered, state.planned) = session;
     }
 }
 
@@ -1137,14 +1175,8 @@ pub(crate) fn finish_edge_run(
     // Settle the egress so every submitted stream is accounted, then
     // write off fetches the horizon cut short (keeps the byte balance
     // exact: misses + prefetches == origin ok + failed).
-    let final_completions = world.egress.drain();
-    for done in final_completions {
-        if let Some(p) = world.pending.remove(&done.id) {
-            world.egress_bytes += done.bytes;
-            if done.finished > p.deadline {
-                world.streams_late += 1;
-            }
-        }
+    for done in world.egress.drain() {
+        world.account_stream(&done);
     }
     for (_, fl) in world.inflight.drain() {
         world.origin_failed_bytes += fl.bytes;

@@ -30,6 +30,17 @@
 //! The classifier accepts **unnormalized** vectors: callers that build
 //! rays as `f + l·x + u·y` skip their own `normalized()` too (the
 //! fallback normalizes exactly like the original call chain did).
+//!
+//! # Hinted queries
+//!
+//! Neighbouring rays of a ray grid mostly share a tile, so
+//! [`TileClassifier::classify_hinted`] first asks whether the direction
+//! lies in a hinted tile (the previous ray's): two cross products against
+//! that tile's own yaw boundaries, and a band test on squares
+//! (`z²` against `sin²·|v|²`, no square root or division) whose limits
+//! sit two guards inside the band. A direction that passes is more than
+//! a guard from every boundary, so the comparisons decide it exactly as
+//! the full test would; any other direction takes the full test.
 
 use crate::tiling::{TileGrid, TileId};
 use crate::vector::Vec3;
@@ -40,6 +51,62 @@ use std::f64::consts::{FRAC_PI_2, PI, TAU};
 /// differ by at most ~2.6× for the band boundaries of practical grids)
 /// to a tile boundary are answered by the exact path.
 const GUARD: f64 = 1e-9;
+
+/// How far inside its pitch band a hinted tile's limits sit, in
+/// `sin(pitch)` units. One guard more than the full test keeps: the
+/// squared comparisons err by a few ulps, so a direction they accept is
+/// still more than [`GUARD`] inside the band.
+const HINT_INSET: f64 = 2.0 * GUARD;
+
+/// One tile's own boundaries, tabulated for the hinted test.
+#[derive(Debug, Clone, Copy)]
+struct TileBounds {
+    /// `(cos θ, sin θ)` of the tile's sector boundaries: the yaw it
+    /// starts at and the yaw it ends at.
+    west: (f64, f64),
+    east: (f64, f64),
+    /// The band's `sin(pitch)` limits, pulled in by [`HINT_INSET`], and
+    /// their squares; ±∞ on a side with no boundary (the polar rows).
+    lo: f64,
+    lo2: f64,
+    hi: f64,
+    hi2: f64,
+}
+
+impl TileBounds {
+    /// Whether `v` (with squared norm `n2`, finite and not degenerate)
+    /// lies in the tile at least a guard band from each of its
+    /// boundaries. `false` decides nothing: the caller runs the full
+    /// test.
+    #[inline]
+    fn holds(&self, v: Vec3, n2: f64) -> bool {
+        let (x, y, z) = (v.x, v.y, v.z);
+        // Inside the sector: past its start boundary (positive cross
+        // product) and short of its end (negative), each by the guard.
+        // A sector spans less than π, so the two half-planes meet in it
+        // alone.
+        let g = GUARD * (x.abs() + y.abs());
+        let (cw, sw) = self.west;
+        let (ce, se) = self.east;
+        if !(cw * y - sw * x > g && ce * y - se * x < -g) {
+            return false;
+        }
+        // Inside the band: z/|v| above `lo` and below `hi`, compared on
+        // squares with each limit's sign.
+        let z2 = z * z;
+        let above = if self.lo < 0.0 {
+            z >= 0.0 || z2 < self.lo2 * n2
+        } else {
+            z > 0.0 && z2 > self.lo2 * n2
+        };
+        let below = if self.hi > 0.0 {
+            z <= 0.0 || z2 < self.hi2 * n2
+        } else {
+            z < 0.0 && z2 > self.hi2 * n2
+        };
+        above && below
+    }
+}
 
 /// Precomputed boundary tables mapping directions to tiles of one
 /// [`TileGrid`], bit-identical to
@@ -55,6 +122,9 @@ pub struct TileClassifier {
     /// `sin(pitch_m)` for the pitch band boundaries
     /// `pitch_m = π/2 − m·π/rows`, `m = 1..rows`, strictly decreasing.
     row_sins: Vec<f64>,
+    /// Each tile's own boundaries for the hinted test, by tile id.
+    /// Empty when `cols < 3`: those grids ignore hints.
+    bounds: Vec<TileBounds>,
 }
 
 impl TileClassifier {
@@ -72,13 +142,47 @@ impl TileClassifier {
         } else {
             Vec::new()
         };
-        let row_sins = (1..rows)
+        let row_sins: Vec<f64> = (1..rows)
             .map(|m| (FRAC_PI_2 - m as f64 * (PI / rows as f64)).sin())
             .collect();
+        // A limit within a guard of zero moves to the stricter side of
+        // it, so its square never underflows against `|v|²`.
+        let band = |row: usize| {
+            let lo = match row_sins.get(row) {
+                Some(&s) if (s + HINT_INSET).abs() < GUARD => GUARD,
+                Some(&s) => s + HINT_INSET,
+                None => f64::NEG_INFINITY,
+            };
+            let hi = match row.checked_sub(1).map(|m| row_sins[m]) {
+                Some(s) if (s - HINT_INSET).abs() < GUARD => -GUARD,
+                Some(s) => s - HINT_INSET,
+                None => f64::INFINITY,
+            };
+            (lo, hi)
+        };
+        let bounds = if cols >= 3 {
+            grid.tiles()
+                .map(|tile| {
+                    let (row, col) = grid.position(tile);
+                    let (lo, hi) = band(row as usize);
+                    TileBounds {
+                        west: col_bounds[col as usize],
+                        east: col_bounds[(col as usize + 1) % cols],
+                        lo,
+                        lo2: lo * lo,
+                        hi,
+                        hi2: hi * hi,
+                    }
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         TileClassifier {
             grid,
             col_bounds,
             row_sins,
+            bounds,
         }
     }
 
@@ -94,17 +198,35 @@ impl TileClassifier {
     }
 
     /// The tile containing direction `v` (which need not be
-    /// normalized); returns exactly what
-    /// `grid.tile_of_direction(v.normalized())` returns.
+    /// normalized), testing `hint` first; returns exactly what
+    /// `grid.tile_of_direction(v.normalized())` returns, whatever the
+    /// hint. A hint that holds saves the full test (see the module
+    /// docs); one that fails costs two cross products.
     #[inline]
-    pub fn classify(&self, v: Vec3) -> TileId {
-        let (x, y, z) = (v.x, v.y, v.z);
-        let n2 = x * x + y * y + z * z;
+    pub fn classify_hinted(&self, v: Vec3, hint: Option<TileId>) -> TileId {
+        let n2 = v.x * v.x + v.y * v.y + v.z * v.z;
         // Degenerate or non-finite input: defer to the original chain
         // (which maps near-zero vectors to +X, NaN to tile 0).
         if !(n2.is_finite() && n2 >= 1e-24) {
             return self.exact(v);
         }
+        if let Some(tile) = hint {
+            if self
+                .bounds
+                .get(tile.index())
+                .is_some_and(|b| b.holds(v, n2))
+            {
+                return tile;
+            }
+        }
+        self.classify(v, n2)
+    }
+
+    /// The full test for a direction `v` whose squared norm `n2` is
+    /// finite and not degenerate.
+    #[inline]
+    fn classify(&self, v: Vec3, n2: f64) -> TileId {
+        let (x, y, z) = (v.x, v.y, v.z);
 
         // Yaw sector from the (x, y) components alone: membership in
         // sector k is a sign pattern over cross products against the
@@ -187,6 +309,22 @@ mod tests {
     use super::*;
     use crate::orientation::Orientation;
 
+    /// `v`'s tile through the hinted entry under every possible hint
+    /// (none, then each tile of the grid), checked against the exact
+    /// path each time.
+    fn classify_all_hints(cls: &TileClassifier, v: Vec3, what: &dyn Fn() -> String) {
+        let grid = cls.grid();
+        let exact = grid.tile_of_direction(v.normalized());
+        for hint in std::iter::once(None).chain(grid.tiles().map(Some)) {
+            assert_eq!(
+                cls.classify_hinted(v, hint),
+                exact,
+                "grid {grid:?} hint {hint:?} {}",
+                what()
+            );
+        }
+    }
+
     fn grids() -> Vec<TileGrid> {
         vec![
             TileGrid::new(2, 4),
@@ -204,17 +342,29 @@ mod tests {
     fn matches_exact_on_angle_sweep() {
         for grid in grids() {
             let cls = TileClassifier::new(grid);
+            let mut held = 0;
             for i in 0..360 {
                 for j in 0..90 {
                     let yaw = (i as f64 - 180.0).to_radians() + 1e-4;
                     let pitch = (j as f64 * 2.0 - 89.0).to_radians() + 3e-5;
                     let d = Orientation::new(yaw, pitch, 0.0).direction() * 1.37;
-                    assert_eq!(
-                        cls.classify(d),
-                        grid.tile_of_direction(d.normalized()),
-                        "grid {grid:?} yaw {yaw} pitch {pitch}"
-                    );
+                    classify_all_hints(&cls, d, &|| format!("yaw {yaw} pitch {pitch}"));
+                    let tile = grid.tile_of_direction(d.normalized());
+                    if cls
+                        .bounds
+                        .get(tile.index())
+                        .is_some_and(|b| b.holds(d, d.dot(d)))
+                    {
+                        held += 1;
+                    }
                 }
+            }
+            // The right hint settles nearly every sweep direction
+            // without the full test; the narrow grids ignore hints.
+            if grid.cols >= 3 {
+                assert!(held > 360 * 90 * 99 / 100, "grid {grid:?}: {held} held");
+            } else {
+                assert_eq!(held, 0);
             }
         }
     }
@@ -234,11 +384,7 @@ mod tests {
                 for &dy in &offsets {
                     for &pitch in &[-1.2, -0.3, 0.0, 0.4, 1.1] {
                         let d = Orientation::new(th + dy, pitch, 0.0).direction();
-                        assert_eq!(
-                            cls.classify(d),
-                            grid.tile_of_direction(d.normalized()),
-                            "grid {grid:?} col boundary {k} offset {dy}"
-                        );
+                        classify_all_hints(&cls, d, &|| format!("col boundary {k} offset {dy}"));
                     }
                 }
             }
@@ -247,11 +393,7 @@ mod tests {
                 for &dp in &offsets {
                     for &yaw in &[-3.0, -0.7, 0.0, 0.2, 2.9] {
                         let d = Orientation::new(yaw, pm + dp, 0.0).direction();
-                        assert_eq!(
-                            cls.classify(d),
-                            grid.tile_of_direction(d.normalized()),
-                            "grid {grid:?} row boundary {m} offset {dp}"
-                        );
+                        classify_all_hints(&cls, d, &|| format!("row boundary {m} offset {dp}"));
                     }
                 }
             }
@@ -278,11 +420,7 @@ mod tests {
         for grid in grids() {
             let cls = TileClassifier::new(grid);
             for &v in &vecs {
-                assert_eq!(
-                    cls.classify(v),
-                    grid.tile_of_direction(v.normalized()),
-                    "grid {grid:?} v {v:?}"
-                );
+                classify_all_hints(&cls, v, &|| format!("v {v:?}"));
             }
         }
     }
@@ -302,11 +440,7 @@ mod tests {
             let cls = TileClassifier::new(grid);
             for _ in 0..20_000 {
                 let v = Vec3::new(next(), next(), next());
-                assert_eq!(
-                    cls.classify(v),
-                    grid.tile_of_direction(v.normalized()),
-                    "grid {grid:?} v {v:?}"
-                );
+                classify_all_hints(&cls, v, &|| format!("v {v:?}"));
             }
         }
     }

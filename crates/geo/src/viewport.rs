@@ -159,10 +159,12 @@ impl Viewport {
     /// cell centres of the viewport plane into per-tile hit counts,
     /// returned from `scratch`.
     ///
-    /// The basis and the half-FoV tangents are computed once per call
+    /// The basis and the half-FoV tangents are computed once per call,
+    /// the column terms `f + l*x` once per column (kept in the scratch)
     /// and `u * y` once per row; `(f + l*x) + u*y` keeps the addition
     /// order of a per-ray construction. Each raw (unnormalized) ray is
-    /// binned by the scratch's [`TileClassifier`], whose result is
+    /// binned by the scratch's [`TileClassifier`], hinted with the
+    /// previous ray's tile; whatever the hint, the result is
     /// bit-identical to normalizing the ray and binning it by its
     /// yaw/pitch angles (golden traces depend on this; see the
     /// `classifier` module docs).
@@ -173,18 +175,22 @@ impl Viewport {
         scratch: &'s mut VisibilityScratch,
     ) -> &'s [u32] {
         assert!(samples >= 2, "need at least a 2x2 sample grid");
-        let (cls, counts) = scratch.for_grid(grid);
+        let (cls, counts, columns) = scratch.for_grid(grid);
         let n = samples;
         let (f, l, u) = self.orientation.basis();
         let tan_h = (self.hfov / 2.0).tan();
         let tan_v = (self.vfov / 2.0).tan();
+        // Sample cell centres, not edges, to avoid double-counting corners.
+        let centre = |i: u32| (i as f64 + 0.5) / n as f64 * 2.0 - 1.0;
+        columns.clear();
+        columns.extend((0..n).map(|ix| f + l * (tan_h * centre(ix))));
+        let mut hint = None;
         for iy in 0..n {
-            // Sample cell centres, not edges, to avoid double-counting corners.
-            let sy = (iy as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-            let uy = u * (tan_v * sy);
-            for ix in 0..n {
-                let sx = (ix as f64 + 0.5) / n as f64 * 2.0 - 1.0;
-                counts[cls.classify(f + l * (tan_h * sx) + uy).index()] += 1;
+            let uy = u * (tan_v * centre(iy));
+            for &column in columns.iter() {
+                let tile = cls.classify_hinted(column + uy, hint);
+                counts[tile.index()] += 1;
+                hint = Some(tile);
             }
         }
         counts
@@ -192,13 +198,14 @@ impl Viewport {
 }
 
 /// Reusable buffers for [`Viewport::visible_tiles_into`]: holds the
-/// per-tile ray-hit counts between queries so the steady state does no
-/// heap allocation. One scratch serves any grid shape (the buffer is
-/// resized, not reallocated, once it has reached the largest tile count
-/// seen).
+/// per-tile ray-hit counts and the cast's per-column ray terms between
+/// queries so the steady state does no heap allocation. One scratch
+/// serves any grid shape and density (the buffers are resized, not
+/// reallocated, once they have reached the largest size seen).
 #[derive(Debug, Clone, Default)]
 pub struct VisibilityScratch {
     counts: Vec<u32>,
+    columns: Vec<Vec3>,
     classifier: Option<TileClassifier>,
 }
 
@@ -209,8 +216,9 @@ impl VisibilityScratch {
     }
 
     /// The cached classifier for `grid` (rebuilt if the grid changed
-    /// since the last query) plus the zeroed count buffer.
-    fn for_grid(&mut self, grid: &TileGrid) -> (&TileClassifier, &mut Vec<u32>) {
+    /// since the last query), the zeroed count buffer and the column
+    /// buffer.
+    fn for_grid(&mut self, grid: &TileGrid) -> (&TileClassifier, &mut Vec<u32>, &mut Vec<Vec3>) {
         if self.classifier.as_ref().map(|c| c.grid()) != Some(*grid) {
             self.classifier = Some(TileClassifier::new(*grid));
         }
@@ -219,6 +227,7 @@ impl VisibilityScratch {
         (
             self.classifier.as_ref().expect("just set"),
             &mut self.counts,
+            &mut self.columns,
         )
     }
 }

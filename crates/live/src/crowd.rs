@@ -18,6 +18,7 @@ use sperke_geo::{TileGrid, TileId, Viewport, VisibilityScratch};
 use sperke_hmp::{FusedForecaster, HeadTrace, Heatmap};
 use sperke_sim::{SimDuration, SimTime};
 use sperke_video::ChunkTime;
+use std::sync::Arc;
 
 /// A live viewer in the population.
 #[derive(Debug, Clone)]
@@ -37,8 +38,9 @@ pub struct LiveViewer {
 pub struct CrowdAggregator {
     grid: TileGrid,
     chunk_duration: SimDuration,
-    /// `(available_at_wall, chunk, tiles)` reports.
-    reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>,
+    /// `(available_at_wall, chunk, tiles)` reports. A report's tile
+    /// list is shared, never copied, between the aggregators it reaches.
+    reports: Vec<(SimTime, ChunkTime, Arc<[TileId]>)>,
     /// Extra delay for a gaze report to reach the server.
     pub report_delay: SimDuration,
 }
@@ -72,7 +74,11 @@ impl CrowdAggregator {
     /// the state repeated [`CrowdAggregator::ingest`] calls would — the
     /// report list is identical entry for entry.
     pub fn ingest_reports(&mut self, reports: Vec<(SimTime, ChunkTime, Vec<TileId>)>) {
-        self.reports.extend(reports);
+        self.reports.extend(
+            reports
+                .into_iter()
+                .map(|(wall, chunk, tiles)| (wall, chunk, tiles.into())),
+        );
     }
 
     /// Append precomputed reports with every wall availability shifted
@@ -81,16 +87,17 @@ impl CrowdAggregator {
     /// report's wall time is linear in the viewer's latency, shifting by
     /// `delay` is exactly equivalent to re-ingesting the viewer with
     /// `latency + delay`; sharing one [`viewer_reports`] computation
-    /// across edges therefore stays bit-exact.
+    /// across edges therefore stays bit-exact. The tile lists are
+    /// shared with `reports`, not copied.
     pub fn ingest_reports_delayed(
         &mut self,
-        reports: &[(SimTime, ChunkTime, Vec<TileId>)],
+        reports: &[(SimTime, ChunkTime, Arc<[TileId]>)],
         delay: SimDuration,
     ) {
         self.reports.extend(
             reports
                 .iter()
-                .map(|(wall, chunk, tiles)| (*wall + delay, *chunk, tiles.clone())),
+                .map(|(wall, chunk, tiles)| (*wall + delay, *chunk, Arc::clone(tiles))),
         );
     }
 
@@ -126,7 +133,7 @@ impl CrowdAggregator {
                 continue;
             }
             viewers += 1;
-            for tile in tiles {
+            for tile in tiles.iter() {
                 let i = tile.index();
                 if last_seen[i] != viewers {
                     last_seen[i] = viewers;
@@ -366,7 +373,10 @@ mod tests {
         let mut shifted = CrowdAggregator::new(grid, cd);
         let mut slower = CrowdAggregator::new(grid, cd);
         for v in &lows {
-            let reports = viewer_reports(&grid, cd, shifted.report_delay, v, 12);
+            let reports: Vec<_> = viewer_reports(&grid, cd, shifted.report_delay, v, 12)
+                .into_iter()
+                .map(|(wall, chunk, tiles)| (wall, chunk, tiles.into()))
+                .collect();
             shifted.ingest_reports_delayed(&reports, delay);
             slower.ingest(
                 &LiveViewer {

@@ -48,7 +48,7 @@ pub use path::PathModel;
 pub use pipe::SerialLink;
 pub use priority::{ChunkPriority, Reliability, SpatialPriority, TemporalPriority};
 pub use transfer::{Completion, PathQueue, TransferId, TransferOutcome};
-pub use wrr::{StreamId, WrrCompletion, WrrLink};
+pub use wrr::{WrrCompletion, WrrLink};
 
 #[cfg(test)]
 mod proptests {

@@ -14,15 +14,20 @@
 //! finishes, so the model is deterministic: identical submissions yield
 //! identical completion times, bit for bit.
 //!
-//! The stepper is laid out as a struct of arrays. The backlogged
-//! clients' ids, their heads' remaining bits and their weight classes
-//! are three dense vectors aligned by position, sorted by client id;
-//! queued streams behind a head keep their full size and wait in the
-//! client's FIFO. A fluid step computes `rate · weight / Σ weights` and
-//! its product with the step length once per distinct weight, then
-//! costs one division (time to finish) and one subtraction (bits
-//! drained) per head. The weight sum is a running total, exact in f64
-//! because the weights are small integers.
+//! The stepper keeps one dense pair of arrays per weight class: the ids
+//! of the class's backlogged clients, ascending, and their heads'
+//! remaining bits; queued streams behind a head keep their full size and
+//! wait in the client's FIFO. A fluid step computes the class's rate
+//! `rate · weight / Σ weights` once. Dividing by one positive rate keeps
+//! the order of the bits, so a class's first finisher is its least-bits
+//! head; a division per head runs only where a lower id's few extra ulps
+//! could round to the same finish. The step then subtracts one drained
+//! amount over each class's contiguous slice. The weight sum is a
+//! running total, exact in f64 because the weights are small integers.
+//!
+//! Each submission carries a caller tag, handed back in its
+//! [`WrrCompletion`], so a caller needs no map from streams to what they
+//! deliver.
 //!
 //! ```
 //! use sperke_net::WrrLink;
@@ -31,33 +36,29 @@
 //! let mut link = WrrLink::new(8e6);
 //! let a = link.add_client(1);
 //! let b = link.add_client(1);
-//! link.submit(a, 125_000, SimTime::ZERO); // 1 Mbit each
-//! link.submit(b, 125_000, SimTime::ZERO);
+//! link.submit(a, 125_000, SimTime::ZERO, 'a'); // 1 Mbit each
+//! link.submit(b, 125_000, SimTime::ZERO, 'b');
 //! let done = link.drain();
 //! assert_eq!(done.len(), 2);
+//! assert_eq!((done[0].tag, done[1].tag), ('a', 'b'));
 //! // Equal weights: both finish together at 0.25 s.
 //! assert!(done.iter().all(|c| (c.finished.as_secs_f64() - 0.25).abs() < 1e-9));
 //! ```
 
-use serde::{Deserialize, Serialize};
 use sperke_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Identifier of a stream on a [`WrrLink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct StreamId(pub u64);
-
 /// A stream queued or in flight on a [`WrrLink`]. Only a queue head
-/// drains, and its remaining bits live in the link's dense head array;
-/// a stream behind the head still has all of its bits to send.
+/// drains, and its remaining bits live in its weight class's dense head
+/// array; a stream behind the head still has all of its bits to send.
 #[derive(Debug, Clone)]
-struct WrrStream {
-    id: StreamId,
+struct WrrStream<T> {
+    tag: T,
     bytes: u64,
     submitted: SimTime,
 }
 
-impl WrrStream {
+impl<T> WrrStream<T> {
     /// The stream's full size in bits.
     fn bits(&self) -> f64 {
         self.bytes as f64 * 8.0
@@ -66,28 +67,61 @@ impl WrrStream {
 
 /// One client's FIFO queue (head first) and its weight class.
 #[derive(Debug, Clone)]
-struct ClientQueue {
+struct ClientQueue<T> {
     class: u32,
-    queue: VecDeque<WrrStream>,
+    queue: VecDeque<WrrStream<T>>,
 }
 
-/// Every client registered at one scheduling weight, with the rate each
-/// of them is served at in the current fluid step and the bits that
-/// step drains from each of their heads.
+/// Every client registered at one scheduling weight: the backlogged
+/// ones with their heads' remaining bits, and the rate each of them is
+/// served at in the current fluid step.
 #[derive(Debug, Clone)]
 struct WeightClass {
     weight: f64,
     rate: f64,
-    drained: f64,
+    /// Ids of the class's clients with a non-empty queue, ascending.
+    ids: Vec<u32>,
+    /// Remaining bits of each backlogged client's head, aligned with
+    /// `ids`.
+    bits: Vec<f64>,
+}
+
+impl WeightClass {
+    /// The position in `ids` of the class's first finisher under the
+    /// current rate, and its time to finish: `bits / rate` at its least,
+    /// the lowest id among equal times.
+    ///
+    /// The division is monotone, so the least-bits head (the first of
+    /// equal bits) has the least time. A lower id with more bits can
+    /// still round to that same time; its excess is then within a few
+    /// ulps of the least bits (or of the smallest normal, scaled by the
+    /// rate, where the time underflows), so only heads inside that slack
+    /// are divided to break the tie.
+    fn first_finisher(&self) -> (usize, f64) {
+        let mut pos = 0;
+        let mut least = f64::INFINITY;
+        for (p, &bits) in self.bits.iter().enumerate() {
+            if bits < least {
+                least = bits;
+                pos = p;
+            }
+        }
+        let dt = least / self.rate;
+        let slack = least.abs() * (4.0 * f64::EPSILON) + self.rate * f64::MIN_POSITIVE;
+        let tie = self.bits[..pos]
+            .iter()
+            .position(|&bits| bits - least <= slack && bits / self.rate == dt);
+        (tie.unwrap_or(pos), dt)
+    }
 }
 
 /// A completed client stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WrrCompletion {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WrrCompletion<T> {
     /// The client the stream belonged to.
     pub client: u32,
-    /// The stream.
-    pub id: StreamId,
+    /// The tag the stream was submitted with.
+    pub tag: T,
     /// Submission time.
     pub submitted: SimTime,
     /// Completion time.
@@ -97,24 +131,17 @@ pub struct WrrCompletion {
 }
 
 /// A constant-rate link shared between clients with weighted
-/// round-robin fairness (fluid model; see the module docs).
+/// round-robin fairness (fluid model; see the module docs). Every
+/// stream carries a caller tag of type `T`.
 #[derive(Debug, Clone)]
-pub struct WrrLink {
+pub struct WrrLink<T> {
     rate_bps: f64,
     now: SimTime,
-    clients: Vec<ClientQueue>,
+    clients: Vec<ClientQueue<T>>,
     /// The distinct registered weights; a client holds an index here.
     classes: Vec<WeightClass>,
-    /// Ids of the clients with a non-empty queue, ascending. Walking it
-    /// visits the backlogged clients in the order a scan of the whole
-    /// registry would, so the lowest-id tie-break and every f64
-    /// operation sequence match that formulation.
-    active: Vec<u32>,
-    /// Remaining bits of each backlogged client's head, aligned with
-    /// `active`.
-    head_bits: Vec<f64>,
-    /// Weight class of each backlogged client, aligned with `active`.
-    head_class: Vec<u32>,
+    /// Clients with a non-empty queue, over all classes.
+    backlogged: usize,
     /// Σ weights of the backlogged clients. The weights are integers,
     /// so this running total is exact: it equals a fresh sum in any
     /// order while it stays below 2⁵³.
@@ -123,27 +150,23 @@ pub struct WrrLink {
     tail_bytes: u64,
     /// Streams queued, heads included.
     queued: usize,
-    next_id: u64,
-    completions: Vec<WrrCompletion>,
+    completions: Vec<WrrCompletion<T>>,
     delivered_bytes: u64,
 }
 
-impl WrrLink {
+impl<T> WrrLink<T> {
     /// A link of the given constant capacity, bits/second.
-    pub fn new(rate_bps: f64) -> WrrLink {
+    pub fn new(rate_bps: f64) -> WrrLink<T> {
         assert!(rate_bps > 0.0, "rate must be positive");
         WrrLink {
             rate_bps,
             now: SimTime::ZERO,
             clients: Vec::new(),
             classes: Vec::new(),
-            active: Vec::new(),
-            head_bits: Vec::new(),
-            head_class: Vec::new(),
+            backlogged: 0,
             total_weight: 0.0,
             tail_bytes: 0,
             queued: 0,
-            next_id: 0,
             completions: Vec::new(),
             delivered_bytes: 0,
         }
@@ -161,7 +184,8 @@ impl WrrLink {
                 self.classes.push(WeightClass {
                     weight,
                     rate: 0.0,
-                    drained: 0.0,
+                    ids: Vec::new(),
+                    bits: Vec::new(),
                 });
                 self.classes.len() - 1
             }
@@ -178,32 +202,31 @@ impl WrrLink {
         self.clients.len()
     }
 
-    /// Queue a stream of `bytes` for `client` at `now`. Submissions must
-    /// be globally time-ordered (the discrete-event loop guarantees
-    /// this); within a client, streams drain strictly FIFO.
-    pub fn submit(&mut self, client: u32, bytes: u64, now: SimTime) -> StreamId {
+    /// Queue a stream of `bytes` for `client` at `now`, carrying `tag`
+    /// to its completion. Submissions must be globally time-ordered (the
+    /// discrete-event loop guarantees this); within a client, streams
+    /// drain strictly FIFO.
+    pub fn submit(&mut self, client: u32, bytes: u64, now: SimTime, tag: T) {
         assert!(now >= self.now, "submissions must be time-ordered");
         self.advance(now);
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
         let stream = WrrStream {
-            id,
+            tag,
             bytes,
             submitted: now,
         };
         let q = &mut self.clients[client as usize];
         if q.queue.is_empty() {
-            let pos = self.active.partition_point(|&i| i < client);
-            self.active.insert(pos, client);
-            self.head_bits.insert(pos, stream.bits());
-            self.head_class.insert(pos, q.class);
-            self.total_weight += self.classes[q.class as usize].weight;
+            let class = &mut self.classes[q.class as usize];
+            let pos = class.ids.partition_point(|&i| i < client);
+            class.ids.insert(pos, client);
+            class.bits.insert(pos, stream.bits());
+            self.backlogged += 1;
+            self.total_weight += class.weight;
         } else {
             self.tail_bytes += bytes;
         }
         q.queue.push_back(stream);
         self.queued += 1;
-        id
     }
 
     /// Bits still queued (all clients, including in-flight heads).
@@ -214,11 +237,16 @@ impl WrrLink {
     /// registered client would. [`WrrLink::backlog_bits_bounds`] brackets
     /// it at the cost of the heads alone.
     pub fn backlog_bits(&self) -> f64 {
-        self.active
+        let mut heads: Vec<(u32, f64)> = self
+            .classes
             .iter()
-            .zip(&self.head_bits)
-            .flat_map(|(&i, &head)| {
-                let tails = self.clients[i as usize].queue.iter().skip(1);
+            .flat_map(|c| c.ids.iter().copied().zip(c.bits.iter().copied()))
+            .collect();
+        heads.sort_unstable_by_key(|&(client, _)| client);
+        heads
+            .into_iter()
+            .flat_map(|(client, head)| {
+                let tails = self.clients[client as usize].queue.iter().skip(1);
                 std::iter::once(head).chain(tails.map(WrrStream::bits))
             })
             .sum()
@@ -229,7 +257,7 @@ impl WrrLink {
     /// queued stream.
     ///
     /// The streams behind the heads hold an exact integer total `T`.
-    /// Summing `n` terms in order errs by at most `γ(n−1)·Σ|x|`, with
+    /// Summing `n` terms in any order errs by at most `γ(n−1)·Σ|x|`, with
     /// `γ(k) = k·u/(1 − k·u)` and `u = 2⁻⁵³` (Higham, *Accuracy and
     /// Stability of Numerical Algorithms*, §4.2); that bounds both
     /// `backlog_bits` over all `n` queued streams and the head sum here
@@ -239,12 +267,12 @@ impl WrrLink {
     /// that, which also covers the rounding of the centre and the ends.
     pub fn backlog_bits_bounds(&self) -> (f64, f64) {
         let (mut heads, mut magnitude) = (0.0f64, 0.0f64);
-        for &bits in &self.head_bits {
+        for &bits in self.classes.iter().flat_map(|c| &c.bits) {
             heads += bits;
             magnitude += bits.abs();
         }
         let tails = self.tail_bytes as f64 * 8.0;
-        let terms = (self.queued + self.head_bits.len() + 2) as f64;
+        let terms = (self.queued + self.backlogged + 2) as f64;
         let half_width = terms * f64::EPSILON * (tails + magnitude);
         let centre = tails + heads;
         (centre - half_width, centre + half_width)
@@ -274,40 +302,41 @@ impl WrrLink {
     /// index (deterministic).
     ///
     /// Every f64 operation that reaches a completion time is the one the
-    /// full-registry formulation performs, in the same order: the rate
-    /// `rate_bps · w / Σw` and the drained bits `rate · dt` are the same
-    /// expressions whether computed per head or once per weight, and the
-    /// heads are visited in ascending client id.
+    /// full-registry formulation performs: the rate `rate_bps · w / Σw`,
+    /// each head's time to finish `bits / rate` and the drained bits
+    /// `rate · dt` are the same expressions whether computed per head or
+    /// once per weight. The first finisher is each class's first (see
+    /// [`WeightClass::first_finisher`]) with the least time, ties to the
+    /// lowest client id, which is the head a scan of every client in id
+    /// order keeps.
     fn advance(&mut self, to: SimTime) {
-        while self.now < to && !self.active.is_empty() {
+        while self.now < to && self.backlogged > 0 {
             let total_weight = self.total_weight;
-            for class in &mut self.classes {
+            let mut best = (f64::INFINITY, u32::MAX, 0usize, 0usize);
+            for (k, class) in self.classes.iter_mut().enumerate() {
                 class.rate = self.rate_bps * class.weight / total_weight;
-            }
-            // The head that finishes first under the current sharing;
-            // strict `<` keeps the first of equal minima, matching the
-            // lowest-client-index tie-break.
-            let mut best_pos = 0usize;
-            let mut best_dt = f64::INFINITY;
-            for (pos, (&bits, &class)) in self.head_bits.iter().zip(&self.head_class).enumerate() {
-                let dt = bits / self.classes[class as usize].rate;
-                if dt < best_dt {
-                    best_dt = dt;
-                    best_pos = pos;
+                if class.ids.is_empty() {
+                    continue;
+                }
+                let (pos, dt) = class.first_finisher();
+                let client = class.ids[pos];
+                if dt < best.0 || (dt == best.0 && client < best.1) {
+                    best = (dt, client, k, pos);
                 }
             }
+            let (best_dt, _, best_class, best_pos) = best;
             let window = (to - self.now).as_secs_f64();
             let finishes = best_dt <= window;
             let step = if finishes { best_dt } else { window };
             for class in &mut self.classes {
-                class.drained = class.rate * step;
-            }
-            for (bits, &class) in self.head_bits.iter_mut().zip(&self.head_class) {
-                *bits -= self.classes[class as usize].drained;
+                let drained = class.rate * step;
+                for bits in &mut class.bits {
+                    *bits -= drained;
+                }
             }
             if finishes {
                 let finish = self.now + SimDuration::from_secs_f64(best_dt);
-                self.retire_head(best_pos, finish);
+                self.retire_head(best_class, best_pos, finish);
                 self.now = finish;
             } else {
                 self.now = to;
@@ -316,27 +345,28 @@ impl WrrLink {
         self.now = self.now.max(to);
     }
 
-    /// Complete the head of backlogged client `active[pos]` at `finish`:
-    /// the stream behind it becomes the head with all its bits to send,
-    /// or the client leaves the backlog.
-    fn retire_head(&mut self, pos: usize, finish: SimTime) {
-        let client = self.active[pos];
+    /// Complete the head at position `pos` of weight class `class` at
+    /// `finish`: the stream behind it becomes the head with all its bits
+    /// to send, or the client leaves the backlog.
+    fn retire_head(&mut self, class: usize, pos: usize, finish: SimTime) {
+        let c = &mut self.classes[class];
+        let client = c.ids[pos];
         let q = &mut self.clients[client as usize];
         let done = q.queue.pop_front().expect("a backlogged client has a head");
         if let Some(next) = q.queue.front() {
-            self.head_bits[pos] = next.bits();
+            c.bits[pos] = next.bits();
             self.tail_bytes -= next.bytes;
         } else {
-            self.active.remove(pos);
-            self.head_bits.remove(pos);
-            self.head_class.remove(pos);
-            self.total_weight -= self.classes[q.class as usize].weight;
+            c.ids.remove(pos);
+            c.bits.remove(pos);
+            self.backlogged -= 1;
+            self.total_weight -= c.weight;
         }
         self.queued -= 1;
         self.delivered_bytes += done.bytes;
         self.completions.push(WrrCompletion {
             client,
-            id: done.id,
+            tag: done.tag,
             submitted: done.submitted,
             finished: finish,
             bytes: done.bytes,
@@ -345,7 +375,7 @@ impl WrrLink {
 
     /// Drive the link until `to`, then drain completions so far, ordered
     /// by finish time (ties by client id, deterministic).
-    pub fn run_until(&mut self, to: SimTime) -> Vec<WrrCompletion> {
+    pub fn run_until(&mut self, to: SimTime) -> Vec<WrrCompletion<T>> {
         self.advance(to);
         let mut out = std::mem::take(&mut self.completions);
         out.sort_by_key(|c| (c.finished, c.client));
@@ -354,8 +384,8 @@ impl WrrLink {
 
     /// Run until every queued stream completes; returns all outstanding
     /// completions.
-    pub fn drain(&mut self) -> Vec<WrrCompletion> {
-        while !self.active.is_empty() {
+    pub fn drain(&mut self) -> Vec<WrrCompletion<T>> {
+        while self.backlogged > 0 {
             let t = self.now + SimDuration::from_secs(3600);
             self.advance(t);
         }
@@ -373,11 +403,11 @@ mod tests {
     fn per_client_fifo_order_is_respected() {
         let mut link = WrrLink::new(8e6);
         let a = link.add_client(1);
-        let first = link.submit(a, MBIT, SimTime::ZERO);
-        let second = link.submit(a, MBIT, SimTime::ZERO);
+        link.submit(a, MBIT, SimTime::ZERO, "first");
+        link.submit(a, MBIT, SimTime::ZERO, "second");
         let done = link.drain();
-        assert_eq!(done[0].id, first);
-        assert_eq!(done[1].id, second);
+        assert_eq!(done[0].tag, "first");
+        assert_eq!(done[1].tag, "second");
         assert!(done[0].finished < done[1].finished);
     }
 
@@ -390,9 +420,9 @@ mod tests {
         let a = link.add_client(1);
         let b = link.add_client(1);
         for _ in 0..8 {
-            link.submit(a, MBIT, SimTime::ZERO);
+            link.submit(a, MBIT, SimTime::ZERO, ());
         }
-        link.submit(b, MBIT, SimTime::ZERO);
+        link.submit(b, MBIT, SimTime::ZERO, ());
         let done = link.drain();
         let b_done = done.iter().find(|c| c.client == b).unwrap().finished;
         let a_last = done
@@ -413,8 +443,8 @@ mod tests {
         let mut link = WrrLink::new(8e6);
         let heavy = link.add_client(3);
         let light = link.add_client(1);
-        link.submit(heavy, MBIT, SimTime::ZERO);
-        link.submit(light, MBIT, SimTime::ZERO);
+        link.submit(heavy, MBIT, SimTime::ZERO, ());
+        link.submit(light, MBIT, SimTime::ZERO, ());
         let done = link.drain();
         let h = done.iter().find(|c| c.client == heavy).unwrap();
         let l = done.iter().find(|c| c.client == light).unwrap();
@@ -430,7 +460,7 @@ mod tests {
             let mut link = WrrLink::new(10e6);
             for &w in weights {
                 let c = link.add_client(w);
-                link.submit(c, MBIT, SimTime::ZERO);
+                link.submit(c, MBIT, SimTime::ZERO, ());
             }
             link.drain().into_iter().map(|c| c.finished).max().unwrap()
         };
@@ -445,8 +475,8 @@ mod tests {
         let mut link = WrrLink::new(8e6);
         let a = link.add_client(1);
         assert_eq!(link.backlog_bits(), 0.0);
-        link.submit(a, MBIT, SimTime::ZERO);
-        link.submit(a, MBIT, SimTime::ZERO);
+        link.submit(a, MBIT, SimTime::ZERO, ());
+        link.submit(a, MBIT, SimTime::ZERO, ());
         assert!((link.backlog_bits() - 2e6).abs() < 1e-6);
         let drain = link.drain_time(link.backlog_bits());
         assert!((drain.as_secs_f64() - 0.25).abs() < 1e-9);
@@ -459,11 +489,34 @@ mod tests {
     fn run_until_reports_partial_progress() {
         let mut link = WrrLink::new(8e6);
         let a = link.add_client(1);
-        link.submit(a, MBIT, SimTime::ZERO);
-        link.submit(a, 100 * MBIT, SimTime::ZERO);
+        link.submit(a, MBIT, SimTime::ZERO, ());
+        link.submit(a, 100 * MBIT, SimTime::ZERO, ());
         let early = link.run_until(SimTime::from_millis(300));
         assert_eq!(early.len(), 1);
         assert_eq!(link.queued(a), 1);
+    }
+
+    #[test]
+    fn tags_survive_a_partial_run_and_the_final_drain() {
+        // A's head finishes inside the window; B's head is cut mid-way
+        // by it and A's second stream never starts. Each completion,
+        // early or drained, hands back exactly the tag it went in with.
+        let mut link = WrrLink::new(8e6);
+        let a = link.add_client(1);
+        let b = link.add_client(2);
+        link.submit(a, MBIT, SimTime::ZERO, (a, 10u64));
+        link.submit(a, 2 * MBIT, SimTime::ZERO, (a, 11));
+        link.submit(b, 4 * MBIT, SimTime::ZERO, (b, 20));
+        let early = link.run_until(SimTime::from_millis(400));
+        assert_eq!(early.len(), 1);
+        assert_eq!((early[0].client, early[0].tag), (a, (a, 10)));
+        assert_eq!(link.queued(a), 1);
+        assert_eq!(link.queued(b), 1);
+        let rest = link.drain();
+        let tags: Vec<(u32, (u32, u64))> = rest.iter().map(|c| (c.client, c.tag)).collect();
+        assert_eq!(tags, [(b, (b, 20)), (a, (a, 11))]);
+        assert!(rest.iter().all(|c| c.submitted == SimTime::ZERO));
+        assert_eq!(rest[1].bytes, 2 * MBIT);
     }
 
     #[test]
@@ -471,8 +524,8 @@ mod tests {
     fn out_of_order_submission_rejected() {
         let mut link = WrrLink::new(1e6);
         let a = link.add_client(1);
-        link.submit(a, 1000, SimTime::from_secs(5));
-        link.submit(a, 1000, SimTime::from_secs(1));
+        link.submit(a, 1000, SimTime::from_secs(5), ());
+        link.submit(a, 1000, SimTime::from_secs(1), ());
     }
 
     #[test]
@@ -485,7 +538,7 @@ mod tests {
             let mut link = WrrLink::new(3e6);
             let ids = weights.map(|w| link.add_client(w));
             for (id, w) in ids.into_iter().zip(weights) {
-                link.submit(id, w as u64 * MBIT, SimTime::ZERO);
+                link.submit(id, w as u64 * MBIT, SimTime::ZERO, id);
             }
             let first = link.run_until(SimTime::from_secs(1));
             assert_eq!(first.len(), 1, "weights {weights:?}");
@@ -499,10 +552,77 @@ mod tests {
         }
     }
 
+    #[test]
+    fn three_classes_finishing_together_match_the_full_scan() {
+        // Weights 3, 1, 2 (twice each, interleaved) share 12 Mbps: each
+        // client gets w Mbps, so heads of w Mbit all need exactly 1 s.
+        // Six heads in three classes tie, and both steppers retire them
+        // in the same order with the same finish bits.
+        let weights = [3u32, 1, 2, 1, 3, 2];
+        let mut fast = WrrLink::new(12e6);
+        let mut slow = FullScanWrr::new(12e6);
+        for &w in &weights {
+            fast.add_client(w);
+            slow.add_client(w);
+        }
+        for (id, &w) in weights.iter().enumerate() {
+            let id = id as u32;
+            fast.submit(id, w as u64 * MBIT, SimTime::ZERO, id);
+            slow.submit(id, w as u64 * MBIT, SimTime::ZERO, id);
+        }
+        let end = SimTime::from_secs(1);
+        let a = fast.run_until(end);
+        let b = slow.run_until(end);
+        assert_eq!(a, b);
+        assert!(a[0].finished == end && a[0].client == 0, "{a:?}");
+        let (rest_a, rest_b) = (fast.drain(), slow.drain());
+        assert_eq!(rest_a, rest_b);
+        let mut all = a;
+        all.extend(rest_a);
+        assert_eq!(all.len(), weights.len());
+        assert!(all.iter().all(|c| c.finished == end), "{all:?}");
+    }
+
+    #[test]
+    fn first_finisher_breaks_rounding_ties_to_the_lowest_id() {
+        // Heads whose bits differ yet divide to the same time: the lower
+        // id (position 0) finishes first even though it holds more bits.
+        // The last pair underflows to a zero time, which the slack's
+        // absolute term admits.
+        let rate = 3e6;
+        let near = |bits: f64| {
+            let more = bits.next_up();
+            (more / rate == bits / rate).then_some([more, bits])
+        };
+        let tied: Vec<[f64; 2]> = (1..50)
+            .filter_map(|k| near(k as f64 * 1e5 + 0.5))
+            .chain([[1e-318, 0.0]])
+            .collect();
+        assert!(tied.len() > 1, "no rounding tie among the probes");
+        for bits in tied {
+            let class = WeightClass {
+                weight: 1.0,
+                rate,
+                ids: vec![3, 7],
+                bits: bits.to_vec(),
+            };
+            assert!(bits[0] > bits[1]);
+            assert_eq!(class.first_finisher(), (0, bits[1] / rate), "{bits:?}");
+        }
+        // One whole bit apart is never a tie: the least bits finish first.
+        let class = WeightClass {
+            weight: 1.0,
+            rate,
+            ids: vec![3, 7],
+            bits: vec![1e6 + 1.0, 1e6],
+        };
+        assert_eq!(class.first_finisher().0, 1);
+    }
+
     /// A stream in the full-scan oracle: every queued stream carries its
     /// own remaining bits.
     struct OracleStream {
-        id: StreamId,
+        tag: u32,
         bytes: u64,
         remaining_bits: f64,
         submitted: SimTime,
@@ -516,13 +636,13 @@ mod tests {
 
     /// The full-scan formulation the dense stepper replaced, kept as a
     /// differential oracle: every pass filters the whole registry for
-    /// non-empty queues and reaches each head through its queue.
+    /// non-empty queues, reaches each head through its queue and divides
+    /// every head's bits by its rate.
     struct FullScanWrr {
         rate_bps: f64,
         now: SimTime,
         clients: Vec<OracleClient>,
-        next_id: u64,
-        completions: Vec<WrrCompletion>,
+        completions: Vec<WrrCompletion<u32>>,
     }
 
     impl FullScanWrr {
@@ -531,7 +651,6 @@ mod tests {
                 rate_bps,
                 now: SimTime::ZERO,
                 clients: Vec::new(),
-                next_id: 0,
                 completions: Vec::new(),
             }
         }
@@ -544,12 +663,10 @@ mod tests {
             (self.clients.len() - 1) as u32
         }
 
-        fn submit(&mut self, client: u32, bytes: u64, now: SimTime) {
+        fn submit(&mut self, client: u32, bytes: u64, now: SimTime, tag: u32) {
             self.advance(now);
-            let id = StreamId(self.next_id);
-            self.next_id += 1;
             self.clients[client as usize].queue.push_back(OracleStream {
-                id,
+                tag,
                 bytes,
                 remaining_bits: bytes as f64 * 8.0,
                 submitted: now,
@@ -601,7 +718,7 @@ mod tests {
                     let done = self.clients[idx].queue.pop_front().expect("head exists");
                     self.completions.push(WrrCompletion {
                         client: idx as u32,
-                        id: done.id,
+                        tag: done.tag,
                         submitted: done.submitted,
                         finished: finish,
                         bytes: done.bytes,
@@ -620,11 +737,19 @@ mod tests {
             self.now = self.now.max(to);
         }
 
-        fn run_until(&mut self, to: SimTime) -> Vec<WrrCompletion> {
+        fn run_until(&mut self, to: SimTime) -> Vec<WrrCompletion<u32>> {
             self.advance(to);
             let mut out = std::mem::take(&mut self.completions);
             out.sort_by_key(|c| (c.finished, c.client));
             out
+        }
+
+        fn drain(&mut self) -> Vec<WrrCompletion<u32>> {
+            while self.clients.iter().any(|c| !c.queue.is_empty()) {
+                let t = self.now + SimDuration::from_secs(3600);
+                self.advance(t);
+            }
+            self.run_until(self.now)
         }
     }
 
@@ -632,7 +757,7 @@ mod tests {
     /// (compared as f64: the oracle's empty sum is -0.0), and the
     /// backlog interval contains it.
     fn check_backlog(
-        fast: &WrrLink,
+        fast: &WrrLink<u32>,
         slow: &FullScanWrr,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let bits = slow.backlog_bits();
@@ -651,24 +776,34 @@ mod tests {
     proptest::proptest! {
         /// The dense stepper is bit-identical to the full-scan oracle on
         /// arbitrary submission/checkpoint schedules: same completions
-        /// in the same order, with the exact same finish time bits. At
-        /// every checkpoint and after every submission the backlog
-        /// agrees too (see `check_backlog`).
+        /// in the same order, with the same tags and the exact same
+        /// finish time bits. At every checkpoint and after every
+        /// submission the backlog agrees too (see `check_backlog`).
+        ///
+        /// Weights span eight classes. A burst submits `weight × unit`
+        /// bytes to every client at one instant, so every client whose
+        /// queue was empty finishes that stream at the same instant
+        /// (up to rounding) whatever its class: three or more classes
+        /// tie, which exercises the per-class first finisher's rounding
+        /// tie-break and the cross-class lowest-id order.
         #[test]
         fn active_list_matches_full_scan_bit_exact(
-            weights in proptest::collection::vec(1u32..5, 1..12),
+            weights in proptest::collection::vec(1u32..9, 3..12),
+            rate in 0usize..4,
             ops in proptest::collection::vec(
-                (0u32..12, 1u64..600_000, 0u64..2_000), 1..80),
+                (0u32..12, 1u64..600_000, 0u64..2_000, 0u8..4), 1..80),
         ) {
-            let mut fast = WrrLink::new(8e6);
-            let mut slow = FullScanWrr::new(8e6);
+            // Link rates whose per-class shares divide evenly or not.
+            let rate = [8e6, 12e6, 2.52e6, 7.3e6][rate];
+            let mut fast = WrrLink::new(rate);
+            let mut slow = FullScanWrr::new(rate);
             for &w in &weights {
                 fast.add_client(w);
                 slow.add_client(w);
             }
             let mut t_ms = 0u64;
-            for &(client, bytes, gap_ms) in &ops {
-                let client = client % weights.len() as u32;
+            let mut tag = 0u32;
+            for &(client, bytes, gap_ms, kind) in &ops {
                 t_ms += gap_ms;
                 let now = SimTime::from_millis(t_ms);
                 // Interleave checkpoints so partial windows (the
@@ -679,21 +814,26 @@ mod tests {
                     proptest::prop_assert_eq!(&a, &b);
                     check_backlog(&fast, &slow)?;
                 }
-                fast.submit(client, bytes, now);
-                slow.submit(client, bytes, now);
-                check_backlog(&fast, &slow)?;
+                let burst: Vec<(u32, u64)> = if kind == 0 {
+                    let unit = bytes / 8 + 1;
+                    (0..weights.len() as u32)
+                        .map(|c| (c, weights[c as usize] as u64 * unit))
+                        .collect()
+                } else {
+                    vec![(client % weights.len() as u32, bytes)]
+                };
+                for (c, b) in burst {
+                    fast.submit(c, b, now, tag);
+                    slow.submit(c, b, now, tag);
+                    tag += 1;
+                    check_backlog(&fast, &slow)?;
+                }
             }
             let a = fast.drain();
             let end = fast.now;
             slow.advance(end);
             let b = slow.run_until(end);
-            proptest::prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                proptest::prop_assert_eq!(x.client, y.client);
-                proptest::prop_assert_eq!(x.id, y.id);
-                proptest::prop_assert_eq!(x.finished, y.finished);
-                proptest::prop_assert_eq!(x.bytes, y.bytes);
-            }
+            proptest::prop_assert_eq!(a, b);
         }
     }
 }

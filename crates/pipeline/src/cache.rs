@@ -105,20 +105,15 @@ impl DecodedFrameCache {
         self.resident.insert(key, ());
     }
 
-    /// Drop all frames older than `frame` (already displayed), returning
-    /// how many entries were dropped.
-    pub fn evict_before(&mut self, frame: u64) -> usize {
-        let mut dropped = 0;
+    /// Drop all frames older than `frame` (already displayed).
+    pub fn evict_before(&mut self, frame: u64) {
         while let Some(&front) = self.order.front() {
-            if front.frame < frame {
-                self.order.pop_front();
-                self.resident.remove(&front);
-                dropped += 1;
-            } else {
+            if front.frame >= frame {
                 break;
             }
+            self.order.pop_front();
+            self.resident.remove(&front);
         }
-        dropped
     }
 
     /// Current statistics.
@@ -193,7 +188,8 @@ mod tests {
         c.insert(key(0, 0));
         c.insert(key(1, 0));
         c.insert(key(2, 0));
-        assert_eq!(c.evict_before(2), 2);
+        c.evict_before(2);
+        assert_eq!(c.len(), 1);
         assert!(!c.contains(key(0, 0)));
         assert!(!c.contains(key(1, 0)));
         assert!(c.contains(key(2, 0)));
