@@ -11,7 +11,11 @@
 //!    `(config, spec, video, policy)`, so they are computed up front,
 //!    sharded across worker threads by client index (the same
 //!    deterministic-merge discipline as the sweep harness: results are
-//!    merged by index, making the output worker-count blind);
+//!    merged by index, making the output worker-count blind). Every
+//!    head trace reads one shared hotspot track, and gaze reports are
+//!    cast only for the clients whose reports some crowd prefetch can
+//!    count (`readable_reports`); the rest would arrive after every
+//!    read, so skipping them changes no byte;
 //! 2. **decide / fetch / render** — one replay assembles a world per
 //!    node and replays every node's events in one merged order through
 //!    a [`ReplayQueue`] — static schedule in a sorted array, dynamic
@@ -30,11 +34,12 @@ use crate::cache::CacheKey;
 use crate::federation::{NodeSpec, RegionalTier};
 use crate::server::{
     client_head, client_schedule, crowd_slot, decide_and_display, decide_choices, display_gaze,
-    edge_horizon, finish_edge_run, head_session, prefetch_schedule, ClientState, EdgeClientSpec,
-    EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld, UpstreamDecision,
+    edge_horizon, finish_edge_run, head_track, prefetch_instant, prefetch_schedule, ClientState,
+    EdgeClientSpec, EdgeConfig, EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld,
+    UpstreamDecision,
 };
 use sperke_geo::{Orientation, TileId, Viewport, VisibilityScratch};
-use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
+use sperke_hmp::{ForecastScratch, HeadTrace};
 use sperke_live::{viewer_reports, CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
 use sperke_sim::{parallel_indexed, MetricsRegistry, ReplayQueue, SimDuration, SimTime};
@@ -48,8 +53,9 @@ use std::sync::Arc;
 /// head trace is not part of it: [`sense_client`] is its only user.
 #[derive(Debug, Default, PartialEq)]
 struct ClientBatch {
-    /// Crowd gaze reports (admitted clients, prefetch runs only). Each
-    /// tile list is shared by every crowd the report reaches.
+    /// Crowd gaze reports, cast only for a client some crowd prefetch
+    /// can count ([`readable_reports`]); empty otherwise. Each tile list
+    /// is shared by every crowd the report reaches.
     reports: Vec<(SimTime, ChunkTime, Arc<[TileId]>)>,
     /// Per-chunk decide plans (admitted clients only).
     decides: Vec<Vec<StochasticChoice>>,
@@ -110,24 +116,27 @@ fn prepare_plan(
     let mut specs = clients.to_vec();
     specs.sort_by_key(EdgeClientSpec::canonical_key);
     let admitted: Vec<bool> = (0..specs.len()).map(|i| i < config.max_clients).collect();
-    sense_plan(video, config, specs, &admitted, workers, policy)
+    let home = vec![0; specs.len()];
+    let readable = readable_reports(video, config, &specs, &home, &admitted, None);
+    sense_plan(video, config, specs, &admitted, &readable, workers, policy)
 }
 
 /// Sense every client of the canonically ordered `specs` on `workers`
 /// threads (0 = machine default), skipping clients that `admitted`
-/// marks as rejected. Results merge by client index, so the plan is
-/// worker-count blind.
+/// marks as rejected and casting crowd reports only for those that
+/// `readable` marks. Every head trace reads one hotspot track. Results
+/// merge by client index, so the plan is worker-count blind.
 pub(crate) fn sense_plan(
     video: &VideoModel,
     config: &EdgeConfig,
     specs: Vec<EdgeClientSpec>,
     admitted: &[bool],
+    readable: &[bool],
     workers: usize,
     policy: AbrPolicyKind,
 ) -> EdgePlan {
-    let session = head_session(video);
-    let attention = AttentionModel::generic(config.seed);
-    let report_delay = CrowdAggregator::new(*video.grid(), video.chunk_duration()).report_delay;
+    let track = head_track(video, config.seed);
+    let report_delay = report_delay(video);
 
     let specs_ref = &specs;
     let batches = parallel_indexed(specs.len(), workers, |i| {
@@ -135,24 +144,32 @@ pub(crate) fn sense_plan(
             return ClientBatch::default();
         }
         let spec = &specs_ref[i];
-        let head = client_head(&attention, spec, session);
-        sense_client(video, config, spec, head, report_delay, policy)
+        let head = client_head(&track, spec);
+        let reports = readable[i].then_some(report_delay);
+        sense_client(video, config, spec, head, reports, policy)
     });
     EdgePlan { specs, batches }
 }
 
+/// How long a viewer's gaze report takes to reach its crowd: the live
+/// aggregator's default, which the sense phase casts reports with.
+fn report_delay(video: &VideoModel) -> SimDuration {
+    CrowdAggregator::new(*video.grid(), video.chunk_duration()).report_delay
+}
+
 /// The pure per-client sense kernel of an admitted client: per-chunk
-/// decide plans, display coverage lists and crowd gaze reports, all as
-/// a function of `(video, config, spec, head, policy)` alone. The
-/// per-client chunk loop runs in order, so temporal policies see the
-/// same previous-window state as the oracle's time-ordered inline
-/// decides.
+/// decide plans, display coverage lists and, when `report_delay` is
+/// given, crowd gaze reports stamped that much after the client watches
+/// each chunk, all as a function of `(video, config, spec, head,
+/// policy)` alone. The per-client chunk loop runs in order, so temporal
+/// policies see the same previous-window state as the oracle's
+/// time-ordered inline decides.
 fn sense_client(
     video: &VideoModel,
     config: &EdgeConfig,
     spec: &EdgeClientSpec,
     head: HeadTrace,
-    report_delay: SimDuration,
+    report_delay: Option<SimDuration>,
     policy: AbrPolicyKind,
 ) -> ClientBatch {
     let chunks = video.chunk_count();
@@ -178,29 +195,29 @@ fn sense_client(
                 list.to_vec()
             })
             .collect();
-        // The crowd only matters when the prefetcher runs; skipping
-        // ingest otherwise cannot change any output (the aggregator
-        // is read exclusively by prefetch events). The reports are the
+        // Only prefetches read a crowd, so a report no prefetch can
+        // count is never cast (`readable_reports`). The reports are the
         // head's last use, so the viewer takes it without a copy. Each
         // tile list moves into an `Arc` here, once, so every crowd the
         // report reaches shares it.
-        let reports = if config.prefetch {
-            let viewer = LiveViewer {
-                trace: head,
-                latency: spec.arrival,
-            };
-            viewer_reports(
-                video.grid(),
-                video.chunk_duration(),
-                report_delay,
-                &viewer,
-                chunks,
-            )
-            .into_iter()
-            .map(|(wall, chunk, tiles)| (wall, chunk, tiles.into()))
-            .collect()
-        } else {
-            Vec::new()
+        let reports = match report_delay {
+            Some(report_delay) => {
+                let viewer = LiveViewer {
+                    trace: head,
+                    latency: spec.arrival,
+                };
+                viewer_reports(
+                    video.grid(),
+                    video.chunk_duration(),
+                    report_delay,
+                    &viewer,
+                    chunks,
+                )
+                .into_iter()
+                .map(|(wall, chunk, tiles)| (wall, chunk, tiles.into()))
+                .collect()
+            }
+            None => Vec::new(),
         };
         ClientBatch {
             reports,
@@ -210,6 +227,112 @@ fn sense_client(
     })
 }
 
+/// What one node's crowds hear, fixed when its world is assembled.
+struct NodeCrowds {
+    /// The titles its admitted residents watch, sorted.
+    served: Vec<u16>,
+    /// The arrival of its earliest home client, which times its
+    /// prefetches ([`prefetch_instant`]); `None` when nobody is homed
+    /// there.
+    first_arrival: Option<SimDuration>,
+}
+
+impl NodeCrowds {
+    /// Each of `nodes` nodes' crowds, for canonically ordered `specs`
+    /// homed on `home` and admitted per `admitted`.
+    fn of(
+        specs: &[EdgeClientSpec],
+        home: &[u32],
+        admitted: &[bool],
+        nodes: usize,
+    ) -> Vec<NodeCrowds> {
+        (0..nodes as u32)
+            .map(|node| {
+                let homed = || (0..specs.len()).filter(move |&i| home[i] == node);
+                let mut served: Vec<u16> = homed()
+                    .filter(|&i| admitted[i])
+                    .map(|i| specs[i].content)
+                    .collect();
+                served.sort_unstable();
+                served.dedup();
+                NodeCrowds {
+                    served,
+                    first_arrival: homed().next().map(|i| specs[i].arrival),
+                }
+            })
+            .collect()
+    }
+
+    /// After what delay this node, `node`, hears the crowd reports of a
+    /// client homed on `home` who watches `content`, or `None` when it
+    /// never does. An admitted client reports to its home node at once
+    /// and, with a `share_delay`, to every other node that serves its
+    /// title that much later; a rejected client reports nowhere.
+    fn delivery(
+        &self,
+        node: u32,
+        home: u32,
+        admitted: bool,
+        content: u16,
+        share_delay: Option<SimDuration>,
+    ) -> Option<SimDuration> {
+        if !admitted {
+            None
+        } else if home == node {
+            Some(SimDuration::ZERO)
+        } else {
+            share_delay.filter(|_| self.served.binary_search(&content).is_ok())
+        }
+    }
+}
+
+/// Which clients' crowd reports some prefetch can count, for
+/// canonically ordered `specs` homed on `home` and admitted per
+/// `admitted`. A crowd is read only by its node's prefetch of a chunk,
+/// once, at [`prefetch_instant`], and counts the reports that have
+/// arrived by then. A client's report of chunk `c` arrives at
+/// `chunk_start(c) + arrival + report_delay` plus its
+/// [`NodeCrowds::delivery`] delay. A client is readable when any of its
+/// reports arrives by its crowd's read of the same chunk. Both instants
+/// are `chunk_start(c)` plus a term of the node and the client alone, so
+/// that is all of its chunks or none: an unreadable client's reports
+/// arrive after every read they could reach, no prefetch runs without
+/// them differently, and the sense phase skips their cast.
+pub(crate) fn readable_reports(
+    video: &VideoModel,
+    config: &EdgeConfig,
+    specs: &[EdgeClientSpec],
+    home: &[u32],
+    admitted: &[bool],
+    share_delay: Option<SimDuration>,
+) -> Vec<bool> {
+    if !config.prefetch {
+        return vec![false; specs.len()];
+    }
+    let report_delay = report_delay(video);
+    let nodes = home.iter().max().map_or(0, |&n| n as usize + 1);
+    let crowds = NodeCrowds::of(specs, home, admitted, nodes);
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            crowds.iter().enumerate().any(|(n, crowd)| {
+                let node = n as u32;
+                let delivery =
+                    crowd.delivery(node, home[i], admitted[i], spec.content, share_delay);
+                let (Some(first), Some(delay)) = (crowd.first_arrival, delivery) else {
+                    return false;
+                };
+                (0..video.chunk_count()).any(|c| {
+                    let lands =
+                        video.chunk_start(ChunkTime(c)) + spec.arrival + report_delay + delay;
+                    lands <= prefetch_instant(video, first, c)
+                })
+            })
+        })
+        .collect()
+}
+
 /// Where a replay's clients live: the nodes that serve them, each
 /// client's home node and admission, and the scripted crash-stops that
 /// re-home them. A standalone edge is one node that holds everyone.
@@ -217,7 +340,7 @@ pub(crate) struct Placement {
     /// Per node, in node order: its capacity and its harness.
     nodes: Vec<(NodeSpec, EdgeHarness)>,
     /// Each client's home node, in canonical client order.
-    home: Vec<u32>,
+    pub(crate) home: Vec<u32>,
     /// Whether each client's home admitted it.
     pub(crate) admitted: Vec<bool>,
     /// Scripted crash-stops as `(instant, node)`.
@@ -335,19 +458,13 @@ pub(crate) fn replay<'v>(
     // --- One world per node, assembled in canonical client order, so
     // WRR registration and crowd report order match the oracle's. Every
     // world holds the full client vector (indices are global), and only
-    // its own admitted residents get egress queues. A resident's
-    // reports reach its node's crowd with no delay. A node's prefetches
-    // are timed from its earliest client's arrival.
-    let mut prefetch_from: Vec<Option<SimDuration>> = vec![None; nodes.len()];
+    // its own admitted residents get egress queues. A client's reports
+    // reach each crowd after its `NodeCrowds::delivery` delay. A node's
+    // prefetches are timed from its earliest client's arrival.
+    let node_crowds = NodeCrowds::of(specs, &home, &admitted, nodes.len());
     let mut worlds: Vec<EdgeWorld<'v>> = Vec::with_capacity(nodes.len());
-    for (n, (spec, harness)) in nodes.iter().enumerate() {
+    for (n, ((spec, harness), heard)) in nodes.iter().zip(&node_crowds).enumerate() {
         let node = n as u32;
-        let mut served: Vec<u16> = (0..specs.len())
-            .filter(|&i| home[i] == node && admitted[i])
-            .map(|i| specs[i].content)
-            .collect();
-        served.sort_unstable();
-        served.dedup();
         let mut egress = WrrLink::new(spec.egress_bps);
         let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
         let states = specs
@@ -355,15 +472,7 @@ pub(crate) fn replay<'v>(
             .enumerate()
             .map(|(i, client)| {
                 let resident = home[i] == node && admitted[i];
-                if home[i] == node && config.prefetch {
-                    prefetch_from[n].get_or_insert(client.arrival);
-                }
-                let delay = if resident {
-                    Some(SimDuration::ZERO)
-                } else {
-                    share_delay
-                        .filter(|_| admitted[i] && served.binary_search(&client.content).is_ok())
-                };
+                let delay = heard.delivery(node, home[i], admitted[i], client.content, share_delay);
                 if let Some(delay) = delay {
                     crowd_slot(
                         &mut crowds,
@@ -403,8 +512,8 @@ pub(crate) fn replay<'v>(
         |i| admitted[i],
         |at, ev| queue.push_static(at, ReplayEvent::Client(ev)),
     );
-    for (n, from) in prefetch_from.iter().enumerate() {
-        if let Some(first) = *from {
+    for (n, heard) in node_crowds.iter().enumerate() {
+        if let Some(first) = heard.first_arrival.filter(|_| config.prefetch) {
             prefetch_schedule(video, first, |at, ev| {
                 queue.push_static(at, ReplayEvent::Node { node: n as u32, ev })
             });
@@ -551,8 +660,10 @@ pub fn run_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federation::SYNC_DELAY;
     use crate::oracle::run_edge_full;
-    use crate::server::{default_clients, gaze_instant, own_now};
+    use crate::server::{default_clients, gaze_instant, head_session, own_now};
+    use sperke_hmp::{AttentionModel, HotspotTrack};
     use sperke_net::FaultScript;
     use sperke_sim::{TraceConfig, TraceLevel, TraceSink};
     use sperke_video::VideoModelBuilder;
@@ -573,7 +684,7 @@ mod tests {
                 .chunk_duration(SimDuration::from_secs(chunk_secs))
                 .duration(SimDuration::from_secs(11))
                 .build();
-            let report_delay = CrowdAggregator::new(*v.grid(), v.chunk_duration()).report_delay;
+            let report_delay = report_delay(&v);
             let last = v.chunk_count() - 1;
             for lead in [SimDuration::ZERO, v.duration() + SimDuration::from_secs(4)] {
                 let cfg = EdgeConfig {
@@ -581,12 +692,15 @@ mod tests {
                     fetch_lead: lead,
                     ..Default::default()
                 };
+                let track = head_track(&v, cfg.seed);
                 let attention = AttentionModel::generic(cfg.seed);
+                let longer = head_session(&v) + SimDuration::from_secs(5);
+                let longer = HotspotTrack::new(&attention, longer);
                 for spec in default_clients(&cfg) {
-                    let head = client_head(&attention, &spec, head_session(&v));
+                    let head = client_head(&track, &spec);
                     let end = SimTime::ZERO + head.duration();
                     let policy = AbrPolicyKind::default();
-                    let batch = sense_client(&v, &cfg, &spec, head, report_delay, policy);
+                    let batch = sense_client(&v, &cfg, &spec, head, Some(report_delay), policy);
                     // The last decide reads gaze history up to its own
                     // playback instant; the last display samples its
                     // chunk's midpoint, and so does the last crowd
@@ -605,11 +719,10 @@ mod tests {
                         "chunk {chunk_secs} s, lead {lead}: reads {latest} past {end}"
                     );
                     // So a longer trace senses the client bit for bit alike.
-                    let longer = head_session(&v) + SimDuration::from_secs(5);
-                    let longer = client_head(&attention, &spec, longer);
+                    let longer = client_head(&longer, &spec);
                     assert_eq!(
                         batch,
-                        sense_client(&v, &cfg, &spec, longer, report_delay, policy),
+                        sense_client(&v, &cfg, &spec, longer, Some(report_delay), policy),
                         "chunk {chunk_secs} s, lead {lead}"
                     );
                 }
@@ -729,5 +842,243 @@ mod tests {
         let legacy = run_edge_full(&v, &cfg, &clients, &harness, None);
         let batched = run_edge(&v, &cfg, &clients, &harness, None, 4);
         assert_eq!(legacy, batched);
+    }
+
+    /// Replay canonically ordered `specs` over `nodes` nodes of
+    /// `config`'s capacity, homed per `home`, with an optional
+    /// crash-stop that re-homes the dead node's clients to the first
+    /// survivor, casting reports only for the clients `readable` marks.
+    /// Returns each node's report and trace digest.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_casting(
+        video: &VideoModel,
+        config: &EdgeConfig,
+        specs: &[EdgeClientSpec],
+        home: &[u32],
+        nodes: usize,
+        crashes: &[(SimTime, u32)],
+        share_delay: Option<SimDuration>,
+        readable: impl Fn(&[bool]) -> Vec<bool>,
+    ) -> (Vec<EdgeReport>, Vec<u64>) {
+        let sinks: Vec<TraceSink> = (0..nodes)
+            .map(|_| TraceSink::new(TraceConfig::new(TraceLevel::Events)))
+            .collect();
+        let placement = Placement::new(
+            sinks
+                .iter()
+                .map(|sink| {
+                    let harness = EdgeHarness {
+                        trace: sink.clone(),
+                        ..Default::default()
+                    };
+                    (NodeSpec::of(config), harness)
+                })
+                .collect(),
+            home.to_vec(),
+            crashes.to_vec(),
+        );
+        let admitted = placement.admitted.clone();
+        let policy = AbrPolicyKind::default();
+        let plan = sense_plan(
+            video,
+            config,
+            specs.to_vec(),
+            &admitted,
+            &readable(&admitted),
+            2,
+            policy,
+        );
+        let reports = replay(
+            video,
+            config,
+            &plan,
+            placement,
+            share_delay,
+            None,
+            None,
+            |node, now, alive, worlds, home| {
+                let dead = node as usize;
+                worlds[dead].abandon(now);
+                let to = alive.iter().position(|&a| a).expect("a survivor") as u32;
+                for (c, h) in home.iter_mut().enumerate() {
+                    if *h != node {
+                        continue;
+                    }
+                    *h = to;
+                    if worlds[dead].clients[c].admitted {
+                        let session = worlds[dead].take_client_session(c as u32);
+                        worlds[to as usize].install_client_session(c as u32, session);
+                    }
+                }
+            },
+        );
+        let digests = sinks.iter().map(|s| s.snapshot().digest()).collect();
+        (reports, digests)
+    }
+
+    proptest::proptest! {
+        /// Skipping the reports no prefetch can count changes no byte:
+        /// random federations replay the pruned plan and a plan that
+        /// casts every admitted client's reports to the same reports and
+        /// the same trace digests. Arrival spacings of 0-600 ms make
+        /// both readable and unreadable clients; caps below the
+        /// population reject some clients, and a crash-stop re-homes a
+        /// node's clients mid-run.
+        #[test]
+        fn pruned_reports_replay_like_every_report(
+            nodes in 1usize..5,
+            share: bool,
+            spacing_ms in 0u64..601,
+            titles in 1u16..4,
+            clients in 2usize..13,
+            cap_below: bool,
+            prefetch: bool,
+            crash: bool,
+            crash_ms in 0u64..6_000,
+            seed in 0u64..1_000,
+            picks in proptest::collection::vec((0u32..4, 0u16..3), 12),
+        ) {
+            let video = VideoModelBuilder::new(seed)
+                .duration(SimDuration::from_secs(4))
+                .build();
+            let cap = if cap_below { 1 + clients / (2 * nodes) } else { clients };
+            let config = EdgeConfig {
+                max_clients: cap,
+                prefetch,
+                seed,
+                ..Default::default()
+            };
+            let mut specs: Vec<EdgeClientSpec> = (0..clients)
+                .map(|i| EdgeClientSpec {
+                    arrival: SimDuration::from_millis(spacing_ms * i as u64),
+                    seed: seed.wrapping_add(i as u64),
+                    weight: if i % 4 == 3 { 2 } else { 1 },
+                    budget_bps: config.per_client_budget_bps,
+                    content: picks[i].1 % titles,
+                })
+                .collect();
+            specs.sort_by_key(EdgeClientSpec::canonical_key);
+            let home: Vec<u32> = picks[..clients].iter().map(|p| p.0 % nodes as u32).collect();
+            let crashes = if crash && nodes > 1 {
+                vec![(SimTime::from_millis(crash_ms), (crash_ms % nodes as u64) as u32)]
+            } else {
+                Vec::new()
+            };
+            let share_delay = share.then_some(SYNC_DELAY);
+            let run = |readable: &dyn Fn(&[bool]) -> Vec<bool>| {
+                replay_casting(&video, &config, &specs, &home, nodes, &crashes, share_delay, readable)
+            };
+            let pruned = run(&|admitted| {
+                readable_reports(&video, &config, &specs, &home, admitted, share_delay)
+            });
+            let every = run(&|admitted| admitted.to_vec());
+            proptest::prop_assert_eq!(&pruned.0, &every.0);
+            proptest::prop_assert_eq!(&pruned.1, &every.1);
+        }
+    }
+
+    #[test]
+    fn a_report_landing_at_the_prefetch_instant_is_kept() {
+        // 1 s chunks: a node whose first client arrived at `first` reads
+        // chunk c at c + first + 1.25 s, and a report of chunk c lands
+        // at c + arrival + 200 ms, plus the sync delay on a sibling.
+        let v = video();
+        let cfg = EdgeConfig::default();
+        let client = |ms: u64, extra_ns: u64| EdgeClientSpec {
+            arrival: SimDuration::from_millis(ms) + SimDuration::from_nanos(extra_ns),
+            seed: ms,
+            weight: 1,
+            budget_bps: cfg.per_client_budget_bps,
+            content: 0,
+        };
+        // Alone on one node: the client at 1.05 s reports chunk c at
+        // c + 1.25 s, exactly when its node reads it.
+        for (late_ns, kept) in [(0, true), (1, false)] {
+            let specs = [client(0, 0), client(1_050, late_ns)];
+            let readable = readable_reports(&v, &cfg, &specs, &[0, 0], &[true, true], None);
+            assert_eq!(readable, [true, kept], "{late_ns} ns past the read");
+        }
+        // Across nodes: node 1's first client arrives at 1 s, so it reads
+        // chunk c at c + 2.25 s. A node-0 client at 1.9 s is too late
+        // for its home (read at c + 1.25 s) but reaches node 1 at
+        // c + 1.9 s + 200 ms + 150 ms = c + 2.25 s.
+        let home = [0, 1, 0];
+        for (late_ns, kept) in [(0, true), (1, false)] {
+            let specs = [client(0, 0), client(1_000, 0), client(1_900, late_ns)];
+            let admitted = [true; 3];
+            let shared = readable_reports(&v, &cfg, &specs, &home, &admitted, Some(SYNC_DELAY));
+            assert_eq!(
+                shared,
+                [true, true, kept],
+                "{late_ns} ns past the sibling's read"
+            );
+            let alone = readable_reports(&v, &cfg, &specs, &home, &admitted, None);
+            assert_eq!(alone, [true, true, false], "no sharing, no sibling read");
+        }
+        // Rejected clients and runs without prefetch cast nothing.
+        let specs = [client(0, 0), client(500, 0)];
+        let rejected = readable_reports(&v, &cfg, &specs, &[0, 0], &[true, false], None);
+        assert_eq!(rejected, [true, false]);
+        let off = EdgeConfig {
+            prefetch: false,
+            ..cfg
+        };
+        assert_eq!(
+            readable_reports(&v, &off, &specs, &[0, 0], &[true; 2], None),
+            [false; 2]
+        );
+    }
+
+    #[test]
+    fn edge_population_casts_reports_for_its_first_five_clients() {
+        // The 250-client edge population at 250 ms spacing: only the
+        // clients attached by 1.05 s report before the node's read.
+        let v = VideoModelBuilder::new(3)
+            .duration(SimDuration::from_secs(2))
+            .build();
+        let cfg = EdgeConfig {
+            clients: 250,
+            max_clients: 250,
+            ..Default::default()
+        };
+        let plan = prepare_edge_batch(&v, &cfg, &default_clients(&cfg), 0);
+        let cast: Vec<usize> = (0..plan.batches.len())
+            .filter(|&i| !plan.batches[i].reports.is_empty())
+            .collect();
+        assert_eq!(cast, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn tracked_client_heads_match_lone_ensemble_members() {
+        // 7.3 s: not a whole second. Seeds cover every ensemble slot
+        // (seed % 5), hence every behaviour, Explorer and Follower
+        // included.
+        let v = VideoModelBuilder::new(5)
+            .duration(SimDuration::from_millis(7_300))
+            .build();
+        for run_seed in [7u64, 77, 9_001] {
+            let track = head_track(&v, run_seed);
+            let attention = AttentionModel::generic(run_seed);
+            for seed in run_seed..run_seed + 10 {
+                let spec = EdgeClientSpec {
+                    arrival: SimDuration::ZERO,
+                    seed,
+                    weight: 1,
+                    budget_bps: 8e6,
+                    content: 0,
+                };
+                let lone = sperke_hmp::generate_ensemble_member(
+                    &attention,
+                    (seed % 5) as usize,
+                    head_session(&v),
+                    seed,
+                );
+                assert_eq!(
+                    client_head(&track, &spec),
+                    lone,
+                    "run {run_seed}, client {seed}"
+                );
+            }
+        }
     }
 }

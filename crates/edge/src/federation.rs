@@ -43,7 +43,7 @@
 //! world's own backhaul; `tests/federation.rs` pins all of these
 //! claims.
 
-use crate::batch::{replay, sense_plan, Placement};
+use crate::batch::{readable_reports, replay, sense_plan, Placement};
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use crate::server::{
     edge_horizon, failed_attempt, EdgeClientSpec, EdgeConfig, EdgeHarness, EdgeReport,
@@ -294,7 +294,7 @@ const VNODES: usize = 16;
 
 /// How much later a remote node's gaze reports become visible than
 /// local ones (cross-edge sync latency).
-const SYNC_DELAY: SimDuration = SimDuration::from_millis(150);
+pub(crate) const SYNC_DELAY: SimDuration = SimDuration::from_millis(150);
 
 /// The ring: `VNODES` points per node, sorted by hash. Ties (hash
 /// collisions) break towards the lower node index, so the ring is a
@@ -565,11 +565,21 @@ pub fn run_federation(
         })
         .collect();
     let placement = Placement::new(nodes, home, crashes);
+    let share_delay = config.share_heatmaps.then_some(SYNC_DELAY);
+    let readable = readable_reports(
+        video,
+        &config.node,
+        &specs,
+        &placement.home,
+        &placement.admitted,
+        share_delay,
+    );
     let plan = sense_plan(
         video,
         &config.node,
         specs,
         &placement.admitted,
+        &readable,
         workers,
         AbrPolicyKind::default(),
     );
@@ -599,7 +609,6 @@ pub fn run_federation(
     let mut failed_nodes = 0u64;
     let mut lost_egress_bytes = 0u64;
     let mut lost_streams = 0u64;
-    let share_delay = config.share_heatmaps.then_some(SYNC_DELAY);
     let node_reports = replay(
         video,
         &config.node,

@@ -10,11 +10,11 @@
 
 use crate::server::{
     client_head, client_schedule, crowd_slot, decide_choices, display_gaze, edge_horizon,
-    finish_edge_run, head_session, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig,
+    finish_edge_run, head_track, prefetch_schedule, ClientState, EdgeClientSpec, EdgeConfig,
     EdgeEvent, EdgeHarness, EdgeReport, EdgeSched, EdgeWorld,
 };
 use sperke_geo::{Orientation, TileId, Viewport, VisibilityScratch};
-use sperke_hmp::{AttentionModel, ForecastScratch, HeadTrace};
+use sperke_hmp::{ForecastScratch, HeadTrace};
 use sperke_live::{CrowdAggregator, LiveViewer};
 use sperke_net::WrrLink;
 use sperke_sim::{MetricsRegistry, RunOutcome, Scheduler, SimTime, Simulation, World};
@@ -112,14 +112,10 @@ pub fn run_edge_full(
     specs.sort_by_key(EdgeClientSpec::canonical_key);
 
     let chunks = video.chunk_count();
-    let session = head_session(video);
     let mut egress = WrrLink::new(config.egress_bps);
     let mut crowds: Vec<(u16, CrowdAggregator)> = Vec::new();
-    let attention = AttentionModel::generic(config.seed);
-    let heads: Vec<HeadTrace> = specs
-        .iter()
-        .map(|spec| client_head(&attention, spec, session))
-        .collect();
+    let track = head_track(video, config.seed);
+    let heads: Vec<HeadTrace> = specs.iter().map(|spec| client_head(&track, spec)).collect();
     let states: Vec<ClientState> = specs
         .iter()
         .zip(&heads)

@@ -43,9 +43,7 @@
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use serde::{Deserialize, Serialize};
 use sperke_geo::{Orientation, TileGrid, TileId};
-use sperke_hmp::{
-    generate_ensemble_member, AttentionModel, ForecastScratch, FusedForecaster, HeadTrace,
-};
+use sperke_hmp::{AttentionModel, ForecastScratch, FusedForecaster, HeadTrace, HotspotTrack};
 use sperke_live::CrowdAggregator;
 use sperke_net::{
     retry_delay, BbrState, FaultScript, GeChain, LossChannel, PathFaults, WrrCompletion, WrrLink,
@@ -414,14 +412,19 @@ pub(crate) fn head_session(video: &VideoModel) -> SimDuration {
     video.chunk_duration() * video.chunk_count() as u64
 }
 
+/// The hotspot track every client of a run at `seed` pursues, over its
+/// [`head_session`]: built once per sense phase or oracle run, read by
+/// every [`client_head`].
+pub(crate) fn head_track(video: &VideoModel, seed: u64) -> HotspotTrack {
+    HotspotTrack::new(&AttentionModel::generic(seed), head_session(video))
+}
+
 /// The head trace the edge assigns to a client spec: one deterministic
-/// member of the seed's behaviour ensemble (the mix keys off the seed).
-pub(crate) fn client_head(
-    attention: &AttentionModel,
-    spec: &EdgeClientSpec,
-    session: SimDuration,
-) -> HeadTrace {
-    generate_ensemble_member(attention, (spec.seed % 5) as usize, session, spec.seed)
+/// member of the seed's behaviour ensemble (the mix keys off the seed),
+/// pursuing hotspots read from the run's one `track`, so it equals
+/// `generate_ensemble_member` over the track's attention and duration.
+pub(crate) fn client_head(track: &HotspotTrack, spec: &EdgeClientSpec) -> HeadTrace {
+    track.member((spec.seed % 5) as usize, spec.seed)
 }
 
 /// The world-independent slice of a decide: gaze history → motion-only
@@ -1139,20 +1142,30 @@ pub(crate) fn client_schedule(
     }
 }
 
-/// Feed one node's crowd prefetches to `push`, one per chunk, in chunk
-/// order. Chunk c's first crowd report lands once the node's earliest
-/// client, attached at `first_arrival`, has watched it and the report
-/// has propagated. The replay and the oracle schedule prefetches
-/// through this one function.
+/// When a node whose earliest home client attached at `first_arrival`
+/// prefetches `chunk`: once that client has watched the chunk and its
+/// report has propagated. It is the only instant the node's crowds read
+/// their reports of `chunk`.
+pub(crate) fn prefetch_instant(
+    video: &VideoModel,
+    first_arrival: SimDuration,
+    chunk: u32,
+) -> SimTime {
+    let report_lag = first_arrival + SimDuration::from_millis(250) + video.chunk_duration();
+    video.chunk_start(ChunkTime(chunk)) + report_lag
+}
+
+/// Feed one node's crowd prefetches to `push`, one per chunk at its
+/// [`prefetch_instant`], in chunk order. The replay and the oracle
+/// schedule prefetches through this one function.
 pub(crate) fn prefetch_schedule(
     video: &VideoModel,
     first_arrival: SimDuration,
     mut push: impl FnMut(SimTime, EdgeEvent),
 ) {
-    let report_lag = first_arrival + SimDuration::from_millis(250) + video.chunk_duration();
     for chunk in 0..video.chunk_count() {
         push(
-            video.chunk_start(ChunkTime(chunk)) + report_lag,
+            prefetch_instant(video, first_arrival, chunk),
             EdgeEvent::Prefetch { chunk },
         );
     }

@@ -15,7 +15,13 @@ pub fn to_degrees(radians: f64) -> f64 {
 
 /// Wrap an angle to `[-π, π)`.
 pub fn wrap_pi(a: f64) -> f64 {
-    let mut x = (a + PI) % TAU;
+    let x = a + PI;
+    // `x % TAU` is exactly `x` on `[0, τ)`, so most angles skip the
+    // fmod call and return the same bits.
+    if (0.0..TAU).contains(&x) {
+        return x - PI;
+    }
+    let mut x = x % TAU;
     if x < 0.0 {
         x += TAU;
     }
@@ -79,6 +85,84 @@ mod tests {
         for k in -5..=5 {
             let a = 0.3 + k as f64 * TAU;
             assert!((wrap_pi(a) - 0.3).abs() < 1e-9);
+        }
+    }
+
+    /// `wrap_pi` without its fast path: every angle goes through `%`.
+    fn wrap_pi_by_fmod(a: f64) -> f64 {
+        let mut x = (a + PI) % TAU;
+        if x < 0.0 {
+            x += TAU;
+        }
+        x - PI
+    }
+
+    /// Angles at the edges of the fast path's range test and of `%`: the
+    /// signed zeros, ±π, multiples of τ, subnormals, huge values, the
+    /// infinities and NaN.
+    const EDGES: [f64; 20] = [
+        0.0,
+        -0.0,
+        PI,
+        -PI,
+        TAU,
+        -TAU,
+        3.0 * PI,
+        -3.0 * PI,
+        7.0 * TAU,
+        -7.0 * TAU,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        -2.5e-310,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// `x` moved `steps` representable values up (down when negative).
+    fn nudge(mut x: f64, steps: i64) -> f64 {
+        for _ in 0..steps.unsigned_abs() {
+            x = if steps > 0 {
+                x.next_up()
+            } else {
+                x.next_down()
+            };
+        }
+        x
+    }
+
+    proptest::proptest! {
+        /// The fast path returns the fmod formula's exact bits: near every
+        /// edge angle, near multiples of τ, over `[-4π, 4π)` and for
+        /// arbitrary bit patterns.
+        #[test]
+        fn wrap_pi_matches_the_fmod_formula(
+            edge in 0usize..EDGES.len(),
+            steps in -3i64..4,
+            k in -1000i64..1000,
+            frac in -1.0f64..1.0,
+            bits: u64,
+        ) {
+            let multiple = k as f64 * TAU;
+            for a in [
+                nudge(EDGES[edge], steps),
+                nudge(multiple, steps),
+                nudge(multiple - PI, steps),
+                frac * 4.0 * PI,
+                f64::from_bits(bits),
+            ] {
+                proptest::prop_assert_eq!(
+                    wrap_pi(a).to_bits(),
+                    wrap_pi_by_fmod(a).to_bits(),
+                    "wrap_pi({:e}) [bits {:#x}]",
+                    a,
+                    a.to_bits()
+                );
+            }
         }
     }
 

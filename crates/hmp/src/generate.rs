@@ -243,97 +243,171 @@ impl TraceGenerator {
         }
     }
 
-    /// Generate a trace of `duration`, deterministic in `seed`.
+    /// Generate a trace of `duration`, deterministic in `seed`. Each
+    /// sample evaluates only the hotspot the viewer pursues then.
     pub fn generate(&self, duration: SimDuration, seed: u64) -> HeadTrace {
-        let hz = DEFAULT_SAMPLE_HZ;
-        let dt = 1.0 / hz;
-        let n = (duration.as_secs_f64() * hz).ceil() as usize + 1;
-        let mut rng = SimRng::new(seed).split(0x6E6E_7A7E);
+        let hotspots = self.attention.hotspots();
+        pursue(
+            &self.attention,
+            self.behavior,
+            self.context,
+            sample_count(duration),
+            seed,
+            |h, i| hotspots[h].position(sample_time(i)),
+        )
+    }
+}
 
-        let b = self.behavior;
-        let yaw_limit = self.context.yaw_half_range();
-        let max_speed = b.max_speed() * self.context.speed_factor();
+/// Samples in a trace of `duration` at the study's rate, both ends
+/// included.
+fn sample_count(duration: SimDuration) -> usize {
+    (duration.as_secs_f64() * DEFAULT_SAMPLE_HZ).ceil() as usize + 1
+}
 
-        // Start looking at a weighted hotspot.
-        let mut target_idx = self.attention.sample(&mut rng);
-        let mut wander_target: Option<Orientation> = None;
-        let start = self.attention.hotspots()[target_idx].position(0.0);
-        let mut yaw = start.yaw.clamp(-yaw_limit, yaw_limit);
-        let mut pitch = start.pitch;
-        let mut noise_yaw = 0.0f64;
-        let mut noise_pitch = 0.0f64;
+/// The instant of sample `i`, in seconds.
+fn sample_time(i: usize) -> f64 {
+    i as f64 * (1.0 / DEFAULT_SAMPLE_HZ)
+}
 
-        let mut samples = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = i as f64 * dt;
+/// The one sample loop: `n` samples of a viewer of `attention` pursuing
+/// its current target, where `position(h, i)` is hotspot `h`'s position
+/// at sample `i`. Where positions come from never changes a bit: a
+/// [`HotspotTrack`] holds exactly what `Hotspot::position` returns.
+fn pursue(
+    attention: &AttentionModel,
+    b: Behavior,
+    context: ViewingContext,
+    n: usize,
+    seed: u64,
+    position: impl Fn(usize, usize) -> Orientation,
+) -> HeadTrace {
+    let hz = DEFAULT_SAMPLE_HZ;
+    let dt = 1.0 / hz;
+    let mut rng = SimRng::new(seed).split(0x6E6E_7A7E);
 
-            // Poisson saccades: retarget.
-            if rng.chance(b.switch_rate() * dt) {
-                if rng.chance(b.wander_prob()) {
-                    wander_target = Some(Orientation::new(
-                        rng.uniform_in(-yaw_limit, yaw_limit),
-                        rng.normal(0.0, 0.25),
-                        0.0,
-                    ));
-                } else {
-                    wander_target = None;
-                    target_idx = self.attention.sample(&mut rng);
-                }
+    let yaw_limit = context.yaw_half_range();
+    let max_speed = b.max_speed() * context.speed_factor();
+
+    // Start looking at a weighted hotspot.
+    let mut target_idx = attention.sample(&mut rng);
+    let mut wander_target: Option<Orientation> = None;
+    let start = position(target_idx, 0);
+    let mut yaw = start.yaw.clamp(-yaw_limit, yaw_limit);
+    let mut pitch = start.pitch;
+    let mut noise_yaw = 0.0f64;
+    let mut noise_pitch = 0.0f64;
+
+    let mut samples = Vec::with_capacity(n);
+    for i in 0..n {
+        // Poisson saccades: retarget.
+        if rng.chance(b.switch_rate() * dt) {
+            if rng.chance(b.wander_prob()) {
+                wander_target = Some(Orientation::new(
+                    rng.uniform_in(-yaw_limit, yaw_limit),
+                    rng.normal(0.0, 0.25),
+                    0.0,
+                ));
+            } else {
+                wander_target = None;
+                target_idx = attention.sample(&mut rng);
             }
-
-            let target = match (b, wander_target) {
-                (Behavior::Follower, _) => self.attention.hotspots()[0].position(t),
-                (_, Some(w)) => w,
-                (_, None) => self.attention.hotspots()[target_idx].position(t),
-            };
-
-            // Pursue the target (shortest yaw arc), rate-limited.
-            let gain = b.pursuit_gain();
-            let mut dyaw = wrap_pi(target.yaw - yaw) * gain * dt;
-            let mut dpitch = (target.pitch - pitch) * gain * dt;
-            let step = (dyaw * dyaw + dpitch * dpitch).sqrt();
-            let max_step = max_speed * dt;
-            if step > max_step {
-                let s = max_step / step;
-                dyaw *= s;
-                dpitch *= s;
-            }
-            yaw += dyaw;
-            pitch += dpitch;
-
-            // OU noise (mean-reverting jitter).
-            let theta = 5.0;
-            noise_yaw +=
-                -theta * noise_yaw * dt + b.noise() * rng.gaussian() * dt.sqrt() * theta.sqrt();
-            noise_pitch +=
-                -theta * noise_pitch * dt + b.noise() * rng.gaussian() * dt.sqrt() * theta.sqrt();
-
-            // Context: soft-limit yaw around the session front (yaw 0).
-            if self.context.pose != Pose::Standing {
-                yaw = yaw.clamp(-yaw_limit, yaw_limit);
-            }
-            pitch = pitch.clamp(-1.4, 1.4);
-
-            samples.push(Orientation::new(yaw + noise_yaw, pitch + noise_pitch, 0.0));
         }
 
-        let mut trace = HeadTrace::new(hz, samples);
-        trace.context = self.context;
-        trace
+        let target = match (b, wander_target) {
+            (Behavior::Follower, _) => position(0, i),
+            (_, Some(w)) => w,
+            (_, None) => position(target_idx, i),
+        };
+
+        // Pursue the target (shortest yaw arc), rate-limited.
+        let gain = b.pursuit_gain();
+        let mut dyaw = wrap_pi(target.yaw - yaw) * gain * dt;
+        let mut dpitch = (target.pitch - pitch) * gain * dt;
+        let step = (dyaw * dyaw + dpitch * dpitch).sqrt();
+        let max_step = max_speed * dt;
+        if step > max_step {
+            let s = max_step / step;
+            dyaw *= s;
+            dpitch *= s;
+        }
+        yaw += dyaw;
+        pitch += dpitch;
+
+        // OU noise (mean-reverting jitter).
+        let theta = 5.0;
+        noise_yaw +=
+            -theta * noise_yaw * dt + b.noise() * rng.gaussian() * dt.sqrt() * theta.sqrt();
+        noise_pitch +=
+            -theta * noise_pitch * dt + b.noise() * rng.gaussian() * dt.sqrt() * theta.sqrt();
+
+        // Context: soft-limit yaw around the session front (yaw 0).
+        if context.pose != Pose::Standing {
+            yaw = yaw.clamp(-yaw_limit, yaw_limit);
+        }
+        pitch = pitch.clamp(-1.4, 1.4);
+
+        samples.push(Orientation::new(yaw + noise_yaw, pitch + noise_pitch, 0.0));
+    }
+    let mut trace = HeadTrace::new(hz, samples);
+    trace.context = context;
+    trace
+}
+
+/// Every hotspot's position at every sample of a trace of one length.
+/// All viewers of a video pursue the same hotspots (§3.2), so a caller
+/// synthesizing many of them evaluates each position once here, not
+/// once per viewer; [`HotspotTrack::member`] then reads them.
+#[derive(Debug)]
+pub struct HotspotTrack {
+    attention: AttentionModel,
+    /// Sample-major: hotspot `h` at sample `i` is entry
+    /// `i * hotspots + h`.
+    positions: Vec<Orientation>,
+}
+
+impl HotspotTrack {
+    /// The track of `attention`'s hotspots over a trace of `duration`.
+    pub fn new(attention: &AttentionModel, duration: SimDuration) -> HotspotTrack {
+        let hotspots = attention.hotspots();
+        let positions = (0..sample_count(duration))
+            .flat_map(|i| hotspots.iter().map(move |h| h.position(sample_time(i))))
+            .collect();
+        HotspotTrack {
+            attention: attention.clone(),
+            positions,
+        }
+    }
+
+    /// Member `u` of the ensemble over this track: bit-identical to
+    /// [`generate_ensemble_member`] with the track's attention model and
+    /// duration.
+    pub fn member(&self, u: usize, seed: u64) -> HeadTrace {
+        let k = self.attention.hotspots().len();
+        let (behavior, seed) = ensemble_member(u, seed);
+        let mut tr = pursue(
+            &self.attention,
+            behavior,
+            ViewingContext::default(),
+            self.positions.len() / k,
+            seed,
+            |h, i| self.positions[i * k + h],
+        );
+        tr.user_id = u as u64;
+        tr
     }
 }
 
 /// Generate an ensemble of traces for `users` viewers of the same video,
-/// cycling through behaviour classes; deterministic in `seed`.
+/// cycling through behaviour classes; deterministic in `seed`. The
+/// members share one [`HotspotTrack`].
 pub fn generate_ensemble(
     attention: &AttentionModel,
     users: usize,
     duration: SimDuration,
     seed: u64,
 ) -> Vec<HeadTrace> {
-    (0..users)
-        .map(|u| generate_ensemble_member(attention, u, duration, seed))
-        .collect()
+    let track = HotspotTrack::new(attention, duration);
+    (0..users).map(|u| track.member(u, seed)).collect()
 }
 
 /// Generate just member `u` of the ensemble [`generate_ensemble`] would
@@ -347,11 +421,19 @@ pub fn generate_ensemble_member(
     duration: SimDuration,
     seed: u64,
 ) -> HeadTrace {
-    let behavior = Behavior::ALL[u % Behavior::ALL.len()];
+    let (behavior, seed) = ensemble_member(u, seed);
     let gen = TraceGenerator::new(attention.clone(), behavior, ViewingContext::default());
-    let mut tr = gen.generate(duration, seed.wrapping_add(u as u64 * 0x9E37));
+    let mut tr = gen.generate(duration, seed);
     tr.user_id = u as u64;
     tr
+}
+
+/// Ensemble member `u`'s behaviour class and trace seed.
+fn ensemble_member(u: usize, seed: u64) -> (Behavior, u64) {
+    (
+        Behavior::ALL[u % Behavior::ALL.len()],
+        seed.wrapping_add(u as u64 * 0x9E37),
+    )
 }
 
 #[cfg(test)]
@@ -481,12 +563,20 @@ mod tests {
 
     #[test]
     fn ensemble_member_matches_full_ensemble() {
-        let att = AttentionModel::sports(21);
-        let full = generate_ensemble(&att, 5, SimDuration::from_secs(8), 917);
-        for (u, expect) in full.iter().enumerate() {
-            let solo = generate_ensemble_member(&att, u, SimDuration::from_secs(8), 917);
-            assert_eq!(solo.user_id, expect.user_id);
-            assert_eq!(solo.samples(), expect.samples(), "member {u} diverged");
+        // The ensemble reads one shared track; a lone member evaluates
+        // its own targets. Members 0..5 cover every behaviour, over a
+        // duration that is not a whole second.
+        let duration = SimDuration::from_millis(8_370);
+        for (att, seed) in [
+            (AttentionModel::sports(21), 917),
+            (AttentionModel::generic(4), 3),
+            (AttentionModel::stage(9), 40_000),
+        ] {
+            let full = generate_ensemble(&att, 5, duration, seed);
+            for (u, expect) in full.iter().enumerate() {
+                let solo = generate_ensemble_member(&att, u, duration, seed);
+                assert_eq!(&solo, expect, "member {u} of seed {seed} diverged");
+            }
         }
     }
 

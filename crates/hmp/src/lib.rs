@@ -34,7 +34,8 @@ pub use dataset::{SessionRecord, StudyDataset, UserProfile};
 pub use engagement::{estimate_engagement, Engagement};
 pub use fusion::{ForecastScratch, Forecaster, FusedForecaster, TileForecast};
 pub use generate::{
-    generate_ensemble, generate_ensemble_member, AttentionModel, Behavior, Hotspot, TraceGenerator,
+    generate_ensemble, generate_ensemble_member, AttentionModel, Behavior, Hotspot, HotspotTrack,
+    TraceGenerator,
 };
 pub use oracle::OracleForecaster;
 pub use popularity::Heatmap;
