@@ -99,7 +99,8 @@ impl EdgeBuilder {
         self
     }
 
-    /// Shared egress capacity, bits/second.
+    /// Shared egress capacity, bits/second: finite and positive (see
+    /// [`EdgeConfig::egress_bps`]; the run panics on an infinite rate).
     pub fn egress(mut self, bps: f64) -> Self {
         self.config.egress_bps = bps;
         self

@@ -59,7 +59,8 @@ use sperke_vra::AbrPolicyKind;
 /// One edge node's capacity declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
-    /// The node's egress capacity towards its clients, bits/second.
+    /// The node's egress capacity towards its clients, bits/second:
+    /// finite and positive, as [`EdgeConfig::egress_bps`].
     pub egress_bps: f64,
     /// The node's tile-cache capacity in bytes (0 = no cache).
     pub cache_bytes: u64,

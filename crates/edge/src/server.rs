@@ -51,7 +51,7 @@ use sperke_net::{
 };
 use sperke_player::QoeWeights;
 use sperke_sim::{FxHashMap, MetricsRegistry, SimDuration, SimRng, SimTime, TraceEvent, TraceSink};
-use sperke_video::{CellId, ChunkTime, Layer, Quality, Scheme, VideoModel};
+use sperke_video::{CellId, ChunkTime, Quality, Scheme, VideoModel};
 use sperke_vra::{AbrPolicyKind, PolicyInput, StochasticChoice, DEFAULT_MIN_PROBABILITY};
 
 /// Edge experiment parameters. Everything that shapes the run is here
@@ -65,7 +65,10 @@ pub struct EdgeConfig {
     pub max_clients: usize,
     /// Arrival spacing for the default client population.
     pub arrival_spacing: SimDuration,
-    /// Shared egress capacity towards clients, bits/second.
+    /// Shared egress capacity towards clients, bits/second: finite and
+    /// positive. Unlike the origin's `SerialLink`, where `f64::INFINITY`
+    /// means unconstrained, the WRR egress rejects an infinite rate (its
+    /// fluid steps would drain `∞ · 0 = NaN` and never finish a stream).
     pub egress_bps: f64,
     /// Origin backhaul capacity, bits/second (serialized FIFO).
     pub origin_bps: f64,
@@ -450,15 +453,9 @@ pub(crate) fn decide_choices(
     let video_time = video.chunk_start(t);
     let own_now = own_now(spec, now);
     let budget = (spec.budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
-    head.history_into(own_now, 50, history);
-    let forecast = FusedForecaster::motion_only().forecast_with(
-        video.grid(),
-        history,
-        own_now,
-        video_time,
-        t,
-        scratch,
-    );
+    let forecaster = FusedForecaster::motion_only();
+    head.history_into(own_now, decide_history_len(&forecaster), history);
+    let forecast = forecaster.forecast_with(video.grid(), history, own_now, video_time, t, scratch);
     let tile_count = video.grid().tile_count();
     let plan = policy.decide(&PolicyInput {
         video,
@@ -480,6 +477,13 @@ pub(crate) fn decide_choices(
             quality: a.quality,
         })
         .collect()
+}
+
+/// How many trailing gaze samples a decide copies for `forecaster`: its
+/// motion predictor fits that many, and the rest of a forecast reads
+/// only the newest. A longer history forecasts the same bits.
+fn decide_history_len(forecaster: &FusedForecaster) -> usize {
+    forecaster.motion.window.max(2)
 }
 
 /// A client's own playback instant at wall time `now`: the video time
@@ -623,10 +627,17 @@ impl EdgeWorld<'_> {
         cell.time.0 as usize * self.tiles + cell.tile.index()
     }
 
+    /// Bytes of one SVC layer of a cell: the difference of two
+    /// cumulative costs in the video's SVC cost table, as
+    /// [`CellSizes::svc_layer`](sperke_video::CellSizes::svc_layer)
+    /// derives it.
     fn layer_bytes(&self, cell: CellId, layer: u8) -> u64 {
-        self.video
-            .cell_sizes(cell.tile, cell.time)
-            .svc_layer(Layer(layer))
+        let levels = self.video.ladder().levels();
+        assert!((layer as usize) < levels, "layer beyond ladder");
+        let costs = self.video.chunk_costs(cell.time, Scheme::svc_default());
+        let at = cell.tile.index() * levels + layer as usize;
+        let below = if layer == 0 { 0 } else { costs[at - 1] };
+        costs[at] - below
     }
 
     pub(crate) fn display_wall(&self, client: u32, chunk: u32) -> SimTime {
@@ -1457,5 +1468,45 @@ mod tests {
         );
         assert!(on.cache.prefetches > 0, "crowd model must drive prefetches");
         assert_eq!(off.cache.prefetches, 0);
+    }
+
+    #[test]
+    fn decide_history_is_the_regression_window_and_forecasts_the_same_bits() {
+        // A decide copies only the motion predictor's fitting window. At
+        // every decide instant of a crowd, that window and 50 samples
+        // forecast bit-identical tile probabilities.
+        let forecaster = FusedForecaster::motion_only();
+        let window = decide_history_len(&forecaster);
+        assert_eq!(window, forecaster.motion.window);
+        assert!(window < 50);
+        let v = video();
+        let config = small(12);
+        let track = head_track(&v, config.seed);
+        let mut scratch = ForecastScratch::new();
+        let (mut short, mut long) = (Vec::new(), Vec::new());
+        let mut longer = 0;
+        for spec in default_clients(&config) {
+            let head = client_head(&track, &spec);
+            for chunk in 0..v.chunk_count() {
+                let (now, _) = decide_and_display(&v, &config, &spec, chunk);
+                let (own, t) = (own_now(&spec, now), ChunkTime(chunk));
+                head.history_into(own, window, &mut short);
+                head.history_into(own, 50, &mut long);
+                longer += usize::from(long.len() > short.len());
+                let [a, b] = [&short, &long].map(|history| {
+                    let target = v.chunk_start(t);
+                    forecaster.forecast_with(v.grid(), history, own, target, t, &mut scratch)
+                });
+                for tile in v.grid().tiles() {
+                    assert_eq!(
+                        a.prob(tile).to_bits(),
+                        b.prob(tile).to_bits(),
+                        "client {} chunk {chunk} {tile:?}",
+                        spec.seed
+                    );
+                }
+            }
+        }
+        assert!(longer > 100, "only {longer} decides had more than a window");
     }
 }

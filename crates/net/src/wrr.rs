@@ -14,16 +14,19 @@
 //! finishes, so the model is deterministic: identical submissions yield
 //! identical completion times, bit for bit.
 //!
-//! The stepper keeps one dense pair of arrays per weight class: the ids
-//! of the class's backlogged clients, ascending, and their heads'
-//! remaining bits; queued streams behind a head keep their full size and
-//! wait in the client's FIFO. A fluid step computes the class's rate
-//! `rate · weight / Σ weights` once. Dividing by one positive rate keeps
-//! the order of the bits, so a class's first finisher is its least-bits
-//! head; a division per head runs only where a lower id's few extra ulps
-//! could round to the same finish. The step then subtracts one drained
-//! amount over each class's contiguous slice. The weight sum is a
-//! running total, exact in f64 because the weights are small integers.
+//! The stepper keeps one dense pair of arrays per weight class: the
+//! remaining bits of the class's backlogged heads, ascending, and their
+//! clients' ids, aligned; queued streams behind a head keep their full
+//! size and wait in the client's FIFO. A fluid step computes the class's
+//! rate `rate · weight / Σ weights` once and subtracts one drained amount
+//! from every head of the class. IEEE subtraction of a common value is
+//! monotone, so the order survives every step, and a class's first
+//! finisher is its front head: dividing by one positive rate keeps the
+//! order of the bits, and a division per head runs only over the front
+//! run whose few extra ulps could round to the same finish, where the
+//! lowest id wins. A successor or a newly backlogged head goes in by
+//! binary search. The weight sum is a running total, exact in f64
+//! because the weights are small integers.
 //!
 //! Each submission carries a caller tag, handed back in its
 //! [`WrrCompletion`], so a caller needs no map from streams to what they
@@ -79,39 +82,87 @@ struct ClientQueue<T> {
 struct WeightClass {
     weight: f64,
     rate: f64,
-    /// Ids of the class's clients with a non-empty queue, ascending.
+    /// Ids of the class's clients with a non-empty queue, aligned with
+    /// `bits`.
     ids: Vec<u32>,
-    /// Remaining bits of each backlogged client's head, aligned with
-    /// `ids`.
+    /// Remaining bits of each backlogged client's head, ascending (in
+    /// finish order). Never NaN: the link rate is finite.
     bits: Vec<f64>,
 }
 
 impl WeightClass {
-    /// The position in `ids` of the class's first finisher under the
-    /// current rate, and its time to finish: `bits / rate` at its least,
-    /// the lowest id among equal times.
+    fn new(weight: f64) -> WeightClass {
+        WeightClass {
+            weight,
+            rate: 0.0,
+            ids: Vec::new(),
+            bits: Vec::new(),
+        }
+    }
+
+    /// Add a backlogged head, keeping the bits ascending. Where bits are
+    /// equal, any position is as good: [`WeightClass::first_finisher`]
+    /// walks the whole equal run.
+    fn insert(&mut self, client: u32, bits: f64) {
+        let pos = self.bits.partition_point(|&b| b < bits);
+        self.ids.insert(pos, client);
+        self.bits.insert(pos, bits);
+    }
+
+    /// Give the head at `pos` a fresh stream of `bits`, moving it to its
+    /// finish-order place: one shift of the heads it passes.
+    fn reseat(&mut self, pos: usize, bits: f64) {
+        let client = self.ids[pos];
+        let at = if bits >= self.bits[pos] {
+            pos + self.bits[pos + 1..].partition_point(|&b| b < bits)
+        } else {
+            self.bits[..pos].partition_point(|&b| b < bits)
+        };
+        if at > pos {
+            self.ids.copy_within(pos + 1..=at, pos);
+            self.bits.copy_within(pos + 1..=at, pos);
+        } else {
+            self.ids.copy_within(at..pos, at + 1);
+            self.bits.copy_within(at..pos, at + 1);
+        }
+        self.ids[at] = client;
+        self.bits[at] = bits;
+    }
+
+    /// Serve every head of the class at its rate for `step` seconds.
+    /// Rounding is monotone, so `a ≤ b` gives `a − d ≤ b − d` and the
+    /// bits stay ascending (two heads may become equal).
+    fn drain(&mut self, step: f64) {
+        let drained = self.rate * step;
+        for bits in &mut self.bits {
+            *bits -= drained;
+        }
+    }
+
+    /// The position of the class's first finisher under the current
+    /// rate, and its time to finish: `bits / rate` at its least, the
+    /// lowest id among equal times.
     ///
-    /// The division is monotone, so the least-bits head (the first of
-    /// equal bits) has the least time. A lower id with more bits can
-    /// still round to that same time; its excess is then within a few
-    /// ulps of the least bits (or of the smallest normal, scaled by the
-    /// rate, where the time underflows), so only heads inside that slack
-    /// are divided to break the tie.
+    /// The division is monotone, so the front head has the least time. A
+    /// lower id with more bits can still round to that same time; its
+    /// excess is then within a few ulps of the least bits (or of the
+    /// smallest normal, scaled by the rate, where the time underflows).
+    /// Heads inside that slack form a front run, since the excess grows
+    /// with the position, and only they are divided to break the tie.
     fn first_finisher(&self) -> (usize, f64) {
+        let least = self.bits[0];
+        let dt = least / self.rate;
+        let slack = least.abs() * (4.0 * f64::EPSILON) + self.rate * f64::MIN_POSITIVE;
         let mut pos = 0;
-        let mut least = f64::INFINITY;
-        for (p, &bits) in self.bits.iter().enumerate() {
-            if bits < least {
-                least = bits;
+        for (p, &bits) in self.bits.iter().enumerate().skip(1) {
+            if bits - least > slack {
+                break;
+            }
+            if self.ids[p] < self.ids[pos] && bits / self.rate == dt {
                 pos = p;
             }
         }
-        let dt = least / self.rate;
-        let slack = least.abs() * (4.0 * f64::EPSILON) + self.rate * f64::MIN_POSITIVE;
-        let tie = self.bits[..pos]
-            .iter()
-            .position(|&bits| bits - least <= slack && bits / self.rate == dt);
-        (tie.unwrap_or(pos), dt)
+        (pos, dt)
     }
 }
 
@@ -155,9 +206,14 @@ pub struct WrrLink<T> {
 }
 
 impl<T> WrrLink<T> {
-    /// A link of the given constant capacity, bits/second.
+    /// A link of the given constant capacity, bits/second: finite and
+    /// positive. An infinite rate would drain every head by `∞ · 0 = NaN`
+    /// in its first step, and a NaN head never finishes.
     pub fn new(rate_bps: f64) -> WrrLink<T> {
-        assert!(rate_bps > 0.0, "rate must be positive");
+        assert!(
+            rate_bps.is_finite() && rate_bps > 0.0,
+            "WRR link rate_bps must be finite and positive, got {rate_bps}"
+        );
         WrrLink {
             rate_bps,
             now: SimTime::ZERO,
@@ -181,12 +237,7 @@ impl<T> WrrLink<T> {
         let class = match self.classes.iter().position(|c| c.weight == weight) {
             Some(class) => class,
             None => {
-                self.classes.push(WeightClass {
-                    weight,
-                    rate: 0.0,
-                    ids: Vec::new(),
-                    bits: Vec::new(),
-                });
+                self.classes.push(WeightClass::new(weight));
                 self.classes.len() - 1
             }
         };
@@ -217,9 +268,7 @@ impl<T> WrrLink<T> {
         let q = &mut self.clients[client as usize];
         if q.queue.is_empty() {
             let class = &mut self.classes[q.class as usize];
-            let pos = class.ids.partition_point(|&i| i < client);
-            class.ids.insert(pos, client);
-            class.bits.insert(pos, stream.bits());
+            class.insert(client, stream.bits());
             self.backlogged += 1;
             self.total_weight += class.weight;
         } else {
@@ -329,10 +378,7 @@ impl<T> WrrLink<T> {
             let finishes = best_dt <= window;
             let step = if finishes { best_dt } else { window };
             for class in &mut self.classes {
-                let drained = class.rate * step;
-                for bits in &mut class.bits {
-                    *bits -= drained;
-                }
+                class.drain(step);
             }
             if finishes {
                 let finish = self.now + SimDuration::from_secs_f64(best_dt);
@@ -347,14 +393,15 @@ impl<T> WrrLink<T> {
 
     /// Complete the head at position `pos` of weight class `class` at
     /// `finish`: the stream behind it becomes the head with all its bits
-    /// to send, or the client leaves the backlog.
+    /// to send, in its finish-order place, or the client leaves the
+    /// backlog.
     fn retire_head(&mut self, class: usize, pos: usize, finish: SimTime) {
         let c = &mut self.classes[class];
         let client = c.ids[pos];
         let q = &mut self.clients[client as usize];
         let done = q.queue.pop_front().expect("a backlogged client has a head");
         if let Some(next) = q.queue.front() {
-            c.bits[pos] = next.bits();
+            c.reseat(pos, next.bits());
             self.tail_bytes -= next.bytes;
         } else {
             c.ids.remove(pos);
@@ -583,12 +630,24 @@ mod tests {
         assert!(all.iter().all(|c| c.finished == end), "{all:?}");
     }
 
+    /// A class at `rate` holding the given `(client, bits)` heads, each
+    /// inserted the way the link inserts a newly backlogged head.
+    fn class_of(rate: f64, heads: &[(u32, f64)]) -> WeightClass {
+        let mut class = WeightClass::new(1.0);
+        class.rate = rate;
+        for &(client, bits) in heads {
+            class.insert(client, bits);
+        }
+        class
+    }
+
     #[test]
     fn first_finisher_breaks_rounding_ties_to_the_lowest_id() {
         // Heads whose bits differ yet divide to the same time: the lower
-        // id (position 0) finishes first even though it holds more bits.
-        // The last pair underflows to a zero time, which the slack's
-        // absolute term admits.
+        // id finishes first even though it holds more bits, which puts
+        // it behind the other head in finish order. The last pair
+        // underflows to a zero time, which the slack's absolute term
+        // admits.
         let rate = 3e6;
         let near = |bits: f64| {
             let more = bits.next_up();
@@ -600,23 +659,106 @@ mod tests {
             .collect();
         assert!(tied.len() > 1, "no rounding tie among the probes");
         for bits in tied {
-            let class = WeightClass {
-                weight: 1.0,
-                rate,
-                ids: vec![3, 7],
-                bits: bits.to_vec(),
-            };
+            let class = class_of(rate, &[(3, bits[0]), (7, bits[1])]);
             assert!(bits[0] > bits[1]);
-            assert_eq!(class.first_finisher(), (0, bits[1] / rate), "{bits:?}");
+            assert_eq!(class.ids, [7, 3], "{bits:?}");
+            assert_eq!(class.first_finisher(), (1, bits[1] / rate), "{bits:?}");
         }
         // One whole bit apart is never a tie: the least bits finish first.
-        let class = WeightClass {
-            weight: 1.0,
-            rate,
-            ids: vec![3, 7],
-            bits: vec![1e6 + 1.0, 1e6],
-        };
-        assert_eq!(class.first_finisher().0, 1);
+        let class = class_of(rate, &[(3, 1e6 + 1.0), (7, 1e6)]);
+        assert_eq!(class.ids[class.first_finisher().0], 7);
+    }
+
+    #[test]
+    fn heads_that_round_equal_after_a_drain_finish_lowest_id_first() {
+        // 1.5 and the next float up, each less half an ulp, land on the
+        // midpoints either side of 1.5, and both round to the even 1.5.
+        // The higher id held fewer bits, so it sits first and the walk
+        // must still pick the lower id.
+        let (lo, hi) = (1.5, 1.5f64.next_up());
+        let mut class = class_of(1.0, &[(2, hi), (5, lo)]);
+        assert_eq!(class.ids, [5, 2]);
+        class.drain(f64::EPSILON / 2.0);
+        assert_eq!(class.bits, [1.5, 1.5], "the drain collapses the pair");
+        assert_eq!(class.first_finisher(), (1, 1.5));
+        // Bits that stay apart are never merged: the front head finishes
+        // first whatever its id.
+        let class = class_of(1.0, &[(2, 3.0), (5, 1.5)]);
+        assert_eq!(class.ids[class.first_finisher().0], 5);
+    }
+
+    /// Run `schedule` (`(at_ms, client, bytes)`, time-ordered) on both
+    /// steppers at 3 Mbps over three weight-1 clients, returning the
+    /// dense link's class order after `run_until(check)` and asserting
+    /// every completion bit-equal to the full scan's.
+    fn head_order_after(schedule: &[(u64, u32, u64)], check: SimTime) -> Vec<u32> {
+        let mut fast = WrrLink::new(3e6);
+        let mut slow = FullScanWrr::new(3e6);
+        for _ in 0..3 {
+            fast.add_client(1);
+            slow.add_client(1);
+        }
+        let mut order = None;
+        for (tag, &(at_ms, client, bytes)) in schedule.iter().enumerate() {
+            let now = SimTime::from_millis(at_ms);
+            if order.is_none() && now > check {
+                assert_eq!(fast.run_until(check), slow.run_until(check));
+                order = Some(fast.classes[0].ids.clone());
+            }
+            fast.submit(client, bytes, now, tag as u32);
+            slow.submit(client, bytes, now, tag as u32);
+        }
+        let order = order.unwrap_or_else(|| {
+            assert_eq!(fast.run_until(check), slow.run_until(check));
+            fast.classes[0].ids.clone()
+        });
+        assert!(fast.classes[0].bits.windows(2).all(|w| w[0] <= w[1]));
+        let done = fast.drain();
+        let end = fast.now;
+        slow.advance(end);
+        assert_eq!(done, slow.run_until(end));
+        order
+    }
+
+    #[test]
+    fn a_successor_reenters_in_finish_order() {
+        // Each client gets 1 Mbps. At 1 s client 2's 1 Mbit head is done
+        // and clients 1 and 0 have 1 and 2 Mbit left. Its 0.1 Mbit
+        // successor holds fewer bits than either and goes ahead of both,
+        // though its id is the highest; at 1.1 s its 5 Mbit successor
+        // goes behind both.
+        let schedule = [
+            (0, 0, 3 * MBIT),
+            (0, 1, 2 * MBIT),
+            (0, 2, MBIT),
+            (0, 2, MBIT / 10),
+            (0, 2, 5 * MBIT),
+        ];
+        assert_eq!(
+            head_order_after(&schedule, SimTime::from_secs(1)),
+            [2, 1, 0]
+        );
+        assert_eq!(
+            head_order_after(&schedule, SimTime::from_millis(1100)),
+            [1, 0, 2]
+        );
+    }
+
+    #[test]
+    fn a_newly_backlogged_client_lands_between_heads() {
+        // Clients 0 and 1 share 3 Mbps; at 0.5 s client 1 has 0.25 Mbit
+        // left and client 0 2.25 Mbit. Client 2's 1 Mbit lands between.
+        let order = head_order_after(
+            &[(0, 0, 3 * MBIT), (0, 1, MBIT), (500, 2, MBIT)],
+            SimTime::from_millis(500),
+        );
+        assert_eq!(order, [1, 2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate_bps must be finite and positive")]
+    fn infinite_rate_is_rejected() {
+        WrrLink::<()>::new(f64::INFINITY);
     }
 
     /// A stream in the full-scan oracle: every queued stream carries its

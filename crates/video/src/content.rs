@@ -6,8 +6,10 @@
 //! per-chunk jitter (temporal complexity). All randomness derives from
 //! the video's seed, so a given `VideoModel` is identical across runs.
 //!
-//! `chunk_bytes`, `cell_sizes` and `panorama_bytes` read one flat table
-//! of every cell's AVC bytes, filled on the first size query.
+//! `chunk_bytes`, `chunk_costs`, `cell_sizes` and `panorama_bytes` read
+//! one flat table of every cell's AVC bytes, filled on the first size
+//! query, and SVC costs read a second table of the same layout, filled
+//! from the first on the first SVC query.
 
 use crate::encoding::{CellSizes, Scheme};
 use crate::ids::{ChunkId, ChunkTime, Quality};
@@ -35,13 +37,17 @@ pub struct VideoModel {
     seed: u64,
     /// Derived from the fields above; never serialized.
     sizes: SizeTable,
+    /// Every cell's SVC cumulative bytes, laid out like `sizes`: derived
+    /// from it, never serialized.
+    svc_sizes: SizeTable,
 }
 
-/// The monotone-fixed AVC bytes of every cell and rung, indexed
-/// `(chunk * tiles + tile) * levels + quality`: tiles × chunks × rungs
-/// × 8 B. Filled on the first size query rather than in
-/// [`VideoModelBuilder::build`], so building a video stays cheap and
-/// threads that query at once share one fill.
+/// One `u64` per cell and rung, at index
+/// `(chunk * tiles + tile) * levels + quality`: tiles × chunks × rungs ×
+/// 8 B. The video holds two, the monotone-fixed AVC bytes and the SVC
+/// cumulative bytes derived from them. Each is filled on its first query
+/// rather than in [`VideoModelBuilder::build`], so building a video stays
+/// cheap and threads that query at once share one fill.
 #[derive(Clone, Default)]
 struct SizeTable(OnceLock<Box<[u64]>>);
 
@@ -87,6 +93,7 @@ impl Deserialize for VideoModel {
                 jitter: missing_field(entries, "jitter")?,
                 seed: missing_field(entries, "seed")?,
                 sizes: SizeTable::default(),
+                svc_sizes: SizeTable::default(),
             }),
             other => Err(DeError::expected("struct VideoModel", other)),
         }
@@ -210,6 +217,7 @@ impl VideoModelBuilder {
             jitter: self.jitter,
             seed: self.seed,
             sizes: SizeTable::default(),
+            svc_sizes: SizeTable::default(),
         }
     }
 }
@@ -321,6 +329,31 @@ impl VideoModel {
         })
     }
 
+    /// The SVC cumulative bytes of every cell and rung, in the size
+    /// table's layout, filled from it on first use: each entry is the
+    /// cell's [`CellSizes::svc_cumulative`], so SVC rounding keeps one
+    /// definition.
+    fn svc_table(&self) -> &[u64] {
+        self.svc_sizes.0.get_or_init(|| {
+            let levels = self.ladder.levels();
+            self.size_table()
+                .chunks_exact(levels)
+                .flat_map(|row| {
+                    let cell = CellSizes::unchecked(row, self.svc_overhead);
+                    self.ladder.qualities().map(move |q| cell.svc_cumulative(q))
+                })
+                .collect()
+        })
+    }
+
+    /// The table of [`CellSizes::initial_cost`] under `scheme`.
+    fn cost_table(&self, scheme: Scheme) -> &[u64] {
+        match scheme {
+            Scheme::Avc => self.size_table(),
+            Scheme::Svc { .. } => self.svc_table(),
+        }
+    }
+
     /// The full size table of one cell across all qualities: a borrowed
     /// row of the video's size table, strictly increasing in quality.
     pub fn cell_sizes(&self, tile: TileId, t: ChunkTime) -> CellSizes<'_> {
@@ -336,8 +369,23 @@ impl VideoModel {
     /// never the `overhead` of the [`Scheme::Svc`] argument.
     pub fn chunk_bytes(&self, id: ChunkId, scheme: Scheme) -> u64 {
         assert!(self.ladder.contains(id.quality), "quality beyond ladder");
-        self.cell_sizes(id.tile, id.time)
-            .initial_cost(scheme, id.quality)
+        assert!(id.tile.index() < self.grid.tile_count(), "tile beyond grid");
+        let levels = self.ladder.levels();
+        self.chunk_costs(id.time, scheme)[id.tile.index() * levels + id.quality.index()]
+    }
+
+    /// Every tile's [`chunk_bytes`](Self::chunk_bytes) at every rung of
+    /// chunk `t` under `scheme`: one borrowed row of the size tables,
+    /// indexed `tile * levels + quality`. A caller pricing many cells of
+    /// one chunk checks the chunk once here; a tile beyond the grid
+    /// indexes past the row's end. The table holds whole rows for the
+    /// video's chunks only, so its length bounds `t` without a division.
+    pub fn chunk_costs(&self, t: ChunkTime, scheme: Scheme) -> &[u64] {
+        let len = self.grid.tile_count() * self.ladder.levels();
+        let table = self.cost_table(scheme);
+        let start = t.index() * len;
+        assert!(start < table.len(), "chunk time beyond video");
+        &table[start..start + len]
     }
 
     /// Total bytes of the whole panorama at quality `q` for chunk `t`
@@ -526,6 +574,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "chunk time beyond video")]
+    fn chunk_costs_rejects_out_of_range_time() {
+        video().chunk_costs(ChunkTime(10), Scheme::svc_default());
+    }
+
+    #[test]
     #[should_panic(expected = "tile beyond grid")]
     fn cell_sizes_rejects_out_of_range_tile() {
         video().cell_sizes(TileId(24), ChunkTime(0));
@@ -696,6 +750,69 @@ mod table_oracle {
         assert_eq!(o.rung[..2], [1, 1], "both lowest rungs floor to one byte");
         assert_eq!(v.cell_sizes(TileId(0), ChunkTime(2)).avc(Quality(1)), 2);
         check_against_oracle(&v).unwrap();
+    }
+
+    /// The SVC table, read through `chunk_costs` and `chunk_bytes`,
+    /// against `CellSizes`' own derivation for every cell and rung, and
+    /// the AVC row against the AVC sizes.
+    fn check_svc_table(v: &VideoModel) {
+        let svc = Scheme::Svc { overhead: 0.37 };
+        let levels = v.ladder.levels();
+        let mut flat = Vec::new();
+        for t in v.chunk_times() {
+            let (svc_row, avc_row) = (v.chunk_costs(t, svc), v.chunk_costs(t, Scheme::Avc));
+            assert_eq!(svc_row.len(), v.grid.tile_count() * levels);
+            assert_eq!(avc_row.len(), svc_row.len());
+            for tile in v.grid.tiles() {
+                let sizes = v.cell_sizes(tile, t);
+                for q in v.ladder.qualities() {
+                    let i = tile.index() * levels + q.index();
+                    let cumulative = sizes.svc_cumulative(q);
+                    assert_eq!(svc_row[i], cumulative, "{tile:?} {t:?} {q:?}");
+                    assert_eq!(v.chunk_bytes(ChunkId::new(q, tile, t), svc), cumulative);
+                    assert_eq!(avc_row[i], sizes.avc(q));
+                    flat.push(cumulative);
+                }
+            }
+        }
+        assert_eq!(v.svc_table(), &flat[..]);
+    }
+
+    #[test]
+    fn svc_table_matches_cell_sizes_through_clone_and_serde() {
+        let short_last = VideoModelBuilder::new(8)
+            .duration(SimDuration::from_millis(4_300))
+            .build();
+        let overhead = VideoModelBuilder::new(9)
+            .grid(TileGrid::new(3, 5))
+            .ladder(Ladder::youtube_live())
+            .svc_overhead(0.27)
+            .duration(SimDuration::from_secs(3))
+            .build();
+        let tiny = VideoModelBuilder::new(4)
+            .ladder(tiny_ladder())
+            .svc_overhead(0.6)
+            .chunk_duration(SimDuration::from_millis(700))
+            .duration(SimDuration::from_millis(2_500))
+            .build();
+        assert_eq!(short_last.chunk_count(), 5);
+        for v in [short_last, overhead, tiny] {
+            let json = serde_json::to_string(&v).unwrap();
+            assert!(v.svc_sizes.0.get().is_none(), "build fills no SVC table");
+            check_svc_table(&v);
+            // Filling the SVC table leaves the JSON as it was.
+            assert_eq!(serde_json::to_string(&v).unwrap(), json);
+            // A clone carries the filled table; its reads agree.
+            let copy = v.clone();
+            assert_eq!(copy.svc_sizes.0.get(), v.svc_sizes.0.get());
+            check_svc_table(&copy);
+            // A deserialized model starts unfilled and refills the same.
+            let back: VideoModel = serde_json::from_str(&json).unwrap();
+            assert!(back.svc_sizes.0.get().is_none());
+            check_svc_table(&back);
+            assert_eq!(back.svc_table(), v.svc_table());
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

@@ -13,9 +13,8 @@
 use serde::{Deserialize, Serialize};
 use sperke_geo::TileId;
 use sperke_hmp::TileForecast;
-use sperke_video::{ChunkId, ChunkTime, Quality, Scheme, VideoModel};
+use sperke_video::{ChunkTime, Quality, Scheme, VideoModel};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// One selected fetch: a tile at a final quality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,16 +93,24 @@ pub fn select_stochastic(
     min_probability: f64,
 ) -> Vec<StochasticChoice> {
     let grid = video.grid();
-    let bytes_at =
-        |tile: TileId, q: Quality| video.chunk_bytes(ChunkId::new(q, tile, time), scheme);
-    // Per-rung utility, once per call rather than per heap increment.
+    // Every candidate's cost comes from one row of the video's cost
+    // table, its chunk checked once here.
+    let costs = video.chunk_costs(time, scheme);
+    let levels = video.ladder().levels();
+    let bytes_at = |tile: TileId, q: Quality| costs[tile.index() * levels + q.index()];
+    // Per-rung utility, once per call rather than per increment.
     let utility: Vec<f64> = video
         .ladder()
         .qualities()
         .map(|q| tile_utility(video, q))
         .collect();
 
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+    // The open increments, ascending, best last. A tile has at most one
+    // open increment, so no two compare equal and popping the greatest
+    // takes the order a binary heap would. The queue never holds more
+    // entries than the grid has tiles (24 by default), few enough that a
+    // sorted vector popped from its end is cheaper than a heap.
+    let mut queue: Vec<Candidate> = Vec::with_capacity(grid.tile_count());
     for tile in grid.tiles() {
         let p = forecast.prob(tile);
         if p < min_probability {
@@ -111,21 +118,22 @@ pub fn select_stochastic(
         }
         let cost = bytes_at(tile, Quality(0));
         let gain = p * utility[0];
-        heap.push(Candidate {
+        queue.push(Candidate {
             ratio: gain / cost.max(1) as f64,
             tile,
             quality: Quality(0),
             cost,
         });
     }
+    queue.sort_unstable();
 
     let top = video.ladder().top();
     let mut chosen: Vec<Option<Quality>> = vec![None; grid.tile_count()];
     let mut spent: u64 = 0;
-    while let Some(c) = heap.pop() {
+    while let Some(c) = queue.pop() {
         if spent + c.cost > budget_bytes {
             // This increment doesn't fit; cheaper increments for other
-            // tiles may still fit, so keep draining the heap.
+            // tiles may still fit, so keep draining the queue.
             continue;
         }
         // Apply the increment.
@@ -137,15 +145,19 @@ pub fn select_stochastic(
             let next = c.quality.up();
             let cost = bytes_at(c.tile, next) - bytes_at(c.tile, c.quality);
             let gain = p * (utility[next.index()] - utility[c.quality.index()]);
-            heap.push(Candidate {
+            let candidate = Candidate {
                 ratio: gain / cost.max(1) as f64,
                 tile: c.tile,
                 quality: next,
                 cost,
-            });
+            };
+            let at = queue.partition_point(|open| *open < candidate);
+            queue.insert(at, candidate);
         }
     }
 
+    // Tiles are distinct, so the order is total and an unstable sort
+    // gives the one result.
     let mut out: Vec<(f64, StochasticChoice)> = chosen
         .iter()
         .enumerate()
@@ -156,7 +168,7 @@ pub fn select_stochastic(
             })
         })
         .collect();
-    out.sort_by(|a, b| {
+    out.sort_unstable_by(|a, b| {
         b.0.partial_cmp(&a.0)
             .expect("no NaN")
             .then(a.1.tile.cmp(&b.1.tile))
@@ -183,7 +195,7 @@ mod tests {
     use sperke_geo::Orientation;
     use sperke_hmp::FusedForecaster;
     use sperke_sim::{SimDuration, SimTime};
-    use sperke_video::VideoModelBuilder;
+    use sperke_video::{ChunkId, VideoModelBuilder};
 
     fn setup() -> (VideoModel, TileForecast) {
         let video = VideoModelBuilder::new(13)
@@ -326,5 +338,191 @@ mod tests {
         let a = select_stochastic(&video, &fc, ChunkTime(0), 800_000, Scheme::Avc, 0.05);
         let b = select_stochastic(&video, &fc, ChunkTime(0), 800_000, Scheme::Avc, 0.05);
         assert_eq!(a, b);
+    }
+}
+
+/// The table-driven knapsack against the per-call form it replaced.
+#[cfg(test)]
+mod per_call_oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use sperke_geo::TileGrid;
+    use sperke_sim::SimDuration;
+    use sperke_video::{ChunkId, Ladder, Rung, VideoModelBuilder};
+    use std::collections::BinaryHeap;
+
+    /// [`select_stochastic`] as it ran before the cost table: one
+    /// `chunk_bytes` call per lookup, each checking the cell and
+    /// deriving the size anew, and a binary heap of open increments.
+    fn select_stochastic_per_call(
+        video: &VideoModel,
+        forecast: &TileForecast,
+        time: ChunkTime,
+        budget_bytes: u64,
+        scheme: Scheme,
+        min_probability: f64,
+    ) -> Vec<StochasticChoice> {
+        let grid = video.grid();
+        let bytes_at =
+            |tile: TileId, q: Quality| video.chunk_bytes(ChunkId::new(q, tile, time), scheme);
+        let utility: Vec<f64> = video
+            .ladder()
+            .qualities()
+            .map(|q| tile_utility(video, q))
+            .collect();
+        let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+        for tile in grid.tiles() {
+            let p = forecast.prob(tile);
+            if p < min_probability {
+                continue;
+            }
+            let cost = bytes_at(tile, Quality(0));
+            heap.push(Candidate {
+                ratio: p * utility[0] / cost.max(1) as f64,
+                tile,
+                quality: Quality(0),
+                cost,
+            });
+        }
+        let top = video.ladder().top();
+        let mut chosen: Vec<Option<Quality>> = vec![None; grid.tile_count()];
+        let mut spent: u64 = 0;
+        while let Some(c) = heap.pop() {
+            if spent + c.cost > budget_bytes {
+                continue;
+            }
+            spent += c.cost;
+            chosen[c.tile.index()] = Some(c.quality);
+            if c.quality < top {
+                let p = forecast.prob(c.tile);
+                let next = c.quality.up();
+                let cost = bytes_at(c.tile, next) - bytes_at(c.tile, c.quality);
+                let gain = p * (utility[next.index()] - utility[c.quality.index()]);
+                heap.push(Candidate {
+                    ratio: gain / cost.max(1) as f64,
+                    tile: c.tile,
+                    quality: next,
+                    cost,
+                });
+            }
+        }
+        let mut out: Vec<(f64, StochasticChoice)> = chosen
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| {
+                q.map(|quality| {
+                    let tile = TileId(i as u16);
+                    (forecast.prob(tile), StochasticChoice { tile, quality })
+                })
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .expect("no NaN")
+                .then(a.1.tile.cmp(&b.1.tile))
+        });
+        out.into_iter().map(|(_, c)| c).collect()
+    }
+
+    /// Rungs so small that every tile's base layer floors to a byte or
+    /// two: under a large SVC overhead the first upgrade rounds cheaper
+    /// than the base it builds on.
+    fn tiny_ladder() -> Ladder {
+        let rung = |bitrate_bps: f64, height: u32| Rung {
+            name: format!("{height}p"),
+            bitrate_bps,
+            height,
+        };
+        Ladder::new(vec![
+            rung(40.0, 1),
+            rung(80.0, 2),
+            rung(900.0, 3),
+            rung(7_000.0, 4),
+        ])
+    }
+
+    #[test]
+    fn tiny_ladder_upgrades_round_cheaper_than_their_base() {
+        let video = VideoModelBuilder::new(3)
+            .ladder(tiny_ladder())
+            .svc_overhead(0.6)
+            .duration(SimDuration::from_secs(2))
+            .build();
+        let svc = Scheme::svc_default();
+        let cheaper = video.grid().tiles().any(|tile| {
+            let cost = |q| video.chunk_bytes(ChunkId::new(Quality(q), tile, ChunkTime(1)), svc);
+            cost(1) - cost(0) < cost(0)
+        });
+        assert!(
+            cheaper,
+            "no tile whose first SVC upgrade undercuts its base"
+        );
+    }
+
+    proptest! {
+        /// Same choices in the same order, over grids, ladders, SVC
+        /// overheads, chunks up to the last (a short one included),
+        /// budgets from zero to past the full top-rung panorama, and
+        /// probabilities at, just above and just below the threshold.
+        #[test]
+        fn table_knapsack_matches_per_call_knapsack(
+            seed: u64,
+            rows in 1u16..5,
+            cols in 1u16..9,
+            ladder in 0u8..4,
+            overhead in (any::<bool>(), 0.0f64..0.9),
+            duration_ms in 1u64..5_000,
+            chunk_ms in 200u64..2_000,
+            chunk_pick in (0u8..3, any::<u32>()),
+            min_probability in (0u8..3, 0.0f64..0.9),
+            probs in proptest::collection::vec((0u8..5, 0.0f64..1.0), 32),
+            budget_frac in (0u8..4, 0.0f64..1.2),
+            svc: bool,
+        ) {
+            let ladder = match ladder {
+                0 => Ladder::vod_default(),
+                1 => Ladder::youtube_live(),
+                2 => Ladder::facebook_live(),
+                _ => tiny_ladder(),
+            };
+            let overhead = if overhead.0 { overhead.1 } else { 0.0 };
+            let min_probability = [0.0, 0.05, min_probability.1][min_probability.0 as usize];
+            let budget_frac = [0.0, 1.0, 1.5, budget_frac.1][budget_frac.0 as usize];
+            let video = VideoModelBuilder::new(seed)
+                .grid(TileGrid::new(rows, cols))
+                .ladder(ladder)
+                .svc_overhead(overhead)
+                .duration(SimDuration::from_millis(duration_ms))
+                .chunk_duration(SimDuration::from_millis(chunk_ms))
+                .build();
+            let last = video.chunk_count() - 1;
+            let time = ChunkTime(match chunk_pick.0 {
+                0 => 0,
+                1 => last,
+                _ => chunk_pick.1 % (last + 1),
+            });
+            // Exactly at, one ulp either side of, or anywhere around the
+            // threshold; repeated values tie on ratio.
+            let probs: Vec<f64> = (0..video.grid().tile_count())
+                .map(|i| {
+                    let (kind, p) = probs[i % probs.len()];
+                    match kind {
+                        0 => min_probability,
+                        1 => min_probability.next_up(),
+                        2 => min_probability.next_down(),
+                        3 => 0.5,
+                        _ => p,
+                    }
+                })
+                .collect();
+            let forecast = TileForecast::new(probs);
+            let scheme = if svc { Scheme::svc_default() } else { Scheme::Avc };
+            let panorama = video.panorama_bytes(video.ladder().top(), time, scheme);
+            let budget = (panorama as f64 * budget_frac) as u64;
+            let table = select_stochastic(&video, &forecast, time, budget, scheme, min_probability);
+            let per_call =
+                select_stochastic_per_call(&video, &forecast, time, budget, scheme, min_probability);
+            prop_assert_eq!(table, per_call);
+        }
     }
 }

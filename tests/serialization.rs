@@ -56,16 +56,19 @@ fn video_model_json_skips_the_size_table_and_refills_it() {
         .duration(SimDuration::from_millis(2500))
         .build();
     assert_eq!(serde_json::to_string(&video).unwrap(), VIDEO_JSON);
-    // Filling the table on a size query leaves the JSON unchanged.
+    // Filling the tables on size queries leaves the JSON unchanged.
     let id = ChunkId::new(Quality(1), TileId(1), ChunkTime(2));
     assert!(video.chunk_bytes(id, Scheme::Avc) > 0);
+    assert!(video.chunk_bytes(id, Scheme::svc_default()) > 0);
     assert_eq!(serde_json::to_string(&video).unwrap(), VIDEO_JSON);
-    // A deserialized model refills its own table to the same sizes.
+    // A deserialized model refills its own tables to the same sizes.
     let back: VideoModel = serde_json::from_str(VIDEO_JSON).expect("parses");
     for t in back.chunk_times() {
         for tile in back.grid().tiles() {
             assert_eq!(back.cell_sizes(tile, t), video.cell_sizes(tile, t));
         }
+        let svc = Scheme::svc_default();
+        assert_eq!(back.chunk_costs(t, svc), video.chunk_costs(t, svc));
     }
     assert_eq!(serde_json::to_string(&back).unwrap(), VIDEO_JSON);
 }
