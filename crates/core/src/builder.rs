@@ -335,9 +335,9 @@ impl Sperke {
     }
 
     /// Materialize the HMP forecaster (with crowd prior / speed bound /
-    /// context as configured).
-    fn build_forecaster(&self) -> FusedForecaster {
-        let video = self.build_video();
+    /// context as configured) for `video`, the one this experiment
+    /// streams.
+    fn build_forecaster(&self, video: &VideoModel) -> FusedForecaster {
         let mut forecaster = FusedForecaster::motion_only();
         forecaster.context = self.context;
         if self.crowd_users > 0 {
@@ -374,8 +374,14 @@ impl Sperke {
     /// session result and the trace captured at the level set by
     /// [`Sperke::with_trace`].
     pub fn run_report(&self) -> RunReport {
-        let video = self.build_video();
-        let trace = self.build_trace();
+        self.run_over(&self.build_video(), &self.build_trace())
+    }
+
+    /// Run the experiment over borrowed content: `video` and `trace`
+    /// must equal [`Sperke::build_video`] and [`Sperke::build_trace`],
+    /// so that sessions sharing a seed and a behaviour can share one
+    /// build of each (the shootout's content groups).
+    pub(crate) fn run_over(&self, video: &VideoModel, trace: &HeadTrace) -> RunReport {
         let sink = TraceSink::with_level(self.trace);
         let mut player = self.player.clone();
         player.trace = sink.clone();
@@ -409,11 +415,11 @@ impl Sperke {
         let forecaster: Box<dyn Forecaster> = if self.oracle_hmp {
             Box::new(OracleForecaster::new(trace.clone()))
         } else {
-            Box::new(self.build_forecaster())
+            Box::new(self.build_forecaster(video))
         };
         let session = run_session(
-            &video,
-            &trace,
+            video,
+            trace,
             paths,
             scheduler,
             abr,

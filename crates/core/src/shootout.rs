@@ -2,11 +2,15 @@
 //! viewport-adaptation policies ([`AbrPolicyKind`]) over a policy ×
 //! bandwidth × behaviour × content grid of single-session experiments.
 //!
-//! Every grid point is one deterministic [`Sperke`] session; the grid
-//! fans across CPU cores on the [`run_sweep`] harness and merges by
-//! point index, so the full report — points, ranking, JSON, markdown
-//! and digest — is byte-identical for any worker count. The smoke
-//! grid's digest is pinned in `tests/golden_trace.rs`
+//! Every grid point is one deterministic [`Sperke`] session. A
+//! session's video depends only on its seed and its head trace only on
+//! its seed and behaviour, so the points sharing a (seed, behaviour)
+//! pair form one *content group* that builds both once. The groups fan
+//! across CPU cores on the [`run_sweep`] harness and each session's
+//! report lands in its point's slot, so the full report — points,
+//! ranking, JSON, markdown and digest — is byte-identical for any worker
+//! count, and every point equals the standalone session of its cell. The
+//! smoke grid's digest is pinned in `tests/golden_trace.rs`
 //! (`GOLDEN_SHOOTOUT_DIGEST`); `examples/abr_shootout.rs` runs the
 //! tournament from the command line and self-checks worker invariance.
 
@@ -17,6 +21,7 @@ use sperke_player::QoeReport;
 use sperke_sim::sweep::{run_sweep, SweepPlan};
 use sperke_sim::{fnv1a64, SimDuration};
 use sperke_vra::AbrPolicyKind;
+use std::sync::Mutex;
 
 /// The shootout's experiment grid: the cross product of a policy axis,
 /// a bandwidth axis, a viewer-behaviour axis and a content (seed)
@@ -39,7 +44,8 @@ pub struct ShootoutGrid {
 impl ShootoutGrid {
     /// The reduced CI smoke grid: all five policies × 2 bandwidths ×
     /// 1 behaviour × 1 seed = 10 points of 4 s sessions. Its report
-    /// digest is pinned as `GOLDEN_SHOOTOUT_DIGEST`.
+    /// digest is pinned as `GOLDEN_SHOOTOUT_DIGEST`. It is one content
+    /// group, so it runs on one worker at any worker count.
     pub fn smoke() -> ShootoutGrid {
         ShootoutGrid {
             policies: AbrPolicyKind::all().to_vec(),
@@ -192,34 +198,84 @@ impl ShootoutReport {
 
 /// Race every policy over the grid on `threads` workers (`0` =
 /// available parallelism). Each point is one single-threaded
-/// deterministic [`Sperke`] session; the merged report — and therefore
+/// deterministic [`Sperke`] session. A worker runs one content group
+/// (the points sharing a seed and a behaviour) at a time: it builds the
+/// group's video and head trace, plays the group's sessions over them in
+/// grid order, and drops them. So a grid with fewer groups than
+/// `threads` runs on fewer workers. The merged report — and therefore
 /// its JSON, markdown and digest — is byte-identical for any worker
 /// count.
 pub fn run_shootout(grid: &ShootoutGrid, threads: usize) -> ShootoutReport {
-    let plan = SweepPlan::new(grid.points());
+    let cells = grid.points();
+    let groups = content_groups(&cells);
     let duration = SimDuration::from_secs(grid.duration_secs);
-    let sweep = run_sweep(&plan, threads, |_index, cell| {
-        let qoe = Sperke::builder(cell.seed)
+    let session = |cell: &ShootoutCell| {
+        Sperke::builder(cell.seed)
             .duration(duration)
             .single_link(cell.bandwidth_bps)
             .behavior(cell.behavior)
             .abr_policy(cell.policy)
-            .run()
-            .qoe;
-        ShootoutPoint { cell: *cell, qoe }
+    };
+    // Each session writes its report into its point's slot, so a group
+    // hands back no heap result: collecting each group's reports in a
+    // vector measured higher peak memory (DESIGN §17).
+    let slots: Mutex<Vec<Option<QoeReport>>> = Mutex::new(vec![None; cells.len()]);
+    let sweep = run_sweep(&SweepPlan::new(groups), threads, |_, members| {
+        let first = session(&cells[members[0]]);
+        let (video, trace) = (first.build_video(), first.build_trace());
+        for &i in members {
+            let qoe = session(&cells[i]).run_over(&video, &trace).session.qoe;
+            slots.lock().expect("no session panics holding the slots")[i] = Some(qoe);
+        }
+        members.len()
     });
-    let points: Vec<ShootoutPoint> = sweep.ok_results().cloned().collect();
     assert_eq!(
-        points.len(),
-        plan.len(),
-        "every shootout point must complete"
+        sweep.panicked(),
+        vec![],
+        "every shootout content group must complete"
     );
+    let qoes = slots
+        .into_inner()
+        .expect("no session panics holding the slots");
+    let points: Vec<ShootoutPoint> = cells
+        .into_iter()
+        .zip(qoes)
+        .map(|(cell, qoe)| ShootoutPoint {
+            cell,
+            qoe: qoe.expect("every point belongs to one content group"),
+        })
+        .collect();
     let ranking = rank(grid, &points);
     ShootoutReport {
         grid: grid.clone(),
         points,
         ranking,
     }
+}
+
+/// The grid's content groups: for each distinct (seed, behaviour) pair,
+/// in order of first appearance, the indices of the points that share
+/// it, in grid order. A session's video depends only on its seed and its
+/// head trace only on its seed and behaviour, so a group's points can
+/// stream one build of each. A repeated seed value joins its group.
+///
+/// The group, not the content, is the sweep's unit so that a worker
+/// holds one group's content at a time: keeping every group's content
+/// alive for the whole run costs far more peak memory (DESIGN §17).
+fn content_groups(cells: &[ShootoutCell]) -> Vec<Vec<usize>> {
+    let mut keys: Vec<(u64, Behavior)> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let key = (cell.seed, cell.behavior);
+        match keys.iter().position(|&k| k == key) {
+            Some(g) => groups[g].push(i),
+            None => {
+                keys.push(key);
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
 }
 
 /// Aggregate points per policy and rank by mean composite score
@@ -293,6 +349,88 @@ mod tests {
         }
         for pair in serial.ranking.windows(2) {
             assert!(pair[0].mean_score >= pair[1].mean_score, "ranking sorted");
+        }
+    }
+
+    /// 3 seeds × 2 behaviours × 2 policies × 2 bandwidths = 24 points
+    /// of short sessions in 6 content groups.
+    fn multi_group_grid() -> ShootoutGrid {
+        ShootoutGrid {
+            policies: vec![AbrPolicyKind::qer_default(), AbrPolicyKind::Sperke],
+            bandwidths_bps: vec![8e6, 30e6],
+            behaviors: vec![Behavior::Explorer, Behavior::Focused],
+            seeds: vec![77, 5, 1234],
+            duration_secs: 6,
+        }
+    }
+
+    #[test]
+    fn content_groups_key_on_seed_and_behaviour_in_grid_order() {
+        let smoke = ShootoutGrid::smoke();
+        assert_eq!(
+            content_groups(&smoke.points()),
+            vec![(0..10).collect::<Vec<_>>()]
+        );
+        let repeated = ShootoutGrid {
+            seeds: vec![78, 77, 78],
+            ..multi_group_grid()
+        };
+        for (grid, count) in [(multi_group_grid(), 6), (repeated, 4)] {
+            let cells = grid.points();
+            let groups = content_groups(&cells);
+            assert_eq!(groups.len(), count);
+            let mut seen: Vec<usize> = groups.concat();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..cells.len()).collect::<Vec<_>>());
+            for members in &groups {
+                assert!(members.windows(2).all(|w| w[0] < w[1]), "grid order");
+                let key = |i: usize| (cells[i].seed, cells[i].behavior);
+                assert!(members.iter().all(|&i| key(i) == key(members[0])));
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_points_equal_standalone_sessions_at_any_worker_count() {
+        let grids = [
+            ("multi-group", multi_group_grid()),
+            (
+                "repeated seed",
+                ShootoutGrid {
+                    seeds: vec![78, 77, 78],
+                    ..multi_group_grid()
+                },
+            ),
+            ("one group", ShootoutGrid::smoke()),
+        ];
+        for (name, grid) in grids {
+            let serial = run_shootout(&grid, 1);
+            let cells = grid.points();
+            assert_eq!(serial.points.len(), cells.len());
+            for (point, cell) in serial.points.iter().zip(&cells) {
+                let alone = Sperke::builder(cell.seed)
+                    .duration(SimDuration::from_secs(grid.duration_secs))
+                    .single_link(cell.bandwidth_bps)
+                    .behavior(cell.behavior)
+                    .abr_policy(cell.policy)
+                    .run()
+                    .qoe;
+                assert_eq!(point.cell, *cell, "{name}");
+                assert_eq!(
+                    serde_json::to_string(&point.qoe).unwrap(),
+                    serde_json::to_string(&alone).unwrap(),
+                    "{name}: {cell:?}"
+                );
+            }
+            for threads in [2, 3, 8] {
+                let parallel = run_shootout(&grid, threads);
+                assert_eq!(
+                    parallel.digest(),
+                    serial.digest(),
+                    "{name}, {threads} workers"
+                );
+                assert_eq!(parallel, serial, "{name}, {threads} workers");
+            }
         }
     }
 

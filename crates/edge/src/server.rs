@@ -43,7 +43,9 @@
 use crate::cache::{CacheKey, TileCache, TileCacheStats};
 use serde::{Deserialize, Serialize};
 use sperke_geo::{Orientation, TileGrid, TileId};
-use sperke_hmp::{AttentionModel, ForecastScratch, FusedForecaster, HeadTrace, HotspotTrack};
+use sperke_hmp::{
+    AttentionModel, ForecastScratch, Forecaster, FusedForecaster, HeadTrace, HotspotTrack,
+};
 use sperke_live::CrowdAggregator;
 use sperke_net::{
     retry_delay, BbrState, FaultScript, GeChain, LossChannel, PathFaults, WrrCompletion, WrrLink,
@@ -454,7 +456,7 @@ pub(crate) fn decide_choices(
     let own_now = own_now(spec, now);
     let budget = (spec.budget_bps * video.chunk_duration().as_secs_f64() / 8.0) as u64;
     let forecaster = FusedForecaster::motion_only();
-    head.history_into(own_now, decide_history_len(&forecaster), history);
+    head.history_into(own_now, forecaster.history_len(), history);
     let forecast = forecaster.forecast_with(video.grid(), history, own_now, video_time, t, scratch);
     let tile_count = video.grid().tile_count();
     let plan = policy.decide(&PolicyInput {
@@ -477,13 +479,6 @@ pub(crate) fn decide_choices(
             quality: a.quality,
         })
         .collect()
-}
-
-/// How many trailing gaze samples a decide copies for `forecaster`: its
-/// motion predictor fits that many, and the rest of a forecast reads
-/// only the newest. A longer history forecasts the same bits.
-fn decide_history_len(forecaster: &FusedForecaster) -> usize {
-    forecaster.motion.window.max(2)
 }
 
 /// A client's own playback instant at wall time `now`: the video time
@@ -1476,7 +1471,7 @@ mod tests {
         // every decide instant of a crowd, that window and 50 samples
         // forecast bit-identical tile probabilities.
         let forecaster = FusedForecaster::motion_only();
-        let window = decide_history_len(&forecaster);
+        let window = forecaster.history_len();
         assert_eq!(window, forecaster.motion.window);
         assert!(window < 50);
         let v = video();

@@ -119,9 +119,31 @@ const PRUNE_FLOOR: f64 = 0.05;
 /// [`OracleForecaster`](crate::oracle::OracleForecaster) peeks at the
 /// future for perfect-HMP upper bounds (§3.1.2 part one: "let us assume
 /// that the HMP is perfect").
+///
+/// A caller that forecasts every chunk keeps one [`ForecastScratch`]
+/// and one history buffer, filling the buffer with the newest
+/// [`Forecaster::history_len`] samples
+/// ([`HeadTrace::history_into`](crate::HeadTrace::history_into)).
 pub trait Forecaster {
     /// Forecast on-screen probabilities for the chunk starting at
-    /// `target_time`, given gaze history up to `now`.
+    /// `target_time`, given gaze history up to `now`, reusing
+    /// `scratch`'s buffers. The output bits do not depend on what
+    /// `scratch` held before.
+    fn forecast_with(
+        &self,
+        grid: &TileGrid,
+        history: &[(SimTime, Orientation)],
+        now: SimTime,
+        target_time: SimTime,
+        chunk_time: ChunkTime,
+        scratch: &mut ForecastScratch,
+    ) -> TileForecast;
+
+    /// How many trailing gaze samples a forecast reads (at least 1). A
+    /// longer history forecasts the same bits.
+    fn history_len(&self) -> usize;
+
+    /// [`Forecaster::forecast_with`] over a fresh scratch.
     fn forecast(
         &self,
         grid: &TileGrid,
@@ -129,7 +151,10 @@ pub trait Forecaster {
         now: SimTime,
         target_time: SimTime,
         chunk_time: ChunkTime,
-    ) -> TileForecast;
+    ) -> TileForecast {
+        let mut scratch = ForecastScratch::new();
+        self.forecast_with(grid, history, now, target_time, chunk_time, &mut scratch)
+    }
 }
 
 /// The fused §3.2 forecaster.
@@ -199,16 +224,23 @@ impl FusedForecaster {
 }
 
 impl Forecaster for FusedForecaster {
-    fn forecast(
+    fn forecast_with(
         &self,
         grid: &TileGrid,
         history: &[(SimTime, Orientation)],
         now: SimTime,
         target_time: SimTime,
         chunk_time: ChunkTime,
+        scratch: &mut ForecastScratch,
     ) -> TileForecast {
-        let mut scratch = ForecastScratch::new();
-        self.forecast_with(grid, history, now, target_time, chunk_time, &mut scratch)
+        FusedForecaster::forecast_with(self, grid, history, now, target_time, chunk_time, scratch)
+    }
+
+    /// The motion predictor's fitting window: the regression reads only
+    /// that tail, and the rest of a forecast reads only the newest
+    /// sample.
+    fn history_len(&self) -> usize {
+        self.motion.window.max(2)
     }
 }
 
@@ -578,8 +610,10 @@ mod tests {
     #[test]
     fn one_scratch_reused_across_forecasters_and_grids_matches_a_fresh_one() {
         // One scratch serves every forecaster and two grid shapes in
-        // turn (its centre table is rebuilt on each shape change); the
-        // plain `forecast` builds a fresh scratch per call.
+        // turn (its centre table is rebuilt on each shape change), both
+        // through the inherent method and through the trait a player
+        // session calls; the plain `forecast` builds a fresh scratch per
+        // call.
         let cases = [TileGrid::new(4, 6), TileGrid::new(3, 5)].map(|g| (g, forecasters_on(g)));
         let mut scratch = ForecastScratch::new();
         for fi in 0..5 {
@@ -593,18 +627,36 @@ mod tests {
                         let fresh = f.forecast(grid, &h, now, target, ChunkTime(2));
                         let reused =
                             f.forecast_with(grid, &h, now, target, ChunkTime(2), &mut scratch);
+                        let dyn_f: &dyn Forecaster = f;
+                        let through_trait =
+                            dyn_f.forecast_with(grid, &h, now, target, ChunkTime(2), &mut scratch);
                         for tile in grid.tiles() {
-                            assert_eq!(
-                                reused.prob(tile).to_bits(),
-                                fresh.prob(tile).to_bits(),
-                                "forecaster {fi}, grid {grid:?}, yaw {yaw}, \
-                                 horizon {horizon_ms} ms, tile {tile}"
-                            );
+                            for got in [&reused, &through_trait] {
+                                assert_eq!(
+                                    got.prob(tile).to_bits(),
+                                    fresh.prob(tile).to_bits(),
+                                    "forecaster {fi}, grid {grid:?}, yaw {yaw}, \
+                                     horizon {horizon_ms} ms, tile {tile}"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn history_len_is_the_regression_window() {
+        let f = FusedForecaster::motion_only();
+        assert_eq!(f.history_len(), f.motion.window);
+        let mut narrow = FusedForecaster::motion_only();
+        narrow.motion.window = 1;
+        assert_eq!(
+            narrow.history_len(),
+            2,
+            "the regression fits two samples at least"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! gaze, so experiments can separate *prediction* error from
 //! *adaptation* error and report the perfect-HMP upper bound.
 
-use crate::fusion::{Forecaster, TileForecast};
+use crate::fusion::{ForecastScratch, Forecaster, TileForecast};
 use crate::trace::HeadTrace;
 use sperke_geo::{Orientation, TileGrid, TileId, Viewport, VisibilityScratch};
 use sperke_sim::{SimDuration, SimTime};
@@ -36,13 +36,14 @@ impl OracleForecaster {
 }
 
 impl Forecaster for OracleForecaster {
-    fn forecast(
+    fn forecast_with(
         &self,
         grid: &TileGrid,
         _history: &[(SimTime, Orientation)],
         _now: SimTime,
         target_time: SimTime,
         _chunk_time: ChunkTime,
+        _scratch: &mut ForecastScratch,
     ) -> TileForecast {
         let mut scratch = VisibilityScratch::new();
         let mut at_instant = Vec::new();
@@ -61,6 +62,11 @@ impl Forecaster for OracleForecaster {
             .map(|t| if visible.contains(&t) { 1.0 } else { 0.0 })
             .collect();
         TileForecast::new(probs)
+    }
+
+    /// The oracle reads the trace, not the history.
+    fn history_len(&self) -> usize {
+        1
     }
 }
 
@@ -91,6 +97,23 @@ mod tests {
             let fc = oracle.forecast(&grid, &history, SimTime::ZERO, target, ChunkTime(s as u32));
             let actual_tile = grid.tile_of_direction(tr.at(target).direction());
             assert_eq!(fc.prob(actual_tile), 1.0, "t={s}");
+        }
+    }
+
+    #[test]
+    fn oracle_reads_no_history() {
+        let tr = trace();
+        let oracle = OracleForecaster::new(tr.clone());
+        assert_eq!(oracle.history_len(), 1);
+        let grid = TileGrid::new(4, 6);
+        for s in 2..18 {
+            let now = SimTime::from_secs(s - 1);
+            let target = SimTime::from_secs(s);
+            let [one, fifty] = [1, 50].map(|n| {
+                let history = tr.history(now, n);
+                oracle.forecast(&grid, &history, now, target, ChunkTime(s as u32))
+            });
+            assert_eq!(one, fifty, "t={s}");
         }
     }
 

@@ -2,8 +2,8 @@
 //! quality (the "Encoded Chunk Cache" of Figure 4).
 
 use serde::{Deserialize, Serialize};
+use sperke_sim::FxHashMap;
 use sperke_video::{CellId, ChunkForm, ChunkTime, Quality};
-use std::collections::HashMap;
 
 /// A buffered cell's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -16,10 +16,12 @@ pub struct BufferedCell {
     pub bytes_spent: u64,
 }
 
-/// The player's downloaded-cell buffer.
+/// The player's downloaded-cell buffer. No query depends on the map's
+/// iteration order: [`CellBuffer::cells_at`] sorts its output and
+/// [`CellBuffer::total_bytes`] sums integers.
 #[derive(Debug, Clone, Default)]
 pub struct CellBuffer {
-    cells: HashMap<CellId, BufferedCell>,
+    cells: FxHashMap<CellId, BufferedCell>,
 }
 
 impl CellBuffer {
@@ -153,6 +155,36 @@ mod tests {
         let at1 = b.cells_at(ChunkTime(1));
         assert_eq!(at1.len(), 2);
         assert!(at1.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn cells_at_ignores_insertion_order() {
+        // Cells of three chunk times, duplicates included, inserted in
+        // three orders.
+        let inserts: Vec<(CellId, Quality, u64)> = (0..60u16)
+            .map(|i| {
+                let c = cell((i * 7) % 24, u32::from(i % 3));
+                (c, Quality((i % 5) as u8), 100 + u64::from(i))
+            })
+            .collect();
+        let fill = |order: &mut dyn Iterator<Item = &(CellId, Quality, u64)>| {
+            let mut b = CellBuffer::new();
+            for &(c, q, bytes) in order {
+                b.insert(c, q, ChunkForm::Avc, bytes);
+            }
+            b
+        };
+        let forward = fill(&mut inserts.iter());
+        let reversed = fill(&mut inserts.iter().rev());
+        let strided = fill(&mut (0..inserts.len()).map(|i| &inserts[(i * 13) % inserts.len()]));
+        for t in 0..3 {
+            let want = forward.cells_at(ChunkTime(t));
+            assert!(!want.is_empty());
+            assert_eq!(reversed.cells_at(ChunkTime(t)), want);
+            assert_eq!(strided.cells_at(ChunkTime(t)), want);
+        }
+        assert_eq!(reversed.total_bytes(), forward.total_bytes());
+        assert_eq!(strided.total_bytes(), forward.total_bytes());
     }
 
     #[test]

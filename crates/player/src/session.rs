@@ -11,7 +11,7 @@
 use crate::buffer::CellBuffer;
 use crate::qoe::{ChunkRecord, QoeReport, QoeWeights};
 use sperke_geo::{TileId, Viewport, VisibilityScratch};
-use sperke_hmp::{Forecaster, HeadTrace};
+use sperke_hmp::{ForecastScratch, Forecaster, HeadTrace};
 use sperke_net::{
     BandwidthEstimator, ChunkPriority, ChunkRequest, Completion, EstimatorKind, MultipathScheduler,
     MultipathSession, PathQueue, SpatialPriority, TransferOutcome,
@@ -23,9 +23,6 @@ use sperke_vra::{
     decide_upgrade, plan_fov_agnostic, upgrade_candidates, Abr, FetchPlan, PlanInput, SperkeConfig,
     SperkeVra, UpgradeDecision,
 };
-
-/// Samples of gaze history handed to the forecaster.
-const HISTORY_SAMPLES: usize = 50;
 
 /// How close to the deadline the upgrade pass re-checks the HMP.
 const UPGRADE_LEAD: SimDuration = SimDuration::from_millis(600);
@@ -139,6 +136,12 @@ pub fn run_session(
     // Display visibility: one scratch and one list, reused every chunk.
     let mut vis_scratch = VisibilityScratch::new();
     let mut visible: Vec<(TileId, f64)> = Vec::new();
+    // HMP: one forecast scratch and one gaze-history buffer, reused by
+    // both forecasts of every chunk. The buffer holds only the samples
+    // the forecaster reads.
+    let mut forecast_scratch = ForecastScratch::new();
+    let mut history = Vec::new();
+    let history_len = forecaster.history_len();
     let mut net = MultipathSession::new(paths, scheduler);
     net.set_trace(sink.clone());
     let mut estimator = BandwidthEstimator::new(EstimatorKind::Harmonic { window: 5 });
@@ -195,13 +198,14 @@ pub fn run_session(
         let trace_target = playback_start
             .map(|ps| est_deadline.saturating_since(ps))
             .unwrap_or(SimDuration::ZERO);
-        let history = trace.history(SimTime::ZERO + trace_now, HISTORY_SAMPLES);
-        let forecast = forecaster.forecast(
+        trace.history_into(SimTime::ZERO + trace_now, history_len, &mut history);
+        let forecast = forecaster.forecast_with(
             video.grid(),
             &history,
             SimTime::ZERO + trace_now,
             SimTime::ZERO + trace_target,
             t,
+            &mut forecast_scratch,
         );
 
         // --- Plan.
@@ -378,13 +382,14 @@ pub fn run_session(
             );
             let check_at = now.max(lead_target);
             let check_trace = check_at.saturating_since(ps);
-            let fresh_history = trace.history(SimTime::ZERO + check_trace, HISTORY_SAMPLES);
-            let fresh = forecaster.forecast(
+            trace.history_into(SimTime::ZERO + check_trace, history_len, &mut history);
+            let fresh = forecaster.forecast_with(
                 video.grid(),
-                &fresh_history,
+                &history,
                 SimTime::ZERO + check_trace,
                 SimTime::ZERO + display_time.saturating_since(ps),
                 t,
+                &mut forecast_scratch,
             );
             let buffered = buffer.cells_at(t);
             let candidates = upgrade_candidates(video, &buffered, &fresh, plan.fov_quality);
@@ -970,6 +975,101 @@ mod tests {
                 "{} showed nothing",
                 kind.name()
             );
+        }
+    }
+
+    /// Forecasts through `inner` from the history the session hands it,
+    /// and checks every call against the same forecast from 50 samples.
+    struct CheckedForecaster<'a> {
+        inner: FusedForecaster,
+        trace: &'a HeadTrace,
+        calls: std::cell::Cell<usize>,
+        trimmed: std::cell::Cell<usize>,
+    }
+
+    impl Forecaster for CheckedForecaster<'_> {
+        fn forecast_with(
+            &self,
+            grid: &sperke_geo::TileGrid,
+            history: &[(SimTime, sperke_geo::Orientation)],
+            now: SimTime,
+            target_time: SimTime,
+            chunk_time: ChunkTime,
+            scratch: &mut ForecastScratch,
+        ) -> sperke_hmp::TileForecast {
+            let got =
+                self.inner
+                    .forecast_with(grid, history, now, target_time, chunk_time, scratch);
+            let long = self.trace.history(now, 50);
+            let want = self
+                .inner
+                .forecast(grid, &long, now, target_time, chunk_time);
+            for tile in grid.tiles() {
+                assert_eq!(
+                    got.prob(tile).to_bits(),
+                    want.prob(tile).to_bits(),
+                    "chunk {chunk_time:?} at {now:?}, {tile:?}"
+                );
+            }
+            self.calls.set(self.calls.get() + 1);
+            self.trimmed
+                .set(self.trimmed.get() + usize::from(long.len() > history.len()));
+            got
+        }
+
+        fn history_len(&self) -> usize {
+            self.inner.history_len()
+        }
+    }
+
+    #[test]
+    fn history_len_samples_forecast_the_bits_of_fifty() {
+        use sperke_hmp::{generate_ensemble, Heatmap, Pose};
+        let v = video(60);
+        let tr = TraceGenerator::new(
+            AttentionModel::generic(4),
+            Behavior::Explorer,
+            ViewingContext::default(),
+        )
+        .generate(SimDuration::from_secs(65), 9);
+        let crowd = generate_ensemble(&AttentionModel::generic(4), 6, v.duration(), 3);
+        let map = Heatmap::build(*v.grid(), v.chunk_duration(), v.chunk_count(), &crowd);
+        let lying = ViewingContext {
+            pose: Pose::Lying,
+            ..Default::default()
+        };
+        let configurations = [
+            ("motion-only", FusedForecaster::motion_only()),
+            ("heatmap", FusedForecaster::motion_only().with_heatmap(map)),
+            (
+                "speed bound",
+                FusedForecaster::motion_only().with_speed_bound(0.8),
+            ),
+            (
+                "lying context",
+                FusedForecaster::motion_only().with_context(lying, 0.4),
+            ),
+        ];
+        for (name, inner) in configurations {
+            let checked = CheckedForecaster {
+                inner,
+                trace: &tr,
+                calls: Default::default(),
+                trimmed: Default::default(),
+            };
+            let r = run_session(
+                &v,
+                &tr,
+                single_path(25e6),
+                Box::new(SinglePath(0)),
+                Box::new(RateBased::default()),
+                &checked,
+                &PlayerConfig::default(),
+            );
+            assert_eq!(r.qoe.chunks, 60, "{name}");
+            // A plan and an upgrade forecast per chunk.
+            assert_eq!(checked.calls.get(), 120, "{name}");
+            assert!(checked.trimmed.get() > 100, "{name}: the window rarely bit");
         }
     }
 

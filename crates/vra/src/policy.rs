@@ -249,18 +249,26 @@ fn transition_plan(
     }
 }
 
-/// The tiles QER variant `k` of `variants` emphasizes: those whose
-/// centre yaw lies within the sector of width `2π/K` centred on
-/// `2πk/K`.
-fn qer_emphasized(video: &VideoModel, variants: u8, k: u8) -> Vec<bool> {
+/// Every tile's centre yaw, the angle QER's variant sectors are cut in.
+fn tile_yaws(video: &VideoModel) -> Vec<f64> {
     let grid = video.grid();
-    let kf = variants.max(1) as f64;
-    let center = 2.0 * std::f64::consts::PI * k as f64 / kf;
-    let half_width = std::f64::consts::PI / kf;
     grid.tiles()
         .map(|tile| {
             let dir = grid.tile_center(tile);
-            let yaw = dir.y.atan2(dir.x);
+            dir.y.atan2(dir.x)
+        })
+        .collect()
+}
+
+/// The tiles QER variant `k` of `variants` emphasizes: those whose
+/// centre yaw (from [`tile_yaws`]) lies within the sector of width
+/// `2π/K` centred on `2πk/K`.
+fn qer_mask(yaws: &[f64], variants: u8, k: u8) -> Vec<bool> {
+    let kf = variants.max(1) as f64;
+    let center = 2.0 * std::f64::consts::PI * k as f64 / kf;
+    let half_width = std::f64::consts::PI / kf;
+    yaws.iter()
+        .map(|&yaw| {
             let mut d = (yaw - center).abs() % (2.0 * std::f64::consts::PI);
             if d > std::f64::consts::PI {
                 d = 2.0 * std::f64::consts::PI - d;
@@ -270,11 +278,26 @@ fn qer_emphasized(video: &VideoModel, variants: u8, k: u8) -> Vec<bool> {
         .collect()
 }
 
-/// [`AbrPolicyKind::Qer`]'s decide.
+/// [`AbrPolicyKind::Qer`]'s decide: the tile yaws once, then every
+/// variant's mask from them.
 fn qer_plan(input: &PolicyInput<'_>, variants: u8, emphasis_drop: u8) -> PolicyPlan {
     if variants == 0 {
         return knapsack_plan(input);
     }
+    let yaws = tile_yaws(input.video);
+    qer_plan_masked(input, variants, emphasis_drop, |k| {
+        qer_mask(&yaws, variants, k)
+    })
+}
+
+/// QER's variant choice over `variants >= 1` variants, variant `k`
+/// emphasizing the tiles `emphasized(k)` marks.
+fn qer_plan_masked(
+    input: &PolicyInput<'_>,
+    variants: u8,
+    emphasis_drop: u8,
+    emphasized: impl Fn(u8) -> Vec<bool>,
+) -> PolicyPlan {
     let video = input.video;
     let grid = video.grid();
     let ladder = video.ladder();
@@ -285,7 +308,7 @@ fn qer_plan(input: &PolicyInput<'_>, variants: u8, emphasis_drop: u8) -> PolicyP
     // (q_hi, q_lo) pair; ties resolve to the lowest variant index.
     let mut best: Option<(f64, u8, Vec<bool>, Quality, Quality)> = None;
     for k in 0..variants {
-        let emphasized = qer_emphasized(video, variants, k);
+        let emphasized = emphasized(k);
         // Highest affordable emphasis quality for this variant; the
         // cheapest pair (0, 0) is the floor — a precoded stream is
         // indivisible, so it ships even when over budget.
@@ -533,10 +556,83 @@ impl AbrPolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sperke_geo::Orientation;
+    use proptest::prelude::*;
+    use sperke_geo::{Orientation, TileGrid};
     use sperke_hmp::FusedForecaster;
     use sperke_sim::SimTime;
     use sperke_video::VideoModelBuilder;
+
+    /// The reference for [`qer_mask`]: each variant computes every
+    /// tile's centre and yaw itself.
+    fn qer_emphasized(video: &VideoModel, variants: u8, k: u8) -> Vec<bool> {
+        let grid = video.grid();
+        let kf = variants.max(1) as f64;
+        let center = 2.0 * std::f64::consts::PI * k as f64 / kf;
+        let half_width = std::f64::consts::PI / kf;
+        grid.tiles()
+            .map(|tile| {
+                let dir = grid.tile_center(tile);
+                let yaw = dir.y.atan2(dir.x);
+                let mut d = (yaw - center).abs() % (2.0 * std::f64::consts::PI);
+                if d > std::f64::consts::PI {
+                    d = 2.0 * std::f64::consts::PI - d;
+                }
+                d <= half_width
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The hoisted yaws give every variant the oracle's mask and the
+        /// decide the oracle's plan, over four grid shapes, 1-8
+        /// variants, emphasis drops 0-3 and budgets from zero to the
+        /// full top-rung panorama.
+        #[test]
+        fn qer_hoisted_yaws_match_the_per_variant_oracle(
+            seed: u64,
+            shape in 0usize..4,
+            variants in 1u8..9,
+            emphasis_drop in 0u8..4,
+            probs in proptest::collection::vec(0.0f64..1.0, 72),
+            budget_frac in (0u8..3, 0.0f64..1.0),
+            svc: bool,
+        ) {
+            let (rows, cols) = [(2, 4), (3, 7), (4, 6), (6, 12)][shape];
+            let video = VideoModelBuilder::new(seed)
+                .grid(TileGrid::new(rows, cols))
+                .duration(SimDuration::from_secs(2))
+                .build();
+            let forecast = TileForecast::new(probs[..video.grid().tile_count()].to_vec());
+            let scheme = if svc { Scheme::svc_default() } else { Scheme::Avc };
+            let time = ChunkTime(1);
+            let panorama = video.panorama_bytes(video.ladder().top(), time, scheme);
+            let budget_frac = [0.0, 1.0, budget_frac.1][budget_frac.0 as usize];
+            let input = PolicyInput {
+                video: &video,
+                forecast: &forecast,
+                confidence: forecast.confidence(),
+                time,
+                buffer: SimDuration::from_secs(2),
+                budget_bytes: (panorama as f64 * budget_frac) as u64,
+                capacity_bps: None,
+                scheme,
+                min_probability: DEFAULT_MIN_PROBABILITY,
+                prev: None,
+            };
+            let yaws = tile_yaws(&video);
+            for k in 0..variants {
+                prop_assert_eq!(
+                    qer_mask(&yaws, variants, k),
+                    qer_emphasized(&video, variants, k)
+                );
+            }
+            let hoisted = AbrPolicyKind::Qer { variants, emphasis_drop }.decide(&input);
+            let oracle = qer_plan_masked(&input, variants, emphasis_drop, |k| {
+                qer_emphasized(&video, variants, k)
+            });
+            prop_assert_eq!(hoisted, oracle);
+        }
+    }
 
     fn video() -> VideoModel {
         VideoModelBuilder::new(9)
