@@ -1,15 +1,16 @@
 //! Edge delivery at the rack: origin egress with and without the
 //! shared tile cache, how the saving grows with audience size — the
 //! crowd-amortisation claim of §3.4, measured — and the edge engine
-//! against the per-event oracle.
+//! against the per-event oracle, bit for bit at up to 1,024 clients,
+//! also with BBR and bursty origin loss. Every printed number is a
+//! count, so the output is deterministic.
 
 use sperke_bench::{cols, header, note, row};
-use sperke_core::EdgeConfig;
+use sperke_core::{EdgeConfig, LossChannel};
 use sperke_edge::oracle::run_edge_full;
 use sperke_edge::{default_clients, run_edge, EdgeHarness};
 use sperke_sim::SimDuration;
 use sperke_video::VideoModelBuilder;
-use std::time::Instant;
 
 fn main() {
     header("edge", "shared tile cache: origin egress vs audience size");
@@ -68,49 +69,48 @@ fn main() {
     }
     println!("shape check: PASS");
 
-    header(
-        "edge",
-        "edge engine vs per-event oracle (identical bytes, faster steps)",
+    header("edge", "edge engine vs per-event oracle (identical bytes)");
+    cols(
+        "clients / origin link",
+        &["originMB", "egressMB", "hit%", "retries"],
     );
-    cols("clients / engine", &["steps/s", "ms/run", "speedup"]);
-    for &n in &[64usize, 256, 1024] {
+    let bbr_bursty = EdgeHarness {
+        bbr: true,
+        origin_loss: LossChannel::bursty_default(),
+        ..Default::default()
+    };
+    let plain = EdgeHarness::default();
+    for (n, label, harness) in [
+        (64usize, "plain", &plain),
+        (256, "plain", &plain),
+        (1024, "plain", &plain),
+        (1024, "bbr+bursty", &bbr_bursty),
+    ] {
         let cfg = EdgeConfig {
             clients: n,
             max_clients: 2048,
             ..Default::default()
         };
         let specs = default_clients(&cfg);
-        let steps = n as f64 * video.chunk_count() as f64;
-        let time = |run: &dyn Fn() -> sperke_core::EdgeReport| {
-            let report = run(); // warm-up + result
-            let mut secs: Vec<f64> = (0..3)
-                .map(|_| {
-                    let t = Instant::now();
-                    std::hint::black_box(run());
-                    t.elapsed().as_secs_f64()
-                })
-                .collect();
-            secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            (report, secs[1])
-        };
-        let (legacy, legacy_s) =
-            time(&|| run_edge_full(&video, &cfg, &specs, &EdgeHarness::default(), None));
-        let (batched, batched_s) =
-            time(&|| run_edge(&video, &cfg, &specs, &EdgeHarness::default(), None, 0));
+        let oracle = run_edge_full(&video, &cfg, &specs, harness, None);
+        let engine = run_edge(&video, &cfg, &specs, harness, None, 0);
         assert_eq!(
-            legacy, batched,
-            "{n} clients: engines must agree bit-for-bit"
+            oracle, engine,
+            "{n} clients, {label} origin: engines must agree bit-for-bit"
         );
         row(
-            &format!("{n} / legacy"),
-            &[steps / legacy_s, legacy_s * 1e3, 1.0],
-        );
-        row(
-            &format!("{n} / batched"),
-            &[steps / batched_s, batched_s * 1e3, legacy_s / batched_s],
+            &format!("{n} / {label}"),
+            &[
+                engine.origin_demand_bytes() as f64 / 1e6,
+                engine.egress_bytes as f64 / 1e6,
+                100.0 * engine.cache.hits as f64
+                    / (engine.cache.hits + engine.cache.misses).max(1) as f64,
+                engine.origin_retries as f64,
+            ],
         );
     }
     note("same (config, clients, seed), same report, same trace bytes;");
     note("the engine only moves the pure sense work onto worker threads");
-    note("and replays the identical event order from arrays.");
+    note("and replays the identical event order from arrays, also with");
+    note("the BBR origin estimator and bursty origin loss switched on.");
 }

@@ -609,10 +609,10 @@ pub(crate) fn replay<'v>(
 
 /// Run the stateful engine over a prepared plan: the one replay, on one
 /// node holding every client, with `harness` and no regional tier. This
-/// is the decide → fetch → render stepping loop the perf baseline
-/// gates — everything pure, every decide plan included, was already
-/// materialized by [`prepare_edge_batch`], so `harness.policy` is not
-/// read here.
+/// is the decide → fetch → render stepping loop that sperkebench's
+/// `edge.replay_s` times — everything pure, every decide plan included,
+/// was already materialized by [`prepare_edge_batch`], so
+/// `harness.policy` is not read here.
 pub fn run_edge_prepared(
     video: &VideoModel,
     config: &EdgeConfig,

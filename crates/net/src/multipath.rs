@@ -358,9 +358,6 @@ impl MultipathScheduler for Box<dyn MultipathScheduler> {
 pub struct MultipathSession<S: MultipathScheduler> {
     paths: Vec<PathQueue>,
     scheduler: S,
-    /// Completions in submission order, with the chosen path. Each
-    /// resilient retry appends its own entry.
-    pub log: Vec<(Completion, usize)>,
     trace: TraceSink,
     /// Events waiting for the submission clock to pass their timestamp,
     /// keyed `(timestamp, insertion-sequence)` so ties keep insertion
@@ -402,7 +399,6 @@ impl<S: MultipathScheduler> MultipathSession<S> {
         MultipathSession {
             paths,
             scheduler,
-            log: Vec::new(),
             trace: TraceSink::disabled(),
             deferred: BTreeMap::new(),
             defer_seq: 0,
@@ -569,7 +565,6 @@ impl<S: MultipathScheduler> MultipathSession<S> {
         self.advance_clock(now);
         let assignment = self.scheduler.assign(&req, &self.paths, now);
         let completion = self.paths[assignment.path].submit(req.bytes, now, assignment.reliability);
-        self.log.push((completion, assignment.path));
         self.defer_attempt_events(&req, assignment, now);
         self.defer(TraceEvent::TransferFinished {
             at: completion.finished,
@@ -641,7 +636,6 @@ impl<S: MultipathScheduler> MultipathSession<S> {
             };
 
             let Some(failed) = failure else {
-                self.log.push((completion, assignment.path));
                 self.defer(TraceEvent::TransferFinished {
                     at: completion.finished,
                     path: assignment.path as u32,
@@ -658,7 +652,6 @@ impl<S: MultipathScheduler> MultipathSession<S> {
                 };
             };
 
-            self.log.push((failed, assignment.path));
             self.count_bytes(TransferOutcome::Failed, req.bytes);
             let next = if retries_left {
                 self.scheduler.reassign(
@@ -724,6 +717,7 @@ mod tests {
     use super::*;
     use crate::bandwidth::BandwidthTrace;
     use crate::path::PathModel;
+    use sperke_sim::trace::TraceLevel;
     use sperke_sim::{SimDuration, SimRng};
 
     fn wifi_lte() -> Vec<PathQueue> {
@@ -765,6 +759,23 @@ mod tests {
             SimRng::new(2),
         );
         paths
+    }
+
+    /// Record `s`'s net events at every level; read them with
+    /// [`events`] once the session's transfers are submitted.
+    fn traced<S: MultipathScheduler>(s: &mut MultipathSession<S>) -> TraceSink {
+        let sink = TraceSink::with_level(TraceLevel::Verbose);
+        s.set_trace(sink.clone());
+        sink
+    }
+
+    /// Release `s`'s deferred events and return everything `sink` holds.
+    fn events<S: MultipathScheduler>(
+        s: &mut MultipathSession<S>,
+        sink: &TraceSink,
+    ) -> Vec<TraceEvent> {
+        s.finish_trace();
+        sink.snapshot().events().to_vec()
     }
 
     fn fov_req(bytes: u64) -> ChunkRequest {
@@ -887,10 +898,19 @@ mod tests {
     #[test]
     fn aggregate_accounting() {
         let mut s = MultipathSession::new(wifi_lte(), MinRtt);
+        let sink = traced(&mut s);
         s.submit(fov_req(1_000_000), SimTime::ZERO);
         s.submit(fov_req(1_000_000), SimTime::ZERO);
         assert_eq!(s.bytes_delivered(), 2_000_000);
-        assert_eq!(s.log.len(), 2);
+        // One transfer per submission, each delivered.
+        let finished: Vec<bool> = events(&mut s, &sink)
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::TransferFinished { delivered, .. } => Some(*delivered),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished, [true, true]);
     }
 
     /// A flat loss threshold treats a 20 KB and a 2 MB chunk the same;
@@ -942,6 +962,7 @@ mod tests {
     #[test]
     fn resilient_submission_fails_over_to_surviving_path() {
         let mut s = MultipathSession::new(outage_on(0), ContentAware);
+        let sink = traced(&mut s);
         // FoV chunk submitted mid-outage: the premium (wifi) attempt dies
         // after a detection RTT, the retry lands on LTE and delivers.
         let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(3));
@@ -949,12 +970,30 @@ mod tests {
         assert_eq!(r.path, 1, "failover to the surviving path");
         assert_eq!(r.attempts, 2, "one retry was enough");
         assert!(!r.abandoned);
-        // Both attempts are on the log: the failed wifi try, then LTE.
-        assert_eq!(s.log.len(), 2);
-        assert_eq!(s.log[0].0.outcome, TransferOutcome::Failed);
-        assert_eq!(s.log[0].1, 0);
-        // The retry went out after the backoff.
-        assert!(s.log[1].0.submitted >= s.log[0].0.finished + BACKOFF);
+        // Both attempts are in the trace: the failed wifi try, then LTE,
+        // which went out after the backoff.
+        let events = events(&mut s, &sink);
+        let assigned: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::PathAssigned { path, .. } => Some(path),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(assigned, [0, 1]);
+        let failed_at = events
+            .iter()
+            .find_map(|e| match *e {
+                TraceEvent::TransferFinished {
+                    at,
+                    path: 0,
+                    delivered: false,
+                    ..
+                } => Some(at),
+                _ => None,
+            })
+            .expect("the wifi attempt failed");
+        assert!(r.completion.submitted >= failed_at + BACKOFF);
         assert_eq!(s.bytes_failed(), 400_000);
     }
 
@@ -1002,6 +1041,7 @@ mod tests {
             .map(|(i, q)| q.with_faults(script.compile_for(i)))
             .collect();
         let mut s = MultipathSession::new(paths, SinglePathFirstTry);
+        let sink = traced(&mut s);
         // Small enough that the healthy path's slow-start ramp fits the
         // 800 ms patience floor; only the collapsed path gets cut off.
         let req = ChunkRequest {
@@ -1017,7 +1057,19 @@ mod tests {
         assert_eq!(s.paths()[0].bytes_delivered, 0);
         assert_eq!(s.paths()[0].bytes_failed, 300_000);
         // The timeout fired at the deadline (it exceeds the 800ms floor).
-        assert_eq!(s.log[0].0.finished, SimTime::from_secs(2));
+        let timeouts: Vec<TraceEvent> = events(&mut s, &sink)
+            .into_iter()
+            .filter(|e| matches!(e, TraceEvent::TransferTimedOut { .. }))
+            .collect();
+        assert_eq!(
+            timeouts,
+            [TraceEvent::TransferTimedOut {
+                at: SimTime::from_secs(2),
+                path: 0,
+                bytes: 300_000,
+                attempt: 1,
+            }]
+        );
     }
 
     #[test]
@@ -1064,10 +1116,29 @@ mod tests {
             .map(|(i, q)| q.with_faults(script.compile_for(i)))
             .collect();
         let mut s = MultipathSession::new(paths, EarliestCompletion);
+        let sink = traced(&mut s);
         let r = s.submit_resilient(fov_req(400_000), SimTime::from_secs(1));
         assert_eq!(r.completion.outcome, TransferOutcome::Failed);
         assert_eq!(r.attempts, MAX_RETRIES + 1, "initial try + every retry");
         assert!(!r.abandoned, "budget exhaustion is not abandonment");
-        assert_eq!(s.log.len(), MAX_RETRIES as usize + 1);
+        // Every attempt went out and failed; only the last one had no
+        // retry after it.
+        let (mut assigned, mut failed, mut retried) = (0, 0, 0);
+        for e in events(&mut s, &sink) {
+            match e {
+                TraceEvent::PathAssigned { .. } => assigned += 1,
+                TraceEvent::TransferFinished {
+                    delivered: false, ..
+                } => failed += 1,
+                TraceEvent::RetryScheduled { .. } => retried += 1,
+                _ => {}
+            }
+        }
+        let attempts = MAX_RETRIES as usize + 1;
+        assert_eq!(
+            (assigned, failed, retried),
+            (attempts, attempts, attempts - 1)
+        );
+        assert_eq!(s.bytes_failed(), 400_000 * attempts as u64);
     }
 }

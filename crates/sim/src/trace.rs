@@ -861,30 +861,8 @@ impl Trace {
     /// identical runs produce byte-identical output.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            e.write_json(&mut out);
-        }
+        jsonl(&self.events, |bytes| out.push_str(bytes));
         out
-    }
-
-    /// Stream the JSONL export into any [`std::fmt::Write`] — the same
-    /// bytes as [`Trace::to_jsonl`] without materializing the whole
-    /// document. Events serialize one at a time into a single reusable
-    /// buffer, so memory stays bounded by the longest event line.
-    pub fn write_jsonl(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
-        let mut buf = String::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.write_char('\n')?;
-            }
-            buf.clear();
-            e.write_json(&mut buf);
-            out.write_str(&buf)?;
-        }
-        Ok(())
     }
 
     /// The recorded events sorted by timestamp, ties broken by emission
@@ -908,12 +886,7 @@ impl Trace {
     /// byte-identical across identical runs.
     pub fn to_jsonl_ordered(&self) -> String {
         let mut out = String::new();
-        for (i, e) in self.events_ordered().into_iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            e.write_json(&mut out);
-        }
+        jsonl(self.events_ordered(), |bytes| out.push_str(bytes));
         out
     }
 
@@ -927,21 +900,28 @@ impl Trace {
     /// identical to hashing the full [`Trace::to_jsonl`] string).
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        let mut buf = String::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                h = fnv1a64_step(h, b'\n');
-            }
-            buf.clear();
-            e.write_json(&mut buf);
-            for &b in buf.as_bytes() {
-                h = fnv1a64_step(h, b);
-            }
-        }
+        jsonl(&self.events, |bytes| {
+            h = bytes.bytes().fold(h, fnv1a64_step);
+        });
         for b in self.dropped.to_le_bytes() {
             h = fnv1a64_step(h, b);
         }
         h
+    }
+}
+
+/// The JSONL encoding of `events`: hands `out` each event's line and
+/// the `'\n'` between lines, in order. Every line serializes into one
+/// reused buffer, so the caller decides what, if anything, to keep.
+fn jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>, mut out: impl FnMut(&str)) {
+    let mut line = String::new();
+    for (i, e) in events.into_iter().enumerate() {
+        if i > 0 {
+            out("\n");
+        }
+        line.clear();
+        e.write_json(&mut line);
+        out(&line);
     }
 }
 
@@ -1069,10 +1049,6 @@ mod tests {
             .collect();
         let legacy_jsonl = legacy.join("\n");
         assert_eq!(trace.to_jsonl(), legacy_jsonl);
-
-        let mut streamed = String::new();
-        trace.write_jsonl(&mut streamed).unwrap();
-        assert_eq!(streamed, legacy_jsonl);
 
         let legacy_ordered = trace
             .events_ordered()
